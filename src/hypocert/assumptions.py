@@ -236,16 +236,10 @@ class ProductResult:
 # Shared evaluation helpers
 
 
-def _view_scalar(f, scheme, h_scale):
-    if scheme == "fd" or (scheme == "auto" and not getattr(f, "analytic", False)):
-        if getattr(f, "analytic", False) or h_scale is not None:
-            return _fields.fd_scalar_view(f, h_scale or _fields.DEFAULT_FD_SCALE)
-    return f
-
-
 def _v_bundle(model, P, scheme, h_scale, order):
     """Stack velocity derivatives: dv[n,I,a], hv[n,I,a,b], tv[n,I,k,a,b]."""
-    vfs = [_view_scalar(f, scheme, h_scale) for f in model.v_fields]
+    vfs = [_fields.resolve_field(f, model.dim, scheme, h_scale)
+           for f in model.v_fields]
     dv = np.stack([f.grad(P) for f in vfs], axis=1)
     hv = tv = None
     if order >= 2:
@@ -256,7 +250,7 @@ def _v_bundle(model, P, scheme, h_scale, order):
 
 
 def _energy_derivs(model, P, scheme, h_scale):
-    ef = _view_scalar(model.energy_field, scheme, h_scale)
+    ef = _fields.resolve_field(model.energy_field, model.dim, scheme, h_scale)
     return ef.grad(P), ef.hess(P)
 
 
@@ -509,7 +503,7 @@ def hormander_check(model, grid=None, scheme="auto", h_scale=None, chunk=8192):
     the witness instead.
     """
     grid, P = _grid_points(model, grid)
-    mf = _geom._resolve_metric(model, scheme, h_scale)
+    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     best = math.inf
     wit = None
     for lo, hi in _chunks(P.shape[0], chunk):
@@ -550,7 +544,7 @@ def growth_check(model, radii=None, scheme="auto", h_scale=None):
         raise ValueError("radii must be an increasing 1d sequence")
     if radii[-1] < 10.0 * radii[0]:
         raise ValueError("radii must span at least one decade")
-    mf = _geom._resolve_metric(model, scheme, h_scale)
+    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     dirs = _sphere_directions(model.dim)
     ratios = []
     for r in radii:
@@ -573,10 +567,9 @@ def growth_check(model, radii=None, scheme="auto", h_scale=None):
 # Log-Sobolev criteria
 
 
-def _ginv_derivs(g, dg, d2g):
-    gi = np.linalg.inv(g)
-    gi = 0.5 * (gi + np.swapaxes(gi, 1, 2))
-    dgi = -np.einsum("nka,nmab,nbl->nmkl", gi, dg, gi)
+def _ginv_derivs(jet, d2g):
+    """g^{ij}, d g^{ij} and d^2 g^{ij}; the first two are the jet's own."""
+    gi, dgi, dg = jet.g_inv, jet.dg_inv, jet.dg
     d2gi = (
         np.einsum("nia,nlab,nbc,nkcd,ndj->nlkij", gi, dg, gi, dg, gi)
         + np.einsum("nia,nkab,nbc,nlcd,ndj->nlkij", gi, dg, gi, dg, gi)
@@ -608,14 +601,13 @@ def _gram_derivs(gi, dgi, d2gi, dv, hv, tv):
     return A, dA, d2A
 
 
-def _log_u_coord_derivs(gi, dgi, dg, d2g, grad_E, hess_E):
+def _log_u_coord_derivs(jet, d2g, grad_E, hess_E):
     """Coordinate derivatives of log u = -E - log sqrt(det g)."""
-    dlogsqrt = 0.5 * np.einsum("nij,nkij->nk", gi, dg)
     d2logsqrt = 0.5 * (
-        np.einsum("nlij,nkij->nlk", dgi, dg)
-        + np.einsum("nij,nlkij->nlk", gi, d2g)
+        np.einsum("nlij,nkij->nlk", jet.dg_inv, jet.dg)
+        + np.einsum("nij,nlkij->nlk", jet.g_inv, d2g)
     )
-    dlogu = -(grad_E + dlogsqrt)
+    dlogu = -(grad_E + jet.dlog_sqrt)
     d2logu = -(hess_E + d2logsqrt)
     return dlogu, d2logu
 
@@ -638,15 +630,13 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
     kappa1 = math.inf
     k2_raw = -math.inf
     w1 = w2 = None
+    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     for lo, hi in _chunks(P.shape[0], chunk):
         sub = P[lo:hi]
-        mf = _geom._resolve_metric(model, scheme, h_scale)
-        g = mf.value(sub)
-        dg = mf.grad(sub)
         d2g = mf.hess(sub)
-        jet = _geom.jet_from_arrays(g, dg, d2g)
+        jet = _geom.jet_from_arrays(mf.value(sub), mf.grad(sub), d2g)
         dv, hv, tv = _v_bundle(model, sub, scheme, h_scale, 3)
-        gi, dgi, d2gi = _ginv_derivs(g, dg, d2g)
+        gi, dgi, d2gi = _ginv_derivs(jet, d2g)
         A, dA, d2A = _gram_derivs(gi, dgi, d2gi, dv, hv, tv)
 
         t = np.einsum("nII->n", A) / N
@@ -678,7 +668,7 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
             kappa1 = float(lo_e[i])
             w1 = Witness(sub[i].copy(), kappa1, "kappa1")
 
-        dlogu, _ = _log_u_coord_derivs(gi, dgi, dg, d2g, grad_E, hess_E)
+        dlogu, _ = _log_u_coord_derivs(jet, d2g, grad_E, hess_E)
         lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
         pair = np.einsum("nij,ni,nj->n", gi, dlogu, dphi)
         scalar = -0.5 * (lap_phi + pair)
@@ -709,12 +699,11 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     n = P.shape[0]
     M = model.dim
     D = 2 * M
-    mf = _geom._resolve_metric(model, scheme, h_scale)
-    g = mf.value(P)
-    dg = mf.grad(P)
+    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     d2g = mf.hess(P)
+    jet_g = _geom.jet_from_arrays(mf.value(P), mf.grad(P))
     dv, hv, tv = _v_bundle(model, P, scheme, h_scale, 3)
-    gi, dgi, d2gi = _ginv_derivs(g, dg, d2g)
+    gi, dgi, d2gi = _ginv_derivs(jet_g, d2g)
     A, dA, d2A = _gram_derivs(gi, dgi, d2gi, dv, hv, tv)
 
     amin = np.linalg.eigvalsh(A)[:, 0]
@@ -734,10 +723,10 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     )
 
     G = np.zeros((n, D, D))
-    G[:, :M, :M] = g
+    G[:, :M, :M] = jet_g.g
     G[:, M:, M:] = Alow
     dG = np.zeros((n, D, D, D))
-    dG[:, :M, :M, :M] = dg
+    dG[:, :M, :M, :M] = jet_g.dg
     dG[:, :M, M:, M:] = dAlow
     d2G = np.zeros((n, D, D, D, D))
     d2G[:, :M, :M, :M, :M] = d2g
@@ -747,7 +736,7 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     ric_G = _geom.ricci_from_jet(jet)
 
     grad_E, hess_E = _energy_derivs(model, P, scheme, h_scale)
-    dlogu, d2logu = _log_u_coord_derivs(gi, dgi, dg, d2g, grad_E, hess_E)
+    dlogu, d2logu = _log_u_coord_derivs(jet_g, d2g, grad_E, hess_E)
     # psi = log u + (1/2) log det A^{IJ}
     dpsi = dlogu + 0.5 * np.einsum("nIJ,nkJI->nk", Alow, dA)
     d2psi = d2logu + 0.5 * (

@@ -19,8 +19,8 @@ anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleRegion, InvalidCertificate
@@ -403,32 +403,41 @@ def certificate_kv(cert):
     return "\n".join(f"{key} = {val}" for key, val in items) + "\n"
 
 
-_KV_LINE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
+def read_kv(text, error, where=""):
+    """Split `key = value` lines into (line number, key, value) triples.
 
-
-def read_certificate_kv(text):
-    """Parse certificate_kv output back into a Certificate."""
-    raw = {}
+    Blank lines and # comments are skipped; any other line needs a key
+    and an `=`, else error(message) is raised with `where` prefixed.
+    """
+    out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        m = _KV_LINE.match(line)
-        if m is None:
-            raise InvalidCertificate(f"line {lineno}: not a key = value pair")
-        raw[m.group(1)] = m.group(2).strip()
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise error(f"{where}line {lineno}: expected key = value")
+        out.append((lineno, key.strip(), value.strip()))
+    return out
 
-    def num(key, optional=False):
-        val = raw.get(key, "")
-        if val == "":
-            if optional:
-                return None
-            raise InvalidCertificate(f"missing field {key}")
-        try:
-            return float(val)
-        except ValueError as exc:
-            raise InvalidCertificate(f"field {key}: {exc}") from exc
 
+def kv_float(raw, key, error, where="", optional=False):
+    """raw[key] as a float; absent or empty gives None when optional."""
+    val = raw.get(key, "")
+    if val == "":
+        if optional:
+            return None
+        raise error(f"{where}missing field {key}")
+    try:
+        return float(val)
+    except ValueError as exc:
+        raise error(f"{where}field {key}: {exc}") from exc
+
+
+def read_certificate_kv(text):
+    """Parse certificate_kv output back into a Certificate."""
+    raw = {key: val for _, key, val in read_kv(text, InvalidCertificate)}
+    num = functools.partial(kv_float, raw, error=InvalidCertificate)
     eps = EpsilonChoice(
         eps=tuple(num(f"eps{i}") for i in range(1, 11)),
         dropped=tuple(x for x in raw.get("eps_dropped", "").split(",") if x),

@@ -15,6 +15,7 @@ are reproducible.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,9 @@ from .assumptions import check_model, default_grid, report_kv, report_text
 from .certificate import (
     build_certificate,
     certificate_kv,
+    kv_float,
     read_certificate_kv,
+    read_kv,
     validate_certificate,
 )
 from .errors import (
@@ -110,27 +113,6 @@ _CONFIG_KEYS = {
     "output_dir": ("output_dir", str),
 }
 
-# argparse dest -> RunConfig field (dests not listed here are
-# command-level switches, not configuration)
-_FLAG_FIELDS = {
-    "model": "model",
-    "theta": "theta",
-    "dim": "dim",
-    "Nx": "Nx",
-    "Np": "Np",
-    "P": "P",
-    "scan_radius": "scan_radius",
-    "scan_resolution": "scan_resolution",
-    "scan_count": "scan_count",
-    "tmax": "tmax",
-    "dt": "dt",
-    "sample_dt": "sample_dt",
-    "initial_data": "initial_data",
-    "margin": "margin",
-    "certificate": "certificate_path",
-    "output_dir": "output_dir",
-}
-
 
 def parse_config_text(text, source="<config>"):
     """Parse `key = value` lines into a field dict.
@@ -140,15 +122,7 @@ def parse_config_text(text, source="<config>"):
     silently fall back to a default.
     """
     fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{source} line {lineno}: expected key = value")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in read_kv(text, ConfigError, f"{source} "):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
         field, coerce = _CONFIG_KEYS[key]
@@ -171,11 +145,12 @@ def resolve_config(args):
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         cfg = dataclasses.replace(cfg, **parse_config_text(text, source=path))
+    # every flag shares its argparse dest with a RunConfig field
     overrides = {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
+    for fld in dataclasses.fields(RunConfig):
+        value = getattr(args, fld.name, None)
         if value is not None:
-            overrides[field] = value
+            overrides[fld.name] = value
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -321,26 +296,10 @@ def _report_from_kv(path):
     """Rebuild the fields certification needs from a saved report."""
     if not path.exists():
         raise ConfigError(f"report file {path} does not exist")
-    raw = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path} line {lineno}: expected key = value")
-        raw[key.strip()] = value.strip()
-
-    def num(key, optional=False):
-        val = raw.get(key, "")
-        if val == "":
-            if optional:
-                return None
-            raise ConfigError(f"report file {path}: missing field {key}")
-        try:
-            return float(val)
-        except ValueError as exc:
-            raise ConfigError(f"report file {path}: field {key}: {exc}") from exc
+    raw = {key: val
+           for _, key, val in read_kv(path.read_text(), ConfigError, f"{path} ")}
+    num = functools.partial(kv_float, raw, error=ConfigError,
+                            where=f"report file {path}: ")
 
     passes = {
         key[len("pass_"):]: val == "true"
@@ -576,7 +535,7 @@ def _add_shared(p):
                    help="initial datum over x and p (sqrt/exp/log, pi)")
     p.add_argument("--margin", type=float,
                    help="certificate slack fraction in (0, 1)")
-    p.add_argument("--certificate", metavar="FILE",
+    p.add_argument("--certificate", dest="certificate_path", metavar="FILE",
                    help="use this certificate file instead of building one")
     p.add_argument("--output-dir", dest="output_dir", metavar="DIR",
                    help="directory for all outputs (default: out)")

@@ -8,11 +8,13 @@ families exist:
   off); derivative ASTs are built lazily and cached, and symmetric
   derivative slots (Hessians, metric jets) are filled from a single
   representative AST so the returned arrays are symmetric exactly;
-* finite-difference fields wrap a plain evaluation callable and use
-  central differences with a per-point step h = h_scale * max(1, |p|).
+* `FDField` wraps a plain evaluation callable of any value shape and
+  uses central differences with a per-point step
+  h = h_scale * max(1, |p|).
 
-All handles expose an `analytic` flag so callers can pick the best
-available scheme.
+All handles expose an `analytic` flag, and `resolve_field` is the one
+rule that turns a field, callable, or expression string plus a
+derivative scheme ("auto", "analytic", "fd") into the handle to use.
 """
 
 from __future__ import annotations
@@ -22,22 +24,19 @@ import itertools
 import numpy as np
 
 from .errors import FDOrderError
-from .expressions import diff_expr, evaluate
+from .expressions import diff_expr, evaluate, parse_expr
 
 __all__ = [
     "ExprScalarField",
-    "FDScalarField",
     "ExprMetricField",
-    "FDMetricField",
     "ExprVectorField",
-    "FDVectorField",
-    "FDTensor2Field",
-    "fd_scalar_view",
-    "fd_metric_view",
+    "FDField",
+    "resolve_field",
     "DEFAULT_FD_SCALE",
 ]
 
 DEFAULT_FD_SCALE = 1e-4
+SCHEMES = ("auto", "analytic", "fd")
 
 
 def _steps(P, h_scale):
@@ -49,6 +48,101 @@ def _shift(P, k, delta):
     Q = P.copy()
     Q[:, k] += delta
     return Q
+
+
+def _per_point(x, like):
+    """Reshape a per-point array (n,) to broadcast against like (n, ...)."""
+    return x.reshape(x.shape + (1,) * (like.ndim - 1))
+
+
+class FDField:
+    """Field given only by an evaluation callable fn(P) -> (n, ...).
+
+    Each derivative puts its axes right after the batch axis, whatever
+    the value's trailing shape: grad[n, k, ...] = d_k f,
+    hess[n, l, k, ...] = d_l d_k f and third[n, m, l, k, ...].  For a
+    vector value, jacobian[n, k, i] = d_k Z^i is the same array as grad.
+    """
+
+    analytic = False
+
+    def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
+        self.fn = fn
+        self.dim = dim
+        self.h_scale = h_scale
+
+    def value(self, P):
+        return np.asarray(self.fn(P), dtype=float)
+
+    def _central(self, f, P):
+        """Central first difference of f(P) along every coordinate."""
+        h = _steps(P, self.h_scale)
+        parts = []
+        for k in range(self.dim):
+            diff = f(_shift(P, k, h)) - f(_shift(P, k, -h))
+            parts.append(diff / _per_point(2.0 * h, diff))
+        return np.stack(parts, axis=1)
+
+    def grad(self, P):
+        return self._central(self.value, P)
+
+    jacobian = grad
+
+    def hess(self, P):
+        h = _steps(P, self.h_scale)
+        f0 = self.value(P)
+        out = np.empty((P.shape[0], self.dim, self.dim) + f0.shape[1:])
+        hh = _per_point(h * h, f0)
+        hh4 = _per_point(4.0 * h * h, f0)
+        for i in range(self.dim):
+            up, dn = _shift(P, i, h), _shift(P, i, -h)
+            out[:, i, i] = (self.value(up) - 2.0 * f0 + self.value(dn)) / hh
+            for j in range(i + 1, self.dim):
+                out[:, i, j] = out[:, j, i] = (
+                    self.value(_shift(up, j, h))
+                    - self.value(_shift(up, j, -h))
+                    - self.value(_shift(dn, j, h))
+                    + self.value(_shift(dn, j, -h))
+                ) / hh4
+        return out
+
+    def third(self, P):
+        # Central difference of the Hessian; noisier than the lower
+        # orders but only exercised when no analytic path exists.
+        return self._central(self.hess, P)
+
+    def derivative(self, P, axes):
+        order = len(axes)
+        if order > 3:
+            raise FDOrderError(
+                f"finite-difference stencils support derivative order <= 3, got {order}"
+            )
+        out = (self.value, self.grad, self.hess, self.third)[order](P)
+        return out[(slice(None),) + tuple(axes)]
+
+
+def resolve_field(field, dim, scheme="auto", h_scale=None, theta=None):
+    """The handle whose derivatives a computation under `scheme` uses.
+
+    A string is parsed into an expression field and a bare callable
+    becomes an FDField.  "analytic" requires exact derivatives; "fd"
+    differences the values of an analytic field; under either FD route
+    a non-analytic field keeps its own step unless h_scale is passed.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    if isinstance(field, str):
+        field = ExprScalarField(
+            parse_expr(field, max_coord_index=dim), dim, theta=theta
+        )
+    elif not hasattr(field, "value"):
+        field = FDField(field, dim)
+    exact = field.analytic
+    if scheme == "analytic" and not exact:
+        raise ValueError("field has no analytic derivatives")
+    if (exact and scheme == "fd") or (not exact and h_scale is not None):
+        field = FDField(field.value, dim, h_scale or DEFAULT_FD_SCALE)
+    return field
 
 
 class ExprScalarField:
@@ -126,76 +220,6 @@ class ExprScalarField:
         return np.asarray(evaluate(ast, P, self.theta))
 
 
-class FDScalarField:
-    """Scalar field given only by an evaluation callable fn(P) -> (n,)."""
-
-    analytic = False
-
-    def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
-        self.fn = fn
-        self.dim = dim
-        self.h_scale = h_scale
-
-    def value(self, P):
-        return np.asarray(self.fn(P), dtype=float)
-
-    def grad(self, P):
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        out = np.empty((n, self.dim))
-        for k in range(self.dim):
-            out[:, k] = (
-                self.value(_shift(P, k, h)) - self.value(_shift(P, k, -h))
-            ) / (2.0 * h)
-        return out
-
-    def hess(self, P):
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        f0 = self.value(P)
-        out = np.empty((n, self.dim, self.dim))
-        for i in range(self.dim):
-            out[:, i, i] = (
-                self.value(_shift(P, i, h)) - 2.0 * f0 + self.value(_shift(P, i, -h))
-            ) / (h * h)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                pp = self.value(_shift(_shift(P, i, h), j, h))
-                pm = self.value(_shift(_shift(P, i, h), j, -h))
-                mp = self.value(_shift(_shift(P, i, -h), j, h))
-                mm = self.value(_shift(_shift(P, i, -h), j, -h))
-                val = (pp - pm - mp + mm) / (4.0 * h * h)
-                out[:, i, j] = val
-                out[:, j, i] = val
-        return out
-
-    def third(self, P):
-        # Central difference of the Hessian; noisier than the lower
-        # orders but only exercised when no analytic path exists.
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        out = np.empty((n, self.dim, self.dim, self.dim))
-        for l in range(self.dim):
-            hp = self.hess(_shift(P, l, h))
-            hm = self.hess(_shift(P, l, -h))
-            out[:, l] = (hp - hm) / (2.0 * h)[:, None, None]
-        return out
-
-    def derivative(self, P, axes):
-        order = len(axes)
-        if order == 0:
-            return self.value(P)
-        if order == 1:
-            return self.grad(P)[:, axes[0]]
-        if order == 2:
-            return self.hess(P)[:, axes[0], axes[1]]
-        if order == 3:
-            return self.third(P)[:, axes[0], axes[1], axes[2]]
-        raise FDOrderError(
-            f"finite-difference stencils support derivative order <= 3, got {order}"
-        )
-
-
 class ExprMetricField:
     """Symmetric metric field g_ij from expression ASTs.
 
@@ -269,50 +293,6 @@ class ExprMetricField:
         return out
 
 
-class FDMetricField:
-    """Metric field from an evaluation callable fn(P) -> (n, M, M)."""
-
-    analytic = False
-
-    def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
-        self.fn = fn
-        self.dim = dim
-        self.h_scale = h_scale
-
-    def value(self, P):
-        return np.asarray(self.fn(P), dtype=float)
-
-    def grad(self, P):
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        out = np.empty((n, self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            out[:, k] = (self.value(_shift(P, k, h)) - self.value(_shift(P, k, -h))) / (
-                2.0 * h
-            )[:, None, None]
-        return out
-
-    def hess(self, P):
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        g0 = self.value(P)
-        out = np.empty((n, self.dim, self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            out[:, k, k] = (
-                self.value(_shift(P, k, h)) - 2.0 * g0 + self.value(_shift(P, k, -h))
-            ) / (h * h)[:, None, None]
-        for l in range(self.dim):
-            for k in range(l + 1, self.dim):
-                pp = self.value(_shift(_shift(P, l, h), k, h))
-                pm = self.value(_shift(_shift(P, l, h), k, -h))
-                mp = self.value(_shift(_shift(P, l, -h), k, h))
-                mm = self.value(_shift(_shift(P, l, -h), k, -h))
-                val = (pp - pm - mp + mm) / (4.0 * h * h)[:, None, None]
-                out[:, l, k] = val
-                out[:, k, l] = val
-        return out
-
-
 class ExprVectorField:
     """Vector field Z^i from one AST per component."""
 
@@ -344,62 +324,3 @@ class ExprVectorField:
             for i, ast in enumerate(row):
                 out[:, k, i] = evaluate(ast, P, self.theta)
         return out
-
-
-class FDVectorField:
-    """Vector field from a callable fn(P) -> (n, M)."""
-
-    analytic = False
-
-    def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
-        self.fn = fn
-        self.dim = dim
-        self.h_scale = h_scale
-
-    def value(self, P):
-        return np.asarray(self.fn(P), dtype=float)
-
-    def jacobian(self, P):
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        out = np.empty((n, self.dim, self.dim))
-        for k in range(self.dim):
-            out[:, k] = (self.value(_shift(P, k, h)) - self.value(_shift(P, k, -h))) / (
-                2.0 * h
-            )[:, None]
-        return out
-
-
-class FDTensor2Field:
-    """(2,0)-tensor field from a callable fn(P) -> (n, M, M)."""
-
-    analytic = False
-
-    def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
-        self.fn = fn
-        self.dim = dim
-        self.h_scale = h_scale
-
-    def value(self, P):
-        return np.asarray(self.fn(P), dtype=float)
-
-    def grad(self, P):
-        """[n, k, i, j] = d_k A^ij."""
-        n = P.shape[0]
-        h = _steps(P, self.h_scale)
-        out = np.empty((n, self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            out[:, k] = (self.value(_shift(P, k, h)) - self.value(_shift(P, k, -h))) / (
-                2.0 * h
-            )[:, None, None]
-        return out
-
-
-def fd_scalar_view(field, h_scale=DEFAULT_FD_SCALE):
-    """Wrap any scalar field so derivatives come from central FD."""
-    return FDScalarField(field.value, field.dim, h_scale)
-
-
-def fd_metric_view(field, h_scale=DEFAULT_FD_SCALE):
-    """Wrap any metric field so derivatives come from central FD."""
-    return FDMetricField(field.value, field.dim, h_scale)

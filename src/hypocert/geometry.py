@@ -110,7 +110,7 @@ class VecP:
 
 
 # ---------------------------------------------------------------------------
-# Point and field coercion
+# Point coercion
 
 
 def as_batch(p, dim=None):
@@ -132,37 +132,6 @@ def as_batch(p, dim=None):
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
     return arr, single
-
-
-def _as_scalar_field(model, f, scheme="auto", h_scale=None):
-    """Accept a field handle, a callable, or an expression string."""
-    if isinstance(f, str):
-        from .expressions import parse_expr
-
-        f = _fields.ExprScalarField(
-            parse_expr(f, max_coord_index=model.dim), model.dim, theta=model.theta
-        )
-    elif callable(f) and not hasattr(f, "grad"):
-        f = _fields.FDScalarField(
-            lambda P, fn=f: np.asarray(fn(P), dtype=float),
-            model.dim,
-            h_scale or _fields.DEFAULT_FD_SCALE,
-        )
-    if scheme == "fd" or (scheme == "auto" and not getattr(f, "analytic", False)):
-        if getattr(f, "analytic", False) or h_scale is not None:
-            f = _fields.fd_scalar_view(f, h_scale or _fields.DEFAULT_FD_SCALE)
-    return f
-
-
-def _resolve_metric(model, scheme, h_scale):
-    mf = model.metric_field
-    if scheme not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
-    if scheme == "analytic" and not mf.analytic:
-        raise ValueError("model metric has no analytic derivatives")
-    if scheme == "fd" or (scheme == "auto" and not mf.analytic):
-        mf = _fields.fd_metric_view(mf, h_scale or _fields.DEFAULT_FD_SCALE)
-    return mf
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +192,7 @@ def jet_from_arrays(g, dg, d2g=None):
 
 def batch_jet(model, P, scheme="auto", h_scale=None, second=True):
     """Metric jet on a batch of points P with shape (n, M)."""
-    mf = _resolve_metric(model, scheme, h_scale)
+    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     g = mf.value(P)
     dg = mf.grad(P)
     d2g = mf.hess(P) if second else None
@@ -351,7 +320,7 @@ def ricci(model, p, scheme="auto", h_scale=None):
 def covariant_hessian(model, f, p, scheme="auto", h_scale=None):
     """Covariant Hessian of the scalar field f at p."""
     P, single = as_batch(p, model.dim)
-    field = _as_scalar_field(model, f, scheme, h_scale)
+    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
     out = covariant_hessian_from_jet(jet, field.grad(P), field.hess(P))
     return SymTensor2(out[0] if single else out, "covariant")
@@ -360,7 +329,7 @@ def covariant_hessian(model, f, p, scheme="auto", h_scale=None):
 def gradient_p(model, f, p, scheme="auto", h_scale=None):
     """Gradient vector (df)^i = g^ij d_j f at p."""
     P, single = as_batch(p, model.dim)
-    field = _as_scalar_field(model, f, scheme, h_scale)
+    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
     out = gradient_from_jet(jet, field.grad(P))
     return VecP(out[0] if single else out, "vector")
@@ -369,8 +338,7 @@ def gradient_p(model, f, p, scheme="auto", h_scale=None):
 def divergence_vec(model, Z, p, scheme="auto", h_scale=None):
     """Divergence of a vector field: (1/sqrt g) d_i(sqrt g Z^i)."""
     P, single = as_batch(p, model.dim)
-    if callable(Z) and not hasattr(Z, "jacobian"):
-        Z = _fields.FDVectorField(Z, model.dim, h_scale or _fields.DEFAULT_FD_SCALE)
+    Z = _fields.resolve_field(Z, model.dim, scheme, h_scale)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
     out = divergence_vec_from_jet(jet, Z.value(P), Z.jacobian(P))
     return float(out[0]) if single else out
@@ -379,8 +347,7 @@ def divergence_vec(model, Z, p, scheme="auto", h_scale=None):
 def divergence_tensor2(model, A, p, scheme="auto", h_scale=None):
     """Divergence of a (2,0)-tensor field, contracted in the second slot."""
     P, single = as_batch(p, model.dim)
-    if callable(A) and not hasattr(A, "grad"):
-        A = _fields.FDTensor2Field(A, model.dim, h_scale or _fields.DEFAULT_FD_SCALE)
+    A = _fields.resolve_field(A, model.dim, scheme, h_scale)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale)
     out = divergence_tensor2_from_jet(jet, A.value(P), A.grad(P))
     return VecP(out[0] if single else out, "vector")
@@ -389,7 +356,7 @@ def divergence_tensor2(model, A, p, scheme="auto", h_scale=None):
 def laplace_beltrami(model, f, p, scheme="auto", h_scale=None):
     """Laplace-Beltrami operator applied to f at p."""
     P, single = as_batch(p, model.dim)
-    field = _as_scalar_field(model, f, scheme, h_scale)
+    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
     out = laplace_from_jet(jet, field.grad(P), field.hess(P))
     return float(out[0]) if single else out
@@ -406,14 +373,12 @@ def bakry_emery_ricci(model, p, scheme="auto", h_scale=None):
     """Bakry-Emery-Ricci tensor Ric - Hess(log u) at p."""
     P, single = as_batch(p, model.dim)
     jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale)
-    E = model.energy_field
+    E = _fields.resolve_field(model.energy_field, model.dim, scheme, h_scale)
     with np.errstate(over="ignore"):
         u = np.exp(-E.value(P)) / jet.sqrt_det
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0):
         raise NonpositiveWeight(
             "equilibrium weight u = e^-E / sqrt(det g) is not positive"
         )
-    if scheme == "fd" or (scheme == "auto" and not getattr(E, "analytic", False)):
-        E = _fields.fd_scalar_view(E, h_scale or _fields.DEFAULT_FD_SCALE)
     out = bakry_emery_from_jet(jet, E.grad(P), E.hess(P))
     return SymTensor2(out[0] if single else out, "covariant")

@@ -49,7 +49,7 @@ from .expressions import (
     sub,
     uses_theta,
 )
-from .fields import ExprMetricField, ExprScalarField
+from .fields import ExprMetricField, ExprScalarField, FDField
 
 __all__ = [
     "ModelSpec",
@@ -139,13 +139,11 @@ def log_weight_field(model):
         ast = sub(neg(ef.ast), mul(Const(0.5), call("log", det)))
         out = ExprScalarField(ast, model.dim, theta=model.theta)
     else:
-        from .fields import FDScalarField
-
         def value(P):
             logu, _ = geometry.log_weight_values(model, P)
             return logu
 
-        out = FDScalarField(value, model.dim)
+        out = FDField(value, model.dim)
     model._cache["log_weight"] = out
     return out
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import geometry
+from .assumptions import _covariant_hessians, _div_hessians, _v_bundle
 from .errors import (
     CFLViolation,
     InsufficientData,
@@ -184,7 +185,6 @@ class _NodeGeometry:
 
     gpp: np.ndarray
     Gamma: np.ndarray
-    dGamma: np.ndarray
     w_cov: np.ndarray
     ric_t: np.ndarray
     v: np.ndarray
@@ -195,7 +195,9 @@ class _NodeGeometry:
 
 
 def _node_geometry(model, grid):
-    key = ("geom", model.name, model.theta, id(model))
+    # Keyed on the model itself, which the cache then keeps alive: an
+    # id() could be reused by a later model.
+    key = ("geom", model)
     geo = grid._cache.get(key)
     if geo is not None:
         return geo
@@ -203,17 +205,13 @@ def _node_geometry(model, grid):
     jet = geometry.batch_jet(model, pts, second=True)
     gpp = jet.g_inv[:, 0, 0]
     Gamma = jet.christoffel[:, 0, 0, 0]
-    dGamma = jet.dchristoffel[:, 0, 0, 0, 0]
 
-    vf = model.v_fields[0]
-    v = vf.value(pts)
-    dv = vf.grad(pts)[:, 0]
-    d2v = vf.hess(pts)[:, 0, 0]
-    d3v = vf.third(pts)[:, 0, 0, 0]
-    H_v = d2v - Gamma * dv
-    # div of the raised Hessian of v; contraction of the derivative with
-    # the second slot, reduced to a scalar in one dimension.
-    divH = gpp**2 * (d3v - dGamma * dv - 3.0 * Gamma * d2v + 2.0 * Gamma**2 * dv)
+    # The general M-dimensional Hessian and div-Hessian forms at M = 1.
+    dv, hv, tv = _v_bundle(model, pts, "auto", None, 3)
+    H_v = _covariant_hessians(jet, dv, hv)[:, 0, 0, 0]
+    divH = _div_hessians(jet, dv, hv, tv)[:, 0, 0]
+    v = model.v_fields[0].value(pts)
+    dv = dv[:, 0, 0]
 
     lw = log_weight_field(model)
     w_cov = lw.grad(pts)[:, 0]
@@ -225,7 +223,6 @@ def _node_geometry(model, grid):
     geo = _NodeGeometry(
         gpp=gpp,
         Gamma=Gamma,
-        dGamma=dGamma,
         w_cov=w_cov,
         ric_t=ric_t,
         v=v,
@@ -315,7 +312,7 @@ def diffusion_matrix(model, grid):
 
 
 def _op(model, grid):
-    key = ("diffusion", model.name, model.theta, id(model))
+    key = ("diffusion", model)
     op = grid._cache.get(key)
     if op is None:
         op = diffusion_matrix(model, grid)

@@ -5,6 +5,8 @@ from independent discretizations (flat-space identities, finite
 differences, the positively curved sphere).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,7 @@ from hypocert.expressions import parse_expr
 from hypocert.fields import (
     ExprMetricField,
     ExprScalarField,
-    FDScalarField,
-    FDTensor2Field,
-    FDVectorField,
+    FDField,
 )
 from hypocert.geometry import (
     PointP,
@@ -201,12 +201,12 @@ class TestHessianGradientLaplacian:
 
 class TestDivergences:
     def test_euclidean_identity_field(self):
-        Z = FDVectorField(lambda P: P.copy(), 3)
+        Z = FDField(lambda P: P.copy(), 3)
         val = divergence_vec(CLA3, Z, np.array([0.2, 0.4, -0.6]))
         assert val == pytest.approx(3.0, abs=1e-6)
 
     def test_euclidean_constant_field(self):
-        Z = FDVectorField(lambda P: np.ones((P.shape[0], 3)), 3)
+        Z = FDField(lambda P: np.ones((P.shape[0], 3)), 3)
         val = divergence_vec(CLA3, Z, np.zeros(3))
         assert val == pytest.approx(0.0, abs=1e-8)
 
@@ -218,14 +218,14 @@ class TestDivergences:
         p0 = "sqrt(1+p1^2+p2^2+p3^2)"
         comps = [parse_expr(f"p{i+1}/({p0})") for i in range(3)]
         Z_expr = ExprVectorField(comps, 3)
-        Z_fd = FDVectorField(Z_expr.value, 3)
+        Z_fd = FDField(Z_expr.value, 3)
         P = rel_points(20, seed=23)
         a = divergence_vec(REL, Z_expr, P)
         b = divergence_vec(REL, Z_fd, P)
         assert np.allclose(a, b, rtol=1e-6, atol=1e-6)
 
     def test_tensor_divergence_constant_flat(self):
-        A = FDTensor2Field(
+        A = FDField(
             lambda P: np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (P.shape[0], 3, 3)), 3
         )
         out = divergence_tensor2(CLA3, A, np.array([0.1, 0.0, 0.0]))
@@ -240,7 +240,7 @@ class TestDivergences:
             outer = P[:, :, None] * P[:, None, :]
             return 8.0 * outer + 4.0 * norm2[:, None, None] * eye
 
-        A = FDTensor2Field(hess_f, 3)
+        A = FDField(hess_f, 3)
         rng = np.random.default_rng(17)
         P = rng.normal(size=(25, 3))
         out = divergence_tensor2(CLA3, A, P)
@@ -304,18 +304,17 @@ class TestFiniteDifferencePath:
         assert np.allclose(fd.dchristoffel, an.dchristoffel, rtol=1e-3, atol=1e-3)
 
     def test_fd_order_cap(self):
-        f = FDScalarField(lambda P: np.sum(P * P, axis=1), 3)
+        f = FDField(lambda P: np.sum(P * P, axis=1), 3)
         with pytest.raises(FDOrderError):
             f.derivative(np.zeros((1, 3)), (0, 0, 0, 0))
 
     def test_analytic_scheme_requires_analytic_field(self):
-        from hypocert.fields import FDMetricField
         from hypocert.models import ModelSpec
 
         model = ModelSpec(
             name="fdmetric",
             dim=3,
-            metric_field=FDMetricField(REL.oracle.metric, 3),
+            metric_field=FDField(REL.oracle.metric, 3),
             v_fields=REL.v_fields,
             energy_field=REL.energy_field,
             theta=4.0,
@@ -326,3 +325,41 @@ class TestFiniteDifferencePath:
         out = bakry_emery_ricci(model, rel_points(10, seed=37))
         ref = REL.oracle.bakry(rel_points(10, seed=37))
         assert np.allclose(out.entries, ref, rtol=1e-3, atol=1e-4)
+
+
+def _with_fields(model, **fields):
+    return replace(model, name="swapped", **fields)
+
+
+class TestSchemeRule:
+    """One scheme rule serves every field an operation differentiates."""
+
+    def test_fd_scheme_differences_an_expression_vector_field(self):
+        from hypocert.fields import ExprVectorField
+
+        p0 = "sqrt(1+p1^2+p2^2+p3^2)"
+        Z = ExprVectorField([parse_expr(f"p{i+1}/({p0})") for i in range(3)], 3)
+        P = rel_points(20, seed=41)
+        # the flat metric's FD jet is exact, so any change comes from Z
+        exact = divergence_vec(CLA3, Z, P)
+        fd = divergence_vec(CLA3, Z, P, scheme="fd")
+        assert np.allclose(fd, exact, rtol=1e-6, atol=1e-6)
+        assert not np.array_equal(fd, exact)
+
+    def test_analytic_scheme_rejects_fd_scalars(self):
+        E_fd = FDField(REL.energy_field.value, 3)
+        with pytest.raises(ValueError, match="analytic"):
+            covariant_hessian(REL, E_fd, np.zeros(3), scheme="analytic")
+        model = _with_fields(REL, energy_field=E_fd)
+        with pytest.raises(ValueError, match="analytic"):
+            bakry_emery_ricci(model, np.zeros(3), scheme="analytic")
+
+    def test_fd_metric_keeps_its_own_step(self):
+        mf = FDField(REL.oracle.metric, 3, h_scale=1e-3)
+        model = _with_fields(REL, metric_field=mf)
+        P = rel_points(10, seed=43)
+        assert np.array_equal(batch_jet(model, P).dg, mf.grad(P))
+        assert np.array_equal(batch_jet(model, P, scheme="fd").dg, mf.grad(P))
+        # an explicit h_scale overrides the field's own step
+        fine = FDField(mf.value, 3, h_scale=1e-4)
+        assert np.array_equal(batch_jet(model, P, h_scale=1e-4).dg, fine.grad(P))

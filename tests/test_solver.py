@@ -1,5 +1,7 @@
 """Phase-space solver: conservation, structure identities, decay tracking."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ class TestBuildGrid:
         model = expr_model_1d("1", "p1^2 * -1", v1="p1")
         with pytest.raises(NonpositiveWeight):
             sv.build_grid(model, 8, 64, 40.0)
+
+
+class TestGridCache:
+    def test_new_model_never_gets_stale_geometry(self):
+        # A model collected after use frees its id() for the next one;
+        # each must still get the geometry and operator of its own metric.
+        grid = sv.build_grid(CLASSICAL, 8, 16, 4.0)
+        off = sv._op(expr_model_1d("1", "p1^2/2"), grid).off
+        for k in range(40):
+            model = expr_model_1d(str(1 + k), "p1^2/2")
+            gpp = sv._node_geometry(model, grid).gpp
+            np.testing.assert_allclose(gpp, 1.0 / (1 + k), rtol=1e-15)
+            np.testing.assert_allclose(
+                sv._op(model, grid).off, off / (1 + k), rtol=1e-12
+            )
+            del model
+            gc.collect()
 
 
 class TestDiffusionOperator:
