@@ -15,12 +15,17 @@ The checks fall into three groups:
 All scans are pure reductions over grid points: evaluation order never
 changes the result, and adding points can only widen [sigma1, sigma2]
 and raise beta, gamma, omega.
+
+The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
+energy 2-jet, Gram form A), built once per CHUNK of points as a
+`_PointJet` and kept on the `ScanGrid` for the model last scanned, so
+the curvature, dominance and log-Sobolev scans share one build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import qmc
@@ -64,6 +69,8 @@ DEFAULT_RADIUS = 10.0
 DEFAULT_AXIS_POINTS = 41
 DEFAULT_QUASI_POINTS = 2000
 DEFAULT_SEED = 20240
+# Points per batch in every scan; one point jet is built per chunk.
+CHUNK = 1024
 # Diagonal regularization applied only when a Cholesky factorization of
 # the right-hand form fails; recorded in every result that used it.
 EIG_SHIFT = 1e-12
@@ -82,6 +89,9 @@ class ScanGrid:
     radius: float
     seed: int | None = None
     description: str = ""
+    # the point jets of the last model scanned on this grid
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def count(self):
@@ -143,7 +153,8 @@ def _grid_points(model, grid):
         pts = grid.points
     else:
         pts, _ = _geom.as_batch(grid, model.dim)
-        grid = ScanGrid(points=pts, radius=float(np.max(np.abs(pts), initial=0.0)))
+        radius = float(np.max(np.linalg.norm(pts, axis=1), initial=0.0))
+        grid = ScanGrid(points=pts, radius=radius)
     if pts.shape[1] != model.dim:
         raise ValueError(
             f"grid dimension {pts.shape[1]} != model dimension {model.dim}"
@@ -236,33 +247,10 @@ class ProductResult:
 # Shared evaluation helpers
 
 
-def _v_bundle(model, P, scheme, h_scale, order):
-    """Stack velocity derivatives: dv[n,I,a], hv[n,I,a,b], tv[n,I,k,a,b]."""
-    vfs = [_fields.resolve_field(f, model.dim, scheme, h_scale)
-           for f in model.v_fields]
-    dv = np.stack([f.grad(P) for f in vfs], axis=1)
-    hv = tv = None
-    if order >= 2:
-        hv = np.stack([f.hess(P) for f in vfs], axis=1)
-    if order >= 3:
-        tv = np.stack([f.third(P) for f in vfs], axis=1)
-    return dv, hv, tv
-
-
-def _energy_derivs(model, P, scheme, h_scale):
-    ef = _fields.resolve_field(model.energy_field, model.dim, scheme, h_scale)
-    return ef.grad(P), ef.hess(P)
-
-
-def _chunks(n, size):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
-
-
 def _scan_eval(P, chunk, eval_fn):
     """Evaluate eval_fn on chunks, isolating failing points by bisection.
 
-    Returns (list of (index_array, result), list of (index, message)).
+    Returns (list of (index_array, result), list of (index, exception)).
     eval_fn receives an (m, M) slice and must be vectorized over it.
     """
     good, bad = [], []
@@ -273,7 +261,7 @@ def _scan_eval(P, chunk, eval_fn):
         except (MetricError, ExprDomainError, FloatingPointError,
                 np.linalg.LinAlgError) as exc:
             if idx.size == 1:
-                bad.append((int(idx[0]), str(exc)))
+                bad.append((int(idx[0]), exc))
                 return
             half = idx.size // 2
             attempt(idx[:half])
@@ -281,9 +269,83 @@ def _scan_eval(P, chunk, eval_fn):
             return
         good.append((idx, res))
 
-    for lo, hi in _chunks(P.shape[0], chunk):
-        attempt(np.arange(lo, hi))
+    for lo in range(0, P.shape[0], chunk):
+        attempt(np.arange(lo, min(lo + chunk, P.shape[0])))
     return good, bad
+
+
+class _PointJet:
+    """The pointwise data of (g, v, E) that the scans read, on points P.
+
+    jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
+    tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
+    energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
+    """
+
+    def __init__(self, model, P, scheme="auto", h_scale=None):
+        def resolve(f):
+            return _fields.resolve_field(f, model.dim, scheme, h_scale)
+
+        vfs = [resolve(f) for f in model.v_fields]
+        energy = resolve(model.energy_field)
+        self.P = P
+        self.jet = _geom.batch_jet(model, P, scheme=scheme, h_scale=h_scale)
+        self.dv = np.stack([f.grad(P) for f in vfs], axis=1)
+        self.hv = np.stack([f.hess(P) for f in vfs], axis=1)
+        self.tv = np.stack([f.third(P) for f in vfs], axis=1)
+        self.grad_E, self.hess_E = energy.grad(P), energy.hess(P)
+        self.A = _symmetrize(
+            np.einsum("nab,nIa,nJb->nIJ", self.jet.g_inv, self.dv, self.dv)
+        )
+
+
+def _point_jets(model, grid, scheme, h_scale):
+    """_scan_eval's (good, bad) for a _PointJet per chunk of the grid.
+
+    The grid keeps the result for one (model, scheme, h_scale) only, so
+    a sweep over models never holds more than one model's point jets.
+    """
+    key = (model, scheme, h_scale)
+    if key not in grid._cache:
+        grid._cache.clear()
+        grid._cache[key] = _scan_eval(
+            grid.points, CHUNK, lambda sub: _PointJet(model, sub, scheme, h_scale)
+        )
+    return grid._cache[key]
+
+
+def _all_point_jets(model, grid, scheme, h_scale):
+    """The grid's point jets; re-raises the first failing point's error."""
+    good, bad = _point_jets(model, grid, scheme, h_scale)
+    if bad:
+        raise bad[0][1]
+    return good
+
+
+def _extreme(P, chunks, label, largest=False):
+    """Smallest (or largest) value over (index_array, values) chunks.
+
+    Returns (value, Witness at the grid point realizing it); a tie goes
+    to the first point.  With no points it is (+-inf, None).
+    """
+    if not chunks:
+        return (-math.inf if largest else math.inf), None
+    at = np.concatenate([idx for idx, _ in chunks])
+    vals = np.concatenate([v for _, v in chunks])
+    i = int(np.argmax(vals) if largest else np.argmin(vals))
+    best = float(vals[i])
+    return best, Witness(P[at[i]].copy(), best, label)
+
+
+def _require_positive(A, P):
+    """Raise DegenerateA unless every Gram form in the batch is definite."""
+    amin = np.linalg.eigvalsh(A)[:, 0]
+    k = int(np.argmin(amin))
+    if amin[k] <= 0.0:
+        raise DegenerateA(
+            "velocity Gram form is not positive definite: smallest "
+            f"eigenvalue {amin[k]:.3e} at p = {P[k]}"
+        )
 
 
 def _gen_eigs(Mform, base, shift_used):
@@ -343,22 +405,13 @@ def _symmetrize(F):
     return 0.5 * (F + np.swapaxes(F, -1, -2))
 
 
-def forms_on(model, P, kinds=("A", "B", "C", "R"), scheme="auto", h_scale=None):
-    """Evaluate the requested velocity forms on a point batch.
-
-    Returns a dict kind -> (n, N, N) array.  B needs third velocity
-    derivatives and second metric derivatives; A needs only first ones.
-    """
-    P = np.asarray(P, dtype=float)
-    kinds = tuple(kinds)
-    order = 3 if "B" in kinds else (2 if {"C", "R"} & set(kinds) else 1)
-    second = "B" in kinds
-    jet = _geom.batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=second)
-    dv, hv, tv = _v_bundle(model, P, scheme, h_scale, order)
+def _forms(pj, kinds):
+    """The requested velocity forms from a point jet: kind -> (n, N, N)."""
+    jet, dv, hv = pj.jet, pj.dv, pj.hv
     gi = jet.g_inv
     out = {}
     if "A" in kinds:
-        out["A"] = _symmetrize(np.einsum("nab,nIa,nJb->nIJ", gi, dv, dv))
+        out["A"] = pj.A
     if {"C", "R"} & set(kinds):
         Hv = _covariant_hessians(jet, dv, hv)
     if "C" in kinds:
@@ -366,16 +419,26 @@ def forms_on(model, P, kinds=("A", "B", "C", "R"), scheme="auto", h_scale=None):
             np.einsum("nac,nbd,nIab,nJcd->nIJ", gi, gi, Hv, Hv)
         )
     if "R" in kinds:
-        w_low = _geom.drift_oneform_from_jet(jet, _energy_derivs(model, P, scheme, h_scale)[0])
+        w_low = _geom.drift_oneform_from_jet(jet, pj.grad_E)
         w_up = np.einsum("nij,nj->ni", gi, w_low)
         K = np.einsum("nIab,nb->nIa", Hv, w_up)
         out["R"] = _symmetrize(np.einsum("nab,nIa,nJb->nIJ", gi, K, K))
     if "B" in kinds:
-        divH = _div_hessians(jet, dv, hv, tv)
+        divH = _div_hessians(jet, dv, hv, pj.tv)
         out["B"] = _symmetrize(
             np.einsum("nij,nIi,nJj->nIJ", jet.g, divH, divH)
         )
     return out
+
+
+def forms_on(model, P, kinds=("A", "B", "C", "R"), scheme="auto", h_scale=None):
+    """Evaluate the requested velocity forms on a point batch.
+
+    Returns a dict kind -> (n, N, N) array, all read off one point jet
+    of P (which holds the third velocity derivatives B needs).
+    """
+    pj = _PointJet(model, np.asarray(P, dtype=float), scheme, h_scale)
+    return _forms(pj, tuple(kinds))
 
 
 def _form_single(model, p, kind, scheme, h_scale):
@@ -410,41 +473,27 @@ def form_R(model, p, scheme="auto", h_scale=None):
 # Assumption scans
 
 
-def curvature_bounds(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
+def curvature_bounds(model, grid=None, scheme="auto", h_scale=None):
     """Extremal generalized eigenvalues of (Ric - Hess log u, g).
 
     Points where the metric or weight degenerates are recorded and
     skipped; the result is then flagged partial instead of aborting.
     """
     grid, P = _grid_points(model, grid)
-
-    def eval_chunk(sub):
-        jet = _geom.batch_jet(model, sub, scheme=scheme, h_scale=h_scale)
-        grad_E, hess_E = _energy_derivs(model, sub, scheme, h_scale)
-        ric = _geom.bakry_emery_from_jet(jet, grad_E, hess_E)
-        eigs, shift = _gen_eigs(ric, jet.g, 0.0)
-        return eigs, shift
-
-    good, bad = _scan_eval(P, chunk, eval_chunk)
+    good, bad = _point_jets(model, grid, scheme, h_scale)
     if not good:
         raise MetricError("curvature scan failed at every grid point")
-    sigma1 = math.inf
-    sigma2 = -math.inf
-    wmin = wmax = None
+    lows, highs = [], []
     shift = 0.0
-    for idx, (eigs, sh) in good:
+    for idx, pj in good:
+        ric = _geom.bakry_emery_from_jet(pj.jet, pj.grad_E, pj.hess_E)
+        eigs, sh = _gen_eigs(ric, pj.jet.g, 0.0)
         shift = max(shift, sh)
-        lo = eigs[:, 0]
-        hi = eigs[:, -1]
-        i = int(np.argmin(lo))
-        j = int(np.argmax(hi))
-        if lo[i] < sigma1:
-            sigma1 = float(lo[i])
-            wmin = Witness(P[idx[i]].copy(), sigma1, "sigma1")
-        if hi[j] > sigma2:
-            sigma2 = float(hi[j])
-            wmax = Witness(P[idx[j]].copy(), sigma2, "sigma2")
-    failures = tuple((P[i].copy(), msg) for i, msg in bad)
+        lows.append((idx, eigs[:, 0]))
+        highs.append((idx, eigs[:, -1]))
+    sigma1, wmin = _extreme(P, lows, "sigma1")
+    sigma2, wmax = _extreme(P, highs, "sigma2", largest=True)
+    failures = tuple((P[i].copy(), str(exc)) for i, exc in bad)
     return CurvatureBounds(
         sigma1=sigma1,
         sigma2=sigma2,
@@ -455,48 +504,36 @@ def curvature_bounds(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
     )
 
 
-def dominance_constants(model, grid=None, scheme="auto", h_scale=None, chunk=2048):
+def dominance_constants(model, grid=None, scheme="auto", h_scale=None):
     """Smallest beta, gamma, omega with B <= beta A, C <= gamma A, R <= omega A.
 
     Each is the grid maximum of the largest generalized eigenvalue of
     the pencil (form, A).  A must be positive definite on the grid.
     """
     grid, P = _grid_points(model, grid)
-    best = {"beta": -math.inf, "gamma": -math.inf, "omega": -math.inf}
-    wit = {}
+    kinds = {"beta": "B", "gamma": "C", "omega": "R"}
+    tops = {name: [] for name in kinds}
     shift = 0.0
-    for lo, hi in _chunks(P.shape[0], chunk):
-        sub = P[lo:hi]
-        F = forms_on(model, sub, kinds=("A", "B", "C", "R"),
-                     scheme=scheme, h_scale=h_scale)
-        A = F["A"]
-        amin = np.linalg.eigvalsh(A)[:, 0]
-        k = int(np.argmin(amin))
-        if amin[k] <= 0.0:
-            raise DegenerateA(
-                "velocity Gram form is not positive definite: smallest "
-                f"eigenvalue {amin[k]:.3e} at p = {sub[k]}"
-            )
-        for name, kind in (("beta", "B"), ("gamma", "C"), ("omega", "R")):
-            eigs, sh = _gen_eigs(F[kind], A, 0.0)
+    for idx, pj in _all_point_jets(model, grid, scheme, h_scale):
+        _require_positive(pj.A, pj.P)
+        F = _forms(pj, tuple(kinds.values()))
+        for name, kind in kinds.items():
+            eigs, sh = _gen_eigs(F[kind], pj.A, 0.0)
             shift = max(shift, sh)
-            top = eigs[:, -1]
-            j = int(np.argmax(top))
-            if top[j] > best[name]:
-                best[name] = float(top[j])
-                wit[name] = Witness(sub[j].copy(), float(top[j]), name)
+            tops[name].append((idx, eigs[:, -1]))
+    best = {name: _extreme(P, tops[name], name, largest=True) for name in kinds}
     # The forms are Gram matrices, so the true constants are >= 0; tiny
     # negative scan values are rounding noise.
     return DominanceConstants(
-        beta=max(best["beta"], 0.0),
-        gamma=max(best["gamma"], 0.0),
-        omega=max(best["omega"], 0.0),
-        witnesses=wit,
+        beta=max(best["beta"][0], 0.0),
+        gamma=max(best["gamma"][0], 0.0),
+        omega=max(best["omega"][0], 0.0),
+        witnesses={name: wit for name, (_, wit) in best.items()},
         shift=shift,
     )
 
 
-def hormander_check(model, grid=None, scheme="auto", h_scale=None, chunk=8192):
+def hormander_check(model, grid=None, scheme="auto", h_scale=None):
     """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
 
     Never raises: a vanishing or non-finite value is reported through
@@ -504,21 +541,18 @@ def hormander_check(model, grid=None, scheme="auto", h_scale=None, chunk=8192):
     """
     grid, P = _grid_points(model, grid)
     mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
-    best = math.inf
-    wit = None
-    for lo, hi in _chunks(P.shape[0], chunk):
-        sub = P[lo:hi]
-        try:
-            g = mf.value(sub)
-            dv, _, _ = _v_bundle(model, sub, scheme, h_scale, 1)
-        except (ExprDomainError, FloatingPointError):
-            return HormanderResult(0.0, False, Witness(sub[0].copy(), 0.0, "detF"))
-        vals = np.linalg.det(g) * np.abs(np.linalg.det(dv))
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best = float(vals[j])
-            wit = Witness(sub[j].copy(), best, "detF")
+    vfs = [_fields.resolve_field(f, model.dim, scheme, h_scale)
+           for f in model.v_fields]
+
+    def det_F(sub):
+        dv = np.stack([f.grad(sub) for f in vfs], axis=1)
+        vals = np.linalg.det(mf.value(sub)) * np.abs(np.linalg.det(dv))
+        return np.where(np.isfinite(vals), vals, 0.0)
+
+    good, bad = _scan_eval(P, CHUNK, det_F)
+    if bad:
+        return HormanderResult(0.0, False, Witness(P[bad[0][0]].copy(), 0.0, "detF"))
+    best, wit = _extreme(P, good, "detF")
     return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
 
 
@@ -567,20 +601,20 @@ def growth_check(model, radii=None, scheme="auto", h_scale=None):
 # Log-Sobolev criteria
 
 
-def _ginv_derivs(jet, d2g):
-    """g^{ij}, d g^{ij} and d^2 g^{ij}; the first two are the jet's own."""
-    gi, dgi, dg = jet.g_inv, jet.dg_inv, jet.dg
-    d2gi = (
-        np.einsum("nia,nlab,nbc,nkcd,ndj->nlkij", gi, dg, gi, dg, gi)
-        + np.einsum("nia,nkab,nbc,nlcd,ndj->nlkij", gi, dg, gi, dg, gi)
-        - np.einsum("nia,nlkab,nbj->nlkij", gi, d2g, gi)
+def _inverse_d2(Xi, dX, d2X):
+    """d_l d_k of X^{-1} from X^{-1} and the first two derivatives of X."""
+    return (
+        np.einsum("nia,nlab,nbc,nkcd,ndj->nlkij", Xi, dX, Xi, dX, Xi)
+        + np.einsum("nia,nkab,nbc,nlcd,ndj->nlkij", Xi, dX, Xi, dX, Xi)
+        - np.einsum("nia,nlkab,nbj->nlkij", Xi, d2X, Xi)
     )
-    return gi, dgi, d2gi
 
 
-def _gram_derivs(gi, dgi, d2gi, dv, hv, tv):
-    """A^{IJ} = g^{ab} d_a v^I d_b v^J with first and second p-derivatives."""
-    A = np.einsum("nab,nIa,nJb->nIJ", gi, dv, dv)
+def _gram_derivs(pj):
+    """First and second p-derivatives of A^{IJ} = g^{ab} d_a v^I d_b v^J."""
+    gi, dgi = pj.jet.g_inv, pj.jet.dg_inv
+    d2gi = _inverse_d2(gi, pj.jet.dg, pj.jet.d2g)
+    dv, hv, tv = pj.dv, pj.hv, pj.tv
     dA = (
         np.einsum("nkab,nIa,nJb->nkIJ", dgi, dv, dv)
         + np.einsum("nab,nIka,nJb->nkIJ", gi, hv, dv)
@@ -597,22 +631,10 @@ def _gram_derivs(gi, dgi, d2gi, dv, hv, tv):
         + np.einsum("nab,nIla,nJkb->nlkIJ", gi, hv, hv)
         + np.einsum("nab,nIa,nJlkb->nlkIJ", gi, dv, tv)
     )
-    A = _symmetrize(A)
-    return A, dA, d2A
+    return dA, d2A
 
 
-def _log_u_coord_derivs(jet, d2g, grad_E, hess_E):
-    """Coordinate derivatives of log u = -E - log sqrt(det g)."""
-    d2logsqrt = 0.5 * (
-        np.einsum("nlij,nkij->nlk", jet.dg_inv, jet.dg)
-        + np.einsum("nij,nlkij->nlk", jet.g_inv, d2g)
-    )
-    dlogu = -(grad_E + jet.dlog_sqrt)
-    d2logu = -(hess_E + d2logsqrt)
-    return dlogu, d2logu
-
-
-def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
+def logsob_warped(model, grid=None, scheme="auto", h_scale=None):
     """Warped-route log-Sobolev criterion.
 
     Requires the velocity Gram form to be conformal to the identity,
@@ -627,30 +649,28 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
     """
     grid, P = _grid_points(model, grid)
     N = model.dim
-    kappa1 = math.inf
-    k2_raw = -math.inf
-    w1 = w2 = None
-    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
-    for lo, hi in _chunks(P.shape[0], chunk):
-        sub = P[lo:hi]
-        d2g = mf.hess(sub)
-        jet = _geom.jet_from_arrays(mf.value(sub), mf.grad(sub), d2g)
-        dv, hv, tv = _v_bundle(model, sub, scheme, h_scale, 3)
-        gi, dgi, d2gi = _ginv_derivs(jet, d2g)
-        A, dA, d2A = _gram_derivs(gi, dgi, d2gi, dv, hv, tv)
+    chunks = _all_point_jets(model, grid, scheme, h_scale)
+    # Isotropy needs only A, so it is settled on the whole grid before
+    # any Gram-form derivative is built.
+    traces, rel = [], []
+    for idx, pj in chunks:
+        t = np.einsum("nII->n", pj.A) / N
+        dev = np.max(np.abs(pj.A - t[:, None, None] * np.eye(N)), axis=(1, 2))
+        traces.append(t)
+        rel.append((idx, dev / np.maximum(np.abs(t), 1e-300)))
+    worst, at = _extreme(P, rel, "isotropy", largest=True)
+    if worst > ISOTROPY_TOL:
+        raise NotIsotropic(
+            "velocity Gram form is not conformal to the identity: "
+            f"relative deviation {worst:.3e} at p = {at.point}"
+        )
+    if any(np.any(t <= 0.0) for t in traces):
+        raise DegenerateA("velocity Gram form vanishes on the grid")
 
-        t = np.einsum("nII->n", A) / N
-        dev = np.max(np.abs(A - t[:, None, None] * np.eye(N)), axis=(1, 2))
-        rel = dev / np.maximum(np.abs(t), 1e-300)
-        j = int(np.argmax(rel))
-        if rel[j] > ISOTROPY_TOL:
-            raise NotIsotropic(
-                "velocity Gram form is not conformal to the identity: "
-                f"relative deviation {rel[j]:.3e} at p = {sub[j]}"
-            )
-        if np.any(t <= 0.0):
-            raise DegenerateA("velocity Gram form vanishes on the grid")
-
+    k1, k2 = [], []
+    for (idx, pj), t in zip(chunks, traces):
+        jet = pj.jet
+        dA, d2A = _gram_derivs(pj)
         dt = np.einsum("nkII->nk", dA) / N
         d2t = np.einsum("nlkII->nlk", d2A) / N
         dphi = dt / t[:, None]
@@ -658,24 +678,17 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
             dphi[:, :, None] * dphi[:, None, :]
         )
 
-        grad_E, hess_E = _energy_derivs(model, sub, scheme, h_scale)
-        ric = _geom.bakry_emery_from_jet(jet, grad_E, hess_E)
+        ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
         cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
         eigs, _ = _gen_eigs(cond1, jet.g, 0.0)
-        lo_e = eigs[:, 0]
-        i = int(np.argmin(lo_e))
-        if lo_e[i] < kappa1:
-            kappa1 = float(lo_e[i])
-            w1 = Witness(sub[i].copy(), kappa1, "kappa1")
+        k1.append((idx, eigs[:, 0]))
 
-        dlogu, _ = _log_u_coord_derivs(jet, d2g, grad_E, hess_E)
+        dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
         lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
-        pair = np.einsum("nij,ni,nj->n", gi, dlogu, dphi)
-        scalar = -0.5 * (lap_phi + pair)
-        i = int(np.argmax(scalar))
-        if scalar[i] > k2_raw:
-            k2_raw = float(scalar[i])
-            w2 = Witness(sub[i].copy(), k2_raw, "kappa2")
+        pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
+        k2.append((idx, -0.5 * (lap_phi + pair)))
+    kappa1, w1 = _extreme(P, k1, "kappa1")
+    k2_raw, w2 = _extreme(P, k2, "kappa2", largest=True)
     kappa2 = max(0.0, k2_raw)
     ok = kappa1 > kappa2
     return WarpedResult(
@@ -687,40 +700,18 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None, chunk=4096):
     )
 
 
-def product_metric_blocks(model, P, scheme="auto", h_scale=None):
-    """Doubled-metric curvature data at momentum points P.
-
-    Coordinates are ordered (p^1..p^M, x^1..x^N).  Returns a dict with
-    the product metric G, Ric_G, Hess_G of the weight exponent
-    log u + (1/2) log det A^{IJ}, and the combined form
-    Ric_G - Hess_G used by the criterion.
-    """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    M = model.dim
+def _product_blocks(pj):
+    """product_metric_blocks on the points of one point jet."""
+    P = pj.P
+    n, M = P.shape
     D = 2 * M
-    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
-    d2g = mf.hess(P)
-    jet_g = _geom.jet_from_arrays(mf.value(P), mf.grad(P))
-    dv, hv, tv = _v_bundle(model, P, scheme, h_scale, 3)
-    gi, dgi, d2gi = _ginv_derivs(jet_g, d2g)
-    A, dA, d2A = _gram_derivs(gi, dgi, d2gi, dv, hv, tv)
-
-    amin = np.linalg.eigvalsh(A)[:, 0]
-    k = int(np.argmin(amin))
-    if amin[k] <= 0.0:
-        raise DegenerateA(
-            "velocity Gram form is not positive definite: smallest "
-            f"eigenvalue {amin[k]:.3e} at p = {P[k]}"
-        )
-    Alow = np.linalg.inv(A)
+    jet_g = pj.jet
+    _require_positive(pj.A, P)
+    dA, d2A = _gram_derivs(pj)
+    Alow = np.linalg.inv(pj.A)
     Alow = _symmetrize(Alow)
     dAlow = -np.einsum("nIa,nkab,nbJ->nkIJ", Alow, dA, Alow)
-    d2Alow = (
-        np.einsum("nIa,nlab,nbc,nkcd,ndJ->nlkIJ", Alow, dA, Alow, dA, Alow)
-        + np.einsum("nIa,nkab,nbc,nlcd,ndJ->nlkIJ", Alow, dA, Alow, dA, Alow)
-        - np.einsum("nIa,nlkab,nbJ->nlkIJ", Alow, d2A, Alow)
-    )
+    d2Alow = _inverse_d2(Alow, dA, d2A)
 
     G = np.zeros((n, D, D))
     G[:, :M, :M] = jet_g.g
@@ -729,15 +720,18 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     dG[:, :M, :M, :M] = jet_g.dg
     dG[:, :M, M:, M:] = dAlow
     d2G = np.zeros((n, D, D, D, D))
-    d2G[:, :M, :M, :M, :M] = d2g
+    d2G[:, :M, :M, :M, :M] = jet_g.d2g
     d2G[:, :M, :M, M:, M:] = d2Alow
 
     jet = _geom.jet_from_arrays(G, dG, d2G)
     ric_G = _geom.ricci_from_jet(jet)
 
-    grad_E, hess_E = _energy_derivs(model, P, scheme, h_scale)
-    dlogu, d2logu = _log_u_coord_derivs(jet_g, d2g, grad_E, hess_E)
-    # psi = log u + (1/2) log det A^{IJ}
+    # psi = log u + (1/2) log det A^{IJ}, with log u = -E - log sqrt(det g)
+    dlogu = _geom.drift_oneform_from_jet(jet_g, pj.grad_E)
+    d2logu = -(pj.hess_E + 0.5 * (
+        np.einsum("nlij,nkij->nlk", jet_g.dg_inv, jet_g.dg)
+        + np.einsum("nij,nlkij->nlk", jet_g.g_inv, jet_g.d2g)
+    ))
     dpsi = dlogu + 0.5 * np.einsum("nIJ,nkJI->nk", Alow, dA)
     d2psi = d2logu + 0.5 * (
         np.einsum("nIJ,nlkJI->nlk", Alow, d2A)
@@ -758,7 +752,20 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     }
 
 
-def logsob_product(model, grid=None, scheme="auto", h_scale=None, chunk=1024):
+def product_metric_blocks(model, P, scheme="auto", h_scale=None):
+    """Doubled-metric curvature data at momentum points P.
+
+    Coordinates are ordered (p^1..p^M, x^1..x^N).  Returns a dict with
+    the product metric G, Ric_G, Hess_G of the weight exponent
+    log u + (1/2) log det A^{IJ}, and the combined form
+    Ric_G - Hess_G used by the criterion.
+    """
+    return _product_blocks(
+        _PointJet(model, np.asarray(P, dtype=float), scheme, h_scale)
+    )
+
+
+def logsob_product(model, grid=None, scheme="auto", h_scale=None):
     """Product-route log-Sobolev criterion on the doubled metric.
 
     alpha is the grid minimum of the generalized eigenvalues of
@@ -766,21 +773,16 @@ def logsob_product(model, grid=None, scheme="auto", h_scale=None, chunk=1024):
     """
     grid, P = _grid_points(model, grid)
     M = model.dim
-    alpha = math.inf
-    wit = None
+    lows = []
     offdiag = 0.0
     shift = 0.0
-    for lo, hi in _chunks(P.shape[0], chunk):
-        sub = P[lo:hi]
-        blocks = product_metric_blocks(model, sub, scheme=scheme, h_scale=h_scale)
+    for idx, pj in _all_point_jets(model, grid, scheme, h_scale):
+        blocks = _product_blocks(pj)
         eigs, sh = _gen_eigs(blocks["form"], blocks["G"], 0.0)
         shift = max(shift, sh)
-        lo_e = eigs[:, 0]
-        i = int(np.argmin(lo_e))
-        if lo_e[i] < alpha:
-            alpha = float(lo_e[i])
-            wit = Witness(sub[i].copy(), alpha, "alpha")
+        lows.append((idx, eigs[:, 0]))
         offdiag = max(offdiag, float(np.max(np.abs(blocks["ric_G"][:, :M, M:]))))
+    alpha, wit = _extreme(P, lows, "alpha")
     return ProductResult(
         alpha=alpha,
         ok=alpha > 0.0,
@@ -859,17 +861,14 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
                 radii=None, alpha_manual=None):
     """Run every assumption scan on one model and collect the report."""
     grid, _ = _grid_points(model, grid)
-    passes = {}
-    witnesses = {}
-    partial = False
-    shift = 0.0
+    # A private copy: the scans share its point jets, which then go
+    # when this call returns instead of staying on the caller's grid.
+    grid = replace(grid)
 
     cb = curvature_bounds(model, grid, scheme=scheme, h_scale=h_scale)
-    passes["curvature"] = cb.sigma1 >= 0.0 and not cb.partial
-    witnesses["sigma1"] = cb.witnesses["min"]
-    witnesses["sigma2"] = cb.witnesses["max"]
-    partial = partial or cb.partial
-    shift = max(shift, cb.shift)
+    passes = {"curvature": cb.sigma1 >= 0.0 and not cb.partial}
+    witnesses = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"]}
+    shift = cb.shift
 
     try:
         dom = dominance_constants(model, grid, scheme=scheme, h_scale=h_scale)
@@ -893,7 +892,6 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
 
     alpha = None
     source = None
-    note = ""
     if alpha_manual is not None:
         alpha = float(alpha_manual)
         source = "manual"
@@ -909,8 +907,7 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
             else:
                 note = (f"warped criterion inconclusive: kappa1 = "
                         f"{wr.kappa1:.6g} <= kappa2 = {wr.kappa2:.6g}")
-            witnesses["kappa1"] = wr.witnesses["kappa1"]
-            witnesses["kappa2"] = wr.witnesses["kappa2"]
+            witnesses.update(wr.witnesses)
         except NotIsotropic:
             pr = logsob_product(model, grid, scheme=scheme, h_scale=h_scale)
             witnesses["alpha"] = pr.witness
@@ -945,7 +942,7 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
         grid_description=grid.description,
         passes=passes,
         witnesses=witnesses,
-        partial=partial,
+        partial=cb.partial,
         shift=shift,
     )
 

@@ -80,7 +80,7 @@ class MetricJet:
 
     For a single point the arrays have the plain tensor shapes
     (M, M), (M, M, M), ...; for a batch they carry a leading axis n.
-    dchristoffel is None when built without second derivatives.
+    d2g and dchristoffel are None when built without second derivatives.
     """
 
     g: np.ndarray
@@ -91,6 +91,7 @@ class MetricJet:
     dchristoffel: np.ndarray | None
     dg_inv: np.ndarray = None
     dlog_sqrt: np.ndarray = None
+    d2g: np.ndarray | None = None
 
 
 @dataclass
@@ -187,6 +188,7 @@ def jet_from_arrays(g, dg, d2g=None):
         dchristoffel=dchristoffel,
         dg_inv=dg_inv,
         dlog_sqrt=dlog_sqrt,
+        d2g=d2g,
     )
 
 
@@ -200,16 +202,9 @@ def batch_jet(model, P, scheme="auto", h_scale=None, second=True):
 
 
 def _squeeze_jet(jet):
-    return MetricJet(
-        g=jet.g[0],
-        g_inv=jet.g_inv[0],
-        sqrt_det=float(jet.sqrt_det[0]),
-        dg=jet.dg[0],
-        christoffel=jet.christoffel[0],
-        dchristoffel=None if jet.dchristoffel is None else jet.dchristoffel[0],
-        dg_inv=jet.dg_inv[0],
-        dlog_sqrt=jet.dlog_sqrt[0],
-    )
+    single = {k: None if v is None else v[0] for k, v in vars(jet).items()}
+    single["sqrt_det"] = float(single["sqrt_det"])
+    return MetricJet(**single)
 
 
 def metric_jet(model, p, scheme="auto", h_scale=None, second=True):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import geometry
-from .assumptions import _covariant_hessians, _div_hessians, _v_bundle
+from .assumptions import _covariant_hessians, _div_hessians, _PointJet
 from .errors import (
     CFLViolation,
     InsufficientData,
@@ -202,16 +202,16 @@ def _node_geometry(model, grid):
     if geo is not None:
         return geo
     pts = grid.p_nodes[:, None]
-    jet = geometry.batch_jet(model, pts, second=True)
+    pj = _PointJet(model, pts)
+    jet = pj.jet
     gpp = jet.g_inv[:, 0, 0]
     Gamma = jet.christoffel[:, 0, 0, 0]
 
     # The general M-dimensional Hessian and div-Hessian forms at M = 1.
-    dv, hv, tv = _v_bundle(model, pts, "auto", None, 3)
-    H_v = _covariant_hessians(jet, dv, hv)[:, 0, 0, 0]
-    divH = _div_hessians(jet, dv, hv, tv)[:, 0, 0]
+    H_v = _covariant_hessians(jet, pj.dv, pj.hv)[:, 0, 0, 0]
+    divH = _div_hessians(jet, pj.dv, pj.hv, pj.tv)[:, 0, 0]
     v = model.v_fields[0].value(pts)
-    dv = dv[:, 0, 0]
+    dv = pj.dv[:, 0, 0]
 
     lw = log_weight_field(model)
     w_cov = lw.grad(pts)[:, 0]

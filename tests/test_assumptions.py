@@ -210,6 +210,11 @@ class TestScanGrids:
         cb = asm.curvature_bounds(m, grid=rel_points(10, dim=2))
         assert cb.sigma1 == pytest.approx(1.0, abs=1e-12)
 
+    def test_raw_point_array_radius_is_ball_radius(self):
+        pts = np.array([[3.0, 4.0], [0.0, 0.0]])
+        rep = asm.check_model(builtin_classical(2), pts)
+        assert rep.grid_radius == 5.0
+
 
 # ---------------------------------------------------------------------------
 # Curvature bounds
@@ -381,6 +386,14 @@ class TestWarpedRoute:
         with pytest.raises(NotIsotropic):
             asm.logsob_warped(m, small_grid())
 
+    def test_isotropy_checked_before_gram_derivatives(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Gram derivatives built before isotropy check")
+
+        monkeypatch.setattr(asm, "_gram_derivs", fail)
+        with pytest.raises(NotIsotropic):
+            asm.logsob_warped(builtin_relativistic(4.0), small_grid())
+
     def test_flat_1d_against_direct_formulas(self):
         # v' = 1 - 0.4 p e^{-p^2} stays positive, so A = (v')^2 defines
         # an isotropic conformal factor with explicit derivatives.
@@ -509,6 +522,44 @@ class TestGenEigHelpers:
         assert [i for i, _ in bad] == [4]
         covered = np.concatenate([idx for idx, _ in good])
         assert sorted(covered) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+
+
+# ---------------------------------------------------------------------------
+# Point jets shared by the scans
+
+
+class TestSharedPointJets:
+    def test_check_model_builds_metric_hessian_once_per_chunk(self):
+        m = builtin_relativistic(4.0)
+        grid = small_grid()
+        assert grid.count <= asm.CHUNK
+        hess = m.metric_field.hess
+        calls = []
+
+        def counted(P):
+            calls.append(P.shape[0])
+            return hess(P)
+
+        m.metric_field.hess = counted
+        asm.check_model(m, grid)
+        assert calls == [grid.count]
+
+    def test_grid_holds_one_model(self):
+        grid = small_grid(axis_points=5, quasi_points=16)
+        asm.theta_threshold_scan(thetas=(4.0, 64.0), grid=grid)
+        assert len(grid._cache) <= 1
+
+    def test_check_model_leaves_caller_grid_empty(self):
+        grid = small_grid()
+        asm.check_model(builtin_relativistic(4.0), grid)
+        assert grid._cache == {}
+
+    def test_check_model_degenerate_metric_raises(self):
+        # Curvature skips p = 0 (see test_degenerate_point_isolated);
+        # dominance needs every point and re-raises the metric failure.
+        m = expr_model_1d("p1^2", "p1^2/2")
+        with pytest.raises(MetricError):
+            asm.check_model(m, np.linspace(-2.0, 2.0, 5)[:, None])
 
 
 # ---------------------------------------------------------------------------
