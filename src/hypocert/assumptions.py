@@ -271,6 +271,7 @@ def _scan_eval(P, chunk, eval_fn):
 
     for lo in range(0, P.shape[0], chunk):
         attempt(np.arange(lo, min(lo + chunk, P.shape[0])))
+    del attempt  # break the closure's self-reference so eval_fn frees now
     return good, bad
 
 

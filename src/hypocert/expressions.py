@@ -14,13 +14,16 @@ and sqrt(1+|p|^2), so there are no conditionals and no trig.
 
 ASTs are immutable trees of dataclass nodes.  Smart constructors fold
 constants and algebraic units so differentiation does not snowball.
-Differentiation and evaluation both memoize on node identity, which
-preserves sharing: the derivative of exp(f) reuses the original exp(f)
-node, so evaluating (f, df) costs one exp, not two.
+Differentiation memoizes on node identity, which preserves sharing: the
+derivative of exp(f) reuses the original exp(f) node.
 
-Evaluation is vectorized over an (n, M) array of points and guards the
-real domain: division by zero, log of a nonpositive value, and similar
-raise ExprDomainError instead of propagating NaN.
+Evaluation shares nodes by structure, not by identity: a `Tape`
+hash-conses the nodes of a list of ASTs (a field jet, say) into one
+straight-line program, so a subterm that appears in several entries, or
+as equal copies, is computed once.  A tape runs vectorized over an
+(n, M) array of points under one numpy error state and guards the real
+domain: division by zero, log of a nonpositive value, and similar raise
+ExprDomainError instead of propagating NaN.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "parse_expr",
     "diff_expr",
     "evaluate",
+    "Tape",
     "to_string",
     "uses_theta",
     "max_coord",
@@ -366,8 +370,8 @@ def diff_expr(ast, k):
     k is the 1-based coordinate label, matching the variable name.
     theta differentiates to zero.  Node identity is memoized so shared
     subterms stay shared in the derivative, and the derivatives of exp
-    and sqrt reuse the original node (evaluation then computes the
-    transcendental once for the pair (f, df)).
+    and sqrt reuse the original node (a tape holding both f and df then
+    computes the transcendental once).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"coordinate label must be a positive integer, got {k!r}")
@@ -427,10 +431,120 @@ def diff_expr(ast, k):
 # Evaluation
 
 
-def evaluate(ast, points, theta=None):
-    """Evaluate an AST at one point (shape (M,)) or a batch (n, M).
+_LEAVES = ("const", "coord", "theta")
+_UFUNCS = {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": np.divide, "^": np.power, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+}
+# Ops whose outputs must stay finite, and the name a domain error gives.
+_CHECKED = {"/": "division", "^": "power", "sqrt": "sqrt", "exp": "exp", "log": "log"}
 
-    Returns a float for a single point, an (n,) array for a batch.
+
+class Tape:
+    """Straight-line program that evaluates a list of ASTs together.
+
+    Nodes are hash-consed bottom-up: the key of a node is its op plus
+    the slots of its children (a constant's key is its bit pattern), so
+    a subterm shared by structure anywhere among the roots is computed
+    once.  Leaves take the first slots; each op then fills the next
+    slot, in DFS post-order over the roots in order.
+    """
+
+    def __init__(self, roots):
+        keys, slot_of_key, slot_of_id = [], {}, {}
+
+        def visit(node):
+            slot = slot_of_id.get(id(node))
+            if slot is not None:
+                return slot
+            if isinstance(node, Const):
+                key = ("const", float(node.value).hex())
+            elif isinstance(node, Coord):
+                key = ("coord", node.index)
+            elif isinstance(node, Theta):
+                key = ("theta",)
+            elif isinstance(node, Neg):
+                key = ("neg", visit(node.arg))
+            elif isinstance(node, BinOp):
+                key = (node.op, visit(node.left), visit(node.right))
+            else:  # Call
+                key = (node.fn, visit(node.arg))
+            slot = slot_of_key.get(key)
+            if slot is None:
+                slot = slot_of_key[key] = len(keys)
+                keys.append(key)
+            slot_of_id[id(node)] = slot
+            return slot
+
+        top = [visit(root) for root in roots]
+        del visit  # break the closure's self-reference so the memos free now
+        # Renumber: the leaves first, then the ops in post-order.
+        order = sorted(range(len(keys)), key=lambda i: keys[i][0] not in _LEAVES)
+        slot = {old: new for new, old in enumerate(order)}
+        keys = [keys[i] for i in order]
+        nleaves = sum(key[0] in _LEAVES for key in keys)
+        leaves = list(enumerate(keys[:nleaves]))
+        ops = [[slot[c] for c in key[1:]] for key in keys[nleaves:]]
+        self.roots = [slot[i] for i in top]
+        self._leaves = [
+            np.full(1, float.fromhex(key[1])) if key[0] == "const" else None
+            for _, key in leaves
+        ]
+        self._coords = [(s, key[1]) for s, key in leaves if key[0] == "coord"]
+        self._theta = next((s for s, key in leaves if key[0] == "theta"), None)
+        self._checked = [
+            (s, _CHECKED[key[0]]) for s, key in enumerate(keys) if key[0] in _CHECKED
+        ]
+        # Roots and checked outputs live to the end, where the one
+        # finiteness check reads them; every other slot is freed after
+        # the op that reads it last.
+        keep = set(self.roots) | {s for s, _ in self._checked}
+        last = {s: pos for pos, args in enumerate(ops) for s in args}
+        dead = [() for _ in ops]
+        for s, pos in last.items():
+            if s not in keep:
+                dead[pos] += (s,)
+        self.code = [
+            (_UFUNCS[key[0]], args[0], args[1] if len(args) > 1 else None, dead[pos])
+            for pos, (key, args) in enumerate(zip(keys[nleaves:], ops))
+        ]
+
+    def run(self, P, theta):
+        """Values of the roots at the rows of P (n, M), as a (k, n) array."""
+        n, m = P.shape
+        vals = list(self._leaves)
+        for s, index in self._coords:
+            if index > m:
+                raise UnknownIdentifier(f"p{index}")
+            vals[s] = P[:, index - 1]
+        if self._theta is not None:
+            if theta is None:
+                raise ExprDomainError("expression uses theta but no value was bound")
+            vals[self._theta] = np.full(1, float(theta))
+        with np.errstate(all="ignore"):
+            for fn, a, b, dead in self.code:
+                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+                for s in dead:
+                    vals[s] = None
+        if self._checked:
+            parts = [vals[s] for s, _ in self._checked]
+            if not np.isfinite(np.concatenate(parts)).all():
+                for (_, what), part in zip(self._checked, parts):
+                    if not np.isfinite(part).all():
+                        raise ExprDomainError(
+                            f"{what} left the real domain during evaluation"
+                        )
+        out = np.empty((len(self.roots), n))
+        for row, s in enumerate(self.roots):
+            out[row] = vals[s]
+        return out
+
+
+def evaluate(expr, points, theta=None):
+    """Evaluate an AST or a Tape at one point (shape (M,)) or a batch (n, M).
+
+    An AST gives a float for a single point and an (n,) array for a
+    batch; a Tape gives one row per root, shape (k,) or (k, n).
     Out-of-domain operations raise ExprDomainError rather than
     returning NaN or infinity.
     """
@@ -440,62 +554,13 @@ def evaluate(ast, points, theta=None):
         P = P[None, :]
     if P.ndim != 2:
         raise ValueError(f"points must have shape (M,) or (n, M), got {P.shape}")
-    n, m = P.shape
-    memo = {}
-
-    def check(val, what):
-        if not np.all(np.isfinite(val)):
-            raise ExprDomainError(f"{what} left the real domain during evaluation")
-        return val
-
-    def ev(node):
-        key = id(node)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(node, Const):
-            out = np.full(1, node.value)
-        elif isinstance(node, Coord):
-            if node.index > m:
-                raise UnknownIdentifier(f"p{node.index}")
-            out = P[:, node.index - 1]
-        elif isinstance(node, Theta):
-            if theta is None:
-                raise ExprDomainError("expression uses theta but no value was bound")
-            out = np.full(1, float(theta))
-        elif isinstance(node, Neg):
-            out = -ev(node.arg)
-        elif isinstance(node, BinOp):
-            a = ev(node.left)
-            b = ev(node.right)
-            with np.errstate(all="ignore"):
-                if node.op == "+":
-                    out = a + b
-                elif node.op == "-":
-                    out = a - b
-                elif node.op == "*":
-                    out = a * b
-                elif node.op == "/":
-                    out = check(a / b, "division")
-                else:
-                    out = check(np.power(a, b), "power")
-        else:  # Call
-            a = ev(node.arg)
-            with np.errstate(all="ignore"):
-                if node.fn == "sqrt":
-                    out = check(np.sqrt(a), "sqrt")
-                elif node.fn == "exp":
-                    out = check(np.exp(a), "exp")
-                else:
-                    out = check(np.log(a), "log")
-        memo[key] = out
-        return out
-
-    result = ev(ast)
-    result = np.broadcast_to(result, (n,)) if result.shape != (n,) else result
+    tape = expr if isinstance(expr, Tape) else Tape([expr])
+    out = tape.run(P, theta)
     if single:
-        return float(result[0])
-    return np.array(result, dtype=float)
+        out = out[:, 0]
+    if tape is expr:
+        return out
+    return float(out[0]) if single else out[0]
 
 
 # ---------------------------------------------------------------------------

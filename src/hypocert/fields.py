@@ -5,9 +5,11 @@ and its derivatives on a batch of points P with shape (n, M).  Two
 families exist:
 
 * expression-backed fields differentiate symbolically (exact to round
-  off); derivative ASTs are built lazily and cached, and symmetric
-  derivative slots (Hessians, metric jets) are filled from a single
-  representative AST so the returned arrays are symmetric exactly;
+  off); each derivative order is built lazily and compiled into one
+  cached `Tape` that evaluates all of its entries together, and
+  symmetric derivative slots (Hessians, metric jets) are filled from a
+  single representative AST so the returned arrays are symmetric
+  exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
@@ -24,7 +26,7 @@ import itertools
 import numpy as np
 
 from .errors import FDOrderError
-from .expressions import diff_expr, evaluate, parse_expr
+from .expressions import Tape, diff_expr, evaluate, parse_expr
 
 __all__ = [
     "ExprScalarField",
@@ -145,6 +147,29 @@ def resolve_field(field, dim, scheme="auto", h_scale=None, theta=None):
     return field
 
 
+class _Jet:
+    """One derivative order of an expression field: a tape over its
+    distinct entries and the output slots each entry's value fills."""
+
+    def __init__(self, shape, entries):
+        """entries: (AST, set of index tuples into shape) in tape order."""
+        self.shape = shape
+        self.tape = Tape([ast for ast, _ in entries])
+        targets = [
+            (row, idx) for row, (_, idxs) in enumerate(entries) for idx in sorted(idxs)
+        ]
+        self.rows = np.array([row for row, _ in targets], dtype=int)
+        self.index = (slice(None),) + tuple(
+            np.array(axis, dtype=int) for axis in zip(*(idx for _, idx in targets))
+        )
+
+    def values(self, P, theta):
+        vals = evaluate(self.tape, P, theta)
+        out = np.zeros((P.shape[0],) + self.shape)
+        out[self.index] = vals[self.rows].T
+        return out
+
+
 class ExprScalarField:
     """Scalar field defined by an expression AST."""
 
@@ -154,77 +179,56 @@ class ExprScalarField:
         self.ast = ast
         self.dim = dim
         self.theta = theta
-        self._grad_asts = None
-        self._hess_asts = None
-        self._third_asts = None
+        self._asts = [{(): ast}]
+        self._jets = {}
+        self._tapes = {}
 
-    def _grads(self):
-        if self._grad_asts is None:
-            self._grad_asts = [diff_expr(self.ast, k + 1) for k in range(self.dim)]
-        return self._grad_asts
+    def _jet(self, order):
+        """Order-`order` partials, one AST per nondecreasing axes tuple."""
+        while len(self._asts) <= order:
+            self._asts.append({
+                axes + (k,): diff_expr(ast, k + 1)
+                for axes, ast in self._asts[-1].items()
+                for k in range(axes[-1] if axes else 0, self.dim)
+            })
+        if order not in self._jets:
+            self._jets[order] = _Jet((self.dim,) * order, [
+                (ast, set(itertools.permutations(axes)))
+                for axes, ast in self._asts[order].items()
+            ])
+        return self._jets[order]
 
-    def _hessians(self):
-        if self._hess_asts is None:
-            grads = self._grads()
-            self._hess_asts = {
-                (i, j): diff_expr(grads[i], j + 1)
-                for i in range(self.dim)
-                for j in range(i, self.dim)
-            }
-        return self._hess_asts
-
-    def _thirds(self):
-        if self._third_asts is None:
-            hess = self._hessians()
-            self._third_asts = {
-                (i, j, k): diff_expr(hess[(i, j)], k + 1)
-                for i in range(self.dim)
-                for j in range(i, self.dim)
-                for k in range(j, self.dim)
-            }
-        return self._third_asts
+    def _tape(self, axes):
+        """One-root tape of the partial along `axes`, taken in that order."""
+        if axes not in self._tapes:
+            ast = self.ast
+            for ax in axes:
+                ast = diff_expr(ast, ax + 1)
+            self._tapes[axes] = Tape([ast])
+        return self._tapes[axes]
 
     def value(self, P):
-        return np.asarray(evaluate(self.ast, P, self.theta))
+        return np.asarray(evaluate(self._tape(()), P, self.theta)[0])
 
     def grad(self, P):
-        n = P.shape[0]
-        out = np.empty((n, self.dim))
-        for k, ast in enumerate(self._grads()):
-            out[:, k] = evaluate(ast, P, self.theta)
-        return out
+        return self._jet(1).values(P, self.theta)
 
     def hess(self, P):
-        n = P.shape[0]
-        out = np.empty((n, self.dim, self.dim))
-        for (i, j), ast in self._hessians().items():
-            vals = evaluate(ast, P, self.theta)
-            out[:, i, j] = vals
-            out[:, j, i] = vals
-        return out
+        return self._jet(2).values(P, self.theta)
 
     def third(self, P):
-        n = P.shape[0]
-        out = np.empty((n, self.dim, self.dim, self.dim))
-        for (i, j, k), ast in self._thirds().items():
-            vals = evaluate(ast, P, self.theta)
-            for perm in set(itertools.permutations((i, j, k))):
-                out[:, perm[0], perm[1], perm[2]] = vals
-        return out
+        return self._jet(3).values(P, self.theta)
 
     def derivative(self, P, axes):
         """Evaluate an arbitrary mixed partial; axes are 0-based."""
-        ast = self.ast
-        for ax in axes:
-            ast = diff_expr(ast, ax + 1)
-        return np.asarray(evaluate(ast, P, self.theta))
+        return np.asarray(evaluate(self._tape(tuple(axes)), P, self.theta)[0])
 
 
 class ExprMetricField:
     """Symmetric metric field g_ij from expression ASTs.
 
     entries maps 0-based (i, j) with i <= j to an AST; the lower
-    triangle mirrors the same objects.
+    triangle mirrors the same values.
     """
 
     analytic = True
@@ -237,60 +241,37 @@ class ExprMetricField:
             if i > j:
                 i, j = j, i
             self.entries[(i, j)] = ast
-        self._grad_asts = None
-        self._hess_asts = None
+        self._asts = [self.entries]
+        self._jets = {}
 
-    def _grads(self):
-        if self._grad_asts is None:
-            self._grad_asts = {
-                (k, i, j): diff_expr(ast, k + 1)
-                for (i, j), ast in self.entries.items()
-                for k in range(self.dim)
-            }
-        return self._grad_asts
-
-    def _hessians(self):
-        if self._hess_asts is None:
-            grads = self._grads()
-            self._hess_asts = {
-                (l, k, i, j): diff_expr(grads[(k, i, j)], l + 1)
-                for (k, i, j) in grads
-                for l in range(k, self.dim)
-            }
-        return self._hess_asts
+    def _jet(self, order):
+        """d_l ... d_k g_ij keyed (l, ..., k, i, j) with l >= ... >= k."""
+        while len(self._asts) <= order:
+            first = len(self._asts) == 1
+            self._asts.append({
+                (l,) + key: diff_expr(ast, l + 1)
+                for key, ast in self._asts[-1].items()
+                for l in range(0 if first else key[0], self.dim)
+            })
+        if order not in self._jets:
+            self._jets[order] = _Jet((self.dim,) * (order + 2), [
+                (ast, {axes + ij
+                       for axes in itertools.permutations(key[:order])
+                       for ij in (key[order:], key[order:][::-1])})
+                for key, ast in self._asts[order].items()
+            ])
+        return self._jets[order]
 
     def value(self, P):
-        n = P.shape[0]
-        out = np.zeros((n, self.dim, self.dim))
-        for (i, j), ast in self.entries.items():
-            vals = evaluate(ast, P, self.theta)
-            out[:, i, j] = vals
-            if i != j:
-                out[:, j, i] = vals
-        return out
+        return self._jet(0).values(P, self.theta)
 
     def grad(self, P):
         """[n, k, i, j] = d_k g_ij."""
-        n = P.shape[0]
-        out = np.zeros((n, self.dim, self.dim, self.dim))
-        for (k, i, j), ast in self._grads().items():
-            vals = evaluate(ast, P, self.theta)
-            out[:, k, i, j] = vals
-            if i != j:
-                out[:, k, j, i] = vals
-        return out
+        return self._jet(1).values(P, self.theta)
 
     def hess(self, P):
         """[n, l, k, i, j] = d_l d_k g_ij."""
-        n = P.shape[0]
-        out = np.zeros((n, self.dim, self.dim, self.dim, self.dim))
-        for (l, k, i, j), ast in self._hessians().items():
-            vals = evaluate(ast, P, self.theta)
-            for a, b in ((l, k), (k, l)):
-                out[:, a, b, i, j] = vals
-                if i != j:
-                    out[:, a, b, j, i] = vals
-        return out
+        return self._jet(2).values(P, self.theta)
 
 
 class ExprVectorField:
@@ -302,25 +283,27 @@ class ExprVectorField:
         self.components = list(components)
         self.dim = dim
         self.theta = theta
-        self._jac_asts = None
+        self._jets = {}
+
+    def _jet(self, order):
+        if order not in self._jets:
+            ncomp = len(self.components)
+            if order == 0:
+                jet = _Jet((ncomp,), [
+                    (ast, {(i,)}) for i, ast in enumerate(self.components)
+                ])
+            else:
+                jet = _Jet((self.dim, ncomp), [
+                    (diff_expr(ast, k + 1), {(k, i)})
+                    for k in range(self.dim)
+                    for i, ast in enumerate(self.components)
+                ])
+            self._jets[order] = jet
+        return self._jets[order]
 
     def value(self, P):
-        n = P.shape[0]
-        out = np.empty((n, len(self.components)))
-        for i, ast in enumerate(self.components):
-            out[:, i] = evaluate(ast, P, self.theta)
-        return out
+        return self._jet(0).values(P, self.theta)
 
     def jacobian(self, P):
         """[n, k, i] = d_k Z^i."""
-        if self._jac_asts is None:
-            self._jac_asts = [
-                [diff_expr(ast, k + 1) for ast in self.components]
-                for k in range(self.dim)
-            ]
-        n = P.shape[0]
-        out = np.empty((n, self.dim, len(self.components)))
-        for k, row in enumerate(self._jac_asts):
-            for i, ast in enumerate(row):
-                out[:, k, i] = evaluate(ast, P, self.theta)
-        return out
+        return self._jet(1).values(P, self.theta)

@@ -1,7 +1,9 @@
 """Expression language: parsing, printing, differentiation, evaluation.
 
 The differentiation oracle is a 4th-order central finite difference,
-independent of the symbolic rules under test.
+independent of the symbolic rules under test.  The evaluation oracle is
+`walk_reference`, a recursive tree walk that evaluates one AST node by
+node; a tape must reproduce it bit for bit.
 """
 
 import math
@@ -21,14 +23,18 @@ from hypocert.expressions import (
     Const,
     Coord,
     Neg,
+    Tape,
     Theta,
     diff_expr,
     evaluate,
     max_coord,
+    neg,
     parse_expr,
     to_string,
     uses_theta,
 )
+from hypocert.fields import ExprScalarField, ExprVectorField
+from hypocert.models import builtin_relativistic, log_weight_field
 
 
 def fd_derivative(ast, points, k, theta=None, h=1e-5):
@@ -292,3 +298,131 @@ class TestRoundTrip:
             once = to_string(parse_expr(src))
             twice = to_string(parse_expr(once))
             assert once == twice
+
+
+def walk_reference(ast, P, theta=None):
+    """One AST at the rows of P (n, M), walked node by node."""
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Const):
+            out = np.full(1, node.value)
+        elif isinstance(node, Coord):
+            out = P[:, node.index - 1]
+        elif isinstance(node, Theta):
+            out = np.full(1, float(theta))
+        elif isinstance(node, Neg):
+            out = -ev(node.arg)
+        else:
+            with np.errstate(all="ignore"):
+                if isinstance(node, BinOp):
+                    a, b = ev(node.left), ev(node.right)
+                    out = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                           "/": np.divide, "^": np.power}[node.op](a, b)
+                else:
+                    out = {"sqrt": np.sqrt, "exp": np.exp, "log": np.log}[node.fn](
+                        ev(node.arg)
+                    )
+        memo[id(node)] = out
+        return out
+
+    return np.array(np.broadcast_to(ev(ast), (P.shape[0],)), dtype=float)
+
+
+def _metric_2jet(metric_field):
+    """The entries of g, dg and d2g as ASTs (d2g with both axis orders)."""
+    out = list(metric_field.entries.values())
+    grads = [diff_expr(ast, k + 1) for ast in out for k in range(metric_field.dim)]
+    for ast in list(grads):
+        for l in range(1, metric_field.dim + 1):
+            grads.append(diff_expr(ast, l))
+    return out + grads
+
+
+class TestTape:
+    REL = builtin_relativistic(4.0)
+
+    def _assert_matches_walk(self, roots, P, theta):
+        got = evaluate(Tape(roots), P, theta=theta)
+        assert got.shape == (len(roots), P.shape[0])
+        for row, ast in zip(got, roots):
+            assert np.array_equal(row, evaluate(ast, P, theta=theta))
+            assert np.array_equal(row, walk_reference(ast, P, theta))
+
+    def test_random_pools_match_one_root_runs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            depths = rng.integers(1, 5, size=8)
+            pool = [random_safe_ast(rng, depth=int(d)) for d in depths]
+            pool += [diff_expr(ast, 2) for ast in pool[:4]] + [pool[0]]
+            P = rng.uniform(-1.0, 1.0, size=(7, 3))
+            self._assert_matches_walk(pool, P, 1.7)
+
+    def test_field_jets_match_one_root_runs(self):
+        P = np.random.default_rng(3).uniform(-2.0, 2.0, size=(9, 3))
+        self._assert_matches_walk(_metric_2jet(self.REL.metric_field), P, 4.0)
+        logu = log_weight_field(self.REL).ast
+        jet = [logu] + [diff_expr(logu, k) for k in (1, 2, 3)]
+        jet += [diff_expr(d, l) for d in jet[1:] for l in (1, 2, 3)]
+        self._assert_matches_walk(jet, P, 4.0)
+
+    def test_single_point_rows(self):
+        roots = [parse_expr("p1*p2"), parse_expr("sqrt(1+p2^2)")]
+        got = evaluate(Tape(roots), np.array([2.0, 3.0]))
+        assert got.shape == (2,)
+        assert got[0] == 6.0 and got[1] == math.sqrt(10.0)
+
+    def test_structural_copies_share_ops(self):
+        a, b = parse_expr("sqrt(1+p1^2)"), parse_expr("sqrt(1+p1^2)")
+        assert a is not b
+        one = len(Tape([a]).code)
+        assert len(Tape([a, b]).code) == one
+        assert len(Tape([BinOp("+", a, b)]).code) == one + 1
+
+    def test_metric_jet_is_shared_across_entries(self):
+        jet = _metric_2jet(self.REL.metric_field)
+        separate = sum(len(Tape([ast]).code) for ast in jet)
+        assert len(Tape(jet).code) < separate / 2
+
+    def test_first_failing_entry_names_the_error(self):
+        bad = np.array([[-1.0]])
+        sqrt_, log_ = parse_expr("sqrt(p1)"), parse_expr("log(p1)")
+        with pytest.raises(ExprDomainError, match="^sqrt"):
+            ExprVectorField([sqrt_, log_], 1).value(bad)
+        with pytest.raises(ExprDomainError, match="^log"):
+            ExprVectorField([log_, sqrt_], 1).value(bad)
+        # Within one entry the first failure in post-order wins.
+        with pytest.raises(ExprDomainError, match="^log"):
+            evaluate(Tape([BinOp("+", log_, sqrt_), sqrt_]), bad)
+
+    def test_signed_zero_constants_stay_distinct(self):
+        zero = Const(0.0)
+        got = evaluate(Tape([zero, neg(zero)]), np.zeros((2, 1)))
+        assert list(np.signbit(got[:, 0])) == [False, True]
+        assert np.array_equal(got, np.zeros((2, 2)))
+
+    def test_coordinate_beyond_columns(self):
+        with pytest.raises(UnknownIdentifier):
+            evaluate(Tape([Coord(1), Coord(4)]), np.zeros((2, 3)))
+        with pytest.raises(UnknownIdentifier):
+            evaluate(Coord(4), np.zeros(3))
+
+    def test_theta_unbound(self):
+        tape = Tape([parse_expr("p1"), parse_expr("theta*p1")])
+        with pytest.raises(ExprDomainError, match="theta"):
+            evaluate(tape, np.ones((2, 1)))
+        got = evaluate(tape, np.ones((2, 1)), theta=2.0)
+        assert np.array_equal(got, [[1, 1], [2, 2]])
+
+    def test_derivative_tape_is_cached(self, monkeypatch):
+        field = ExprScalarField(parse_expr("exp(p1*p2)"), 2)
+        P = np.array([[0.5, -1.0], [1.0, 2.0]])
+        first = field.derivative(P, (0, 1))
+        calls = []
+        monkeypatch.setattr("hypocert.fields.diff_expr", lambda *a: calls.append(a))
+        assert np.array_equal(field.derivative(P, [0, 1]), first)
+        assert calls == []
+        want = (1.0 + P[:, 0] * P[:, 1]) * np.exp(P[:, 0] * P[:, 1])
+        np.testing.assert_allclose(first, want, rtol=1e-14)
