@@ -32,6 +32,7 @@ from scipy.stats import qmc
 
 from . import fields as _fields
 from . import geometry as _geom
+from .geometry import _t
 from .errors import DegenerateA, MetricError, NotIsotropic
 from .errors import ExprDomainError
 from .models import builtin_relativistic
@@ -295,9 +296,7 @@ class _PointJet:
         self.hv = np.stack([f.hess(P) for f in vfs], axis=1)
         self.tv = np.stack([f.third(P) for f in vfs], axis=1)
         self.grad_E, self.hess_E = energy.grad(P), energy.hess(P)
-        self.A = _symmetrize(
-            np.einsum("nab,nIa,nJb->nIJ", self.jet.g_inv, self.dv, self.dv)
-        )
+        self.A = _gram(self.dv, self.jet.g_inv)
 
 
 def _point_jets(model, grid, scheme, h_scale):
@@ -380,30 +379,27 @@ def _covariant_hessians(jet, dv, hv):
 
 def _div_hessians(jet, dv, hv, tv):
     """div of the raised Hessian of each velocity component: (n, N, M)."""
+    n, N, M = dv.shape
     Hv = _covariant_hessians(jet, dv, hv)
-    # d_k (Hess v)_ab = third - dGamma.dv - Gamma.hess
-    dHv = (
-        tv
-        - np.einsum("nkcab,nIc->nIkab", jet.dchristoffel, dv)
-        - np.einsum("ncab,nIkc->nIkab", jet.christoffel, hv)
-    )
-    gi = jet.g_inv
-    H_up = np.einsum("nia,njb,nIab->nIij", gi, gi, Hv)
-    dH_up = (
-        np.einsum("nkia,njb,nIab->nIkij", jet.dg_inv, gi, Hv)
-        + np.einsum("nia,nkjb,nIab->nIkij", gi, jet.dg_inv, Hv)
-        + np.einsum("nia,njb,nIkab->nIkij", gi, gi, dHv)
-    )
-    G = jet.christoffel
-    return (
-        np.einsum("nIkik->nIi", dH_up)
-        + np.einsum("nika,nIak->nIi", G, H_up)
-        + np.einsum("nkka,nIia->nIi", G, H_up)
-    )
+    # d_k (Hess v)_ab = third - dGamma.dv - Gamma.hess, over flattened (a, b)
+    dG_dv = dv[:, None] @ jet.dchristoffel.reshape(n, M, M, M * M)
+    G_hv = hv.reshape(n, N * M, M) @ jet.christoffel.reshape(n, M, M * M)
+    dHv = (tv - dG_dv.reshape(n, M, N, M, M).swapaxes(1, 2)
+           - G_hv.reshape(tv.shape))
+    # H^ij = g^ia Hv_ab g^jb, and its d_k by the product rule
+    gi, dgi, Hk = jet.g_inv[:, None, None], jet.dg_inv[:, None], Hv[:, :, None]
+    H_up = (gi @ Hk @ _t(gi))[:, :, 0]
+    dH_up = dgi @ Hk @ _t(gi) + gi @ Hk @ _t(dgi) + gi @ dHv @ _t(gi)
+    return _geom.divergence_tensor2_from_jet(jet, H_up, dH_up)
 
 
 def _symmetrize(F):
-    return 0.5 * (F + np.swapaxes(F, -1, -2))
+    return 0.5 * (F + _t(F))
+
+
+def _gram(F, X):
+    """The Gram form F X F^T of the rows of F in X, symmetrized."""
+    return _symmetrize(F @ X @ _t(F))
 
 
 def _forms(pj, kinds):
@@ -416,19 +412,18 @@ def _forms(pj, kinds):
     if {"C", "R"} & set(kinds):
         Hv = _covariant_hessians(jet, dv, hv)
     if "C" in kinds:
-        out["C"] = _symmetrize(
-            np.einsum("nac,nbd,nIab,nJcd->nIJ", gi, gi, Hv, Hv)
-        )
+        # Gram form of Hv^I flattened over (a, b), in g^ac g^bd
+        n, N, M = dv.shape
+        gg = gi[:, :, None, :, None] * gi[:, None, :, None, :]
+        out["C"] = _gram(Hv.reshape(n, N, M * M), gg.reshape(n, M * M, M * M))
     if "R" in kinds:
         w_low = _geom.drift_oneform_from_jet(jet, pj.grad_E)
         w_up = np.einsum("nij,nj->ni", gi, w_low)
         K = np.einsum("nIab,nb->nIa", Hv, w_up)
-        out["R"] = _symmetrize(np.einsum("nab,nIa,nJb->nIJ", gi, K, K))
+        out["R"] = _gram(K, gi)
     if "B" in kinds:
         divH = _div_hessians(jet, dv, hv, pj.tv)
-        out["B"] = _symmetrize(
-            np.einsum("nij,nIi,nJj->nIJ", jet.g, divH, divH)
-        )
+        out["B"] = _gram(divH, jet.g)
     return out
 
 
@@ -602,36 +597,44 @@ def growth_check(model, radii=None, scheme="auto", h_scale=None):
 # Log-Sobolev criteria
 
 
-def _inverse_d2(Xi, dX, d2X):
-    """d_l d_k of X^{-1} from X^{-1} and the first two derivatives of X."""
-    return (
-        np.einsum("nia,nlab,nbc,nkcd,ndj->nlkij", Xi, dX, Xi, dX, Xi)
-        + np.einsum("nia,nkab,nbc,nlcd,ndj->nlkij", Xi, dX, Xi, dX, Xi)
-        - np.einsum("nia,nlkab,nbj->nlkij", Xi, d2X, Xi)
-    )
+def _inverse_derivs(Xi, dX, d2X):
+    """First and second derivatives of X^{-1}, from X^{-1}, dX and d2X.
+
+    dX[n, k] = d_k X and d2X[n, l, k] = d_l d_k X; the results share
+    that layout.
+    """
+    Y = Xi[:, None] @ dX
+    T = Y[:, :, None] @ Y[:, None] @ Xi[:, None, None]
+    d2Xi = T + T.swapaxes(1, 2) - Xi[:, None, None] @ d2X @ Xi[:, None, None]
+    return -(Y @ Xi[:, None]), d2Xi
+
+
+def _log_det_derivs(Xi, dXi, dX, d2X):
+    """d_k and d_l d_k of log det X from X^{-1}, its d_k, dX and d2X."""
+    return np.einsum("nIJ,nkJI->nk", Xi, dX), (
+        np.einsum("nIJ,nlkJI->nlk", Xi, d2X)
+        + np.einsum("nlIJ,nkJI->nlk", dXi, dX))
 
 
 def _gram_derivs(pj):
-    """First and second p-derivatives of A^{IJ} = g^{ab} d_a v^I d_b v^J."""
-    gi, dgi = pj.jet.g_inv, pj.jet.dg_inv
-    d2gi = _inverse_d2(gi, pj.jet.dg, pj.jet.d2g)
-    dv, hv, tv = pj.dv, pj.hv, pj.tv
-    dA = (
-        np.einsum("nkab,nIa,nJb->nkIJ", dgi, dv, dv)
-        + np.einsum("nab,nIka,nJb->nkIJ", gi, hv, dv)
-        + np.einsum("nab,nIa,nJkb->nkIJ", gi, dv, hv)
-    )
-    d2A = (
-        np.einsum("nlkab,nIa,nJb->nlkIJ", d2gi, dv, dv)
-        + np.einsum("nkab,nIla,nJb->nlkIJ", dgi, hv, dv)
-        + np.einsum("nkab,nIa,nJlb->nlkIJ", dgi, dv, hv)
-        + np.einsum("nlab,nIka,nJb->nlkIJ", dgi, hv, dv)
-        + np.einsum("nab,nIlka,nJb->nlkIJ", gi, tv, dv)
-        + np.einsum("nab,nIka,nJlb->nlkIJ", gi, hv, hv)
-        + np.einsum("nlab,nIa,nJkb->nlkIJ", dgi, dv, hv)
-        + np.einsum("nab,nIla,nJkb->nlkIJ", gi, hv, hv)
-        + np.einsum("nab,nIa,nJlkb->nlkIJ", gi, dv, tv)
-    )
+    """First and second p-derivatives of A^{IJ} = g^{ab} d_a v^I d_b v^J.
+
+    A = H F^T with F = dv and H = F g^-1, so both follow from the
+    product rule; axis 1 (and 2) of a derivative indexes the
+    coordinate it is taken along, l (and k) in d2A[n, l, k].
+    """
+    gi = pj.jet.g_inv
+    dgi, d2gi = _inverse_derivs(gi, pj.jet.dg, pj.jet.d2g)
+    F, dF, d2F = pj.dv, pj.hv.swapaxes(1, 2), np.moveaxis(pj.tv, 1, 3)
+    H = F @ gi
+    dH = dF @ gi[:, None] + F[:, None] @ dgi
+    dF_dG = dF[:, :, None] @ dgi[:, None]
+    d2H = (d2F @ gi[:, None, None] + dF_dG + dF_dG.swapaxes(1, 2)
+           + F[:, None, None] @ d2gi)
+    dH_dF = dH[:, None] @ _t(dF)[:, :, None]
+    dA = dH @ _t(F)[:, None] + H[:, None] @ _t(dF)
+    d2A = (d2H @ _t(F)[:, None, None] + dH_dF + dH_dF.swapaxes(1, 2)
+           + H[:, None, None] @ _t(d2F))
     return dA, d2A
 
 
@@ -709,10 +712,8 @@ def _product_blocks(pj):
     jet_g = pj.jet
     _require_positive(pj.A, P)
     dA, d2A = _gram_derivs(pj)
-    Alow = np.linalg.inv(pj.A)
-    Alow = _symmetrize(Alow)
-    dAlow = -np.einsum("nIa,nkab,nbJ->nkIJ", Alow, dA, Alow)
-    d2Alow = _inverse_d2(Alow, dA, d2A)
+    Alow = _symmetrize(np.linalg.inv(pj.A))
+    dAlow, d2Alow = _inverse_derivs(Alow, dA, d2A)
 
     G = np.zeros((n, D, D))
     G[:, :M, :M] = jet_g.g
@@ -729,15 +730,11 @@ def _product_blocks(pj):
 
     # psi = log u + (1/2) log det A^{IJ}, with log u = -E - log sqrt(det g)
     dlogu = _geom.drift_oneform_from_jet(jet_g, pj.grad_E)
-    d2logu = -(pj.hess_E + 0.5 * (
-        np.einsum("nlij,nkij->nlk", jet_g.dg_inv, jet_g.dg)
-        + np.einsum("nij,nlkij->nlk", jet_g.g_inv, jet_g.d2g)
-    ))
-    dpsi = dlogu + 0.5 * np.einsum("nIJ,nkJI->nk", Alow, dA)
-    d2psi = d2logu + 0.5 * (
-        np.einsum("nIJ,nlkJI->nlk", Alow, d2A)
-        - np.einsum("nIa,nlab,nbJ,nkJI->nlk", Alow, dA, Alow, dA)
-    )
+    d2logu = -(pj.hess_E + 0.5 * _log_det_derivs(
+        jet_g.g_inv, jet_g.dg_inv, jet_g.dg, jet_g.d2g)[1])
+    dlogdet, d2logdet = _log_det_derivs(Alow, dAlow, dA, d2A)
+    dpsi = dlogu + 0.5 * dlogdet
+    d2psi = d2logu + 0.5 * d2logdet
     grad_big = np.zeros((n, D))
     grad_big[:, :M] = dpsi
     hess_big = np.zeros((n, D, D))

@@ -351,7 +351,12 @@ def parse_expr(src, max_coord_index=None):
         what = f"unexpected {text!r}" if kind != "end" else "unexpected end of input"
         raise ExprSyntaxError(what, pos, _ATOM_EXPECTED)
 
-    node = parse_sum()
+    try:
+        node = parse_sum()
+    finally:
+        # break the parsers' references to each other, so nothing is
+        # left for the cyclic collector, on success or on a syntax error
+        del parse_sum, parse_term, parse_unary, parse_power, parse_atom
     kind, text, pos = ts.peek()
     if kind != "end":
         raise ExprSyntaxError(
@@ -424,7 +429,10 @@ def diff_expr(ast, k):
         memo[key] = out
         return out
 
-    return d(ast)
+    try:
+        return d(ast)
+    finally:
+        del d  # break the closure's self-reference so the memo frees now
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +630,10 @@ def to_string(ast):
             right = wrap(r, isinstance(r, BinOp) and pr < 30)
         return f"{left}{op}{right}"
 
-    return render(ast)
+    try:
+        return render(ast)
+    finally:
+        del wrap, render  # break their references to each other
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ assembles Ricci curvature, covariant Hessians, gradients, divergences,
 the Laplace-Beltrami operator, and the Bakry-Emery-Ricci tensor
 Ric - Hess_p(log u) for the equilibrium weight u = e^-E / sqrt(det g).
 
-Internals are batched: arrays carry a leading axis over n points and
-contractions are einsum calls.  The public operations accept a single
-point (PointP or shape (M,)) and return single-point tensors, or a
-batch (n, M) and return batched tensors.
+Internals are batched: arrays carry a leading axis over n points.
+Chains of matrix products (the inverse-metric derivative, the
+Christoffel symbols and their derivatives) are batched `@` calls,
+because einsum runs a contraction of three or more operands as one
+loop over every index; traces and two-operand sums are einsum calls.
+The public operations accept a single point (PointP or shape (M,))
+and return single-point tensors, or a batch (n, M) and return batched
+tensors.
 
 Index conventions, fixed once:
     dg[n, k, i, j]            = d_k g_ij
@@ -139,6 +143,11 @@ def as_batch(p, dim=None):
 # Jet assembly
 
 
+def _t(X):
+    """Transpose the last two axes of a (batched) matrix."""
+    return np.swapaxes(X, -1, -2)
+
+
 def jet_from_arrays(g, dg, d2g=None):
     """Build a batched MetricJet from raw derivative arrays.
 
@@ -158,15 +167,16 @@ def jet_from_arrays(g, dg, d2g=None):
     g_inv = np.linalg.inv(gs)
     g_inv = 0.5 * (g_inv + np.swapaxes(g_inv, 1, 2))
 
-    # T[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    # T[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, and Tt[n, l, ij]
     T = (
         dg
         + np.einsum("njil->nijl", dg)
         - np.einsum("nlij->nijl", dg)
     )
-    christoffel = 0.5 * np.einsum("nkl,nijl->nkij", g_inv, T)
+    Tt = _t(T.reshape(n, m * m, m))
+    christoffel = 0.5 * (g_inv @ Tt).reshape(n, m, m, m)
     dlog_sqrt = 0.5 * np.einsum("nij,nkij->nk", g_inv, dg)
-    dg_inv = -np.einsum("nka,nmab,nbl->nmkl", g_inv, dg, g_inv)
+    dg_inv = -(g_inv[:, None] @ dg @ g_inv[:, None])
 
     dchristoffel = None
     if d2g is not None:
@@ -175,10 +185,10 @@ def jet_from_arrays(g, dg, d2g=None):
             + np.einsum("nmjil->nmijl", d2g)
             - np.einsum("nmlij->nmijl", d2g)
         )
+        dTt = _t(dT.reshape(n, m, m * m, m))
         dchristoffel = 0.5 * (
-            np.einsum("nmkl,nijl->nmkij", dg_inv, T)
-            + np.einsum("nkl,nmijl->nmkij", g_inv, dT)
-        )
+            dg_inv @ Tt[:, None] + g_inv[:, None] @ dTt
+        ).reshape(n, m, m, m, m)
     return MetricJet(
         g=gs,
         g_inv=g_inv,
@@ -264,13 +274,14 @@ def divergence_tensor2_from_jet(jet, A, dA):
     """Contraction of nabla A in the derivative and second slot.
 
     (div A)^i = d_k A^{ik} + Gamma^i_{ka} A^{ak} + Gamma^k_{ka} A^{ia},
-    with dA[n, k, i, j] = d_k A^{ij}.
+    with dA[n, k, i, j] = d_k A^{ij}.  A family of tensors may carry
+    extra axes after n: A[n, ..., i, j] and dA[n, ..., k, i, j].
     """
     G = jet.christoffel
     return (
-        np.einsum("nkik->ni", dA)
-        + np.einsum("nika,nak->ni", G, A)
-        + np.einsum("nkka,nia->ni", G, A)
+        np.einsum("n...kik->n...i", dA)
+        + np.einsum("nika,n...ak->n...i", G, A)
+        + np.einsum("nkka,n...ia->n...i", G, A)
     )
 
 

@@ -1,8 +1,10 @@
 """Command-line pipeline: config grammar, exit codes, artifacts."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ def read_kv(path):
 
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
+
+
+def module_env():
+    """Environment in which `python -m hypocert` imports the package
+    under test, also when pytest alone put it on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 class TestConfigGrammar:
@@ -331,7 +342,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "hypocert", "check", "--model", "classical",
              "--output-dir", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0
         assert "assumption check: pass" in proc.stdout
@@ -339,6 +350,6 @@ class TestEntryPoint:
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hypocert", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 2

@@ -6,6 +6,7 @@ independent of the symbolic rules under test.  The evaluation oracle is
 node; a tape must reproduce it bit for bit.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -298,6 +299,47 @@ class TestRoundTrip:
             once = to_string(parse_expr(src))
             twice = to_string(parse_expr(once))
             assert once == twice
+
+
+def collectable_after(fn):
+    """Objects the cyclic collector finds after one call of fn."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """Recursive helpers must not leave reference cycles behind.
+
+    A self-referencing closure keeps its memo alive until the cyclic
+    collector happens to run, so each call must leave nothing for it.
+    """
+
+    SRC = "theta*sqrt(1 + p1^2 + p2^2) - log(p1^2 + 2)/exp(p2)"
+
+    def test_parse_expr(self):
+        assert collectable_after(lambda: parse_expr(self.SRC)) == 0
+
+    def test_parse_expr_syntax_error(self):
+        def parse_bad():
+            try:
+                parse_expr("1 + (p1 *")
+            except ExprSyntaxError:
+                pass
+
+        assert collectable_after(parse_bad) == 0
+
+    def test_diff_expr(self):
+        ast = parse_expr(self.SRC)
+        assert collectable_after(lambda: diff_expr(ast, 1)) == 0
+
+    def test_to_string(self):
+        ast = parse_expr(self.SRC)
+        assert collectable_after(lambda: to_string(ast)) == 0
 
 
 def walk_reference(ast, P, theta=None):
