@@ -19,7 +19,8 @@ and raise beta, gamma, omega.
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
 energy 2-jet, Gram form A), built once per CHUNK of points as a
 `_PointJet` and kept on the `ScanGrid` for the model last scanned, so
-the curvature, dominance and log-Sobolev scans share one build.
+the curvature, dominance, hypoellipticity and log-Sobolev scans share
+one build.  How derivatives are taken is fixed by the model's fields.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import qmc
 
-from . import fields as _fields
 from . import geometry as _geom
 from .geometry import _t
 from .errors import DegenerateA, MetricError, NotIsotropic
@@ -284,14 +284,10 @@ class _PointJet:
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
     """
 
-    def __init__(self, model, P, scheme="auto", h_scale=None):
-        def resolve(f):
-            return _fields.resolve_field(f, model.dim, scheme, h_scale)
-
-        vfs = [resolve(f) for f in model.v_fields]
-        energy = resolve(model.energy_field)
+    def __init__(self, model, P):
+        vfs, energy = model.v_fields, model.energy_field
         self.P = P
-        self.jet = _geom.batch_jet(model, P, scheme=scheme, h_scale=h_scale)
+        self.jet = _geom.batch_jet(model, P)
         self.dv = np.stack([f.grad(P) for f in vfs], axis=1)
         self.hv = np.stack([f.hess(P) for f in vfs], axis=1)
         self.tv = np.stack([f.third(P) for f in vfs], axis=1)
@@ -299,24 +295,23 @@ class _PointJet:
         self.A = _gram(self.dv, self.jet.g_inv)
 
 
-def _point_jets(model, grid, scheme, h_scale):
+def _point_jets(model, grid):
     """_scan_eval's (good, bad) for a _PointJet per chunk of the grid.
 
-    The grid keeps the result for one (model, scheme, h_scale) only, so
-    a sweep over models never holds more than one model's point jets.
+    The grid keeps the result for one model only, so a sweep over
+    models never holds more than one model's point jets.
     """
-    key = (model, scheme, h_scale)
-    if key not in grid._cache:
+    if model not in grid._cache:
         grid._cache.clear()
-        grid._cache[key] = _scan_eval(
-            grid.points, CHUNK, lambda sub: _PointJet(model, sub, scheme, h_scale)
+        grid._cache[model] = _scan_eval(
+            grid.points, CHUNK, lambda sub: _PointJet(model, sub)
         )
-    return grid._cache[key]
+    return grid._cache[model]
 
 
-def _all_point_jets(model, grid, scheme, h_scale):
+def _all_point_jets(model, grid):
     """The grid's point jets; re-raises the first failing point's error."""
-    good, bad = _point_jets(model, grid, scheme, h_scale)
+    good, bad = _point_jets(model, grid)
     if bad:
         raise bad[0][1]
     return good
@@ -427,56 +422,56 @@ def _forms(pj, kinds):
     return out
 
 
-def forms_on(model, P, kinds=("A", "B", "C", "R"), scheme="auto", h_scale=None):
+def forms_on(model, P, kinds=("A", "B", "C", "R")):
     """Evaluate the requested velocity forms on a point batch.
 
     Returns a dict kind -> (n, N, N) array, all read off one point jet
     of P (which holds the third velocity derivatives B needs).
     """
-    pj = _PointJet(model, np.asarray(P, dtype=float), scheme, h_scale)
+    pj = _PointJet(model, np.asarray(P, dtype=float))
     return _forms(pj, tuple(kinds))
 
 
-def _form_single(model, p, kind, scheme, h_scale):
+def _form_single(model, p, kind):
     P, single = _geom.as_batch(p, model.dim)
-    F = forms_on(model, P, kinds=(kind,), scheme=scheme, h_scale=h_scale)[kind]
+    F = forms_on(model, P, kinds=(kind,))[kind]
     if single:
         return FormNxN(entries=F[0], kind=kind, at=P[0])
     return FormNxN(entries=F, kind=kind, at=P)
 
 
-def form_A(model, p, scheme="auto", h_scale=None):
+def form_A(model, p):
     """Gram form of the velocity gradients, g(grad v^I, grad v^J)."""
-    return _form_single(model, p, "A", scheme, h_scale)
+    return _form_single(model, p, "A")
 
 
-def form_B(model, p, scheme="auto", h_scale=None):
+def form_B(model, p):
     """Gram form of div(Hess v^I) in the metric g."""
-    return _form_single(model, p, "B", scheme, h_scale)
+    return _form_single(model, p, "B")
 
 
-def form_C(model, p, scheme="auto", h_scale=None):
+def form_C(model, p):
     """Full contraction Hess v^I . Hess v^J with both slots raised."""
-    return _form_single(model, p, "C", scheme, h_scale)
+    return _form_single(model, p, "C")
 
 
-def form_R(model, p, scheme="auto", h_scale=None):
+def form_R(model, p):
     """Gram form of K^I = Hess v^I contracted with the drift field."""
-    return _form_single(model, p, "R", scheme, h_scale)
+    return _form_single(model, p, "R")
 
 
 # ---------------------------------------------------------------------------
 # Assumption scans
 
 
-def curvature_bounds(model, grid=None, scheme="auto", h_scale=None):
+def curvature_bounds(model, grid=None):
     """Extremal generalized eigenvalues of (Ric - Hess log u, g).
 
     Points where the metric or weight degenerates are recorded and
     skipped; the result is then flagged partial instead of aborting.
     """
     grid, P = _grid_points(model, grid)
-    good, bad = _point_jets(model, grid, scheme, h_scale)
+    good, bad = _point_jets(model, grid)
     if not good:
         raise MetricError("curvature scan failed at every grid point")
     lows, highs = [], []
@@ -500,7 +495,7 @@ def curvature_bounds(model, grid=None, scheme="auto", h_scale=None):
     )
 
 
-def dominance_constants(model, grid=None, scheme="auto", h_scale=None):
+def dominance_constants(model, grid=None):
     """Smallest beta, gamma, omega with B <= beta A, C <= gamma A, R <= omega A.
 
     Each is the grid maximum of the largest generalized eigenvalue of
@@ -510,7 +505,7 @@ def dominance_constants(model, grid=None, scheme="auto", h_scale=None):
     kinds = {"beta": "B", "gamma": "C", "omega": "R"}
     tops = {name: [] for name in kinds}
     shift = 0.0
-    for idx, pj in _all_point_jets(model, grid, scheme, h_scale):
+    for idx, pj in _all_point_jets(model, grid):
         _require_positive(pj.A, pj.P)
         F = _forms(pj, tuple(kinds.values()))
         for name, kind in kinds.items():
@@ -529,26 +524,22 @@ def dominance_constants(model, grid=None, scheme="auto", h_scale=None):
     )
 
 
-def hormander_check(model, grid=None, scheme="auto", h_scale=None):
+def hormander_check(model, grid=None):
     """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
 
-    Never raises: a vanishing or non-finite value is reported through
-    the witness instead.
+    g and d_a v^I are read off the shared point jets.  Never raises: a
+    point whose point jet fails is the witness, with value 0, and so is
+    a vanishing or non-finite value.
     """
     grid, P = _grid_points(model, grid)
-    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
-    vfs = [_fields.resolve_field(f, model.dim, scheme, h_scale)
-           for f in model.v_fields]
-
-    def det_F(sub):
-        dv = np.stack([f.grad(sub) for f in vfs], axis=1)
-        vals = np.linalg.det(mf.value(sub)) * np.abs(np.linalg.det(dv))
-        return np.where(np.isfinite(vals), vals, 0.0)
-
-    good, bad = _scan_eval(P, CHUNK, det_F)
+    good, bad = _point_jets(model, grid)
     if bad:
         return HormanderResult(0.0, False, Witness(P[bad[0][0]].copy(), 0.0, "detF"))
-    best, wit = _extreme(P, good, "detF")
+    dets = []
+    for idx, pj in good:
+        vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
+        dets.append((idx, np.where(np.isfinite(vals), vals, 0.0)))
+    best, wit = _extreme(P, dets, "detF")
     return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
 
 
@@ -560,7 +551,7 @@ def _sphere_directions(dim):
     return np.unique(np.round(np.array(dirs), 12), axis=0)
 
 
-def growth_check(model, radii=None, scheme="auto", h_scale=None):
+def growth_check(model, radii=None):
     """Check that max_ij |g^{ij}(p)| / |p|^2 decays along growing radii.
 
     Passes iff the ratio is non-increasing radius to radius and the last
@@ -574,12 +565,11 @@ def growth_check(model, radii=None, scheme="auto", h_scale=None):
         raise ValueError("radii must be an increasing 1d sequence")
     if radii[-1] < 10.0 * radii[0]:
         raise ValueError("radii must span at least one decade")
-    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
     dirs = _sphere_directions(model.dim)
     ratios = []
     for r in radii:
         try:
-            g = mf.value(dirs * r)
+            g = model.metric_field.value(dirs * r)
             gi = np.linalg.inv(g)
         except (ExprDomainError, FloatingPointError, np.linalg.LinAlgError):
             return GrowthResult(ok=False, radii=tuple(radii), ratios=tuple(ratios))
@@ -638,7 +628,7 @@ def _gram_derivs(pj):
     return dA, d2A
 
 
-def logsob_warped(model, grid=None, scheme="auto", h_scale=None):
+def logsob_warped(model, grid=None):
     """Warped-route log-Sobolev criterion.
 
     Requires the velocity Gram form to be conformal to the identity,
@@ -653,7 +643,7 @@ def logsob_warped(model, grid=None, scheme="auto", h_scale=None):
     """
     grid, P = _grid_points(model, grid)
     N = model.dim
-    chunks = _all_point_jets(model, grid, scheme, h_scale)
+    chunks = _all_point_jets(model, grid)
     # Isotropy needs only A, so it is settled on the whole grid before
     # any Gram-form derivative is built.
     traces, rel = [], []
@@ -750,7 +740,7 @@ def _product_blocks(pj):
     }
 
 
-def product_metric_blocks(model, P, scheme="auto", h_scale=None):
+def product_metric_blocks(model, P):
     """Doubled-metric curvature data at momentum points P.
 
     Coordinates are ordered (p^1..p^M, x^1..x^N).  Returns a dict with
@@ -758,12 +748,10 @@ def product_metric_blocks(model, P, scheme="auto", h_scale=None):
     log u + (1/2) log det A^{IJ}, and the combined form
     Ric_G - Hess_G used by the criterion.
     """
-    return _product_blocks(
-        _PointJet(model, np.asarray(P, dtype=float), scheme, h_scale)
-    )
+    return _product_blocks(_PointJet(model, np.asarray(P, dtype=float)))
 
 
-def logsob_product(model, grid=None, scheme="auto", h_scale=None):
+def logsob_product(model, grid=None):
     """Product-route log-Sobolev criterion on the doubled metric.
 
     alpha is the grid minimum of the generalized eigenvalues of
@@ -774,7 +762,7 @@ def logsob_product(model, grid=None, scheme="auto", h_scale=None):
     lows = []
     offdiag = 0.0
     shift = 0.0
-    for idx, pj in _all_point_jets(model, grid, scheme, h_scale):
+    for idx, pj in _all_point_jets(model, grid):
         blocks = _product_blocks(pj)
         eigs, sh = _gen_eigs(blocks["form"], blocks["G"], 0.0)
         shift = max(shift, sh)
@@ -791,7 +779,7 @@ def logsob_product(model, grid=None, scheme="auto", h_scale=None):
 
 
 def theta_threshold_scan(thetas=(4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-                         dim=3, grid=None, scheme="auto"):
+                         dim=3, grid=None):
     """Smallest scanned theta at which the product criterion certifies
     the relativistic model; a grid estimate, not a sharp threshold.
 
@@ -800,7 +788,7 @@ def theta_threshold_scan(thetas=(4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
     res = None
     for theta in thetas:
         model = builtin_relativistic(theta, dim=dim)
-        res = logsob_product(model, grid=grid, scheme=scheme)
+        res = logsob_product(model, grid=grid)
         if res.ok:
             return float(theta), res
     return None, res
@@ -855,21 +843,20 @@ class AssumptionReport:
         return all(self.passes.get(k, False) for k in keys)
 
 
-def check_model(model, grid=None, scheme="auto", h_scale=None,
-                radii=None, alpha_manual=None):
+def check_model(model, grid=None):
     """Run every assumption scan on one model and collect the report."""
     grid, _ = _grid_points(model, grid)
     # A private copy: the scans share its point jets, which then go
     # when this call returns instead of staying on the caller's grid.
     grid = replace(grid)
 
-    cb = curvature_bounds(model, grid, scheme=scheme, h_scale=h_scale)
+    cb = curvature_bounds(model, grid)
     passes = {"curvature": cb.sigma1 >= 0.0 and not cb.partial}
     witnesses = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"]}
     shift = cb.shift
 
     try:
-        dom = dominance_constants(model, grid, scheme=scheme, h_scale=h_scale)
+        dom = dominance_constants(model, grid)
         beta, gamma, omega = dom.beta, dom.gamma, dom.omega
         passes["positivity"] = True
         passes["dominance"] = all(map(math.isfinite, (beta, gamma, omega)))
@@ -881,22 +868,18 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
         passes["dominance"] = False
         witnesses["degenerate_A"] = Witness(np.array([]), math.nan, str(exc))
 
-    hor = hormander_check(model, grid, scheme=scheme, h_scale=h_scale)
+    hor = hormander_check(model, grid)
     passes["hormander"] = hor.ok
     witnesses["hormander"] = hor.witness
 
-    gr = growth_check(model, radii=radii, scheme=scheme, h_scale=h_scale)
+    gr = growth_check(model)
     passes["growth"] = gr.ok
 
     alpha = None
     source = None
-    if alpha_manual is not None:
-        alpha = float(alpha_manual)
-        source = "manual"
-        note = "alpha supplied by configuration"
-    elif passes["positivity"]:
+    if passes["positivity"]:
         try:
-            wr = logsob_warped(model, grid, scheme=scheme, h_scale=h_scale)
+            wr = logsob_warped(model, grid)
             if wr.ok:
                 alpha = wr.alpha
                 source = "warped"
@@ -907,7 +890,7 @@ def check_model(model, grid=None, scheme="auto", h_scale=None,
                         f"{wr.kappa1:.6g} <= kappa2 = {wr.kappa2:.6g}")
             witnesses.update(wr.witnesses)
         except NotIsotropic:
-            pr = logsob_product(model, grid, scheme=scheme, h_scale=h_scale)
+            pr = logsob_product(model, grid)
             witnesses["alpha"] = pr.witness
             shift = max(shift, pr.shift)
             if pr.ok:

@@ -14,9 +14,10 @@ families exist:
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
 
-All handles expose an `analytic` flag, and `resolve_field` is the one
-rule that turns a field, callable, or expression string plus a
-derivative scheme ("auto", "analytic", "fd") into the handle to use.
+The derivative scheme is a property of the field: a model whose
+fields are `FDField`s is differenced, one with expression fields is
+differentiated exactly.  `as_field` is the one rule that turns a field,
+callable, or expression string into a handle.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ __all__ = [
     "ExprMetricField",
     "ExprVectorField",
     "FDField",
-    "resolve_field",
+    "as_field",
     "DEFAULT_FD_SCALE",
 ]
 
 DEFAULT_FD_SCALE = 1e-4
-SCHEMES = ("auto", "analytic", "fd")
 
 
 def _steps(P, h_scale):
@@ -65,8 +65,6 @@ class FDField:
     hess[n, l, k, ...] = d_l d_k f and third[n, m, l, k, ...].  For a
     vector value, jacobian[n, k, i] = d_k Z^i is the same array as grad.
     """
-
-    analytic = False
 
     def __init__(self, fn, dim, h_scale=DEFAULT_FD_SCALE):
         self.fn = fn
@@ -110,7 +108,7 @@ class FDField:
 
     def third(self, P):
         # Central difference of the Hessian; noisier than the lower
-        # orders but only exercised when no analytic path exists.
+        # orders, and read only for a model given by FD fields.
         return self._central(self.hess, P)
 
     def derivative(self, P, axes):
@@ -123,27 +121,16 @@ class FDField:
         return out[(slice(None),) + tuple(axes)]
 
 
-def resolve_field(field, dim, scheme="auto", h_scale=None, theta=None):
-    """The handle whose derivatives a computation under `scheme` uses.
+def as_field(field, dim, theta=None):
+    """The field handle for a field, callable, or expression string.
 
-    A string is parsed into an expression field and a bare callable
-    becomes an FDField.  "analytic" requires exact derivatives; "fd"
-    differences the values of an analytic field; under either FD route
-    a non-analytic field keeps its own step unless h_scale is passed.
+    A string is parsed into an expression field, a bare callable
+    becomes an FDField, and a handle is returned unchanged.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
     if isinstance(field, str):
-        field = ExprScalarField(
-            parse_expr(field, max_coord_index=dim), dim, theta=theta
-        )
-    elif not hasattr(field, "value"):
-        field = FDField(field, dim)
-    exact = field.analytic
-    if scheme == "analytic" and not exact:
-        raise ValueError("field has no analytic derivatives")
-    if (exact and scheme == "fd") or (not exact and h_scale is not None):
-        field = FDField(field.value, dim, h_scale or DEFAULT_FD_SCALE)
+        return ExprScalarField(parse_expr(field, max_coord_index=dim), dim, theta=theta)
+    if not hasattr(field, "value"):
+        return FDField(field, dim)
     return field
 
 
@@ -172,8 +159,6 @@ class _Jet:
 
 class ExprScalarField:
     """Scalar field defined by an expression AST."""
-
-    analytic = True
 
     def __init__(self, ast, dim, theta=None):
         self.ast = ast
@@ -231,8 +216,6 @@ class ExprMetricField:
     triangle mirrors the same values.
     """
 
-    analytic = True
-
     def __init__(self, entries, dim, theta=None):
         self.dim = dim
         self.theta = theta
@@ -276,8 +259,6 @@ class ExprMetricField:
 
 class ExprVectorField:
     """Vector field Z^i from one AST per component."""
-
-    analytic = True
 
     def __init__(self, components, dim, theta=None):
         self.components = list(components)

@@ -202,9 +202,9 @@ def jet_from_arrays(g, dg, d2g=None):
     )
 
 
-def batch_jet(model, P, scheme="auto", h_scale=None, second=True):
+def batch_jet(model, P, second=True):
     """Metric jet on a batch of points P with shape (n, M)."""
-    mf = _fields.resolve_field(model.metric_field, model.dim, scheme, h_scale)
+    mf = model.metric_field
     g = mf.value(P)
     dg = mf.grad(P)
     d2g = mf.hess(P) if second else None
@@ -217,10 +217,10 @@ def _squeeze_jet(jet):
     return MetricJet(**single)
 
 
-def metric_jet(model, p, scheme="auto", h_scale=None, second=True):
+def metric_jet(model, p, second=True):
     """Full metric jet at p (see MetricJet for the index conventions)."""
     P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=second)
+    jet = batch_jet(model, P, second=second)
     return _squeeze_jet(jet) if single else jet
 
 
@@ -315,55 +315,55 @@ def drift_oneform_from_jet(jet, grad_E):
 # Public operations (model, point)
 
 
-def ricci(model, p, scheme="auto", h_scale=None):
+def ricci(model, p):
     """Ricci curvature of the momentum metric at p."""
     P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale)
+    jet = batch_jet(model, P)
     out = ricci_from_jet(jet)
     return SymTensor2(out[0] if single else out, "covariant")
 
 
-def covariant_hessian(model, f, p, scheme="auto", h_scale=None):
+def covariant_hessian(model, f, p):
     """Covariant Hessian of the scalar field f at p."""
     P, single = as_batch(p, model.dim)
-    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
+    field = _fields.as_field(f, model.dim, model.theta)
+    jet = batch_jet(model, P, second=False)
     out = covariant_hessian_from_jet(jet, field.grad(P), field.hess(P))
     return SymTensor2(out[0] if single else out, "covariant")
 
 
-def gradient_p(model, f, p, scheme="auto", h_scale=None):
+def gradient_p(model, f, p):
     """Gradient vector (df)^i = g^ij d_j f at p."""
     P, single = as_batch(p, model.dim)
-    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
+    field = _fields.as_field(f, model.dim, model.theta)
+    jet = batch_jet(model, P, second=False)
     out = gradient_from_jet(jet, field.grad(P))
     return VecP(out[0] if single else out, "vector")
 
 
-def divergence_vec(model, Z, p, scheme="auto", h_scale=None):
+def divergence_vec(model, Z, p):
     """Divergence of a vector field: (1/sqrt g) d_i(sqrt g Z^i)."""
     P, single = as_batch(p, model.dim)
-    Z = _fields.resolve_field(Z, model.dim, scheme, h_scale)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
+    Z = _fields.as_field(Z, model.dim)
+    jet = batch_jet(model, P, second=False)
     out = divergence_vec_from_jet(jet, Z.value(P), Z.jacobian(P))
     return float(out[0]) if single else out
 
 
-def divergence_tensor2(model, A, p, scheme="auto", h_scale=None):
+def divergence_tensor2(model, A, p):
     """Divergence of a (2,0)-tensor field, contracted in the second slot."""
     P, single = as_batch(p, model.dim)
-    A = _fields.resolve_field(A, model.dim, scheme, h_scale)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale)
+    A = _fields.as_field(A, model.dim)
+    jet = batch_jet(model, P)
     out = divergence_tensor2_from_jet(jet, A.value(P), A.grad(P))
     return VecP(out[0] if single else out, "vector")
 
 
-def laplace_beltrami(model, f, p, scheme="auto", h_scale=None):
+def laplace_beltrami(model, f, p):
     """Laplace-Beltrami operator applied to f at p."""
     P, single = as_batch(p, model.dim)
-    field = _fields.resolve_field(f, model.dim, scheme, h_scale, model.theta)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale, second=False)
+    field = _fields.as_field(f, model.dim, model.theta)
+    jet = batch_jet(model, P, second=False)
     out = laplace_from_jet(jet, field.grad(P), field.hess(P))
     return float(out[0]) if single else out
 
@@ -375,11 +375,11 @@ def log_weight_values(model, P):
     return -E - np.log(jet.sqrt_det), jet
 
 
-def bakry_emery_ricci(model, p, scheme="auto", h_scale=None):
+def bakry_emery_ricci(model, p):
     """Bakry-Emery-Ricci tensor Ric - Hess(log u) at p."""
     P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P, scheme=scheme, h_scale=h_scale)
-    E = _fields.resolve_field(model.energy_field, model.dim, scheme, h_scale)
+    jet = batch_jet(model, P)
+    E = model.energy_field
     with np.errstate(over="ignore"):
         u = np.exp(-E.value(P)) / jet.sqrt_det
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0):

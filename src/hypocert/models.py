@@ -49,7 +49,7 @@ from .expressions import (
     sub,
     uses_theta,
 )
-from .fields import ExprMetricField, ExprScalarField, FDField
+from .fields import ExprMetricField, ExprScalarField, FDField, as_field
 
 __all__ = [
     "ModelSpec",
@@ -75,6 +75,9 @@ class ModelSpec:
     dim is both the momentum and spatial dimension (M = N).  theta is
     the optional temperature-like parameter bound into expressions.
     oracle, when present, provides closed-form reference values.
+    Each field is coerced once by `fields.as_field`, so its class fixes
+    how its derivatives are taken: exactly for an expression field, by
+    central differences for an `FDField`.
     """
 
     name: str
@@ -84,7 +87,9 @@ class ModelSpec:
     energy_field: object
     theta: float | None = None
     oracle: object | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # not an init field, so dataclasses.replace starts a fresh cache
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -93,6 +98,13 @@ class ModelSpec:
             raise ValueError(
                 f"need {self.dim} velocity components, got {len(self.v_fields)}"
             )
+
+        def coerce(f):
+            return as_field(f, self.dim, self.theta)
+
+        object.__setattr__(self, "metric_field", coerce(self.metric_field))
+        object.__setattr__(self, "v_fields", tuple(map(coerce, self.v_fields)))
+        object.__setattr__(self, "energy_field", coerce(self.energy_field))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,9 @@ class PhaseGrid:
     x_nodes: np.ndarray
     p_nodes: np.ndarray
     tail_mass: float
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # not an init field, so dataclasses.replace starts a fresh cache
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
 
 @dataclass
@@ -503,9 +505,15 @@ def run(
     """
     if tmax <= 0.0 or sample_dt <= 0.0:
         raise ValueError("tmax and sample_dt must be positive")
-    if dt is None:
-        dt = min(sample_dt, 0.9 * cfl_limit(model, grid, order2))
+    chosen = dt is None
+    if chosen:
+        limit = cfl_limit(model, grid, order2)
+        dt = min(sample_dt, 0.9 * limit)
     n_sub = max(1, round(sample_dt / dt))
+    if chosen and sample_dt / n_sub > limit:
+        # round() took the count down past the limit; one more sub-step
+        # always suffices, since dt was at most 0.9 of the limit.
+        n_sub += 1
     dt_eff = sample_dt / n_sub
     n_samples = max(1, round(tmax / sample_dt))
 

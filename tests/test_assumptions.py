@@ -12,7 +12,7 @@ from hypocert.expressions import parse_expr
 from hypocert.fields import ExprMetricField, ExprScalarField
 from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 
-from tests_support import expr_model_1d, rel_points
+from tests_support import expr_model_1d, fd_model, rel_points
 
 
 def small_grid(dim=3, radius=3.0, axis_points=5, quasi_points=64, seed=asm.DEFAULT_SEED):
@@ -79,8 +79,8 @@ class TestFormsRelativistic:
     def test_fd_route_agrees(self):
         m = builtin_relativistic(4.0)
         P = rel_points(20, radius=2.5, seed=3)
-        Fa = asm.forms_on(m, P, scheme="analytic")
-        Ff = asm.forms_on(m, P, scheme="fd")
+        Fa = asm.forms_on(m, P)
+        Ff = asm.forms_on(fd_model(m), P)
         assert rel_err(Ff["A"], Fa["A"]) < 1e-6
         assert rel_err(Ff["C"], Fa["C"]) < 1e-6
         assert rel_err(Ff["R"], Fa["R"]) < 1e-6
@@ -340,6 +340,16 @@ class TestHormander:
         assert not res.ok
         assert res.min_absdetF == 0.0
 
+    def test_failed_point_jet_is_the_witness(self):
+        # det F = 1 everywhere, but the energy derivatives of sqrt(p1)
+        # fail at p = -1, so that point's point jet does too.
+        m = expr_model_1d("1", "sqrt(p1)")
+        res = asm.hormander_check(m, np.array([[-1.0], [0.5], [1.0]]))
+        assert not res.ok
+        assert res.min_absdetF == 0.0
+        assert res.witness.point.tolist() == [-1.0]
+        assert res.witness.value == 0.0
+
 
 class TestGrowth:
     def test_classical_ok(self):
@@ -595,13 +605,6 @@ class TestCheckModel:
         assert not rep.required_ok
         assert not rep.passes["curvature"]
         assert rep.sigma1 <= -3.0
-
-    def test_manual_alpha(self):
-        m = builtin_relativistic(4.0)
-        rep = asm.check_model(m, small_grid(), alpha_manual=0.25)
-        assert rep.alpha == 0.25
-        assert rep.alpha_source == "manual"
-        assert rep.passes["logsob"]
 
     def test_report_kv_keys_and_text(self):
         m = builtin_classical(3)

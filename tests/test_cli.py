@@ -295,6 +295,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "at t =" in err
 
+    def test_chosen_dt_stays_inside_the_limit(self, tmp_path):
+        # The default grid's transport limit is 1.953e-3, and 0.0025 is
+        # 1.42 steps of 0.9 times it, which rounds down to one step.
+        assert run_cli(["simulate", "--model", "classical",
+                        "--sample-dt", "0.0025", "--tmax", "0.01",
+                        "--output-dir", tmp_path / "out"]) == 0
+
     def test_requires_1d_model(self, tmp_path):
         assert run_cli(["simulate", "--model", "relativistic", "--theta", "4",
                         "--output-dir", tmp_path / "out"] + QUICK) == 2

@@ -5,6 +5,7 @@ from independent discretizations (flat-space identities, finite
 differences, the positively curved sphere).
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from hypocert.models import (
     log_weight_field,
 )
 
-from tests_support import expr_model_1d, rel_points
+from tests_support import expr_model_1d, fd_model, rel_points
 
 REL = builtin_relativistic(4.0)
 CLA3 = builtin_classical(3)
@@ -281,12 +282,13 @@ class TestFiniteDifferencePath:
         errors_gamma = []
         errors_ricci = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            jet = metric_jet(REL, p, scheme="fd", h_scale=h)
+            fd = fd_model(REL, h_scale=h)
+            jet = metric_jet(fd, p)
             errors_gamma.append(np.max(np.abs(jet.christoffel - exact.christoffel)))
             errors_ricci.append(
                 np.max(
                     np.abs(
-                        ricci(REL, p, scheme="fd", h_scale=h).entries
+                        ricci(fd, p).entries
                         - ricci(REL, p).entries
                     )
                 )
@@ -298,7 +300,7 @@ class TestFiniteDifferencePath:
 
     def test_fd_agrees_with_analytic_default_step(self):
         P = rel_points(20, seed=31)
-        fd = batch_jet(REL, P, scheme="fd")
+        fd = batch_jet(fd_model(REL), P)
         an = batch_jet(REL, P)
         assert np.allclose(fd.christoffel, an.christoffel, rtol=1e-6, atol=1e-6)
         assert np.allclose(fd.dchristoffel, an.dchristoffel, rtol=1e-3, atol=1e-3)
@@ -319,9 +321,7 @@ class TestFiniteDifferencePath:
             energy_field=REL.energy_field,
             theta=4.0,
         )
-        with pytest.raises(ValueError):
-            metric_jet(model, np.zeros(3), scheme="analytic")
-        # auto falls back to FD and still matches the oracle
+        # the FD metric is differenced and still matches the oracle
         out = bakry_emery_ricci(model, rel_points(10, seed=37))
         ref = REL.oracle.bakry(rel_points(10, seed=37))
         assert np.allclose(out.entries, ref, rtol=1e-3, atol=1e-4)
@@ -332,7 +332,20 @@ def _with_fields(model, **fields):
 
 
 class TestSchemeRule:
-    """One scheme rule serves every field an operation differentiates."""
+    """A field's class, fixed when the model is built, decides how its
+    derivatives are taken; no operation takes a scheme of its own."""
+
+    def test_no_public_function_takes_a_scheme(self):
+        from hypocert import assumptions, fields, geometry
+
+        for module in (geometry, assumptions, fields):
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters
+                    assert not {"scheme", "h_scale"} & set(params), name
+        check = inspect.signature(assumptions.check_model).parameters
+        assert list(check) == ["model", "grid"]
 
     def test_fd_scheme_differences_an_expression_vector_field(self):
         from hypocert.fields import ExprVectorField
@@ -342,24 +355,12 @@ class TestSchemeRule:
         P = rel_points(20, seed=41)
         # the flat metric's FD jet is exact, so any change comes from Z
         exact = divergence_vec(CLA3, Z, P)
-        fd = divergence_vec(CLA3, Z, P, scheme="fd")
+        fd = divergence_vec(fd_model(CLA3), FDField(Z.value, 3), P)
         assert np.allclose(fd, exact, rtol=1e-6, atol=1e-6)
         assert not np.array_equal(fd, exact)
-
-    def test_analytic_scheme_rejects_fd_scalars(self):
-        E_fd = FDField(REL.energy_field.value, 3)
-        with pytest.raises(ValueError, match="analytic"):
-            covariant_hessian(REL, E_fd, np.zeros(3), scheme="analytic")
-        model = _with_fields(REL, energy_field=E_fd)
-        with pytest.raises(ValueError, match="analytic"):
-            bakry_emery_ricci(model, np.zeros(3), scheme="analytic")
 
     def test_fd_metric_keeps_its_own_step(self):
         mf = FDField(REL.oracle.metric, 3, h_scale=1e-3)
         model = _with_fields(REL, metric_field=mf)
         P = rel_points(10, seed=43)
         assert np.array_equal(batch_jet(model, P).dg, mf.grad(P))
-        assert np.array_equal(batch_jet(model, P, scheme="fd").dg, mf.grad(P))
-        # an explicit h_scale overrides the field's own step
-        fine = FDField(mf.value, 3, h_scale=1e-4)
-        assert np.array_equal(batch_jet(model, P, h_scale=1e-4).dg, fine.grad(P))

@@ -1,13 +1,17 @@
 """Built-in models, derived weights and drifts, model files."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hypocert.errors import ModelFileError, NonpositiveWeight
+from hypocert.expressions import parse_expr
+from hypocert.fields import ExprScalarField, FDField
 from hypocert.geometry import batch_jet, bakry_emery_ricci, metric_jet
 from hypocert.models import (
+    ModelSpec,
     builtin_classical,
     builtin_relativistic,
     drift_W,
@@ -16,6 +20,30 @@ from hypocert.models import (
     normalization,
     weight_u,
 )
+
+
+class TestModelSpec:
+    def test_fields_coerced_once(self):
+        model = ModelSpec(
+            name="coerced",
+            dim=1,
+            metric_field=builtin_classical(1).metric_field,
+            v_fields=(lambda P: P[:, 0],),
+            energy_field="p1^2/2",
+        )
+        assert isinstance(model.v_fields[0], FDField)
+        assert isinstance(model.energy_field, ExprScalarField)
+        out = drift_W(model, np.array([2.0]))
+        assert out.entries == pytest.approx([-2.0], abs=1e-12)
+
+    def test_replace_starts_a_fresh_cache(self):
+        model = builtin_classical(1)
+        drift_W(model, np.array([2.0]))
+        quartic = replace(
+            model, energy_field=ExprScalarField(parse_expr("p1^4/4"), 1)
+        )
+        out = drift_W(quartic, np.array([2.0]))
+        assert out.entries == pytest.approx([-8.0], abs=1e-12)
 
 
 class TestClassical:

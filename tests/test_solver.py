@@ -1,6 +1,7 @@
 """Phase-space solver: conservation, structure identities, decay tracking."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ class TestGridCache:
             )
             del model
             gc.collect()
+
+    def test_replaced_grid_starts_empty(self):
+        grid = sv.build_grid(CLASSICAL, 8, 16, 4.0)
+        sv.cfl_limit(CLASSICAL, grid)
+        assert grid._cache
+        assert replace(grid)._cache == {}
 
 
 class TestDiffusionOperator:
@@ -336,6 +343,16 @@ class TestRun:
         series = sv.run(CLASSICAL, grid, "2", tmax=1.0, sample_dt=0.25)
         assert len(series) == 5
         np.testing.assert_allclose(np.diff(series.times), 0.25, rtol=1e-12)
+
+    def test_chosen_dt_stays_inside_the_limit(self):
+        # sample_dt / (0.9 limit) = 1.44 rounds to one sub-step, which
+        # alone would step past the limit.
+        grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
+        limit = sv.cfl_limit(CLASSICAL, grid)
+        series = sv.run(CLASSICAL, grid, "2", tmax=2.6 * limit,
+                        sample_dt=1.3 * limit)
+        assert series.meta["dt"] == pytest.approx(0.65 * limit, rel=1e-12)
+        assert len(series) == 3
 
     def test_step_errors_carry_time_stamp(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)

@@ -1,9 +1,16 @@
 """Helpers shared across test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from hypocert.expressions import parse_expr
-from hypocert.fields import ExprMetricField, ExprScalarField
+from hypocert.fields import (
+    DEFAULT_FD_SCALE,
+    ExprMetricField,
+    ExprScalarField,
+    FDField,
+)
 from hypocert.models import ModelSpec
 
 
@@ -16,6 +23,19 @@ def expr_model_1d(g11, E, v1="p1", theta=None):
         v_fields=(ExprScalarField(parse_expr(v1), 1, theta=theta),),
         energy_field=ExprScalarField(parse_expr(E), 1, theta=theta),
         theta=theta,
+    )
+
+
+def fd_model(model, h_scale=DEFAULT_FD_SCALE):
+    """The same model differenced: each field's values in an FDField."""
+    def fd(field):
+        return FDField(field.value, model.dim, h_scale)
+
+    return replace(
+        model,
+        metric_field=fd(model.metric_field),
+        v_fields=tuple(map(fd, model.v_fields)),
+        energy_field=fd(model.energy_field),
     )
 
 
