@@ -9,8 +9,9 @@ The checks fall into three groups:
   growth gate max_ij |g^{ij}| / |p|^2 -> 0;
 * two sufficient criteria for the log-Sobolev constant alpha: a warped
   route, available when the velocity Gram form is conformal to the
-  identity, and a product-metric route that runs the curvature engine
-  on the doubled phase-space metric.
+  identity, and a product-metric route on the doubled phase-space
+  metric, whose curvature form splits into a momentum and a space
+  block in closed form (see product_metric_blocks).
 
 All scans are pure reductions over grid points: evaluation order never
 changes the result, and adding points can only widen [sigma1, sigma2]
@@ -35,7 +36,6 @@ from . import geometry as _geom
 from .geometry import _t
 from .errors import DegenerateA, MetricError, NotIsotropic
 from .errors import ExprDomainError
-from .models import builtin_relativistic
 
 __all__ = [
     "ScanGrid",
@@ -60,7 +60,6 @@ __all__ = [
     "growth_check",
     "logsob_warped",
     "logsob_product",
-    "theta_threshold_scan",
     "check_model",
     "report_text",
     "report_kv",
@@ -240,7 +239,6 @@ class ProductResult:
     alpha: float
     ok: bool
     witness: Witness
-    offdiag_max: float
     shift: float = 0.0
 
 
@@ -599,13 +597,6 @@ def _inverse_derivs(Xi, dX, d2X):
     return -(Y @ Xi[:, None]), d2Xi
 
 
-def _log_det_derivs(Xi, dXi, dX, d2X):
-    """d_k and d_l d_k of log det X from X^{-1}, its d_k, dX and d2X."""
-    return np.einsum("nIJ,nkJI->nk", Xi, dX), (
-        np.einsum("nIJ,nlkJI->nlk", Xi, d2X)
-        + np.einsum("nlIJ,nkJI->nlk", dXi, dX))
-
-
 def _gram_derivs(pj):
     """First and second p-derivatives of A^{IJ} = g^{ab} d_a v^I d_b v^J.
 
@@ -696,57 +687,53 @@ def logsob_warped(model, grid=None):
 
 def _product_blocks(pj):
     """product_metric_blocks on the points of one point jet."""
-    P = pj.P
-    n, M = P.shape
-    D = 2 * M
-    jet_g = pj.jet
-    _require_positive(pj.A, P)
+    jet = pj.jet
+    n, M = pj.P.shape
+    _require_positive(pj.A, pj.P)
     dA, d2A = _gram_derivs(pj)
-    Alow = _symmetrize(np.linalg.inv(pj.A))
-    dAlow, d2Alow = _inverse_derivs(Alow, dA, d2A)
+    h = _symmetrize(np.linalg.inv(pj.A))
+    dh, d2h = _inverse_derivs(h, dA, d2A)
+    N = h.shape[1]
+    # X[n, a] = d_a h A; A d_a h is its transpose, as both are symmetric
+    X = dh @ pj.A[:, None]
+    Xf, XTf = X.reshape(n, M, N * N), _t(X).reshape(n, M, N * N)
+    # tr(A d_a h A d_b h) = sum over (I, J) of (X_a^T)_IJ (X_b)_IJ
+    pp = (_geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
+          - 0.25 * (XTf @ _t(Xf)))
 
-    G = np.zeros((n, D, D))
-    G[:, :M, :M] = jet_g.g
-    G[:, M:, M:] = Alow
-    dG = np.zeros((n, D, D, D))
-    dG[:, :M, :M, :M] = jet_g.dg
-    dG[:, :M, M:, M:] = dAlow
-    d2G = np.zeros((n, D, D, D, D))
-    d2G[:, :M, :M, :M, :M] = jet_g.d2g
-    d2G[:, :M, :M, M:, M:] = d2Alow
-
-    jet = _geom.jet_from_arrays(G, dG, d2G)
-    ric_G = _geom.ricci_from_jet(jet)
-
-    # psi = log u + (1/2) log det A^{IJ}, with log u = -E - log sqrt(det g)
-    dlogu = _geom.drift_oneform_from_jet(jet_g, pj.grad_E)
-    d2logu = -(pj.hess_E + 0.5 * _log_det_derivs(
-        jet_g.g_inv, jet_g.dg_inv, jet_g.dg, jet_g.d2g)[1])
-    dlogdet, d2logdet = _log_det_derivs(Alow, dAlow, dA, d2A)
-    dpsi = dlogu + 0.5 * dlogdet
-    d2psi = d2logu + 0.5 * d2logdet
-    grad_big = np.zeros((n, D))
-    grad_big[:, :M] = dpsi
-    hess_big = np.zeros((n, D, D))
-    hess_big[:, :M, :M] = d2psi
-    hess_G = _geom.covariant_hessian_from_jet(jet, grad_big, hess_big)
-
-    return {
-        "G": G,
-        "ric_G": ric_G,
-        "hess_G_psi": hess_G,
-        "form": ric_G - hess_G,
-        "jet": jet,
-    }
+    grad_logu = _geom.gradient_from_jet(
+        jet, _geom.drift_oneform_from_jet(jet, pj.grad_E))
+    pair = np.einsum("na,naIJ->nIJ", grad_logu, dh)
+    # g^ab d_a h A d_b h, summed over b and the inner index in one product
+    Y = (jet.g_inv @ Xf).reshape(n, M, N, N)
+    quad = Y.swapaxes(1, 2).reshape(n, N, M * N) @ dh.reshape(n, M * N, N)
+    xx = -0.5 * (_geom.laplace_from_jet(jet, dh, d2h) + pair) + 0.5 * quad
+    return {"g": jet.g, "h": h, "pp": pp, "xx": xx}
 
 
 def product_metric_blocks(model, P):
-    """Doubled-metric curvature data at momentum points P.
+    """Blocks of the product criterion's form at momentum points P.
 
-    Coordinates are ordered (p^1..p^M, x^1..x^N).  Returns a dict with
-    the product metric G, Ric_G, Hess_G of the weight exponent
-    log u + (1/2) log det A^{IJ}, and the combined form
-    Ric_G - Hess_G used by the criterion.
+    The doubled metric is G = g_ab dp^a dp^b + h_IJ dx^I dx^J with
+    h = A^-1, and the form is Ric_G - Hess_G psi for the weight
+    exponent psi = log u + (1/2) log det A^{IJ}.  G does not depend on
+    x and its fibres are flat tori, so O'Neill's submersion formulas
+    give the form in closed form, with L = log det h:
+
+        Ric_ab = Ric^g_ab - 1/2 nabla_a d_b L - 1/4 tr(A d_a h A d_b h)
+        Ric_IJ = -1/2 Lap_g h_IJ - 1/4 <dL, d h_IJ>_g
+                 + 1/2 g^ab (d_a h A d_b h)_IJ
+        (Hess_G psi)_ab = (Hess_g psi)_ab
+        (Hess_G psi)_IJ = 1/2 <d psi, d h_IJ>_g
+
+    and every mixed (p, x) entry is zero.  Since psi = log u - L/2, the
+    L terms cancel in the difference, which leaves
+
+        pp = Ric^g - Hess_g log u - 1/4 tr(A d_a h A d_b h)
+        xx = -1/2 (Lap_g h + <d log u, dh>_g) + 1/2 g^ab d_a h A d_b h
+
+    Returns a dict with g, h, and the (n, M, M) and (n, N, N) blocks
+    pp and xx of the form.
     """
     return _product_blocks(_PointJet(model, np.asarray(P, dtype=float)))
 
@@ -755,43 +742,21 @@ def logsob_product(model, grid=None):
     """Product-route log-Sobolev criterion on the doubled metric.
 
     alpha is the grid minimum of the generalized eigenvalues of
-    (Ric_G - Hess_G psi, G); the criterion holds iff alpha > 0.
+    (Ric_G - Hess_G psi, G); the criterion holds iff alpha > 0.  The
+    form and G are block diagonal in (p, x) (see product_metric_blocks),
+    so the eigenvalues are those of the two pencils (pp, g) and (xx, h).
     """
     grid, P = _grid_points(model, grid)
-    M = model.dim
     lows = []
-    offdiag = 0.0
     shift = 0.0
     for idx, pj in _all_point_jets(model, grid):
         blocks = _product_blocks(pj)
-        eigs, sh = _gen_eigs(blocks["form"], blocks["G"], 0.0)
-        shift = max(shift, sh)
-        lows.append((idx, eigs[:, 0]))
-        offdiag = max(offdiag, float(np.max(np.abs(blocks["ric_G"][:, :M, M:]))))
+        eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"], 0.0)
+        eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"], 0.0)
+        shift = max(shift, sh_p, sh_x)
+        lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
     alpha, wit = _extreme(P, lows, "alpha")
-    return ProductResult(
-        alpha=alpha,
-        ok=alpha > 0.0,
-        witness=wit,
-        offdiag_max=offdiag,
-        shift=shift,
-    )
-
-
-def theta_threshold_scan(thetas=(4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-                         dim=3, grid=None):
-    """Smallest scanned theta at which the product criterion certifies
-    the relativistic model; a grid estimate, not a sharp threshold.
-
-    Returns (theta or None, ProductResult of the last attempt).
-    """
-    res = None
-    for theta in thetas:
-        model = builtin_relativistic(theta, dim=dim)
-        res = logsob_product(model, grid=grid)
-        if res.ok:
-            return float(theta), res
-    return None, res
+    return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit, shift=shift)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "hessian_log_sqrt_from_jet",
     "bakry_emery_from_jet",
     "divergence_tensor2_from_jet",
-    "raise_sym2",
     "log_weight_values",
     "drift_oneform_from_jet",
 ]
@@ -247,21 +246,20 @@ def covariant_hessian_from_jet(jet, grad_f, hess_f):
     return hess_f - np.einsum("nkij,nk->nij", jet.christoffel, grad_f)
 
 
-def raise_sym2(jet, T):
-    """Raise both slots: T^{ij} = g^{ik} g^{jl} T_kl."""
-    return np.einsum("nik,njl,nkl->nij", jet.g_inv, jet.g_inv, T)
-
-
 def gradient_from_jet(jet, grad_f):
     return np.einsum("nij,nj->ni", jet.g_inv, grad_f)
 
 
 def laplace_from_jet(jet, grad_f, hess_f):
-    """Divergence form: (1/sqrt g) d_i (sqrt g g^ij d_j f), expanded."""
+    """Divergence form: (1/sqrt g) d_i (sqrt g g^ij d_j f), expanded.
+
+    A family of functions may carry extra axes after the derivative
+    axes: grad_f[n, j, ...] and hess_f[n, i, j, ...].
+    """
     return (
-        np.einsum("nij,nij->n", jet.g_inv, hess_f)
-        + np.einsum("niij,nj->n", jet.dg_inv, grad_f)
-        + np.einsum("ni,nij,nj->n", jet.dlog_sqrt, jet.g_inv, grad_f)
+        np.einsum("nij,nij...->n...", jet.g_inv, hess_f)
+        + np.einsum("niij,nj...->n...", jet.dg_inv, grad_f)
+        + np.einsum("ni,nij,nj...->n...", jet.dlog_sqrt, jet.g_inv, grad_f)
     )
 
 

@@ -352,7 +352,7 @@ def cfl_limit(model, grid, order2=False):
     return 0.5 * limit if order2 else limit
 
 
-def step(state, dt, model, grid, *, op=None, order2=False, with_diffusion=True):
+def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
     """One Strang-split step: half transport, implicit diffusion, half transport."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -365,7 +365,7 @@ def step(state, dt, model, grid, *, op=None, order2=False, with_diffusion=True):
     nu = geo.v * (0.5 * dt / grid.dx)
     h = _advect(state.h, nu, order2)
     if with_diffusion:
-        h = _op(model, grid).solve(h, dt) if op is None else op.solve(h, dt)
+        h = _op(model, grid).solve(h, dt)
     h = _advect(h, nu, order2)
     return State(h=h, t=state.t + dt)
 
@@ -518,14 +518,11 @@ def run(
     n_samples = max(1, round(tmax / sample_dt))
 
     state = initial_state(model, grid, h_in)
-    op = _op(model, grid)
     rows = [functionals(state, model, grid, certificate)]
     try:
         for _ in range(n_samples):
             for _ in range(n_sub):
-                state = step(
-                    state, dt_eff, model, grid, op=op, order2=order2
-                )
+                state = step(state, dt_eff, model, grid, order2=order2)
             rows.append(functionals(state, model, grid, certificate))
     except (CFLViolation, LinearSolveFailure) as exc:
         raise type(exc)(f"{exc} (at t = {state.t:.6g})") from exc
@@ -604,9 +601,8 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=True):
     geo = _node_geometry(model, grid)
     if dt is None:
         dt = min(0.5 * cfl_limit(model, grid, order2=False), 1.0)
-    op = _op(model, grid)
-    mid = step(state, 0.5 * dt, model, grid, op=op, order2=order2)
-    plus = step(mid, 0.5 * dt, model, grid, op=op, order2=order2)
+    mid = step(state, 0.5 * dt, model, grid, order2=order2)
+    plus = step(mid, 0.5 * dt, model, grid, order2=order2)
 
     f0 = functionals(state, model, grid)
     f2 = functionals(plus, model, grid)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
@@ -12,7 +13,12 @@ from hypocert.expressions import parse_expr
 from hypocert.fields import ExprMetricField, ExprScalarField
 from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 
-from tests_support import expr_model_1d, fd_model, rel_points
+from tests_support import (
+    expr_model_1d,
+    fd_model,
+    product_blocks_reference,
+    rel_points,
+)
 
 
 def small_grid(dim=3, radius=3.0, axis_points=5, quasi_points=64, seed=asm.DEFAULT_SEED):
@@ -444,6 +450,32 @@ class TestWarpedRoute:
         assert wr.kappa2 >= 0.0
 
 
+def aniso_model_2d():
+    """A 2D model with an off-diagonal metric and a non-isotropic Gram form."""
+    metric = {(0, 0): "2 + p1^2", (0, 1): "0.3*p1*p2", (1, 1): "1 + p2^2 + 0.5*p1^2"}
+    return ModelSpec(
+        name="aniso2d",
+        dim=2,
+        metric_field=ExprMetricField(
+            {ij: parse_expr(e) for ij, e in metric.items()}, 2),
+        v_fields=(
+            ExprScalarField(parse_expr("p1 + 0.1*p2"), 2),
+            ExprScalarField(parse_expr("p2 + 0.05*p1^3"), 2),
+        ),
+        energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2 + 0.1*p1^4"), 2),
+    )
+
+
+PRODUCT_MODELS = {
+    "rel1": lambda: builtin_relativistic(1.0),
+    "rel4": lambda: builtin_relativistic(4.0),
+    "rel40": lambda: builtin_relativistic(40.0),
+    "rel4-1d": lambda: builtin_relativistic(4.0, dim=1),
+    "classical": lambda: builtin_classical(3),
+    "aniso2d": aniso_model_2d,
+}
+
+
 class TestProductRoute:
     @pytest.mark.parametrize("theta", [1.0, 4.0, 40.0])
     def test_blocks_match_closed_forms(self, theta):
@@ -451,21 +483,47 @@ class TestProductRoute:
         orc = m.oracle
         P = rel_points(60, radius=3.0, seed=int(theta) + 50)
         blocks = asm.product_metric_blocks(m, P)
-        assert rel_err(blocks["G"][:, 3:, 3:], orc.G_xx(P)) < 1e-10
-        assert rel_err(blocks["G"][:, :3, :3], orc.metric(P)) < 1e-10
-        assert rel_err(blocks["ric_G"][:, :3, :3], orc.ricci_G_pp(P)) < 1e-10
-        assert rel_err(blocks["ric_G"][:, 3:, 3:], orc.ricci_G_xx(P)) < 1e-10
-        assert rel_err(blocks["hess_G_psi"][:, :3, :3], orc.hess_logU_pp(P)) < 1e-10
-        assert rel_err(blocks["hess_G_psi"][:, 3:, 3:], orc.hess_logU_xx(P)) < 1e-10
-        assert np.max(np.abs(blocks["ric_G"][:, :3, 3:])) < 1e-9
-        assert np.max(np.abs(blocks["hess_G_psi"][:, :3, 3:])) < 1e-9
+        assert rel_err(blocks["h"], orc.G_xx(P)) < 1e-10
+        assert rel_err(blocks["g"], orc.metric(P)) < 1e-10
+        assert rel_err(blocks["pp"], orc.ricci_G_pp(P) - orc.hess_logU_pp(P)) < 1e-10
+        assert rel_err(blocks["xx"], orc.ricci_G_xx(P) - orc.hess_logU_xx(P)) < 1e-10
+        ref = product_blocks_reference(m, P)
+        assert rel_err(ref["ric_G"][:, :3, :3], orc.ricci_G_pp(P)) < 1e-10
+        assert rel_err(ref["ric_G"][:, 3:, 3:], orc.ricci_G_xx(P)) < 1e-10
+        assert rel_err(ref["hess_G_psi"][:, :3, :3], orc.hess_logU_pp(P)) < 1e-10
+        assert rel_err(ref["hess_G_psi"][:, 3:, 3:], orc.hess_logU_xx(P)) < 1e-10
+        assert np.max(np.abs(ref["ric_G"][:, :3, 3:])) < 1e-9
+        assert np.max(np.abs(ref["hess_G_psi"][:, :3, 3:])) < 1e-9
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_MODELS))
+    def test_blocks_match_generic_reference(self, name):
+        m = PRODUCT_MODELS[name]()
+        P = rel_points(80, radius=3.0, seed=7, dim=m.dim)
+        M = m.dim
+        blocks = asm.product_metric_blocks(m, P)
+        ref = product_blocks_reference(m, P)
+        form = ref["form"]
+        assert rel_err(blocks["g"], ref["G"][:, :M, :M]) < 1e-12
+        assert rel_err(blocks["h"], ref["G"][:, M:, M:]) < 1e-12
+        assert rel_err(blocks["pp"], form[:, :M, :M]) < 1e-12
+        assert rel_err(blocks["xx"], form[:, M:, M:]) < 1e-12
+        assert np.max(np.abs(form[:, :M, M:])) <= 1e-12 * np.max(np.abs(form))
+
+    @pytest.mark.parametrize("name", ["rel4", "aniso2d"])
+    def test_alpha_is_min_eigenvalue_of_reference_pencil(self, name):
+        m = PRODUCT_MODELS[name]()
+        grid = small_grid(dim=m.dim)
+        ref = product_blocks_reference(m, grid.points)
+        lows = [scipy.linalg.eigh(F, G, eigvals_only=True)[0]
+                for F, G in zip(ref["form"], ref["G"])]
+        pr = asm.logsob_product(m, grid)
+        assert pr.alpha == pytest.approx(min(lows), rel=1e-12, abs=1e-12)
 
     def test_classical_alpha_zero(self):
         m = builtin_classical(3)
         pr = asm.logsob_product(m, small_grid())
         assert not pr.ok
         assert pr.alpha == pytest.approx(0.0, abs=1e-10)
-        assert pr.offdiag_max < 1e-12
 
     def test_relativistic_obstructed_at_origin(self):
         # The x-block of Ric_G - Hess_G at p = 0 equals Ric_G alone and
@@ -484,21 +542,12 @@ class TestProductRoute:
         theta = 7.0
         m = builtin_relativistic(theta)
         blocks = asm.product_metric_blocks(m, np.zeros((1, 3)))
-        form = blocks["form"][0]
         np.testing.assert_allclose(
-            np.diag(form)[:3], (theta - 3.5) * np.ones(3), atol=1e-10
+            np.diag(blocks["pp"][0]), (theta - 3.5) * np.ones(3), atol=1e-10
         )
         np.testing.assert_allclose(
-            np.diag(form)[3:], -5.5 * np.ones(3), atol=1e-10
+            np.diag(blocks["xx"][0]), -5.5 * np.ones(3), atol=1e-10
         )
-
-    def test_theta_threshold_scan_reports_none(self):
-        grid = small_grid(axis_points=5, quasi_points=16)
-        theta, res = asm.theta_threshold_scan(
-            thetas=(4.0, 64.0), grid=grid
-        )
-        assert theta is None
-        assert res is not None and not res.ok and res.alpha < 0.0
 
 
 class TestGenEigHelpers:
@@ -556,7 +605,8 @@ class TestSharedPointJets:
 
     def test_grid_holds_one_model(self):
         grid = small_grid(axis_points=5, quasi_points=16)
-        asm.theta_threshold_scan(thetas=(4.0, 64.0), grid=grid)
+        for theta in (4.0, 64.0):
+            asm.logsob_product(builtin_relativistic(theta), grid)
         assert len(grid._cache) <= 1
 
     def test_check_model_leaves_caller_grid_empty(self):

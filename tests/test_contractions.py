@@ -99,13 +99,6 @@ def inverse_derivs_reference(Xi, dX, d2X):
     return dXi, d2Xi
 
 
-def log_det_d2_reference(Xi, dX, d2X):
-    return (
-        np.einsum("nIJ,nlkJI->nlk", Xi, d2X)
-        - np.einsum("nIa,nlab,nbJ,nkJI->nlk", Xi, dX, Xi, dX)
-    )
-
-
 def gram_derivs_reference(gi, dg, d2g, dv, hv, tv):
     dgi, d2gi = inverse_derivs_reference(gi, dg, d2g)
     dA = (
@@ -196,21 +189,6 @@ def test_inverse_derivs(n, sym):
     got = asm._inverse_derivs(r.X, r.dg, r.d2g)
     for g, w in zip(got, inverse_derivs_reference(r.X, r.dg, r.d2g)):
         assert_same(g, w)
-
-
-@pytest.mark.parametrize("n,sym", CASES)
-def test_log_det_derivs(n, sym):
-    r = random_inputs(n, sym)
-    dXi = inverse_d1_reference(r.X, r.dg)
-    d1, d2 = asm._log_det_derivs(r.X, dXi, r.dg, r.d2g)
-    assert_same(d1, np.einsum("nIJ,nkJI->nk", r.X, r.dg))
-    assert_same(d2, log_det_d2_reference(r.X, r.dg, r.d2g))
-    if sym:
-        # the second derivative of log sqrt(det g) in _product_blocks
-        dgi = inverse_d1_reference(r.g_inv, r.dg)
-        want = (np.einsum("nlij,nkij->nlk", dgi, r.dg)
-                + np.einsum("nij,nlkij->nlk", r.g_inv, r.d2g))
-        assert_same(asm._log_det_derivs(r.g_inv, dgi, r.dg, r.d2g)[1], want)
 
 
 @pytest.mark.parametrize("n,sym", CASES)
