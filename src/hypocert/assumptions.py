@@ -133,6 +133,13 @@ def default_grid(
     The Halton stream is a prefix sequence: the same seed with a larger
     quasi_points yields a superset, which keeps refined scans monotone.
     """
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"scan radius must be finite and positive, got {radius}")
+    if axis_points < 0 or quasi_points < 0:
+        raise ValueError(
+            f"scan point counts must be non-negative, got {axis_points} "
+            f"per axis and {quasi_points} Halton"
+        )
     lattice = _lattice_ball(dim, radius, axis_points)
     quasi = (
         _halton_ball(dim, radius, quasi_points, seed) if quasi_points else
@@ -159,6 +166,8 @@ def _grid_points(model, grid):
         raise ValueError(
             f"grid dimension {pts.shape[1]} != model dimension {model.dim}"
         )
+    if pts.shape[0] == 0:
+        raise ValueError("the scan grid has no points")
     return grid, pts
 
 
@@ -341,7 +350,7 @@ def _require_positive(A, P):
         )
 
 
-def _gen_eigs(Mform, base, shift_used):
+def _gen_eigs(Mform, base):
     """Eigenvalues of the pencil (Mform, base), base symmetric positive.
 
     Returns (eigs (n, M), shift) where shift is the diagonal load that
@@ -352,7 +361,7 @@ def _gen_eigs(Mform, base, shift_used):
     try:
         L = np.linalg.cholesky(base)
     except np.linalg.LinAlgError:
-        shift = max(shift_used, EIG_SHIFT)
+        shift = EIG_SHIFT
         eye = np.eye(base.shape[1])
         L = np.linalg.cholesky(base + shift * eye)
     X = np.linalg.solve(L, Mform)
@@ -476,7 +485,7 @@ def curvature_bounds(model, grid=None):
     shift = 0.0
     for idx, pj in good:
         ric = _geom.bakry_emery_from_jet(pj.jet, pj.grad_E, pj.hess_E)
-        eigs, sh = _gen_eigs(ric, pj.jet.g, 0.0)
+        eigs, sh = _gen_eigs(ric, pj.jet.g)
         shift = max(shift, sh)
         lows.append((idx, eigs[:, 0]))
         highs.append((idx, eigs[:, -1]))
@@ -507,7 +516,7 @@ def dominance_constants(model, grid=None):
         _require_positive(pj.A, pj.P)
         F = _forms(pj, tuple(kinds.values()))
         for name, kind in kinds.items():
-            eigs, sh = _gen_eigs(F[kind], pj.A, 0.0)
+            eigs, sh = _gen_eigs(F[kind], pj.A)
             shift = max(shift, sh)
             tops[name].append((idx, eigs[:, -1]))
     best = {name: _extreme(P, tops[name], name, largest=True) for name in kinds}
@@ -665,7 +674,7 @@ def logsob_warped(model, grid=None):
 
         ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
         cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-        eigs, _ = _gen_eigs(cond1, jet.g, 0.0)
+        eigs, _ = _gen_eigs(cond1, jet.g)
         k1.append((idx, eigs[:, 0]))
 
         dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
@@ -751,8 +760,8 @@ def logsob_product(model, grid=None):
     shift = 0.0
     for idx, pj in _all_point_jets(model, grid):
         blocks = _product_blocks(pj)
-        eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"], 0.0)
-        eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"], 0.0)
+        eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
+        eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
         shift = max(shift, sh_p, sh_x)
         lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
     alpha, wit = _extreme(P, lows, "alpha")

@@ -4,12 +4,13 @@ A field handle evaluates a scalar, vector, metric, or 2-tensor quantity
 and its derivatives on a batch of points P with shape (n, M).  Two
 families exist:
 
-* expression-backed fields differentiate symbolically (exact to round
-  off); each derivative order is built lazily and compiled into one
-  cached `Tape` that evaluates all of its entries together, and
-  symmetric derivative slots (Hessians, metric jets) are filled from a
-  single representative AST so the returned arrays are symmetric
-  exactly;
+* expression-backed fields (scalar, metric, vector) differentiate
+  symbolically (exact to round off).  All three share one jet builder:
+  each derivative order is built lazily, one partial per nondecreasing
+  axes tuple and value entry, and compiled into one cached `Tape` that
+  evaluates all of them together.  Every slot that is a permutation of
+  a partial's axes, or the mirror of a metric entry, is filled from
+  that one partial, so the returned arrays are symmetric exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
@@ -23,11 +24,12 @@ callable, or expression string into a handle.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import FDOrderError
-from .expressions import Tape, diff_expr, evaluate, parse_expr
+from .expressions import Const, Tape, diff_expr, evaluate, parse_expr
 
 __all__ = [
     "ExprScalarField",
@@ -134,27 +136,51 @@ def as_field(field, dim, theta=None):
     return field
 
 
-class _Jet:
-    """One derivative order of an expression field: a tape over its
-    distinct entries and the output slots each entry's value fills."""
+class _ExprJets:
+    """The derivative jets of one expression field, built lazily by order.
 
-    def __init__(self, shape, entries):
-        """entries: (AST, set of index tuples into shape) in tape order."""
+    entries maps a value index to its AST: () for a scalar, (i,) for a
+    vector component, (i, j) with i <= j for a metric.  The order-k
+    partials are kept once per nondecreasing axes tuple, each taken in
+    increasing axis order, and compile into one Tape.  The order-k jet
+    has shape (n,) + (dim,) * k + shape.  A partial fills every slot
+    that permutes its axes, followed by its index or by its reversed
+    index: the same slot for a scalar or vector, the mirrored entry for
+    a metric.  The tape's last root is 0, read by the slots of entries
+    the field leaves out (a metric's zero off-diagonals).
+    """
+
+    def __init__(self, entries, shape, dim):
         self.shape = shape
-        self.tape = Tape([ast for ast, _ in entries])
-        targets = [
-            (row, idx) for row, (_, idxs) in enumerate(entries) for idx in sorted(idxs)
-        ]
-        self.rows = np.array([row for row, _ in targets], dtype=int)
-        self.index = (slice(None),) + tuple(
-            np.array(axis, dtype=int) for axis in zip(*(idx for _, idx in targets))
-        )
+        self.dim = dim
+        self._partials = [{((), idx): ast for idx, ast in entries.items()}]
+        self._compiled = {}
 
-    def values(self, P, theta):
-        vals = evaluate(self.tape, P, theta)
-        out = np.zeros((P.shape[0],) + self.shape)
-        out[self.index] = vals[self.rows].T
-        return out
+    def _compile(self, order):
+        while len(self._partials) <= order:
+            self._partials.append({
+                (axes + (k,), idx): diff_expr(ast, k + 1)
+                for (axes, idx), ast in self._partials[-1].items()
+                for k in range(axes[-1] if axes else 0, self.dim)
+            })
+        partials = self._partials[order]
+        shape = (self.dim,) * order + self.shape
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        # source[s] is the tape row that flat slot s reads
+        source = np.full(flat.size, len(partials))
+        for row, (axes, idx) in enumerate(partials):
+            for perm in itertools.permutations(axes):
+                source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
+        tape = Tape(list(partials.values()) + [Const(0.0)])
+        return tape, source, shape
+
+    def __call__(self, order, P, theta):
+        """[n, l, ..., k, *index] = d_l ... d_k of the entry at index."""
+        if order not in self._compiled:
+            self._compiled[order] = self._compile(order)
+        tape, source, shape = self._compiled[order]
+        vals = evaluate(tape, P, theta)
+        return vals.T.take(source, axis=1).reshape((P.shape[0],) + shape)
 
 
 class ExprScalarField:
@@ -164,97 +190,48 @@ class ExprScalarField:
         self.ast = ast
         self.dim = dim
         self.theta = theta
-        self._asts = [{(): ast}]
-        self._jets = {}
-        self._tapes = {}
-
-    def _jet(self, order):
-        """Order-`order` partials, one AST per nondecreasing axes tuple."""
-        while len(self._asts) <= order:
-            self._asts.append({
-                axes + (k,): diff_expr(ast, k + 1)
-                for axes, ast in self._asts[-1].items()
-                for k in range(axes[-1] if axes else 0, self.dim)
-            })
-        if order not in self._jets:
-            self._jets[order] = _Jet((self.dim,) * order, [
-                (ast, set(itertools.permutations(axes)))
-                for axes, ast in self._asts[order].items()
-            ])
-        return self._jets[order]
-
-    def _tape(self, axes):
-        """One-root tape of the partial along `axes`, taken in that order."""
-        if axes not in self._tapes:
-            ast = self.ast
-            for ax in axes:
-                ast = diff_expr(ast, ax + 1)
-            self._tapes[axes] = Tape([ast])
-        return self._tapes[axes]
+        self._jets = _ExprJets({(): ast}, (), dim)
 
     def value(self, P):
-        return np.asarray(evaluate(self._tape(()), P, self.theta)[0])
+        return self._jets(0, P, self.theta)
 
     def grad(self, P):
-        return self._jet(1).values(P, self.theta)
+        return self._jets(1, P, self.theta)
 
     def hess(self, P):
-        return self._jet(2).values(P, self.theta)
+        return self._jets(2, P, self.theta)
 
     def third(self, P):
-        return self._jet(3).values(P, self.theta)
+        return self._jets(3, P, self.theta)
 
     def derivative(self, P, axes):
         """Evaluate an arbitrary mixed partial; axes are 0-based."""
-        return np.asarray(evaluate(self._tape(tuple(axes)), P, self.theta)[0])
+        return self._jets(len(axes), P, self.theta)[(slice(None),) + tuple(axes)]
 
 
 class ExprMetricField:
     """Symmetric metric field g_ij from expression ASTs.
 
-    entries maps 0-based (i, j) with i <= j to an AST; the lower
-    triangle mirrors the same values.
+    entries maps 0-based (i, j) to an AST; each entry is stored under
+    i <= j and the lower triangle mirrors the same values.
     """
 
     def __init__(self, entries, dim, theta=None):
         self.dim = dim
         self.theta = theta
-        self.entries = {}
-        for (i, j), ast in entries.items():
-            if i > j:
-                i, j = j, i
-            self.entries[(i, j)] = ast
-        self._asts = [self.entries]
-        self._jets = {}
-
-    def _jet(self, order):
-        """d_l ... d_k g_ij keyed (l, ..., k, i, j) with l >= ... >= k."""
-        while len(self._asts) <= order:
-            first = len(self._asts) == 1
-            self._asts.append({
-                (l,) + key: diff_expr(ast, l + 1)
-                for key, ast in self._asts[-1].items()
-                for l in range(0 if first else key[0], self.dim)
-            })
-        if order not in self._jets:
-            self._jets[order] = _Jet((self.dim,) * (order + 2), [
-                (ast, {axes + ij
-                       for axes in itertools.permutations(key[:order])
-                       for ij in (key[order:], key[order:][::-1])})
-                for key, ast in self._asts[order].items()
-            ])
-        return self._jets[order]
+        self.entries = {tuple(sorted(ij)): ast for ij, ast in entries.items()}
+        self._jets = _ExprJets(self.entries, (dim, dim), dim)
 
     def value(self, P):
-        return self._jet(0).values(P, self.theta)
+        return self._jets(0, P, self.theta)
 
     def grad(self, P):
         """[n, k, i, j] = d_k g_ij."""
-        return self._jet(1).values(P, self.theta)
+        return self._jets(1, P, self.theta)
 
     def hess(self, P):
         """[n, l, k, i, j] = d_l d_k g_ij."""
-        return self._jet(2).values(P, self.theta)
+        return self._jets(2, P, self.theta)
 
 
 class ExprVectorField:
@@ -264,27 +241,14 @@ class ExprVectorField:
         self.components = list(components)
         self.dim = dim
         self.theta = theta
-        self._jets = {}
-
-    def _jet(self, order):
-        if order not in self._jets:
-            ncomp = len(self.components)
-            if order == 0:
-                jet = _Jet((ncomp,), [
-                    (ast, {(i,)}) for i, ast in enumerate(self.components)
-                ])
-            else:
-                jet = _Jet((self.dim, ncomp), [
-                    (diff_expr(ast, k + 1), {(k, i)})
-                    for k in range(self.dim)
-                    for i, ast in enumerate(self.components)
-                ])
-            self._jets[order] = jet
-        return self._jets[order]
+        self._jets = _ExprJets(
+            {(i,): ast for i, ast in enumerate(self.components)},
+            (len(self.components),), dim,
+        )
 
     def value(self, P):
-        return self._jet(0).values(P, self.theta)
+        return self._jets(0, P, self.theta)
 
     def jacobian(self, P):
         """[n, k, i] = d_k Z^i."""
-        return self._jet(1).values(P, self.theta)
+        return self._jets(1, P, self.theta)

@@ -502,17 +502,23 @@ def run(
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
     decay_allowance; offending samples land in decay_violations.
+    A given dt bounds the sub-step from above; the run raises
+    CFLViolation when that step exceeds the transport limit.
     """
-    if tmax <= 0.0 or sample_dt <= 0.0:
-        raise ValueError("tmax and sample_dt must be positive")
-    chosen = dt is None
-    if chosen:
-        limit = cfl_limit(model, grid, order2)
-        dt = min(sample_dt, 0.9 * limit)
+    if not (0.0 < tmax < math.inf and 0.0 < sample_dt < math.inf):
+        raise ValueError("tmax and sample_dt must be finite and positive")
+    if not (dt is None or dt > 0.0):
+        raise ValueError("dt must be positive")
+    # round() may take the count down past the bound (the given dt, or
+    # the transport limit when dt is chosen here); add sub-steps until
+    # the sub-step is within it.
+    if dt is None:
+        bound = cfl_limit(model, grid, order2)
+        dt = min(sample_dt, 0.9 * bound)
+    else:
+        bound = dt
     n_sub = max(1, round(sample_dt / dt))
-    if chosen and sample_dt / n_sub > limit:
-        # round() took the count down past the limit; one more sub-step
-        # always suffices, since dt was at most 0.9 of the limit.
+    while sample_dt / n_sub > bound * (1.0 + 1e-12):
         n_sub += 1
     dt_eff = sample_dt / n_sub
     n_samples = max(1, round(tmax / sample_dt))

@@ -221,6 +221,23 @@ class TestScanGrids:
         rep = asm.check_model(builtin_classical(2), pts)
         assert rep.grid_radius == 5.0
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": 0.0}, {"radius": -1.0}, {"radius": math.inf},
+        {"radius": math.nan}, {"axis_points": -1}, {"quasi_points": -5},
+    ])
+    def test_bad_grid_parameters_rejected(self, kwargs):
+        # A NaN radius used to loop forever: every Halton point failed
+        # the ball test.
+        with pytest.raises(ValueError, match="scan"):
+            asm.default_grid(2, **kwargs)
+
+    def test_empty_grid_rejected(self):
+        m = builtin_classical(2)
+        for grid in (asm.default_grid(2, axis_points=0, quasi_points=0),
+                     np.empty((0, 2))):
+            with pytest.raises(ValueError, match="no points"):
+                asm.check_model(m, grid)
+
 
 # ---------------------------------------------------------------------------
 # Curvature bounds
@@ -255,7 +272,7 @@ class TestCurvatureBounds:
         m = builtin_relativistic(4.0)
         cb = asm.curvature_bounds(m, grid)
         orc = m.oracle
-        eigs, _ = asm._gen_eigs(orc.bakry(grid.points), orc.metric(grid.points), 0.0)
+        eigs, _ = asm._gen_eigs(orc.bakry(grid.points), orc.metric(grid.points))
         assert cb.sigma1 == pytest.approx(float(eigs[:, 0].min()), abs=1e-9)
         assert cb.sigma2 == pytest.approx(float(eigs[:, -1].max()), abs=1e-9)
 
@@ -556,7 +573,7 @@ class TestGenEigHelpers:
         Mf = rng.normal(size=(4, 3, 3))
         Mf = Mf + np.swapaxes(Mf, 1, 2)
         base = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-        eigs, shift = asm._gen_eigs(Mf, base, 0.0)
+        eigs, shift = asm._gen_eigs(Mf, base)
         assert shift == 0.0
         np.testing.assert_allclose(
             eigs, np.linalg.eigvalsh(Mf), atol=1e-12
@@ -565,7 +582,7 @@ class TestGenEigHelpers:
     def test_shift_recorded_on_failure(self):
         Mf = np.eye(2)[None]
         base = np.diag([1.0, -1e-18])[None]
-        eigs, shift = asm._gen_eigs(Mf, base, 0.0)
+        eigs, shift = asm._gen_eigs(Mf, base)
         assert shift == asm.EIG_SHIFT
         assert np.all(np.isfinite(eigs))
 

@@ -160,6 +160,18 @@ class TestCheck:
         assert run_cli(["check", "--model", "classical", "--theta", "1"]) == 2
         assert run_cli(["check", "--model", tmp_path / "missing.ini"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--scan-radius", "nan"], ["--scan-radius", "0"],
+        ["--scan-radius", "-1"], ["--scan-count", "-5"],
+        ["--scan-resolution", "0", "--scan-count", "0"],
+    ])
+    def test_bad_scan_grid_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli(["check", "--model", "classical",
+                        "--output-dir", out] + flags) == 2
+        assert "scan" in capsys.readouterr().err
+        assert not (out / "assumptions.kv").exists()
+
 
 class TestCertify:
     def test_classical_certificate(self, tmp_path):
@@ -301,6 +313,16 @@ class TestSimulate:
         assert run_cli(["simulate", "--model", "classical",
                         "--sample-dt", "0.0025", "--tmax", "0.01",
                         "--output-dir", tmp_path / "out"]) == 0
+
+    def test_given_dt_bounds_the_sub_step(self, tmp_path):
+        # 0.0028 / 0.0019 = 1.47 rounds down to one step of 0.0028, above
+        # both the step asked for and the limit 1.953e-3; two steps of
+        # 0.0014 keep within both.
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", "classical",
+                        "--sample-dt", "0.0028", "--dt", "0.0019",
+                        "--tmax", "0.01", "--output-dir", out]) == 0
+        assert "dt = 0.0014," in (out / "summary.txt").read_text()
 
     def test_requires_1d_model(self, tmp_path):
         assert run_cli(["simulate", "--model", "relativistic", "--theta", "4",

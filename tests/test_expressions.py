@@ -7,6 +7,7 @@ node; a tape must reproduce it bit for bit.
 """
 
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -468,3 +469,47 @@ class TestTape:
         assert calls == []
         want = (1.0 + P[:, 0] * P[:, 1]) * np.exp(P[:, 0] * P[:, 1])
         np.testing.assert_allclose(first, want, rtol=1e-14)
+
+
+class TestJetLayout:
+    """Slot [n, l, ..., k, *index] of an order-k field jet is the entry
+    at index differentiated along (l, ..., k) in increasing axis order,
+    evaluated on its own; slots that permute the axes or mirror a metric
+    index hold the same bits."""
+
+    REL = builtin_relativistic(4.0)
+    P = np.random.default_rng(8).uniform(-2.0, 2.0, size=(6, 3))
+
+    def _assert_layout(self, field, entry, methods, symmetric_index=False):
+        for order, name in enumerate(methods):
+            jet = getattr(field, name)(self.P)
+            assert jet.shape[1:order + 1] == (3,) * order
+            for slot in np.ndindex(jet.shape[1:]):
+                ast = entry(slot[order:])
+                for k in sorted(slot[:order]):
+                    ast = diff_expr(ast, k + 1)
+                want = evaluate(ast, self.P, theta=4.0)
+                assert np.array_equal(jet[(slice(None),) + slot], want), (name, slot)
+            rest = tuple(range(order + 1, jet.ndim))
+            mirrors = [rest, rest[::-1]] if symmetric_index else [rest]
+            for perm in itertools.permutations(range(1, order + 1)):
+                for tail in mirrors:
+                    assert np.array_equal(jet, jet.transpose((0,) + perm + tail))
+
+    def test_metric(self):
+        g = self.REL.metric_field
+        self._assert_layout(g, lambda ij: g.entries[tuple(sorted(ij))],
+                            ("value", "grad", "hess"), symmetric_index=True)
+
+    @pytest.mark.parametrize("name", ["velocity", "energy"])
+    def test_scalars(self, name):
+        f = self.REL.v_fields[0] if name == "velocity" else self.REL.energy_field
+        self._assert_layout(f, lambda idx: f.ast, ("value", "grad", "hess", "third"))
+        np.testing.assert_array_equal(
+            f.derivative(self.P, (2, 0)), f.hess(self.P)[:, 0, 2]
+        )
+
+    def test_vector(self):
+        asts = [f.ast for f in self.REL.v_fields]
+        Z = ExprVectorField(asts, 3, theta=4.0)
+        self._assert_layout(Z, lambda idx: asts[idx[0]], ("value", "jacobian"))

@@ -1,6 +1,7 @@
 """Phase-space solver: conservation, structure identities, decay tracking."""
 
 import gc
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -354,6 +355,17 @@ class TestRun:
         assert series.meta["dt"] == pytest.approx(0.65 * limit, rel=1e-12)
         assert len(series) == 3
 
+    def test_given_dt_bounds_the_sub_step(self):
+        # 0.05 / 0.0015 = 33.3 rounds down to 33 sub-steps of 1.515e-3,
+        # longer than the step asked for; 34 sub-steps keep within it.
+        grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
+        series = sv.run(CLASSICAL, grid, "2", tmax=0.05, sample_dt=0.05,
+                        dt=0.0015)
+        assert series.meta["dt"] == pytest.approx(0.05 / 34, rel=1e-12)
+        series = sv.run(CLASSICAL, grid, "2", tmax=0.05, sample_dt=0.05,
+                        dt=0.01)
+        assert series.meta["dt"] == pytest.approx(0.01, rel=1e-12)
+
     def test_step_errors_carry_time_stamp(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
         with pytest.raises(CFLViolation, match="at t ="):
@@ -361,8 +373,13 @@ class TestRun:
 
     def test_parameter_validation(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
-        with pytest.raises(ValueError, match="tmax"):
-            sv.run(CLASSICAL, grid, "2", tmax=0.0, sample_dt=0.1)
+        for tmax, sample_dt in ((0.0, 0.1), (math.inf, 0.1), (0.5, math.inf),
+                                (0.5, math.nan)):
+            with pytest.raises(ValueError, match="tmax"):
+                sv.run(CLASSICAL, grid, "2", tmax=tmax, sample_dt=sample_dt)
+        for dt in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                sv.run(CLASSICAL, grid, "2", tmax=0.5, sample_dt=0.1, dt=dt)
 
 
 class TestFitRate:
