@@ -18,16 +18,16 @@ changes the result, and adding points can only widen [sigma1, sigma2]
 and raise beta, gamma, omega.
 
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
-energy 2-jet, Gram form A), built once per CHUNK of points as a
-`_PointJet` and kept on the `ScanGrid` for the model last scanned, so
-the curvature, dominance, hypoellipticity and log-Sobolev scans share
-one build.  How derivatives are taken is fixed by the model's fields.
+energy 2-jet, Gram form A), built from the model's fields once per
+CHUNK of points as a `_PointJet`.  Each scan keeps only per-point
+values, and `check_model` feeds every point jet to all of them in one
+pass, so no point jet outlives its chunk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import qmc
@@ -40,7 +40,6 @@ from .errors import ExprDomainError
 __all__ = [
     "ScanGrid",
     "default_grid",
-    "FormNxN",
     "Witness",
     "CurvatureBounds",
     "DominanceConstants",
@@ -49,10 +48,6 @@ __all__ = [
     "WarpedResult",
     "ProductResult",
     "AssumptionReport",
-    "form_A",
-    "form_B",
-    "form_C",
-    "form_R",
     "forms_on",
     "curvature_bounds",
     "dominance_constants",
@@ -89,9 +84,6 @@ class ScanGrid:
     radius: float
     seed: int | None = None
     description: str = ""
-    # the point jets of the last model scanned on this grid
-    _cache: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
 
     @property
     def count(self):
@@ -189,19 +181,6 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class FormNxN:
-    """One of the velocity bilinear forms evaluated on points.
-
-    entries is (N, N) for a single point and (n, N, N) for a batch,
-    with `at` holding the matching point array.
-    """
-
-    entries: np.ndarray
-    kind: str  # "A" | "B" | "C" | "R"
-    at: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurvatureBounds:
     sigma1: float
     sigma2: float
@@ -252,35 +231,7 @@ class ProductResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared evaluation helpers
-
-
-def _scan_eval(P, chunk, eval_fn):
-    """Evaluate eval_fn on chunks, isolating failing points by bisection.
-
-    Returns (list of (index_array, result), list of (index, exception)).
-    eval_fn receives an (m, M) slice and must be vectorized over it.
-    """
-    good, bad = [], []
-
-    def attempt(idx):
-        try:
-            res = eval_fn(P[idx])
-        except (MetricError, ExprDomainError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
-            if idx.size == 1:
-                bad.append((int(idx[0]), exc))
-                return
-            half = idx.size // 2
-            attempt(idx[:half])
-            attempt(idx[half:])
-            return
-        good.append((idx, res))
-
-    for lo in range(0, P.shape[0], chunk):
-        attempt(np.arange(lo, min(lo + chunk, P.shape[0])))
-    del attempt  # break the closure's self-reference so eval_fn frees now
-    return good, bad
+# One pass over the chunks
 
 
 class _PointJet:
@@ -302,36 +253,58 @@ class _PointJet:
         self.A = _gram(self.dv, self.jet.g_inv)
 
 
-def _point_jets(model, grid):
-    """_scan_eval's (good, bad) for a _PointJet per chunk of the grid.
+def _point_jets(model, P, bad):
+    """Yield (indices, point jet) for each CHUNK of the points P, in order.
 
-    The grid keeps the result for one model only, so a sweep over
-    models never holds more than one model's point jets.
+    A chunk whose point jet cannot be built is bisected down to its
+    failing points, which go to bad as (index, exception) in index
+    order.  Point jets are built one at a time, as they are asked for.
     """
-    if model not in grid._cache:
-        grid._cache.clear()
-        grid._cache[model] = _scan_eval(
-            grid.points, CHUNK, lambda sub: _PointJet(model, sub)
-        )
-    return grid._cache[model]
+    n = P.shape[0]
+    todo = [np.arange(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)][::-1]
+    while todo:
+        idx = todo.pop()
+        try:
+            pj = _PointJet(model, P[idx])
+        except (MetricError, ExprDomainError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:
+            if idx.size == 1:
+                bad.append((int(idx[0]), exc))
+            else:
+                half = idx.size // 2
+                todo += [idx[half:], idx[:half]]
+            continue
+        yield idx, pj
 
 
-def _all_point_jets(model, grid):
-    """The grid's point jets; re-raises the first failing point's error."""
-    good, bad = _point_jets(model, grid)
+def _scan(model, grid, *scans):
+    """One pass that adds every point jet to each scan: (grid, P, bad)."""
+    grid, P = _grid_points(model, grid)
+    bad = []
+    for idx, pj in _point_jets(model, P, bad):
+        for scan in scans:
+            scan.add(idx, pj)
+    return grid, P, bad
+
+
+def _scan_alone(model, grid, scan):
+    _, P, bad = _scan(model, grid, scan)
+    return scan.result(P, bad)
+
+
+def _raise_failure(P, bad):
+    """Re-raise the first failing point's error, naming the point."""
     if bad:
-        raise bad[0][1]
-    return good
+        i, exc = bad[0]
+        raise type(exc)(f"{exc} at p = {P[i]}") from exc
 
 
 def _extreme(P, chunks, label, largest=False):
     """Smallest (or largest) value over (index_array, values) chunks.
 
     Returns (value, Witness at the grid point realizing it); a tie goes
-    to the first point.  With no points it is (+-inf, None).
+    to the first point.
     """
-    if not chunks:
-        return (-math.inf if largest else math.inf), None
     at = np.concatenate([idx for idx, _ in chunks])
     vals = np.concatenate([v for _, v in chunks])
     i = int(np.argmax(vals) if largest else np.argmin(vals))
@@ -339,12 +312,12 @@ def _extreme(P, chunks, label, largest=False):
     return best, Witness(P[at[i]].copy(), best, label)
 
 
-def _require_positive(A, P):
-    """Raise DegenerateA unless every Gram form in the batch is definite."""
+def _degenerate(A, P):
+    """A DegenerateA unless every Gram form in the batch is definite."""
     amin = np.linalg.eigvalsh(A)[:, 0]
     k = int(np.argmin(amin))
     if amin[k] <= 0.0:
-        raise DegenerateA(
+        return DegenerateA(
             "velocity Gram form is not positive definite: smallest "
             f"eigenvalue {amin[k]:.3e} at p = {P[k]}"
         )
@@ -439,36 +412,32 @@ def forms_on(model, P, kinds=("A", "B", "C", "R")):
     return _forms(pj, tuple(kinds))
 
 
-def _form_single(model, p, kind):
-    P, single = _geom.as_batch(p, model.dim)
-    F = forms_on(model, P, kinds=(kind,))[kind]
-    if single:
-        return FormNxN(entries=F[0], kind=kind, at=P[0])
-    return FormNxN(entries=F, kind=kind, at=P)
-
-
-def form_A(model, p):
-    """Gram form of the velocity gradients, g(grad v^I, grad v^J)."""
-    return _form_single(model, p, "A")
-
-
-def form_B(model, p):
-    """Gram form of div(Hess v^I) in the metric g."""
-    return _form_single(model, p, "B")
-
-
-def form_C(model, p):
-    """Full contraction Hess v^I . Hess v^J with both slots raised."""
-    return _form_single(model, p, "C")
-
-
-def form_R(model, p):
-    """Gram form of K^I = Hess v^I contracted with the drift field."""
-    return _form_single(model, p, "R")
-
-
 # ---------------------------------------------------------------------------
 # Assumption scans
+
+
+class _Curvature:
+    """curvature_bounds, one chunk at a time."""
+
+    def __init__(self):
+        self.lows, self.highs, self.shift = [], [], 0.0
+
+    def add(self, idx, pj):
+        ric = _geom.bakry_emery_from_jet(pj.jet, pj.grad_E, pj.hess_E)
+        eigs, sh = _gen_eigs(ric, pj.jet.g)
+        self.shift = max(self.shift, sh)
+        self.lows.append((idx, eigs[:, 0]))
+        self.highs.append((idx, eigs[:, -1]))
+
+    def result(self, P, bad):
+        if not self.lows:
+            raise MetricError("curvature scan failed at every grid point")
+        sigma1, wmin = _extreme(P, self.lows, "sigma1")
+        sigma2, wmax = _extreme(P, self.highs, "sigma2", largest=True)
+        failures = tuple((P[i].copy(), str(exc)) for i, exc in bad)
+        return CurvatureBounds(sigma1, sigma2, {"min": wmin, "max": wmax},
+                               partial=bool(bad), failures=failures,
+                               shift=self.shift)
 
 
 def curvature_bounds(model, grid=None):
@@ -477,29 +446,43 @@ def curvature_bounds(model, grid=None):
     Points where the metric or weight degenerates are recorded and
     skipped; the result is then flagged partial instead of aborting.
     """
-    grid, P = _grid_points(model, grid)
-    good, bad = _point_jets(model, grid)
-    if not good:
-        raise MetricError("curvature scan failed at every grid point")
-    lows, highs = [], []
-    shift = 0.0
-    for idx, pj in good:
-        ric = _geom.bakry_emery_from_jet(pj.jet, pj.grad_E, pj.hess_E)
-        eigs, sh = _gen_eigs(ric, pj.jet.g)
-        shift = max(shift, sh)
-        lows.append((idx, eigs[:, 0]))
-        highs.append((idx, eigs[:, -1]))
-    sigma1, wmin = _extreme(P, lows, "sigma1")
-    sigma2, wmax = _extreme(P, highs, "sigma2", largest=True)
-    failures = tuple((P[i].copy(), str(exc)) for i, exc in bad)
-    return CurvatureBounds(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        witnesses={"min": wmin, "max": wmax},
-        partial=bool(bad),
-        failures=failures,
-        shift=shift,
-    )
+    return _scan_alone(model, grid, _Curvature())
+
+
+class _Dominance:
+    """dominance_constants, one chunk at a time, up to the first chunk
+    where A is not positive definite."""
+
+    KINDS = {"beta": "B", "gamma": "C", "omega": "R"}
+
+    def __init__(self):
+        self.tops = {name: [] for name in self.KINDS}
+        self.shift, self.error = 0.0, None
+
+    def add(self, idx, pj):
+        self.error = self.error or _degenerate(pj.A, pj.P)
+        if self.error is None:
+            F = _forms(pj, tuple(self.KINDS.values()))
+            for name, kind in self.KINDS.items():
+                eigs, sh = _gen_eigs(F[kind], pj.A)
+                self.shift = max(self.shift, sh)
+                self.tops[name].append((idx, eigs[:, -1]))
+
+    def result(self, P, bad):
+        _raise_failure(P, bad)
+        if self.error is not None:
+            raise self.error
+        best = {name: _extreme(P, tops, name, largest=True)
+                for name, tops in self.tops.items()}
+        # The forms are Gram matrices, so the true constants are >= 0; tiny
+        # negative scan values are rounding noise.
+        return DominanceConstants(
+            beta=max(best["beta"][0], 0.0),
+            gamma=max(best["gamma"][0], 0.0),
+            omega=max(best["omega"][0], 0.0),
+            witnesses={name: wit for name, (_, wit) in best.items()},
+            shift=self.shift,
+        )
 
 
 def dominance_constants(model, grid=None):
@@ -508,46 +491,33 @@ def dominance_constants(model, grid=None):
     Each is the grid maximum of the largest generalized eigenvalue of
     the pencil (form, A).  A must be positive definite on the grid.
     """
-    grid, P = _grid_points(model, grid)
-    kinds = {"beta": "B", "gamma": "C", "omega": "R"}
-    tops = {name: [] for name in kinds}
-    shift = 0.0
-    for idx, pj in _all_point_jets(model, grid):
-        _require_positive(pj.A, pj.P)
-        F = _forms(pj, tuple(kinds.values()))
-        for name, kind in kinds.items():
-            eigs, sh = _gen_eigs(F[kind], pj.A)
-            shift = max(shift, sh)
-            tops[name].append((idx, eigs[:, -1]))
-    best = {name: _extreme(P, tops[name], name, largest=True) for name in kinds}
-    # The forms are Gram matrices, so the true constants are >= 0; tiny
-    # negative scan values are rounding noise.
-    return DominanceConstants(
-        beta=max(best["beta"][0], 0.0),
-        gamma=max(best["gamma"][0], 0.0),
-        omega=max(best["omega"][0], 0.0),
-        witnesses={name: wit for name, (_, wit) in best.items()},
-        shift=shift,
-    )
+    return _scan_alone(model, grid, _Dominance())
+
+
+class _Hormander:
+    """hormander_check, one chunk at a time."""
+
+    def __init__(self):
+        self.dets = []
+
+    def add(self, idx, pj):
+        vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
+        self.dets.append((idx, np.where(np.isfinite(vals), vals, 0.0)))
+
+    def result(self, P, bad):
+        if bad:
+            return HormanderResult(0.0, False, Witness(P[bad[0][0]].copy(), 0.0, "detF"))
+        best, wit = _extreme(P, self.dets, "detF")
+        return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
 
 
 def hormander_check(model, grid=None):
     """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
 
-    g and d_a v^I are read off the shared point jets.  Never raises: a
-    point whose point jet fails is the witness, with value 0, and so is
-    a vanishing or non-finite value.
+    Never raises: a point whose point jet fails is the witness, with
+    value 0, and so is a vanishing or non-finite value.
     """
-    grid, P = _grid_points(model, grid)
-    good, bad = _point_jets(model, grid)
-    if bad:
-        return HormanderResult(0.0, False, Witness(P[bad[0][0]].copy(), 0.0, "detF"))
-    dets = []
-    for idx, pj in good:
-        vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
-        dets.append((idx, np.where(np.isfinite(vals), vals, 0.0)))
-    best, wit = _extreme(P, dets, "detF")
-    return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
+    return _scan_alone(model, grid, _Hormander())
 
 
 def _sphere_directions(dim):
@@ -628,77 +598,27 @@ def _gram_derivs(pj):
     return dA, d2A
 
 
-def logsob_warped(model, grid=None):
-    """Warped-route log-Sobolev criterion.
-
-    Requires the velocity Gram form to be conformal to the identity,
-    A^{IJ} = zeta(p)^{-2} delta^{IJ}.  Writing phi = log of the common
-    diagonal value, the two scanned quantities are
-
-        kappa1 = min gen-eig of (Ric - Hess log u - (N/4) dphi x dphi, g)
-        kappa2 = max(0, max of -(Lap phi + <d log u, d phi>) / 2)
-
-    and the criterion holds with alpha = kappa1 - kappa2 iff
-    kappa1 > kappa2.
-    """
-    grid, P = _grid_points(model, grid)
-    N = model.dim
-    chunks = _all_point_jets(model, grid)
-    # Isotropy needs only A, so it is settled on the whole grid before
-    # any Gram-form derivative is built.
-    traces, rel = [], []
-    for idx, pj in chunks:
-        t = np.einsum("nII->n", pj.A) / N
-        dev = np.max(np.abs(pj.A - t[:, None, None] * np.eye(N)), axis=(1, 2))
-        traces.append(t)
-        rel.append((idx, dev / np.maximum(np.abs(t), 1e-300)))
-    worst, at = _extreme(P, rel, "isotropy", largest=True)
-    if worst > ISOTROPY_TOL:
-        raise NotIsotropic(
-            "velocity Gram form is not conformal to the identity: "
-            f"relative deviation {worst:.3e} at p = {at.point}"
-        )
-    if any(np.any(t <= 0.0) for t in traces):
-        raise DegenerateA("velocity Gram form vanishes on the grid")
-
-    k1, k2 = [], []
-    for (idx, pj), t in zip(chunks, traces):
-        jet = pj.jet
-        dA, d2A = _gram_derivs(pj)
-        dt = np.einsum("nkII->nk", dA) / N
-        d2t = np.einsum("nlkII->nlk", d2A) / N
-        dphi = dt / t[:, None]
-        d2phi = d2t / t[:, None, None] - (
-            dphi[:, :, None] * dphi[:, None, :]
-        )
-
-        ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
-        cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-        eigs, _ = _gen_eigs(cond1, jet.g)
-        k1.append((idx, eigs[:, 0]))
-
-        dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
-        lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
-        pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
-        k2.append((idx, -0.5 * (lap_phi + pair)))
-    kappa1, w1 = _extreme(P, k1, "kappa1")
-    k2_raw, w2 = _extreme(P, k2, "kappa2", largest=True)
-    kappa2 = max(0.0, k2_raw)
-    ok = kappa1 > kappa2
-    return WarpedResult(
-        kappa1=kappa1,
-        kappa2=kappa2,
-        alpha=(kappa1 - kappa2) if ok else None,
-        ok=bool(ok),
-        witnesses={"kappa1": w1, "kappa2": w2},
-    )
+def _warped_values(pj, t):
+    """Per point: kappa1's and kappa2's integrands, for A = t I."""
+    jet, N = pj.jet, pj.A.shape[1]
+    dA, d2A = _gram_derivs(pj)
+    dt = np.einsum("nkII->nk", dA) / N
+    d2t = np.einsum("nlkII->nlk", d2A) / N
+    dphi = dt / t[:, None]
+    d2phi = d2t / t[:, None, None] - (dphi[:, :, None] * dphi[:, None, :])
+    ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
+    cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
+    eigs, _ = _gen_eigs(cond1, jet.g)
+    dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
+    lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
+    pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
+    return eigs[:, 0], -0.5 * (lap_phi + pair)
 
 
 def _product_blocks(pj):
     """product_metric_blocks on the points of one point jet."""
     jet = pj.jet
     n, M = pj.P.shape
-    _require_positive(pj.A, pj.P)
     dA, d2A = _gram_derivs(pj)
     h = _symmetrize(np.linalg.inv(pj.A))
     dh, d2h = _inverse_derivs(h, dA, d2A)
@@ -744,7 +664,97 @@ def product_metric_blocks(model, P):
     Returns a dict with g, h, and the (n, M, M) and (n, N, N) blocks
     pp and xx of the form.
     """
-    return _product_blocks(_PointJet(model, np.asarray(P, dtype=float)))
+    pj = _PointJet(model, np.asarray(P, dtype=float))
+    if (exc := _degenerate(pj.A, pj.P)) is not None:
+        raise exc
+    return _product_blocks(pj)
+
+
+class _LogSob:
+    """The log-Sobolev scans, one chunk at a time.
+
+    routes holds "warped", "product" or both.  With both, a chunk where
+    A is conformal gets warped values and any other chunk product
+    values, and result is None when the grid has chunks of each kind.
+    """
+
+    def __init__(self, *routes):
+        self.routes, self.seen = routes, set()
+        self.rel, self.k1, self.k2, self.lows = [], [], [], []
+        self.shift, self.error = 0.0, None
+
+    def add(self, idx, pj):
+        route = "product"
+        if "warped" in self.routes:
+            N = pj.A.shape[1]
+            t = np.einsum("nII->n", pj.A) / N
+            dev = np.max(np.abs(pj.A - t[:, None, None] * np.eye(N)), axis=(1, 2))
+            rel = dev / np.maximum(np.abs(t), 1e-300)
+            self.rel.append((idx, rel))
+            # a NaN deviation counts as conformal, as it does in result
+            if not np.max(rel) > ISOTROPY_TOL:
+                route = "warped"
+        if route not in self.routes:
+            return
+        self.seen.add(route)
+        self.error = self.error or _degenerate(pj.A, pj.P)
+        if self.error is not None:
+            return
+        if route == "warped":
+            k1, k2 = _warped_values(pj, t)
+            self.k1.append((idx, k1))
+            self.k2.append((idx, k2))
+        else:
+            blocks = _product_blocks(pj)
+            eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
+            eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
+            self.shift = max(self.shift, sh_p, sh_x)
+            self.lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
+
+    def result(self, P, bad):
+        _raise_failure(P, bad)
+        if len(self.seen) == 2:
+            return None
+        if "product" not in self.seen:
+            worst, at = _extreme(P, self.rel, "isotropy", largest=True)
+            if worst > ISOTROPY_TOL:
+                raise NotIsotropic(
+                    "velocity Gram form is not conformal to the identity: "
+                    f"relative deviation {worst:.3e} at p = {at.point}"
+                )
+        if self.error is not None:
+            raise self.error
+        if "product" in self.seen:
+            alpha, wit = _extreme(P, self.lows, "alpha")
+            return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit,
+                                 shift=self.shift)
+        kappa1, w1 = _extreme(P, self.k1, "kappa1")
+        k2_raw, w2 = _extreme(P, self.k2, "kappa2", largest=True)
+        kappa2 = max(0.0, k2_raw)
+        ok = kappa1 > kappa2
+        return WarpedResult(
+            kappa1=kappa1,
+            kappa2=kappa2,
+            alpha=(kappa1 - kappa2) if ok else None,
+            ok=bool(ok),
+            witnesses={"kappa1": w1, "kappa2": w2},
+        )
+
+
+def logsob_warped(model, grid=None):
+    """Warped-route log-Sobolev criterion.
+
+    Requires the velocity Gram form to be conformal to the identity,
+    A^{IJ} = zeta(p)^{-2} delta^{IJ}.  Writing phi = log of the common
+    diagonal value, the two scanned quantities are
+
+        kappa1 = min gen-eig of (Ric - Hess log u - (N/4) dphi x dphi, g)
+        kappa2 = max(0, max of -(Lap phi + <d log u, d phi>) / 2)
+
+    and the criterion holds with alpha = kappa1 - kappa2 iff
+    kappa1 > kappa2.
+    """
+    return _scan_alone(model, grid, _LogSob("warped"))
 
 
 def logsob_product(model, grid=None):
@@ -755,17 +765,7 @@ def logsob_product(model, grid=None):
     form and G are block diagonal in (p, x) (see product_metric_blocks),
     so the eigenvalues are those of the two pencils (pp, g) and (xx, h).
     """
-    grid, P = _grid_points(model, grid)
-    lows = []
-    shift = 0.0
-    for idx, pj in _all_point_jets(model, grid):
-        blocks = _product_blocks(pj)
-        eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
-        eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
-        shift = max(shift, sh_p, sh_x)
-        lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
-    alpha, wit = _extreme(P, lows, "alpha")
-    return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit, shift=shift)
+    return _scan_alone(model, grid, _LogSob("product"))
 
 
 # ---------------------------------------------------------------------------
@@ -818,19 +818,23 @@ class AssumptionReport:
 
 
 def check_model(model, grid=None):
-    """Run every assumption scan on one model and collect the report."""
-    grid, _ = _grid_points(model, grid)
-    # A private copy: the scans share its point jets, which then go
-    # when this call returns instead of staying on the caller's grid.
-    grid = replace(grid)
+    """Run every assumption scan on one model and collect the report.
 
-    cb = curvature_bounds(model, grid)
+    The scans share one pass over the grid.  Only a grid where A is
+    conformal on some chunks and not on others is scanned again, by
+    logsob_product.
+    """
+    scans = (_Curvature(), _Dominance(), _Hormander(),
+             _LogSob("warped", "product"))
+    grid, P, bad = _scan(model, grid, *scans)
+
+    cb = scans[0].result(P, bad)
     passes = {"curvature": cb.sigma1 >= 0.0 and not cb.partial}
     witnesses = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"]}
     shift = cb.shift
 
     try:
-        dom = dominance_constants(model, grid)
+        dom = scans[1].result(P, bad)
         beta, gamma, omega = dom.beta, dom.gamma, dom.omega
         passes["positivity"] = True
         passes["dominance"] = all(map(math.isfinite, (beta, gamma, omega)))
@@ -842,38 +846,37 @@ def check_model(model, grid=None):
         passes["dominance"] = False
         witnesses["degenerate_A"] = Witness(np.array([]), math.nan, str(exc))
 
-    hor = hormander_check(model, grid)
+    hor = scans[2].result(P, bad)
     passes["hormander"] = hor.ok
     witnesses["hormander"] = hor.witness
 
     gr = growth_check(model)
     passes["growth"] = gr.ok
 
-    alpha = None
-    source = None
+    alpha = source = None
     if passes["positivity"]:
-        try:
-            wr = logsob_warped(model, grid)
-            if wr.ok:
-                alpha = wr.alpha
+        # None when A is conformal on some chunks only
+        lr = scans[3].result(P, bad) or logsob_product(model, grid)
+        if isinstance(lr, WarpedResult):
+            if lr.ok:
+                alpha = lr.alpha
                 source = "warped"
-                note = (f"warped criterion: kappa1 = {wr.kappa1:.6g}, "
-                        f"kappa2 = {wr.kappa2:.6g}")
+                note = (f"warped criterion: kappa1 = {lr.kappa1:.6g}, "
+                        f"kappa2 = {lr.kappa2:.6g}")
             else:
                 note = (f"warped criterion inconclusive: kappa1 = "
-                        f"{wr.kappa1:.6g} <= kappa2 = {wr.kappa2:.6g}")
-            witnesses.update(wr.witnesses)
-        except NotIsotropic:
-            pr = logsob_product(model, grid)
-            witnesses["alpha"] = pr.witness
-            shift = max(shift, pr.shift)
-            if pr.ok:
-                alpha = pr.alpha
+                        f"{lr.kappa1:.6g} <= kappa2 = {lr.kappa2:.6g}")
+            witnesses.update(lr.witnesses)
+        else:
+            witnesses["alpha"] = lr.witness
+            shift = max(shift, lr.shift)
+            if lr.ok:
+                alpha = lr.alpha
                 source = "product"
                 note = "product-metric criterion"
             else:
                 note = (f"product-metric criterion inconclusive: "
-                        f"min eigenvalue {pr.alpha:.6g} <= 0")
+                        f"min eigenvalue {lr.alpha:.6g} <= 0")
     else:
         note = "log-Sobolev criteria skipped: Gram form degenerate"
     passes["logsob"] = alpha is not None

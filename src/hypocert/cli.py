@@ -37,6 +37,7 @@ from .errors import (
     ExprSyntaxError,
     HypocertError,
     InsufficientData,
+    InvalidCertificate,
     ModelFileError,
     NonpositiveValues,
     UnknownIdentifier,
@@ -236,7 +237,10 @@ def load_certificate_file(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"certificate file {path} does not exist")
-    cert = read_certificate_kv(path.read_text())
+    try:
+        cert = read_certificate_kv(path.read_text())
+    except InvalidCertificate as exc:
+        raise ConfigError(f"certificate file {path}: {exc.condition}") from exc
     ok, conds = validate_certificate(cert)
     if not ok:
         bad = [name for name, flag in sorted(conds.items()) if not flag]

@@ -70,8 +70,8 @@ class DegenerateA(HypocertError):
 
 
 class NotIsotropic(HypocertError):
-    """Raised by the product-metric log-Sobolev criterion when the
-    transport block A_IJ is not a scalar multiple of the identity."""
+    """Raised by the warped log-Sobolev criterion when the velocity
+    Gram form A_IJ is not a scalar multiple of the identity."""
 
 
 class FDOrderError(HypocertError):

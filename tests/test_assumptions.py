@@ -1,6 +1,7 @@
 """Bilinear forms, assumption scans, and log-Sobolev criteria."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -67,12 +68,11 @@ class TestFormsRelativistic:
 
     def test_single_point_wrapper(self):
         m = builtin_relativistic(4.0)
-        f = asm.form_A(m, [1.0, 0.0, 0.0])
-        assert f.kind == "A"
-        assert f.entries.shape == (3, 3)
+        A = asm.forms_on(m, [[1.0, 0.0, 0.0]])["A"][0]
+        assert A.shape == (3, 3)
         r2 = 2.0 ** 1.5
         want = np.diag([1.0 / (2.0 * r2), 1.0 / r2, 1.0 / r2])
-        np.testing.assert_allclose(f.entries, want, atol=1e-14)
+        np.testing.assert_allclose(A, want, atol=1e-14)
 
     def test_gram_forms_are_psd(self):
         m = builtin_relativistic(4.0)
@@ -586,18 +586,19 @@ class TestGenEigHelpers:
         assert shift == asm.EIG_SHIFT
         assert np.all(np.isfinite(eigs))
 
-    def test_scan_eval_bisection(self):
+    def test_scan_eval_bisection(self, monkeypatch):
+        # _point_jets bisects the chunk [4, 8) down to p = 4, the one
+        # point where g = (p1 - 4)^2 is not positive definite.
+        monkeypatch.setattr(asm, "CHUNK", 4)
+        m = expr_model_1d("(p1 - 4)^2", "p1^2/2")
         P = np.arange(10.0)[:, None]
-
-        def eval_fn(sub):
-            if np.any(np.abs(sub[:, 0] - 4.0) < 0.5):
-                raise MetricError("bad point")
-            return sub[:, 0]
-
-        good, bad = asm._scan_eval(P, 4, eval_fn)
+        bad = []
+        chunks = [(idx.tolist(), pj) for idx, pj in asm._point_jets(m, P, bad)]
         assert [i for i, _ in bad] == [4]
-        covered = np.concatenate([idx for idx, _ in good])
-        assert sorted(covered) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+        assert isinstance(bad[0][1], MetricError)
+        assert [idx for idx, _ in chunks] == [[0, 1, 2, 3], [5], [6, 7], [8, 9]]
+        for idx, pj in chunks:
+            assert np.array_equal(pj.P, P[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +621,63 @@ class TestSharedPointJets:
         asm.check_model(m, grid)
         assert calls == [grid.count]
 
-    def test_grid_holds_one_model(self):
-        grid = small_grid(axis_points=5, quasi_points=16)
-        for theta in (4.0, 64.0):
-            asm.logsob_product(builtin_relativistic(theta), grid)
-        assert len(grid._cache) <= 1
+    def test_check_model_holds_two_point_jets_at_most(self, monkeypatch):
+        # Each scan keeps per-point values only, so a point jet is freed
+        # once the next one is built.
+        live, counts = weakref.WeakSet(), []
 
-    def test_check_model_leaves_caller_grid_empty(self):
+        class Counted(asm._PointJet):
+            def __init__(self, model, P):
+                live.add(self)
+                counts.append(len(live))
+                super().__init__(model, P)
+
+        monkeypatch.setattr(asm, "_PointJet", Counted)
+        monkeypatch.setattr(asm, "CHUNK", 32)
         grid = small_grid()
+        chunks = -(-grid.count // asm.CHUNK)
+        assert chunks >= 4
         asm.check_model(builtin_relativistic(4.0), grid)
-        assert grid._cache == {}
+        assert len(counts) == chunks
+        assert max(counts) <= 2
+
+    def test_mixed_conformal_grid_takes_product_route(self, monkeypatch):
+        # A = diag(1, (1 + 0.3 p2^2)^2) is conformal on p2 = 0 only, which
+        # holds on the first chunk and on no later one.
+        monkeypatch.setattr(asm, "CHUNK", 8)
+        one = parse_expr("1")
+        m = ModelSpec(
+            name="mixed2d",
+            dim=2,
+            metric_field=ExprMetricField({(0, 0): one, (1, 1): one}, 2),
+            v_fields=(
+                ExprScalarField(parse_expr("p1"), 2),
+                ExprScalarField(parse_expr("p2 + 0.1*p2^3"), 2),
+            ),
+            energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
+        )
+        axis = np.stack([np.linspace(-2.0, 2.0, 8), np.zeros(8)], axis=1)
+        P = np.concatenate([axis, rel_points(16, radius=2.0, seed=3, dim=2)])
+        with pytest.raises(NotIsotropic):
+            asm.logsob_warped(m, P)
+        rep = asm.check_model(m, P)
+        pr = asm.logsob_product(m, P)
+        assert rep.alpha_source == ("product" if pr.ok else None)
+        assert rep.alpha_note == (
+            "product-metric criterion" if pr.ok else
+            f"product-metric criterion inconclusive: min eigenvalue {pr.alpha:.6g} <= 0")
+        wit = rep.witnesses["alpha"]
+        assert (wit.label, wit.value) == (pr.witness.label, pr.witness.value)
+        assert np.array_equal(wit.point, pr.witness.point)
+
+    @pytest.mark.parametrize("scan", [
+        asm.check_model, asm.dominance_constants, asm.logsob_warped,
+        asm.logsob_product,
+    ])
+    def test_failing_point_named(self, scan):
+        m = expr_model_1d("p1^2", "p1^2/2")
+        with pytest.raises(MetricError, match=r"at p = \[0\.\]"):
+            scan(m, np.linspace(-2.0, 2.0, 5)[:, None])
 
     def test_check_model_degenerate_metric_raises(self):
         # Curvature skips p = 0 (see test_degenerate_point_isolated);

@@ -153,6 +153,17 @@ class TestCheck:
         assert float(kv["sigma1"]) < 0.0
         assert "sigma1" in kv["witnesses"]
 
+    def test_failing_point_named(self, tmp_path, capsys):
+        # g = p1^2 is not positive definite at p = 0, a lattice point.
+        path = tmp_path / "model.ini"
+        path.write_text(
+            "[metric]\ng11 = p1^2\n[velocity]\nv1 = p1\n[energy]\nE = p1^2/2\n"
+        )
+        assert run_cli(["check", "--model", path,
+                        "--output-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "metric not positive definite" in err and "at p = [0.]" in err
+
     def test_config_error_exit_2(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("grid.Nz = 4\n")
@@ -299,6 +310,23 @@ class TestSimulate:
         assert run_cli(["simulate", "--model", "classical",
                         "--certificate", path,
                         "--output-dir", tmp_path / "out"] + QUICK) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("\n", "\nnot a pair\n", 1),
+         "line 2: expected key = value"),
+        (lambda text: "".join(line for line in text.splitlines(True)
+                              if not line.startswith("eps1 ")),
+         "missing field eps1"),
+    ], ids=["no-equals-sign", "missing-field"])
+    def test_unparsable_certificate_exit_2(self, tmp_path, capsys, edit, message):
+        # Nothing was validated, so this is a config error naming the file.
+        cert = build_certificate(1.0, 1.0, 0.0, 0.0, 0.0, alpha=1.0)
+        path = tmp_path / "cert.kv"
+        path.write_text(edit(certificate_kv(cert)))
+        assert run_cli(["simulate", "--model", "classical",
+                        "--certificate", path,
+                        "--output-dir", tmp_path / "out"] + QUICK) == 2
+        assert f"certificate file {path}: {message}" in capsys.readouterr().err
 
     def test_solver_error_exit_1_with_time(self, tmp_path, capsys):
         code = run_cli(["simulate", "--model", "classical",
