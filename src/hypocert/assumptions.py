@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import geometry as _geom
 from .geometry import _t
@@ -100,12 +99,64 @@ def _lattice_ball(dim, radius, axis_points):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return pts[np.sum(pts**2, axis=1) <= radius**2]
 
+
+def _halton_permutations(dim, seed):
+    """Owen's digit permutations for a scrambled Halton sequence.
+
+    One array per coordinate, whose base is the coordinate's prime: a
+    row per digit that a double can resolve, each a permutation of
+    range(base).  With _halton the draws are those of
+    scipy.stats.qmc.Halton(dim, scramble=True, seed=seed), bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    bases = []
+    k = 2
+    while len(bases) < dim:
+        if all(k % b for b in bases):
+            bases.append(k)
+        k += 1
+    perms = []
+    for base in bases:
+        count = math.ceil(54 / math.log2(base)) - 1
+        digits = np.repeat(np.arange(base)[None], count, axis=0)
+        for row in digits:
+            rng.shuffle(row)
+        perms.append(digits)
+    return perms
+
+
+def _halton(perms, start, n):
+    """Points start .. start + n - 1 of the scrambled Halton sequence.
+
+    The same digit loop as scipy's, so the rounding is the same.
+    """
+    out = np.empty((n, len(perms)))
+    for k, digits in enumerate(perms):
+        base = digits.shape[1]
+        q = np.arange(start, start + n)
+        col = np.zeros(n)
+        b2r = 1.0 / base
+        for row in digits:
+            # q is nondecreasing; once its last entry is 0 every digit
+            # left is 0 and each term is the same constant.
+            if q[-1]:
+                col += row[q % base] * b2r
+                q //= base
+            else:
+                col += row[0] * b2r
+            b2r /= base
+        out[:, k] = col
+    return out
+
+
 def _halton_ball(dim, radius, count, seed):
-    engine = qmc.Halton(d=dim, scramble=True, seed=seed)
+    perms = _halton_permutations(dim, seed)
     kept = []
-    total = 0
+    total = drawn = 0
     while total < count:
-        raw = engine.random(max(4 * count, 256))
+        batch = max(4 * count, 256)
+        raw = _halton(perms, drawn, batch)
+        drawn += batch
         pts = (2.0 * raw - 1.0) * radius
         pts = pts[np.sum(pts**2, axis=1) <= radius**2]
         kept.append(pts)

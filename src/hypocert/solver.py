@@ -7,9 +7,15 @@ the equilibrium weight u sqrt(det g), so constants are equilibria and L
 is self-adjoint in the discrete mu inner product by construction.
 
 Time stepping is Strang splitting: half-step upwind transport in x,
-implicit diffusion in p, half-step transport.  Transport is conservative
-and monotone under the CFL bound dt <= dx / max|v|; the implicit solve
-is an M-matrix system, so positivity survives any dt.
+implicit diffusion in p, half-step transport.  Transport is in flux
+form, h_i -= F_{i+1/2} - F_{i-1/2} with the face flux taken from the
+upwind side (first order, or MUSCL with a minmod limiter), so it is
+conservative to round-off and monotone under the CFL bound
+dt <= dx / max|v|.  The implicit solve is an M-matrix system, so
+positivity survives any dt; its symmetric tridiagonal matrix is
+factored once per dt (LAPACK dpttrf) and solved in place (dpttrs).
+A step works in arrays allocated once per (model, grid, dt, order2)
+and reused, so the only array it allocates is the returned density.
 
 Alongside the dynamics the module tracks the entropy functionals
 (D, Ipp, Ixp, Ixx, the modified entropy, mass, L1 distance), fits
@@ -22,7 +28,6 @@ import math
 import re
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import geometry
 from .assumptions import _covariant_hessians, _div_hessians, _PointJet
@@ -264,31 +269,41 @@ class DiffusionOperator:
         out[..., 1:] -= flux
         return out / self.weight
 
-    def _factor(self, dt):
+    def solve(self, h, dt, out=None):
+        """One backward-Euler step (I - dt L)^-1 h, columns batched.
+
+        The result goes to out, a C-contiguous float array of h's shape
+        that may be h itself, or to a new array when out is None.  The
+        symmetric tridiagonal W - dt W L is factored (L D L^T) once per dt.
+        """
+        # scipy's LAPACK loads on the first solve, not at import.
+        from scipy.linalg import lapack
+
+        dt = float(dt)
         fac = self._factors.get(dt)
         if fac is None:
-            n = self.weight.size
-            ab = np.zeros((2, n))
-            ab[0, 1:] = -dt * self.off
-            ab[1, :] = self.weight - dt * self.diag
-            try:
-                fac = cholesky_banded(ab)
-            except np.linalg.LinAlgError as exc:
+            d, e, info = lapack.dpttrf(self.weight - dt * self.diag,
+                                       -dt * self.off)
+            if info != 0:
                 raise LinearSolveFailure(
-                    f"implicit diffusion factorization failed: {exc}"
-                ) from exc
-            self._factors[dt] = fac
-        return fac
-
-    def solve(self, h, dt):
-        """One backward-Euler step (I - dt L)^-1 h, columns batched."""
-        fac = self._factor(float(dt))
-        rhs = (self.weight * h).T
-        try:
-            out = cho_solve_banded((fac, False), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveFailure(f"implicit diffusion solve failed: {exc}")
-        return out.T
+                    "implicit diffusion factorization failed: "
+                    f"dpttrf info = {info}"
+                )
+            fac = self._factors[dt] = (d, e)
+        if out is None:
+            out = np.empty(np.shape(h))
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.multiply(h, self.weight, out=out)
+        # A C-ordered (..., Np) array is Fortran-ordered (Np, rows), so
+        # dpttrs solves every row in place.
+        rhs = out.reshape(-1, self.weight.size).T
+        _, info = lapack.dpttrs(*fac, rhs, overwrite_b=True)
+        if info != 0:
+            raise LinearSolveFailure(
+                f"implicit diffusion solve failed: dpttrs info = {info}"
+            )
+        return out
 
 
 def diffusion_matrix(model, grid):
@@ -326,23 +341,83 @@ def _op(model, grid):
 # Time stepping
 
 
-def _minmod(a, b):
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+class _Strang:
+    """Work arrays and column data of one Strang step on one grid.
+
+    Built for one (model, grid, dt, order2); every step with those
+    reuses the arrays, so it allocates only the density it returns.
+    The work arrays make a step not reentrant on one grid.
+    """
+
+    def __init__(self, model, grid, dt, order2):
+        nx, np_ = grid.Nx, grid.Np
+        self.dt = dt
+        self.order2 = order2
+        # Courant number of a half step per column.  Columns with
+        # nu < 0 take their face values from the cell on the right; they
+        # are kept as runs of column slices (one run for a monotone v),
+        # since a masked ufunc is several times slower than a slice.
+        self.nu = _node_geometry(model, grid).v * (0.5 * dt / grid.dx)
+        ends = np.flatnonzero(np.diff(np.concatenate(
+            ([0], (self.nu < 0.0).astype(np.int8), [0]))))
+        self.from_right = [slice(a, b) for a, b in zip(ends[::2], ends[1::2])]
+        # Rows 1..Nx of ghost hold h, rows 0 and Nx + 1 its periodic
+        # neighbours; h is a C-contiguous view of those rows.  flux[k]
+        # is the flux through face k - 1/2.
+        self.ghost = np.empty((nx + 2, np_))
+        self.h = self.ghost[1:-1]
+        self.flux = np.empty((nx + 1, np_))
+        if order2:
+            # jump[k] = h_k - h_{k-1}; slope[i] is half the limited
+            # slope of cell i, with slope[Nx] = slope[0].
+            self.jump = np.empty((nx + 1, np_))
+            self.slope = np.empty((nx + 1, np_))
+
+    def transport(self, out):
+        """One half step of dh/dt + v dh/dx = 0 on self.h, into out.
+
+        out may be self.h.  MUSCL reconstructs with a minmod limiter
+        and is monotone for |nu| <= 1/2.
+        """
+        g, h, flux = self.ghost, self.h, self.flux
+        nx = h.shape[0]
+        g[0] = g[nx]
+        g[-1] = g[1]
+        right = g[2:]
+        face = flux[1:]
+        if self.order2:
+            jump, slope = self.jump, self.slope
+            np.subtract(g[1:], g[:-1], out=jump)
+            a, b, mm = jump[:-1], jump[1:], slope[:-1]
+            # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0)
+            np.minimum(a, b, out=mm)
+            np.maximum(mm, 0.0, out=mm)
+            np.maximum(a, b, out=face)
+            np.minimum(face, 0.0, out=face)
+            mm += face
+            mm *= 0.5
+            slope[-1] = slope[0]
+            np.add(h, mm, out=face)
+            for cols in self.from_right:
+                np.subtract(right[:, cols], slope[1:, cols], out=face[:, cols])
+        else:
+            np.copyto(face, h)
+            for cols in self.from_right:
+                face[:, cols] = right[:, cols]
+        face *= self.nu
+        flux[0] = flux[nx]
+        np.subtract(h, face, out=out)
+        out += flux[:-1]
 
 
-def _advect(h, nu, order2):
-    """One upwind substep of dh/dt + v dh/dx = 0; nu = v dt / dx per column."""
-    up = np.roll(h, 1, axis=0)
-    dn = np.roll(h, -1, axis=0)
-    if not order2:
-        nup = np.maximum(nu, 0.0)
-        nudn = np.minimum(nu, 0.0)
-        return h - nup * (h - up) - nudn * (dn - h)
-    # MUSCL reconstruction with a minmod limiter; monotone for |nu| <= 1/2.
-    mm = _minmod(h - up, dn - h)
-    right = np.where(nu > 0.0, h + 0.5 * mm, dn - 0.5 * np.roll(mm, -1, axis=0))
-    left = np.roll(right, 1, axis=0)
-    return h - nu * (right - left)
+def _strang(model, grid, dt, order2):
+    # One entry per model and order, rebuilt when dt changes, so a
+    # sweep over dt does not pile up work arrays on the grid.
+    key = ("strang", model, order2)
+    st = grid._cache.get(key)
+    if st is None or st.dt != dt:
+        st = grid._cache[key] = _Strang(model, grid, dt, order2)
+    return st
 
 
 def cfl_limit(model, grid, order2=False):
@@ -356,18 +431,20 @@ def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
     """One Strang-split step: half transport, implicit diffusion, half transport."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    geo = _node_geometry(model, grid)
     limit = cfl_limit(model, grid, order2)
     if dt > limit * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt = {dt:.3e} exceeds the transport limit {limit:.3e}"
         )
-    nu = geo.v * (0.5 * dt / grid.dx)
-    h = _advect(state.h, nu, order2)
+    st = _strang(model, grid, dt, order2)
+    h = st.h
+    np.copyto(h, state.h)
+    st.transport(out=h)
     if with_diffusion:
-        h = _op(model, grid).solve(h, dt)
-    h = _advect(h, nu, order2)
-    return State(h=h, t=state.t + dt)
+        _op(model, grid).solve(h, dt, out=h)
+    out = np.empty_like(h)
+    st.transport(out=out)
+    return State(h=out, t=state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +576,8 @@ def run(
 ):
     """Evolve h_in to tmax, sampling the functionals every sample_dt.
 
+    tmax must be a whole number of sample_dt (to 1e-9 relative).
+
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
     decay_allowance; offending samples land in decay_violations.
@@ -509,6 +588,13 @@ def run(
         raise ValueError("tmax and sample_dt must be finite and positive")
     if not (dt is None or dt > 0.0):
         raise ValueError("dt must be positive")
+    ratio = tmax / sample_dt
+    n_samples = round(ratio)
+    if n_samples < 1 or abs(ratio - n_samples) > 1e-9 * ratio:
+        raise ValueError(
+            f"tmax = {tmax:.12g} is not a whole number of "
+            f"sample_dt = {sample_dt:.12g}"
+        )
     # round() may take the count down past the bound (the given dt, or
     # the transport limit when dt is chosen here); add sub-steps until
     # the sub-step is within it.
@@ -521,7 +607,6 @@ def run(
     while sample_dt / n_sub > bound * (1.0 + 1e-12):
         n_sub += 1
     dt_eff = sample_dt / n_sub
-    n_samples = max(1, round(tmax / sample_dt))
 
     state = initial_state(model, grid, h_in)
     rows = [functionals(state, model, grid, certificate)]

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import qmc
 
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
@@ -17,6 +18,7 @@ from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 from tests_support import (
     expr_model_1d,
     fd_model,
+    halton_ball_reference,
     product_blocks_reference,
     rel_points,
 )
@@ -205,6 +207,28 @@ class TestScanGrids:
         a = asm._halton_ball(2, 2.0, 50, seed=11)
         b = asm._halton_ball(2, 2.0, 100, seed=11)
         np.testing.assert_array_equal(a, b[:50])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [asm.DEFAULT_SEED, 0, 11])
+    def test_halton_matches_scipy_bit_for_bit(self, dim, seed):
+        perms = asm._halton_permutations(dim, seed)
+        for n in (1, 7, 400, 8000):
+            engine = qmc.Halton(d=dim, scramble=True, seed=seed)
+            np.testing.assert_array_equal(asm._halton(perms, 0, n),
+                                          engine.random(n))
+        # One stream drawn in two parts continues where the first stopped.
+        engine = qmc.Halton(d=dim, scramble=True, seed=seed)
+        first, second = engine.random(300), engine.random(500)
+        np.testing.assert_array_equal(asm._halton(perms, 0, 300), first)
+        np.testing.assert_array_equal(asm._halton(perms, 300, 500), second)
+
+    @pytest.mark.parametrize("radius", [1.0, 10.0])
+    def test_halton_ball_matches_scipy_engine(self, radius):
+        for dim, count in ((1, 40), (3, 133), (3, 2000)):
+            np.testing.assert_array_equal(
+                asm._halton_ball(dim, radius, count, asm.DEFAULT_SEED),
+                halton_ball_reference(dim, radius, count, asm.DEFAULT_SEED),
+            )
 
     def test_dimension_mismatch_rejected(self):
         m = builtin_classical(3)

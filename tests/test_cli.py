@@ -349,8 +349,20 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run_cli(["simulate", "--model", "classical",
                         "--sample-dt", "0.0028", "--dt", "0.0019",
-                        "--tmax", "0.01", "--output-dir", out]) == 0
+                        "--tmax", "0.0112", "--output-dir", out]) == 0
         assert "dt = 0.0014," in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("sample_dt", ["0.004", "0.0028"])
+    def test_tmax_off_the_sampling_grid_exit_2(self, tmp_path, capsys,
+                                                sample_dt):
+        # 0.01 is 2.5 and 3.57 sample steps: the run would end at 0.008
+        # or 0.0112, not at the tmax the summary reports.
+        assert run_cli(["simulate", "--model", "classical",
+                        "--sample-dt", sample_dt, "--tmax", "0.01",
+                        "--output-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "tmax = 0.01 " in err and f"sample_dt = {sample_dt}" in err
+        assert not (tmp_path / "out" / "series.csv").exists()
 
     def test_requires_1d_model(self, tmp_path):
         assert run_cli(["simulate", "--model", "relativistic", "--theta", "4",
@@ -410,3 +422,22 @@ class TestEntryPoint:
             capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 2
+
+    def test_import_and_scans_load_no_scipy(self, tmp_path):
+        # scipy's LAPACK is for the solver only; the scans use numpy.
+        out = str(tmp_path / "out")
+        code = (
+            "import sys, hypocert\n"
+            "from hypocert import cli\n"
+            "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            f"out = ['--model', 'classical', '--output-dir', {out!r}]\n"
+            "assert cli.main(['check', *out]) == 0\n"
+            "assert cli.main(['certify', *out]) == 0\n"
+            "cli.main(['report', '--output-dir', out[-1]])\n"
+            "after = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(before, after)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] []"

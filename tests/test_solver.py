@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from hypocert import solver as sv
 from hypocert.certificate import build_certificate
@@ -17,10 +18,17 @@ from hypocert.errors import (
     NonpositiveWeight,
 )
 from hypocert.models import builtin_classical, builtin_relativistic
-from tests_support import expr_model_1d
+from tests_support import (
+    diffusion_solve_reference,
+    expr_model_1d,
+    step_reference,
+)
 
 CLASSICAL = builtin_classical(1)
 RELATIVISTIC = builtin_relativistic(1.0, dim=1)
+# v changes sign three times, so the columns that take face values
+# from the right are not one contiguous block.
+WIGGLE = expr_model_1d("1", "p1^2/2", v1="p1^3/4 - 2*p1")
 
 
 def mu_inner(grid, f, h):
@@ -140,11 +148,29 @@ class TestDiffusionOperator:
         after = out @ grid.mu_weights
         np.testing.assert_allclose(after, before, rtol=1e-13)
 
-    def test_indefinite_system_raises(self):
+    def test_indefinite_system_raises(self, monkeypatch):
         grid = sv.build_grid(CLASSICAL, 8, 96, 8.0)
         op = sv.diffusion_matrix(CLASSICAL, grid)
-        with pytest.raises(LinearSolveFailure):
+        with pytest.raises(LinearSolveFailure, match="dpttrf"):
             op.solve(np.ones((1, grid.Np)), -5.0)
+        monkeypatch.setattr(lapack, "dpttrs", lambda d, e, b, **kw: (b, -3))
+        with pytest.raises(LinearSolveFailure, match="dpttrs info = -3"):
+            op.solve(np.ones((1, grid.Np)), 0.5)
+
+    @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC])
+    def test_solve_matches_banded_cholesky(self, model):
+        grid = sv.build_grid(model, 8, 96, 8.0)
+        op = sv.diffusion_matrix(model, grid)
+        h = np.random.default_rng(7).uniform(0.1, 2.0, (5, grid.Np))
+        before = h.copy()
+        want = diffusion_solve_reference(op, h, 0.3)
+        out = op.solve(h, 0.3)
+        assert not np.shares_memory(out, h)
+        np.testing.assert_array_equal(h, before)
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=0.0)
+        # With out=h the same solve runs in place.
+        assert op.solve(h, 0.3, out=h) is h
+        np.testing.assert_array_equal(h, out)
 
 
 class TestStep:
@@ -180,6 +206,33 @@ class TestStep:
             peaks.append(np.argmax(st.h.sum(axis=1)))
         # velocity 2 for time 16 * dx/2 moves the bump 16 cells forward
         assert (peaks[-1] - peaks[0]) % grid.Nx == pytest.approx(16, abs=2)
+
+    @pytest.mark.parametrize("order2", [False, True])
+    @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC, WIGGLE],
+                             ids=["classical", "relativistic", "wiggle"])
+    def test_matches_reference_step(self, model, order2):
+        grid = sv.build_grid(model, 24, 40, 6.0)
+        rng = np.random.default_rng(3)
+        dt = 0.8 * sv.cfl_limit(model, grid, order2)
+        h = rng.uniform(0.1, 2.0, (grid.Nx, grid.Np))
+        st = sv.State(h=h, t=0.0)
+        for _ in range(3):
+            want = step_reference(st.h, dt, model, grid, order2)
+            st = sv.step(st, dt, model, grid, order2=order2)
+            np.testing.assert_allclose(st.h, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("order2", [False, True])
+    def test_input_state_neither_mutated_nor_aliased(self, order2):
+        grid = sv.build_grid(CLASSICAL, 16, 32, 6.0)
+        h = np.random.default_rng(9).uniform(0.1, 2.0, (grid.Nx, grid.Np))
+        st = sv.State(h=h, t=0.0)
+        mid = sv.step(st, 1e-3, CLASSICAL, grid, order2=order2)
+        mid_h = mid.h.copy()
+        plus = sv.step(mid, 1e-3, CLASSICAL, grid, order2=order2)
+        np.testing.assert_array_equal(st.h, h)
+        np.testing.assert_array_equal(mid.h, mid_h)
+        for a, b in ((st.h, mid.h), (mid.h, plus.h), (st.h, plus.h)):
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("order2", [False, True])
     def test_positivity_and_mass_random_data(self, order2):
@@ -370,6 +423,20 @@ class TestRun:
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
         with pytest.raises(CFLViolation, match="at t ="):
             sv.run(CLASSICAL, grid, "2", tmax=1.0, sample_dt=0.5, dt=0.5)
+
+    def test_tmax_must_be_whole_number_of_samples(self):
+        grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
+        for sample_dt in (0.004, 0.0028):
+            with pytest.raises(ValueError,
+                               match=f"tmax = 0.01 .* sample_dt = {sample_dt}"):
+                sv.run(CLASSICAL, grid, "2", tmax=0.01, sample_dt=sample_dt)
+        with pytest.raises(ValueError, match="whole number"):
+            sv.run(CLASSICAL, grid, "2", tmax=0.01, sample_dt=0.05)
+        # The CLI defaults and the benchmark's run end exactly at tmax.
+        for tmax, sample_dt in ((10.0, 0.05), (0.8, 0.05)):
+            series = sv.run(CLASSICAL, grid, "2", tmax=tmax, sample_dt=sample_dt)
+            assert len(series) == round(tmax / sample_dt) + 1
+            assert series.times[-1] == pytest.approx(tmax, rel=1e-12)
 
     def test_parameter_validation(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)

@@ -3,9 +3,12 @@
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.stats import qmc
 
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
+from hypocert import solver as sv
 from hypocert.expressions import parse_expr
 from hypocert.fields import (
     DEFAULT_FD_SCALE,
@@ -47,6 +50,20 @@ def rel_points(n, radius=3.0, seed=5, dim=3):
     P = rng.normal(size=(n, dim))
     P *= (radius * rng.random(n) ** (1.0 / dim) / np.linalg.norm(P, axis=1))[:, None]
     return P
+
+
+def halton_ball_reference(dim, radius, count, seed):
+    """Scan points in the ball drawn from scipy's scrambled Halton engine."""
+    engine = qmc.Halton(d=dim, scramble=True, seed=seed)
+    kept = []
+    total = 0
+    while total < count:
+        raw = engine.random(max(4 * count, 256))
+        pts = (2.0 * raw - 1.0) * radius
+        pts = pts[np.sum(pts**2, axis=1) <= radius**2]
+        kept.append(pts)
+        total += pts.shape[0]
+    return np.concatenate(kept, axis=0)[:count]
 
 
 def log_det_derivs(Xi, dX, d2X):
@@ -99,3 +116,38 @@ def product_blocks_reference(model, P):
     ric_G = geom.ricci_from_jet(jet)
     hess_G = geom.covariant_hessian_from_jet(jet, grad_big, hess_big)
     return {"G": G, "ric_G": ric_G, "hess_G_psi": hess_G, "form": ric_G - hess_G}
+
+
+def _minmod(a, b):
+    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+
+def advect_reference(h, nu, order2):
+    """One upwind substep of dh/dt + v dh/dx = 0; nu = v dt / dx per column."""
+    up = np.roll(h, 1, axis=0)
+    dn = np.roll(h, -1, axis=0)
+    if not order2:
+        nup = np.maximum(nu, 0.0)
+        nudn = np.minimum(nu, 0.0)
+        return h - nup * (h - up) - nudn * (dn - h)
+    # MUSCL reconstruction with a minmod limiter; monotone for |nu| <= 1/2.
+    mm = _minmod(h - up, dn - h)
+    right = np.where(nu > 0.0, h + 0.5 * mm, dn - 0.5 * np.roll(mm, -1, axis=0))
+    left = np.roll(right, 1, axis=0)
+    return h - nu * (right - left)
+
+
+def diffusion_solve_reference(op, h, dt):
+    """(I - dt L)^-1 h through a banded Cholesky factorization."""
+    ab = np.zeros((2, op.weight.size))
+    ab[0, 1:] = -dt * op.off
+    ab[1, :] = op.weight - dt * op.diag
+    return cho_solve_banded((cholesky_banded(ab), False), (op.weight * h).T).T
+
+
+def step_reference(h, dt, model, grid, order2=False):
+    """One Strang step with roll-based transport and a banded solve."""
+    nu = sv._node_geometry(model, grid).v * (0.5 * dt / grid.dx)
+    h = advect_reference(h, nu, order2)
+    h = diffusion_solve_reference(sv._op(model, grid), h, dt)
+    return advect_reference(h, nu, order2)
