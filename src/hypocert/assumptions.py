@@ -7,11 +7,12 @@ The checks fall into three groups:
   eigenvalues over a momentum grid;
 * the hypoellipticity gate det(g) * |det(dv)| > 0 and the far-field
   growth gate max_ij |g^{ij}| / |p|^2 -> 0;
-* two sufficient criteria for the log-Sobolev constant alpha: a warped
-  route, available when the velocity Gram form is conformal to the
-  identity, and a product-metric route on the doubled phase-space
-  metric, whose curvature form splits into a momentum and a space
-  block in closed form (see product_metric_blocks).
+* a sufficient criterion for the log-Sobolev constant alpha: the
+  warped route run on the minorant t I <= A of the velocity Gram form,
+  with t = 1 / tr(A^-1), so one formula serves every A (see
+  logsob_warped).  The product-metric route on the doubled phase-space
+  metric (see product_metric_blocks) is a standalone scan that
+  check_model does not run.
 
 All scans are pure reductions over grid points: evaluation order never
 changes the result, and adding points can only widen [sigma1, sigma2]
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import geometry as _geom
 from .geometry import _t
-from .errors import DegenerateA, MetricError, NotIsotropic
+from .errors import DegenerateA, MetricError
 from .errors import ExprDomainError
 
 __all__ = [
@@ -68,7 +69,6 @@ CHUNK = 1024
 # Diagonal regularization applied only when a Cholesky factorization of
 # the right-hand form fails; recorded in every result that used it.
 EIG_SHIFT = 1e-12
-ISOTROPY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +649,20 @@ def _gram_derivs(pj):
     return dA, d2A
 
 
-def _warped_values(pj, t):
-    """Per point: kappa1's and kappa2's integrands, for A = t I."""
+def _logsob_values(pj):
+    """Per point: kappa1's and kappa2's integrands, on the minorant t I of A.
+
+    t = 1 / tr(A^-1) is at most the smallest eigenvalue of A, so
+    phi = log t = -log tr h with h = A^-1, and its derivatives follow
+    from those of h.
+    """
     jet, N = pj.jet, pj.A.shape[1]
-    dA, d2A = _gram_derivs(pj)
-    dt = np.einsum("nkII->nk", dA) / N
-    d2t = np.einsum("nlkII->nlk", d2A) / N
-    dphi = dt / t[:, None]
-    d2phi = d2t / t[:, None, None] - (dphi[:, :, None] * dphi[:, None, :])
+    h = _symmetrize(np.linalg.inv(pj.A))
+    dh, d2h = _inverse_derivs(h, *_gram_derivs(pj))
+    tr = np.einsum("nII->n", h)
+    dphi = -np.einsum("nkII->nk", dh) / tr[:, None]
+    d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
+             + dphi[:, :, None] * dphi[:, None, :])
     ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
     cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
     eigs, _ = _gen_eigs(cond1, jet.g)
@@ -722,63 +728,23 @@ def product_metric_blocks(model, P):
 
 
 class _LogSob:
-    """The log-Sobolev scans, one chunk at a time.
+    """logsob_warped, one chunk at a time, up to the first chunk where A
+    is not positive definite."""
 
-    routes holds "warped", "product" or both.  With both, a chunk where
-    A is conformal gets warped values and any other chunk product
-    values, and result is None when the grid has chunks of each kind.
-    """
-
-    def __init__(self, *routes):
-        self.routes, self.seen = routes, set()
-        self.rel, self.k1, self.k2, self.lows = [], [], [], []
-        self.shift, self.error = 0.0, None
+    def __init__(self):
+        self.k1, self.k2, self.error = [], [], None
 
     def add(self, idx, pj):
-        route = "product"
-        if "warped" in self.routes:
-            N = pj.A.shape[1]
-            t = np.einsum("nII->n", pj.A) / N
-            dev = np.max(np.abs(pj.A - t[:, None, None] * np.eye(N)), axis=(1, 2))
-            rel = dev / np.maximum(np.abs(t), 1e-300)
-            self.rel.append((idx, rel))
-            # a NaN deviation counts as conformal, as it does in result
-            if not np.max(rel) > ISOTROPY_TOL:
-                route = "warped"
-        if route not in self.routes:
-            return
-        self.seen.add(route)
         self.error = self.error or _degenerate(pj.A, pj.P)
-        if self.error is not None:
-            return
-        if route == "warped":
-            k1, k2 = _warped_values(pj, t)
+        if self.error is None:
+            k1, k2 = _logsob_values(pj)
             self.k1.append((idx, k1))
             self.k2.append((idx, k2))
-        else:
-            blocks = _product_blocks(pj)
-            eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
-            eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
-            self.shift = max(self.shift, sh_p, sh_x)
-            self.lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
 
     def result(self, P, bad):
         _raise_failure(P, bad)
-        if len(self.seen) == 2:
-            return None
-        if "product" not in self.seen:
-            worst, at = _extreme(P, self.rel, "isotropy", largest=True)
-            if worst > ISOTROPY_TOL:
-                raise NotIsotropic(
-                    "velocity Gram form is not conformal to the identity: "
-                    f"relative deviation {worst:.3e} at p = {at.point}"
-                )
         if self.error is not None:
             raise self.error
-        if "product" in self.seen:
-            alpha, wit = _extreme(P, self.lows, "alpha")
-            return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit,
-                                 shift=self.shift)
         kappa1, w1 = _extreme(P, self.k1, "kappa1")
         k2_raw, w2 = _extreme(P, self.k2, "kappa2", largest=True)
         kappa2 = max(0.0, k2_raw)
@@ -792,20 +758,46 @@ class _LogSob:
         )
 
 
-def logsob_warped(model, grid=None):
-    """Warped-route log-Sobolev criterion.
+class _Product:
+    """logsob_product, one chunk at a time."""
 
-    Requires the velocity Gram form to be conformal to the identity,
-    A^{IJ} = zeta(p)^{-2} delta^{IJ}.  Writing phi = log of the common
-    diagonal value, the two scanned quantities are
+    def __init__(self):
+        self.lows, self.shift, self.error = [], 0.0, None
+
+    def add(self, idx, pj):
+        self.error = self.error or _degenerate(pj.A, pj.P)
+        if self.error is None:
+            blocks = _product_blocks(pj)
+            eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
+            eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
+            self.shift = max(self.shift, sh_p, sh_x)
+            self.lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
+
+    def result(self, P, bad):
+        _raise_failure(P, bad)
+        if self.error is not None:
+            raise self.error
+        alpha, wit = _extreme(P, self.lows, "alpha")
+        return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit,
+                             shift=self.shift)
+
+
+def logsob_warped(model, grid=None):
+    """Warped-route log-Sobolev criterion, for any positive Gram form A.
+
+    The criterion Ipp + Ixx >= 2 alpha D weights the x-derivatives by
+    A, so it still holds when A is lowered to t I with t <= A.  The scan
+    takes t = 1 / tr(A^-1), which is at most the smallest eigenvalue of
+    A, and is s / N where A = s I is conformal to the identity.  With
+    phi = log t, the two scanned quantities are
 
         kappa1 = min gen-eig of (Ric - Hess log u - (N/4) dphi x dphi, g)
         kappa2 = max(0, max of -(Lap phi + <d log u, d phi>) / 2)
 
     and the criterion holds with alpha = kappa1 - kappa2 iff
-    kappa1 > kappa2.
+    kappa1 > kappa2.  Both are grid samples on |p| <= grid radius.
     """
-    return _scan_alone(model, grid, _LogSob("warped"))
+    return _scan_alone(model, grid, _LogSob())
 
 
 def logsob_product(model, grid=None):
@@ -815,8 +807,9 @@ def logsob_product(model, grid=None):
     (Ric_G - Hess_G psi, G); the criterion holds iff alpha > 0.  The
     form and G are block diagonal in (p, x) (see product_metric_blocks),
     so the eigenvalues are those of the two pencils (pp, g) and (xx, h).
+    A standalone scan: check_model uses logsob_warped's criterion only.
     """
-    return _scan_alone(model, grid, _LogSob("product"))
+    return _scan_alone(model, grid, _Product())
 
 
 # ---------------------------------------------------------------------------
@@ -827,9 +820,10 @@ def logsob_product(model, grid=None):
 class AssumptionReport:
     """Outcome of every scan, plus the grid provenance.
 
-    alpha is None when no criterion certified the log-Sobolev constant;
-    that is recorded as inconclusive, not as a failure, because both
-    routes are only sufficient conditions.
+    alpha is None when the log-Sobolev criterion (logsob_warped, on the
+    minorant t I of A with t = 1 / tr(A^-1)) did not certify a constant;
+    that is recorded as inconclusive, not as a failure, because the
+    criterion is only a sufficient condition.
     """
 
     model_name: str
@@ -871,12 +865,9 @@ class AssumptionReport:
 def check_model(model, grid=None):
     """Run every assumption scan on one model and collect the report.
 
-    The scans share one pass over the grid.  Only a grid where A is
-    conformal on some chunks and not on others is scanned again, by
-    logsob_product.
+    The scans share one pass over the grid.
     """
-    scans = (_Curvature(), _Dominance(), _Hormander(),
-             _LogSob("warped", "product"))
+    scans = (_Curvature(), _Dominance(), _Hormander(), _LogSob())
     grid, P, bad = _scan(model, grid, *scans)
 
     cb = scans[0].result(P, bad)
@@ -906,30 +897,18 @@ def check_model(model, grid=None):
 
     alpha = source = None
     if passes["positivity"]:
-        # None when A is conformal on some chunks only
-        lr = scans[3].result(P, bad) or logsob_product(model, grid)
-        if isinstance(lr, WarpedResult):
-            if lr.ok:
-                alpha = lr.alpha
-                source = "warped"
-                note = (f"warped criterion: kappa1 = {lr.kappa1:.6g}, "
-                        f"kappa2 = {lr.kappa2:.6g}")
-            else:
-                note = (f"warped criterion inconclusive: kappa1 = "
-                        f"{lr.kappa1:.6g} <= kappa2 = {lr.kappa2:.6g}")
-            witnesses.update(lr.witnesses)
+        lr = scans[3].result(P, bad)
+        if lr.ok:
+            alpha = lr.alpha
+            source = "warped"
+            note = (f"warped criterion: kappa1 = {lr.kappa1:.6g}, "
+                    f"kappa2 = {lr.kappa2:.6g}")
         else:
-            witnesses["alpha"] = lr.witness
-            shift = max(shift, lr.shift)
-            if lr.ok:
-                alpha = lr.alpha
-                source = "product"
-                note = "product-metric criterion"
-            else:
-                note = (f"product-metric criterion inconclusive: "
-                        f"min eigenvalue {lr.alpha:.6g} <= 0")
+            note = (f"warped criterion inconclusive: kappa1 = "
+                    f"{lr.kappa1:.6g} <= kappa2 = {lr.kappa2:.6g}")
+        witnesses.update(lr.witnesses)
     else:
-        note = "log-Sobolev criteria skipped: Gram form degenerate"
+        note = "log-Sobolev criterion skipped: Gram form degenerate"
     passes["logsob"] = alpha is not None
 
     return AssumptionReport(

@@ -342,6 +342,8 @@ def cmd_simulate(cfg, args):
         raise ConfigError(
             f"simulation requires a one-dimensional model, got dim = {model.dim}"
         )
+    # before any scan, so a bad setting leaves no output behind
+    solver.sample_count(cfg.tmax, cfg.sample_dt, cfg.dt)
     outdir = ensure_outdir(cfg)
 
     if cfg.certificate_path is not None:

@@ -69,11 +69,6 @@ class DegenerateA(HypocertError):
     at a scan point, making dominance ratios meaningless."""
 
 
-class NotIsotropic(HypocertError):
-    """Raised by the warped log-Sobolev criterion when the velocity
-    Gram form A_IJ is not a scalar multiple of the identity."""
-
-
 class FDOrderError(HypocertError):
     """Raised when a finite-difference fallback is asked for a
     derivative order beyond what the stencils support."""

@@ -53,6 +53,7 @@ __all__ = [
     "functionals",
     "initial_state",
     "run",
+    "sample_count",
     "series_from_csv",
     "series_to_csv",
     "step",
@@ -562,6 +563,26 @@ def functionals(state, model, grid, certificate=None):
 # Runs
 
 
+def sample_count(tmax, sample_dt, dt=None):
+    """Samples in a run to tmax; ValueError unless the times are valid.
+
+    tmax and sample_dt must be finite and positive, tmax a whole number
+    of sample_dt (to 1e-9 relative), and dt None or positive.
+    """
+    if not (0.0 < tmax < math.inf and 0.0 < sample_dt < math.inf):
+        raise ValueError("tmax and sample_dt must be finite and positive")
+    if not (dt is None or dt > 0.0):
+        raise ValueError("dt must be positive")
+    ratio = tmax / sample_dt
+    n_samples = round(ratio)
+    if n_samples < 1 or abs(ratio - n_samples) > 1e-9 * ratio:
+        raise ValueError(
+            f"tmax = {tmax:.12g} is not a whole number of "
+            f"sample_dt = {sample_dt:.12g}"
+        )
+    return n_samples
+
+
 def run(
     model,
     grid,
@@ -576,7 +597,7 @@ def run(
 ):
     """Evolve h_in to tmax, sampling the functionals every sample_dt.
 
-    tmax must be a whole number of sample_dt (to 1e-9 relative).
+    The time settings must pass sample_count.
 
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
@@ -584,17 +605,7 @@ def run(
     A given dt bounds the sub-step from above; the run raises
     CFLViolation when that step exceeds the transport limit.
     """
-    if not (0.0 < tmax < math.inf and 0.0 < sample_dt < math.inf):
-        raise ValueError("tmax and sample_dt must be finite and positive")
-    if not (dt is None or dt > 0.0):
-        raise ValueError("dt must be positive")
-    ratio = tmax / sample_dt
-    n_samples = round(ratio)
-    if n_samples < 1 or abs(ratio - n_samples) > 1e-9 * ratio:
-        raise ValueError(
-            f"tmax = {tmax:.12g} is not a whole number of "
-            f"sample_dt = {sample_dt:.12g}"
-        )
+    n_samples = sample_count(tmax, sample_dt, dt)
     # round() may take the count down past the bound (the given dt, or
     # the transport limit when dt is chosen here); add sub-steps until
     # the sub-step is within it.

@@ -272,3 +272,33 @@ def test_10_parser_roundtrip_and_derivatives():
             parse_expr(src)
         except (ExprSyntaxError, UnknownIdentifier, ExprDomainError):
             pass
+
+
+def test_11_relativistic_certified_rates(tmp_path):
+    """Low-temperature relativistic models get a finite certified rate."""
+    t0 = time.monotonic()
+    out = tmp_path / "rel3d"
+    assert cli.main(["certify", "--model", "relativistic", "--theta", "30",
+                     "--scan-resolution", "5", "--scan-count", "100",
+                     "--output-dir", str(out)]) == 0
+    kv = {}
+    for name in ("assumptions.kv", "certificate.kv"):
+        for line in (out / name).read_text().splitlines():
+            key, sep, val = line.partition("=")
+            if sep:
+                kv[key.strip()] = val.strip()
+    assert 0.0 < float(kv["alpha"]) < np.inf
+    assert 0.0 < float(kv["lambda"]) < np.inf
+
+    out = tmp_path / "rel1d"
+    assert cli.main(["simulate", "--model", "relativistic", "--dim", "1",
+                     "--theta", "10", "--tmax", "2",
+                     "--output-dir", str(out)]) == 0
+    summary = {}
+    for line in (out / "summary.txt").read_text().splitlines():
+        key, sep, val = line.partition("=")
+        if sep:
+            summary[key.strip()] = val.strip()
+    assert 0.0 < float(summary["lambda_cert"]) < np.inf
+    assert summary["decay_bound"].startswith("pass")
+    assert time.monotonic() - t0 < 30.0

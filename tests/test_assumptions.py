@@ -10,12 +10,13 @@ from scipy.stats import qmc
 
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
-from hypocert.errors import DegenerateA, MetricError, NotIsotropic
+from hypocert.errors import DegenerateA, MetricError
 from hypocert.expressions import parse_expr
 from hypocert.fields import ExprMetricField, ExprScalarField
 from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 
 from tests_support import (
+    conformal_logsob_reference,
     expr_model_1d,
     fd_model,
     halton_ball_reference,
@@ -438,19 +439,6 @@ class TestWarpedRoute:
         assert wr.kappa2 == 0.0
         assert wr.alpha == pytest.approx(1.0, abs=1e-10)
 
-    def test_relativistic_not_isotropic(self):
-        m = builtin_relativistic(4.0)
-        with pytest.raises(NotIsotropic):
-            asm.logsob_warped(m, small_grid())
-
-    def test_isotropy_checked_before_gram_derivatives(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("Gram derivatives built before isotropy check")
-
-        monkeypatch.setattr(asm, "_gram_derivs", fail)
-        with pytest.raises(NotIsotropic):
-            asm.logsob_warped(builtin_relativistic(4.0), small_grid())
-
     def test_flat_1d_against_direct_formulas(self):
         # v' = 1 - 0.4 p e^{-p^2} stays positive, so A = (v')^2 defines
         # an isotropic conformal factor with explicit derivatives.
@@ -472,23 +460,88 @@ class TestWarpedRoute:
             assert wr.alpha == pytest.approx(wr.kappa1 - wr.kappa2, abs=1e-12)
 
     def test_conformal_2d_accepted(self):
-        # g = (1+|p|^2)^0.2 delta with v = p gives A = zeta^-2 delta.
-        zeta_expr = "exp(0.1*log(1 + p1^2 + p2^2))"
-        gexpr = parse_expr(f"({zeta_expr})^2")
-        fields = {(0, 0): gexpr, (1, 1): gexpr}
-        m = ModelSpec(
-            name="conformal2d",
-            dim=2,
-            metric_field=ExprMetricField(fields, 2),
-            v_fields=(
-                ExprScalarField(parse_expr("p1"), 2),
-                ExprScalarField(parse_expr("p2"), 2),
-            ),
-            energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
-        )
+        m = conformal_model_2d()
         wr = asm.logsob_warped(m, small_grid(dim=2, radius=2.0, quasi_points=32))
         assert math.isfinite(wr.kappa1)
         assert wr.kappa2 >= 0.0
+
+
+def conformal_model_2d():
+    """g = (1+|p|^2)^0.2 delta with v = p, so A = zeta^-2 delta."""
+    zeta_expr = "exp(0.1*log(1 + p1^2 + p2^2))"
+    gexpr = parse_expr(f"({zeta_expr})^2")
+    fields = {(0, 0): gexpr, (1, 1): gexpr}
+    return ModelSpec(
+        name="conformal2d",
+        dim=2,
+        metric_field=ExprMetricField(fields, 2),
+        v_fields=(
+            ExprScalarField(parse_expr("p1"), 2),
+            ExprScalarField(parse_expr("p2"), 2),
+        ),
+        energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
+    )
+
+
+CONFORMAL_MODELS = {
+    "classical1": lambda: builtin_classical(1),
+    "classical3": lambda: builtin_classical(3),
+    "conformal2d": conformal_model_2d,
+    "flat1d": lambda: expr_model_1d("1", "p1^2/2", v1="p1 + 0.2*exp(-p1^2)"),
+    "rel10-1d": lambda: builtin_relativistic(10.0, dim=1),
+}
+
+
+class TestTraceMinorant:
+    """The criterion on t I with t = 1 / tr(A^-1), for every Gram form."""
+
+    @pytest.mark.parametrize("name", sorted(CONFORMAL_MODELS))
+    def test_conformal_models_unchanged(self, name):
+        # Where A is conformal, t is A / N and the integrands are those
+        # of phi = log(tr A / N).
+        m = CONFORMAL_MODELS[name]()
+        P = rel_points(60, radius=2.5, seed=11, dim=m.dim)
+        k1, k2 = asm._logsob_values(asm._PointJet(m, P))
+        r1, r2 = conformal_logsob_reference(m, P)
+        assert rel_err(k1, r1) < 1e-12
+        assert rel_err(k2, r2) < 1e-12
+        wr = asm.logsob_warped(m, P)
+        assert wr.kappa1 == pytest.approx(float(r1.min()), rel=1e-12)
+        assert wr.kappa2 == pytest.approx(max(0.0, float(r2.max())), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [4.0, 30.0])
+    def test_relativistic_against_independent_reference(self, theta):
+        # tr A^-1 = tr G_xx = p0^3 (3 + |p|^2), so phi = -log of that;
+        # its derivatives come from an expression field and the
+        # geometry operations, the curvature from the oracle.
+        m = builtin_relativistic(theta)
+        orc = m.oracle
+        P = rel_points(60, radius=3.0, seed=int(theta) + 3)
+        p0, r2 = orc.p0(P), np.sum(P * P, axis=1)
+        assert rel_err(np.einsum("nII->n", orc.G_xx(P)), p0**3 * (3.0 + r2)) < 1e-12
+        phi = ExprScalarField(parse_expr(
+            "-log(sqrt(1 + p1^2 + p2^2 + p3^2)^3 * (3 + p1^2 + p2^2 + p3^2))"), 3)
+        dphi = phi.grad(P)
+        cond1 = orc.bakry(P) - 0.75 * dphi[:, :, None] * dphi[:, None, :]
+        want1 = np.array([scipy.linalg.eigh(F, G, eigvals_only=True)[0]
+                          for F, G in zip(cond1, orc.metric(P))])
+        # log u = -theta p0 - (1/2) log p0, since det g = p0
+        dlogu = -(theta + 0.5 / p0)[:, None] * P / p0[:, None]
+        grad_phi = geom.gradient_p(m, phi, P).entries
+        want2 = -0.5 * (geom.laplace_beltrami(m, phi, P)
+                        + np.sum(dlogu * grad_phi, axis=1))
+        k1, k2 = asm._logsob_values(asm._PointJet(m, P))
+        assert rel_err(k1, want1) < 1e-10
+        assert rel_err(k2, want2) < 1e-10
+
+    @pytest.mark.parametrize("theta", [4.0, 30.0, 400.0])
+    def test_relativistic_kappa2_at_origin(self, theta):
+        # dphi vanishes at p = 0 and -Lap phi / 2 is 11/2 for every theta.
+        m = builtin_relativistic(theta)
+        _, k2 = asm._logsob_values(asm._PointJet(m, np.zeros((1, 3))))
+        assert k2[0] == pytest.approx(5.5, abs=1e-12)
+        wr = asm.logsob_warped(m, small_grid())
+        assert wr.kappa2 == pytest.approx(5.5, abs=1e-12)
 
 
 def aniso_model_2d():
@@ -665,9 +718,18 @@ class TestSharedPointJets:
         assert len(counts) == chunks
         assert max(counts) <= 2
 
-    def test_mixed_conformal_grid_takes_product_route(self, monkeypatch):
+    def test_mixed_conformal_grid_one_pass(self, monkeypatch):
         # A = diag(1, (1 + 0.3 p2^2)^2) is conformal on p2 = 0 only, which
-        # holds on the first chunk and on no later one.
+        # holds on the first chunk and on no later one.  Every chunk
+        # takes the same criterion, so check_model builds one point jet
+        # per chunk.
+        built = []
+
+        class Counted(asm._PointJet):
+            def __init__(self, model, P):
+                built.append(P.shape[0])
+                super().__init__(model, P)
+
         monkeypatch.setattr(asm, "CHUNK", 8)
         one = parse_expr("1")
         m = ModelSpec(
@@ -682,17 +744,18 @@ class TestSharedPointJets:
         )
         axis = np.stack([np.linspace(-2.0, 2.0, 8), np.zeros(8)], axis=1)
         P = np.concatenate([axis, rel_points(16, radius=2.0, seed=3, dim=2)])
-        with pytest.raises(NotIsotropic):
-            asm.logsob_warped(m, P)
+        monkeypatch.setattr(asm, "_PointJet", Counted)
         rep = asm.check_model(m, P)
-        pr = asm.logsob_product(m, P)
-        assert rep.alpha_source == ("product" if pr.ok else None)
-        assert rep.alpha_note == (
-            "product-metric criterion" if pr.ok else
-            f"product-metric criterion inconclusive: min eigenvalue {pr.alpha:.6g} <= 0")
-        wit = rep.witnesses["alpha"]
-        assert (wit.label, wit.value) == (pr.witness.label, pr.witness.value)
-        assert np.array_equal(wit.point, pr.witness.point)
+        assert built == [8, 8, 8]
+        wr = asm.logsob_warped(m, P)
+        assert rep.alpha == wr.alpha
+        assert rep.alpha_source == ("warped" if wr.ok else None)
+        for name in ("kappa1", "kappa2"):
+            got, want = rep.witnesses[name], wr.witnesses[name]
+            assert (got.label, got.value) == (want.label, want.value)
+            assert np.array_equal(got.point, want.point)
+        assert f"kappa1 = {wr.kappa1:.6g}" in rep.alpha_note
+        assert f"kappa2 = {wr.kappa2:.6g}" in rep.alpha_note
 
     @pytest.mark.parametrize("scan", [
         asm.check_model, asm.dominance_constants, asm.logsob_warped,
@@ -737,6 +800,16 @@ class TestCheckModel:
         assert rep.alpha is None
         assert rep.alpha_source is None
         assert "inconclusive" in rep.alpha_note
+
+    def test_relativistic_theta30_report(self):
+        m = builtin_relativistic(30.0)
+        rep = asm.check_model(m, small_grid())
+        assert rep.required_ok
+        assert rep.passes["logsob"]
+        # kappa1 grows with theta while kappa2 stays 11/2
+        assert rep.alpha > 5.0
+        assert rep.alpha_source == "warped"
+        assert rep.alpha_note.startswith("warped criterion: kappa1 = ")
 
     def test_relativistic_theta01_report(self):
         m = builtin_relativistic(0.1)

@@ -362,7 +362,10 @@ class TestSimulate:
                         "--output-dir", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert "tmax = 0.01 " in err and f"sample_dt = {sample_dt}" in err
-        assert not (tmp_path / "out" / "series.csv").exists()
+        # rejected before the scan, so nothing is written
+        for name in ("assumptions.kv", "assumptions.txt", "certificate.kv",
+                     "series.csv"):
+            assert not (tmp_path / "out" / name).exists()
 
     def test_requires_1d_model(self, tmp_path):
         assert run_cli(["simulate", "--model", "relativistic", "--theta", "4",

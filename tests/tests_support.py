@@ -74,6 +74,30 @@ def log_det_derivs(Xi, dX, d2X):
     )
 
 
+def conformal_logsob_reference(model, P):
+    """kappa1's and kappa2's integrands for a conformal Gram form A = t I.
+
+    The log-Sobolev integrands as they were computed before the scan ran
+    on the minorant 1 / tr(A^-1): phi = log t with t = tr A / N, so dphi
+    and d2phi come from the traces of dA and d2A.  On a conformal A both
+    give the same phi up to the constant log N.
+    """
+    pj = asm._PointJet(model, np.asarray(P, dtype=float))
+    jet, N = pj.jet, pj.A.shape[1]
+    t = np.einsum("nII->n", pj.A) / N
+    dA, d2A = asm._gram_derivs(pj)
+    dphi = np.einsum("nkII->nk", dA) / N / t[:, None]
+    d2phi = (np.einsum("nlkII->nlk", d2A) / N / t[:, None, None]
+             - dphi[:, :, None] * dphi[:, None, :])
+    ric = geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
+    cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
+    eigs, _ = asm._gen_eigs(cond1, jet.g)
+    dlogu = geom.drift_oneform_from_jet(jet, pj.grad_E)
+    lap_phi = geom.laplace_from_jet(jet, dphi, d2phi)
+    pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
+    return eigs[:, 0], -0.5 * (lap_phi + pair)
+
+
 def product_blocks_reference(model, P):
     """The product criterion on the doubled metric, built generically.
 
