@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -291,6 +292,8 @@ class _PointJet:
     jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
     tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
+    `bakry` and `degenerate` are computed on first use, once for every
+    scan that reads them.
     """
 
     def __init__(self, model, P):
@@ -302,6 +305,22 @@ class _PointJet:
         self.tv = np.stack([f.third(P) for f in vfs], axis=1)
         self.grad_E, self.hess_E = energy.grad(P), energy.hess(P)
         self.A = _gram(self.dv, self.jet.g_inv)
+
+    @cached_property
+    def bakry(self):
+        """The Bakry-Emery tensor Ric - Hess log u, (n, M, M)."""
+        return _geom.bakry_emery_from_jet(self.jet, self.grad_E, self.hess_E)
+
+    @cached_property
+    def degenerate(self):
+        """A DegenerateA unless every Gram form in the batch is definite."""
+        amin = np.linalg.eigvalsh(self.A)[:, 0]
+        k = int(np.argmin(amin))
+        if amin[k] <= 0.0:
+            return DegenerateA(
+                "velocity Gram form is not positive definite: smallest "
+                f"eigenvalue {amin[k]:.3e} at p = {self.P[k]}"
+            )
 
 
 def _point_jets(model, P, bad):
@@ -361,17 +380,6 @@ def _extreme(P, chunks, label, largest=False):
     i = int(np.argmax(vals) if largest else np.argmin(vals))
     best = float(vals[i])
     return best, Witness(P[at[i]].copy(), best, label)
-
-
-def _degenerate(A, P):
-    """A DegenerateA unless every Gram form in the batch is definite."""
-    amin = np.linalg.eigvalsh(A)[:, 0]
-    k = int(np.argmin(amin))
-    if amin[k] <= 0.0:
-        return DegenerateA(
-            "velocity Gram form is not positive definite: smallest "
-            f"eigenvalue {amin[k]:.3e} at p = {P[k]}"
-        )
 
 
 def _gen_eigs(Mform, base):
@@ -474,8 +482,7 @@ class _Curvature:
         self.lows, self.highs, self.shift = [], [], 0.0
 
     def add(self, idx, pj):
-        ric = _geom.bakry_emery_from_jet(pj.jet, pj.grad_E, pj.hess_E)
-        eigs, sh = _gen_eigs(ric, pj.jet.g)
+        eigs, sh = _gen_eigs(pj.bakry, pj.jet.g)
         self.shift = max(self.shift, sh)
         self.lows.append((idx, eigs[:, 0]))
         self.highs.append((idx, eigs[:, -1]))
@@ -511,7 +518,7 @@ class _Dominance:
         self.shift, self.error = 0.0, None
 
     def add(self, idx, pj):
-        self.error = self.error or _degenerate(pj.A, pj.P)
+        self.error = self.error or pj.degenerate
         if self.error is None:
             F = _forms(pj, tuple(self.KINDS.values()))
             for name, kind in self.KINDS.items():
@@ -663,8 +670,7 @@ def _logsob_values(pj):
     dphi = -np.einsum("nkII->nk", dh) / tr[:, None]
     d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
              + dphi[:, :, None] * dphi[:, None, :])
-    ric = _geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
-    cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
+    cond1 = pj.bakry - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
     eigs, _ = _gen_eigs(cond1, jet.g)
     dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
     lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
@@ -684,8 +690,7 @@ def _product_blocks(pj):
     X = dh @ pj.A[:, None]
     Xf, XTf = X.reshape(n, M, N * N), _t(X).reshape(n, M, N * N)
     # tr(A d_a h A d_b h) = sum over (I, J) of (X_a^T)_IJ (X_b)_IJ
-    pp = (_geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
-          - 0.25 * (XTf @ _t(Xf)))
+    pp = pj.bakry - 0.25 * (XTf @ _t(Xf))
 
     grad_logu = _geom.gradient_from_jet(
         jet, _geom.drift_oneform_from_jet(jet, pj.grad_E))
@@ -722,7 +727,7 @@ def product_metric_blocks(model, P):
     pp and xx of the form.
     """
     pj = _PointJet(model, np.asarray(P, dtype=float))
-    if (exc := _degenerate(pj.A, pj.P)) is not None:
+    if (exc := pj.degenerate) is not None:
         raise exc
     return _product_blocks(pj)
 
@@ -735,7 +740,7 @@ class _LogSob:
         self.k1, self.k2, self.error = [], [], None
 
     def add(self, idx, pj):
-        self.error = self.error or _degenerate(pj.A, pj.P)
+        self.error = self.error or pj.degenerate
         if self.error is None:
             k1, k2 = _logsob_values(pj)
             self.k1.append((idx, k1))
@@ -765,7 +770,7 @@ class _Product:
         self.lows, self.shift, self.error = [], 0.0, None
 
     def add(self, idx, pj):
-        self.error = self.error or _degenerate(pj.A, pj.P)
+        self.error = self.error or pj.degenerate
         if self.error is None:
             blocks = _product_blocks(pj)
             eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])

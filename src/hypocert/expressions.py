@@ -13,15 +13,23 @@ language is deliberately tiny: every supported model is algebraic in p
 and sqrt(1+|p|^2), so there are no conditionals and no trig.
 
 ASTs are immutable trees of dataclass nodes.  Smart constructors fold
-constants and algebraic units so differentiation does not snowball.
-Differentiation memoizes on node identity, which preserves sharing: the
-derivative of exp(f) reuses the original exp(f) node.
+constants and algebraic units so differentiation does not snowball; the
+folding rules are written once (`_Algebra`) and serve both ASTs and the
+DAG below.
 
-Evaluation shares nodes by structure, not by identity: a `Tape`
-hash-conses the nodes of a list of ASTs (a field jet, say) into one
-straight-line program, so a subterm that appears in several entries, or
-as equal copies, is computed once.  A tape runs vectorized over an
-(n, M) array of points under one numpy error state and guards the real
+Differentiation and evaluation share nodes by structure, not by
+identity.  A private DAG (`_Dag`) hash-conses nodes into slots keyed on
+(op, child slots), so a subterm that appears in several entries, or as
+equal copies, is one slot.  The derivative rules run on slots, with one
+memo keyed on (slot, coordinate) for the life of the DAG: a field that
+differentiates its entries again and again (`fields._ExprJets`) builds
+each derivative of each subterm once, and the derivative of exp(f)
+reuses the slot of exp(f).  `diff_expr` is the round trip AST -> slots
+-> derivative -> AST.
+
+A `Tape` is the straight-line program of some slots of a DAG: exactly
+the slots they reach, leaves first.  It runs vectorized over an (n, M)
+array of points under one numpy error state and guards the real
 domain: division by zero, log of a nonpositive value, and similar raise
 ExprDomainError instead of propagating NaN.
 """
@@ -98,77 +106,7 @@ class Call(ExprAST):
     arg: ExprAST
 
 
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
 _THETA = Theta()
-
-
-def _is_const(node, value=None):
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
-
-
-def neg(a):
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def add(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(lambda x, y: x + y, a.value, b.value)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return BinOp("+", a, b)
-
-
-def sub(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(lambda x, y: x - y, a.value, b.value)
-        if folded is not None:
-            return folded
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return neg(b)
-    return BinOp("-", a, b)
-
-
-def mul(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(lambda x, y: x * y, a.value, b.value)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
-    return BinOp("*", a, b)
-
-
-def div(a, b):
-    if isinstance(b, Const) and b.value != 0.0 and isinstance(a, Const):
-        folded = _fold(lambda x, y: x / y, a.value, b.value)
-        if folded is not None:
-            return folded
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
-        return _ZERO
-    return BinOp("/", a, b)
 
 
 def _fold(fn, *args):
@@ -177,37 +115,132 @@ def _fold(fn, *args):
         out = fn(*args)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    return Const(out) if math.isfinite(out) else None
+    return out if math.isfinite(out) else None
 
 
-def powx(a, b):
-    if _is_const(b, 0.0):
-        return _ONE
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        base, ex = a.value, b.value
-        # Fold only inside the real domain; leave the rest to evaluation.
-        if (base > 0.0) or (base == 0.0 and ex > 0.0) or (base < 0.0 and ex == int(ex)):
-            folded = _fold(pow, base, ex)
+class _Algebra:
+    """The smart constructors' folding rules, written once for any nodes.
+
+    They fold constants and algebraic units so differentiation does not
+    snowball.  A subclass says how to read a node, `value` (a constant's
+    value, else None) and `neg_arg` (the argument of a negation, else
+    None), and how to make one, `const(value)` and `node(op, *args)`
+    with op "neg", one of + - * / ^, or a function name.
+    """
+
+    def neg(self, a):
+        va = self.value(a)
+        if va is not None:
+            return self.const(-va)
+        inner = self.neg_arg(a)
+        if inner is not None:
+            return inner
+        return self.node("neg", a)
+
+    def add(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if va is not None and vb is not None:
+            folded = _fold(lambda x, y: x + y, va, vb)
             if folded is not None:
-                return folded
-    return BinOp("^", a, b)
+                return self.const(folded)
+        if va == 0.0:
+            return b
+        if vb == 0.0:
+            return a
+        return self.node("+", a, b)
+
+    def sub(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if va is not None and vb is not None:
+            folded = _fold(lambda x, y: x - y, va, vb)
+            if folded is not None:
+                return self.const(folded)
+        if vb == 0.0:
+            return a
+        if va == 0.0:
+            return self.neg(b)
+        return self.node("-", a, b)
+
+    def mul(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if va is not None and vb is not None:
+            folded = _fold(lambda x, y: x * y, va, vb)
+            if folded is not None:
+                return self.const(folded)
+        if va == 0.0 or vb == 0.0:
+            return self.const(0.0)
+        if va == 1.0:
+            return b
+        if vb == 1.0:
+            return a
+        if va == -1.0:
+            return self.neg(b)
+        if vb == -1.0:
+            return self.neg(a)
+        return self.node("*", a, b)
+
+    def div(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if vb is not None and vb != 0.0 and va is not None:
+            folded = _fold(lambda x, y: x / y, va, vb)
+            if folded is not None:
+                return self.const(folded)
+        if vb == 1.0:
+            return a
+        if va == 0.0 and vb != 0.0:
+            return self.const(0.0)
+        return self.node("/", a, b)
+
+    def powx(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if vb == 0.0:
+            return self.const(1.0)
+        if vb == 1.0:
+            return a
+        if va is not None and vb is not None:
+            # Fold only inside the real domain; leave the rest to evaluation.
+            if (va > 0.0) or (va == 0.0 and vb > 0.0) or (va < 0.0 and vb == int(vb)):
+                folded = _fold(pow, va, vb)
+                if folded is not None:
+                    return self.const(folded)
+        return self.node("^", a, b)
+
+    def call(self, fn, a):
+        va = self.value(a)
+        if va is not None:
+            folded = None
+            if fn == "sqrt" and va >= 0.0:
+                folded = _fold(math.sqrt, va)
+            elif fn == "exp":
+                folded = _fold(math.exp, va)
+            elif fn == "log" and va > 0.0:
+                folded = _fold(math.log, va)
+            if folded is not None:
+                return self.const(folded)
+        return self.node(fn, a)
 
 
-def call(fn, a):
-    if isinstance(a, Const):
-        v = a.value
-        folded = None
-        if fn == "sqrt" and v >= 0.0:
-            folded = _fold(math.sqrt, v)
-        elif fn == "exp":
-            folded = _fold(math.exp, v)
-        elif fn == "log" and v > 0.0:
-            folded = _fold(math.log, v)
-        if folded is not None:
-            return folded
-    return Call(fn, a)
+class _Trees(_Algebra):
+    """The folding rules on AST nodes, behind the module's constructors."""
+
+    def value(self, a):
+        return a.value if isinstance(a, Const) else None
+
+    def neg_arg(self, a):
+        return a.arg if isinstance(a, Neg) else None
+
+    def const(self, value):
+        return Const(value)
+
+    def node(self, op, a, b=None):
+        if op == "neg":
+            return Neg(a)
+        return Call(op, a) if b is None else BinOp(op, a, b)
+
+
+_TREES = _Trees()
+neg, add, sub, mul = _TREES.neg, _TREES.add, _TREES.sub, _TREES.mul
+div, powx, call = _TREES.div, _TREES.powx, _TREES.call
 
 
 # ---------------------------------------------------------------------------
@@ -369,77 +402,192 @@ def parse_expr(src, max_coord_index=None):
 # Differentiation
 
 
+_LEAVES = ("const", "coord", "theta")
+
+
+class _Dag(_Algebra):
+    """A hash-consed expression DAG, differentiated on its slots.
+
+    A slot is a distinct node, keyed on its op and the slots of its
+    children: ("const", hex of the value), ("coord", index), ("theta",),
+    ("neg", a), (op, a, b) for op in + - * / ^, or (fn, a).  Equal
+    subterms therefore share one slot, wherever they come from.  The
+    derivative of a slot along p{k} is built once per (slot, k) and
+    reused by every later derivative that reaches it, and the
+    derivatives of exp, sqrt and ^ reuse the slot they differentiate.
+    """
+
+    def __init__(self):
+        self.keys = []
+        self._leaf = []
+        self._slot_of = {}
+        self._values = {}
+        self.value = self._values.get  # a constant slot's value, else None
+        self._derivs = {}
+
+    def neg_arg(self, a):
+        key = self.keys[a]
+        return key[1] if key[0] == "neg" else None
+
+    def node(self, *key):
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self.keys)
+            self.keys.append(key)
+            self._leaf.append(key[0] in _LEAVES)
+        return slot
+
+    def const(self, value):
+        value = float(value)
+        slot = self.node("const", value.hex())
+        self._values[slot] = value
+        return slot
+
+    def intern(self, roots):
+        """The slots of a list of ASTs, each taken as it is, unfolded."""
+        # keyed on id() for the length of this call only: the roots keep
+        # every node alive until it returns
+        seen = {}
+        return [self._intern(root, seen) for root in roots]
+
+    def _intern(self, node, seen):
+        slot = seen.get(id(node))
+        if slot is None:
+            if isinstance(node, Const):
+                slot = self.const(node.value)
+            elif isinstance(node, Coord):
+                slot = self.node("coord", node.index)
+            elif isinstance(node, Theta):
+                slot = self.node("theta")
+            elif isinstance(node, Neg):
+                slot = self.node("neg", self._intern(node.arg, seen))
+            elif isinstance(node, BinOp):
+                slot = self.node(node.op, self._intern(node.left, seen),
+                                 self._intern(node.right, seen))
+            else:  # Call
+                slot = self.node(node.fn, self._intern(node.arg, seen))
+            seen[id(node)] = slot
+        return slot
+
+    def tree(self, slot):
+        """The AST of a slot; a slot reached twice gives one shared node."""
+        return self._tree(slot, {})
+
+    def _tree(self, slot, built):
+        node = built.get(slot)
+        if node is None:
+            key = self.keys[slot]
+            op = key[0]
+            if op == "const":
+                node = Const(self._values[slot])
+            elif op == "coord":
+                node = Coord(key[1])
+            elif op == "theta":
+                node = _THETA
+            elif len(key) == 2:
+                node = _TREES.node(op, self._tree(key[1], built))
+            else:
+                node = _TREES.node(op, self._tree(key[1], built),
+                                   self._tree(key[2], built))
+            built[slot] = node
+        return node
+
+    def derivative(self, slot, k):
+        """The slot of d/dp{k} of a slot; k is the 1-based coordinate label."""
+        out = self._derivs.get((slot, k))
+        if out is None:
+            # the children first, so the recursion takes one frame a level
+            d = []
+            for kid in () if self._leaf[slot] else self.keys[slot][1:]:
+                d.append(self.derivative(kid, k))
+            out = self._derivs[slot, k] = self._rule(slot, k, *d)
+        return out
+
+    def _rule(self, slot, k, da=None, db=None):
+        """The derivative rule of the slot's op, given its children's
+        derivatives da (and db)."""
+        key = self.keys[slot]
+        op = key[0]
+        if op in ("const", "theta"):
+            return self.const(0.0)
+        if op == "coord":
+            return self.const(1.0 if key[1] == k else 0.0)
+        a = key[1]
+        if op == "neg":
+            return self.neg(da)
+        if op == "sqrt":
+            return self.div(da, self.mul(self.const(2.0), slot))
+        if op == "exp":
+            return self.mul(slot, da)
+        if op == "log":
+            return self.div(da, a)
+        b = key[2]
+        if op == "+":
+            return self.add(da, db)
+        if op == "-":
+            return self.sub(da, db)
+        if op == "*":
+            return self.add(self.mul(da, b), self.mul(a, db))
+        if op == "/":
+            return self.div(self.sub(self.mul(da, b), self.mul(a, db)),
+                            self.mul(b, b))
+        # op == "^"
+        vb = self.value(b)
+        if vb is not None:
+            return self.mul(self.mul(b, self.powx(a, self.const(vb - 1.0))), da)
+        if self.value(da) == 0.0:
+            return self.mul(slot, self.mul(self.call("log", a), db))
+        return self.mul(slot, self.add(self.mul(db, self.call("log", a)),
+                                       self.div(self.mul(b, da), a)))
+
+    def reach(self, roots):
+        """The leaves and the ops the roots reach, each in DFS post-order."""
+        keys, leaf, seen, leaves, ops = self.keys, self._leaf, set(), [], []
+        for root in roots:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(() if leaf[root] else keys[root][1:]))]
+            while stack:
+                slot, kids = stack[-1]
+                for c in kids:
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append((c, iter(() if leaf[c] else keys[c][1:])))
+                        break
+                else:
+                    stack.pop()
+                    (leaves if leaf[slot] else ops).append(slot)
+        return leaves, ops
+
+    def tape(self, roots):
+        """A Tape that evaluates the slots roots together."""
+        tape = Tape.__new__(Tape)
+        tape._load(self, roots)
+        return tape
+
+
 def diff_expr(ast, k):
     """Return the AST of the partial derivative with respect to p{k}.
 
     k is the 1-based coordinate label, matching the variable name.
-    theta differentiates to zero.  Node identity is memoized so shared
-    subterms stay shared in the derivative, and the derivatives of exp
-    and sqrt reuse the original node (a tape holding both f and df then
-    computes the transcendental once).
+    theta differentiates to zero.  The AST is differentiated on a
+    hash-consed DAG, so shared and equal subterms stay shared in the
+    derivative, and the derivatives of exp and sqrt reuse the original
+    subterm (a tape holding both f and df then computes the
+    transcendental once).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"coordinate label must be a positive integer, got {k!r}")
-    memo = {}
-
-    def d(node):
-        key = id(node)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(node, (Const, Theta)):
-            out = _ZERO
-        elif isinstance(node, Coord):
-            out = _ONE if node.index == k else _ZERO
-        elif isinstance(node, Neg):
-            out = neg(d(node.arg))
-        elif isinstance(node, BinOp):
-            a, b = node.left, node.right
-            da, db = d(a), d(b)
-            if node.op == "+":
-                out = add(da, db)
-            elif node.op == "-":
-                out = sub(da, db)
-            elif node.op == "*":
-                out = add(mul(da, b), mul(a, db))
-            elif node.op == "/":
-                out = div(sub(mul(da, b), mul(a, db)), mul(b, b))
-            elif node.op == "^":
-                if isinstance(b, Const):
-                    out = mul(mul(b, powx(a, Const(b.value - 1.0))), da)
-                elif _is_const(da, 0.0):
-                    out = mul(node, mul(call("log", a), db))
-                else:
-                    out = mul(
-                        node,
-                        add(mul(db, call("log", a)), div(mul(b, da), a)),
-                    )
-            else:  # pragma: no cover - constructors only emit the five ops
-                raise AssertionError(node.op)
-        elif isinstance(node, Call):
-            da = d(node.arg)
-            if node.fn == "sqrt":
-                out = div(da, mul(Const(2.0), node))
-            elif node.fn == "exp":
-                out = mul(node, da)
-            else:  # log
-                out = div(da, node.arg)
-        else:  # pragma: no cover
-            raise AssertionError(type(node))
-        memo[key] = out
-        return out
-
-    try:
-        return d(ast)
-    finally:
-        del d  # break the closure's self-reference so the memo frees now
+    dag = _Dag()
+    (slot,) = dag.intern([ast])
+    return dag.tree(dag.derivative(slot, k))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-_LEAVES = ("const", "coord", "theta")
 _UFUNCS = {
     "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
     "/": np.divide, "^": np.power, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
@@ -451,49 +599,28 @@ _CHECKED = {"/": "division", "^": "power", "sqrt": "sqrt", "exp": "exp", "log": 
 class Tape:
     """Straight-line program that evaluates a list of ASTs together.
 
-    Nodes are hash-consed bottom-up: the key of a node is its op plus
-    the slots of its children (a constant's key is its bit pattern), so
-    a subterm shared by structure anywhere among the roots is computed
-    once.  Leaves take the first slots; each op then fills the next
-    slot, in DFS post-order over the roots in order.
+    The roots are hash-consed into a DAG (`_Dag`), so a subterm shared
+    by structure anywhere among them is computed once.  The program
+    holds exactly the slots the roots reach: leaves take the first
+    slots, then each op fills the next slot, in DFS post-order over the
+    roots in order.
     """
 
     def __init__(self, roots):
-        keys, slot_of_key, slot_of_id = [], {}, {}
+        dag = _Dag()
+        self._load(dag, dag.intern(roots))
 
-        def visit(node):
-            slot = slot_of_id.get(id(node))
-            if slot is not None:
-                return slot
-            if isinstance(node, Const):
-                key = ("const", float(node.value).hex())
-            elif isinstance(node, Coord):
-                key = ("coord", node.index)
-            elif isinstance(node, Theta):
-                key = ("theta",)
-            elif isinstance(node, Neg):
-                key = ("neg", visit(node.arg))
-            elif isinstance(node, BinOp):
-                key = (node.op, visit(node.left), visit(node.right))
-            else:  # Call
-                key = (node.fn, visit(node.arg))
-            slot = slot_of_key.get(key)
-            if slot is None:
-                slot = slot_of_key[key] = len(keys)
-                keys.append(key)
-            slot_of_id[id(node)] = slot
-            return slot
-
-        top = [visit(root) for root in roots]
-        del visit  # break the closure's self-reference so the memos free now
+    def _load(self, dag, roots):
+        """Compile the program of the slots roots of dag."""
+        leaves, ops = dag.reach(roots)
         # Renumber: the leaves first, then the ops in post-order.
-        order = sorted(range(len(keys)), key=lambda i: keys[i][0] not in _LEAVES)
-        slot = {old: new for new, old in enumerate(order)}
-        keys = [keys[i] for i in order]
-        nleaves = sum(key[0] in _LEAVES for key in keys)
+        order = leaves + ops
+        slot = {s: new for new, s in enumerate(order)}
+        keys = [dag.keys[s] for s in order]
+        nleaves = len(leaves)
         leaves = list(enumerate(keys[:nleaves]))
         ops = [[slot[c] for c in key[1:]] for key in keys[nleaves:]]
-        self.roots = [slot[i] for i in top]
+        self.roots = [slot[s] for s in roots]
         self._leaves = [
             np.full(1, float.fromhex(key[1])) if key[0] == "const" else None
             for _, key in leaves

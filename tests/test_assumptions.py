@@ -17,6 +17,7 @@ from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 
 from tests_support import (
     conformal_logsob_reference,
+    conformal_model_2d,
     expr_model_1d,
     fd_model,
     halton_ball_reference,
@@ -464,23 +465,6 @@ class TestWarpedRoute:
         wr = asm.logsob_warped(m, small_grid(dim=2, radius=2.0, quasi_points=32))
         assert math.isfinite(wr.kappa1)
         assert wr.kappa2 >= 0.0
-
-
-def conformal_model_2d():
-    """g = (1+|p|^2)^0.2 delta with v = p, so A = zeta^-2 delta."""
-    zeta_expr = "exp(0.1*log(1 + p1^2 + p2^2))"
-    gexpr = parse_expr(f"({zeta_expr})^2")
-    fields = {(0, 0): gexpr, (1, 1): gexpr}
-    return ModelSpec(
-        name="conformal2d",
-        dim=2,
-        metric_field=ExprMetricField(fields, 2),
-        v_fields=(
-            ExprScalarField(parse_expr("p1"), 2),
-            ExprScalarField(parse_expr("p2"), 2),
-        ),
-        energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
-    )
 
 
 CONFORMAL_MODELS = {

@@ -1,7 +1,10 @@
 """Expression language: parsing, printing, differentiation, evaluation.
 
 The differentiation oracle is a 4th-order central finite difference,
-independent of the symbolic rules under test.  The evaluation oracle is
+independent of the symbolic rules under test; the rules on DAG slots
+are also held to the same rules applied to AST nodes
+(`tests_support.diff_expr_reference`), tree for tree and bit for bit
+in every field jet.  The evaluation oracle is
 `walk_reference`, a recursive tree walk that evaluates one AST node by
 node; a tape must reproduce it bit for bit.
 """
@@ -14,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypocert import assumptions as asm
+from hypocert import expressions, fields
 from hypocert.errors import (
     ExprDomainError,
     ExprSyntaxError,
@@ -36,7 +41,14 @@ from hypocert.expressions import (
     uses_theta,
 )
 from hypocert.fields import ExprScalarField, ExprVectorField
-from hypocert.models import builtin_relativistic, log_weight_field
+from hypocert.models import (
+    builtin_classical,
+    builtin_relativistic,
+    load_model_file,
+    log_weight_field,
+)
+
+from tests_support import conformal_model_2d, diff_expr_reference, jet_reference
 
 
 def fd_derivative(ast, points, k, theta=None, h=1e-5):
@@ -464,7 +476,8 @@ class TestTape:
         P = np.array([[0.5, -1.0], [1.0, 2.0]])
         first = field.derivative(P, (0, 1))
         calls = []
-        monkeypatch.setattr("hypocert.fields.diff_expr", lambda *a: calls.append(a))
+        for name in ("derivative", "tape"):
+            monkeypatch.setattr(expressions._Dag, name, lambda *a: calls.append(a))
         assert np.array_equal(field.derivative(P, [0, 1]), first)
         assert calls == []
         want = (1.0 + P[:, 0] * P[:, 1]) * np.exp(P[:, 0] * P[:, 1])
@@ -513,3 +526,120 @@ class TestJetLayout:
         asts = [f.ast for f in self.REL.v_fields]
         Z = ExprVectorField(asts, 3, theta=4.0)
         self._assert_layout(Z, lambda idx: asts[idx[0]], ("value", "jacobian"))
+
+
+FILE_MODEL = """\
+[model]
+theta = 2.0
+
+[metric]
+g11 = exp(0.1*log(1 + p1^2 + p2^2))
+g12 = p1*p2/(3 + p1^2)
+g22 = sqrt(2 + p2^2)
+
+[velocity]
+v1 = p1/sqrt(1 + p1^2)
+v2 = p2 + 0.1*p1^2
+
+[energy]
+E = theta*(1 + p1^2)^(0.5 + 0.1*p2^2) + theta^(p2/4) - log(2 + p2^2)/2
+"""
+
+
+def _file_model(tmp_path):
+    path = tmp_path / "model.ini"
+    path.write_text(FILE_MODEL)
+    return load_model_file(path)
+
+
+JET_MODELS = {
+    "classical1": lambda tmp: builtin_classical(1),
+    "classical3": lambda tmp: builtin_classical(3),
+    "relativistic1": lambda tmp: builtin_relativistic(4.0, dim=1),
+    "relativistic3": lambda tmp: builtin_relativistic(4.0),
+    "conformal2d": lambda tmp: conformal_model_2d(),
+    "file2d": _file_model,
+}
+
+
+def _jet_fields(model):
+    """(label, entries, shape, field, orders) for each expression field."""
+    mf = model.metric_field
+    out = [("g", mf.entries, (model.dim, model.dim), mf, (0, 1, 2))]
+    scalars = [(f"v{i + 1}", f) for i, f in enumerate(model.v_fields)]
+    scalars += [("E", model.energy_field), ("log u", log_weight_field(model))]
+    out += [(label, {(): f.ast}, (), f, (0, 1, 2, 3)) for label, f in scalars]
+    return out
+
+
+class TestDagMatchesAstRules:
+    """The derivative rules on DAG slots against the same rules applied
+    to AST nodes (`tests_support.diff_expr_reference`), and the programs
+    of every jet order against one Tape of those ASTs per order."""
+
+    @pytest.mark.parametrize("name", sorted(JET_MODELS))
+    def test_every_jet_order_bit_identical(self, name, tmp_path):
+        model = JET_MODELS[name](tmp_path)
+        P = np.random.default_rng(17).uniform(-1.5, 1.5, size=(7, model.dim))
+        for label, entries, shape, field, orders in _jet_fields(model):
+            for order in orders:
+                got = field._jets(order, P, field.theta)
+                want, tape = jet_reference(entries, shape, model.dim, order, P,
+                                           field.theta)
+                assert np.array_equal(got, want), (label, order)
+                # the same program, op for op, with the same slots freed
+                assert field._jets._compiled[order][0].code == tape.code
+
+    @pytest.mark.parametrize("seed, depths", [(42, (1, 5)), (202, (1, 4))])
+    def test_derivative_trees_on_random_asts(self, seed, depths):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            ast = random_safe_ast(rng, depth=int(rng.integers(*depths)))
+            for k in (1, 2, 3):
+                d, ref = diff_expr(ast, k), diff_expr_reference(ast, k)
+                assert to_string(d) == to_string(ref), to_string(ast)
+                assert to_string(diff_expr(d, 2)) == to_string(
+                    diff_expr_reference(ref, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ast_strategy)
+    def test_derivative_trees_with_units(self, tree):
+        # raw trees hold the constants 0 and 1 that the folding rules remove
+        for k in (1, 2, 3):
+            assert to_string(diff_expr(tree, k)) == to_string(
+                diff_expr_reference(tree, k))
+
+
+class TestJetCost:
+    """Work counted, not timed, while the jets a point jet reads are built."""
+
+    def test_relativistic_point_jet(self, monkeypatch):
+        calls, rules = [], []
+        for owner in (expressions, fields):
+            monkeypatch.setattr(owner, "diff_expr", lambda *a: calls.append(a))
+        rule = expressions._Dag._rule
+
+        def counted(dag, slot, k, *d):
+            rules.append((dag, slot, k))
+            return rule(dag, slot, k, *d)
+
+        monkeypatch.setattr(expressions._Dag, "_rule", counted)
+        model = builtin_relativistic(4.0)
+        P = np.array([[0.3, -0.2, 0.5]])
+        asm._PointJet(model, P)
+        model.v_fields[0].value(P)
+        logu = log_weight_field(model)
+        for order in range(3):
+            logu._jets(order, P, model.theta)
+
+        assert calls == []
+        assert rules and len(set(rules)) == len(rules)
+
+        def ops(field):
+            return {order: len(tape.code)
+                    for order, (tape, _, _) in field._jets._compiled.items()}
+
+        assert ops(model.metric_field) == {0: 25, 1: 102, 2: 392}
+        assert ops(model.v_fields[0]) == {0: 8, 1: 24, 2: 91, 3: 344}
+        assert ops(model.energy_field) == {1: 17, 2: 43}
+        assert ops(logu) == {0: 44, 1: 239, 2: 980}

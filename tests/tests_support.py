@@ -1,5 +1,7 @@
 """Helpers shared across test modules."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,17 @@ from scipy.stats import qmc
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
 from hypocert import solver as sv
-from hypocert.expressions import parse_expr
+from hypocert.expressions import (
+    BinOp,
+    Call,
+    Const,
+    Coord,
+    Neg,
+    Tape,
+    Theta,
+    evaluate,
+    parse_expr,
+)
 from hypocert.fields import (
     DEFAULT_FD_SCALE,
     ExprMetricField,
@@ -28,6 +40,23 @@ def expr_model_1d(g11, E, v1="p1", theta=None):
         v_fields=(ExprScalarField(parse_expr(v1), 1, theta=theta),),
         energy_field=ExprScalarField(parse_expr(E), 1, theta=theta),
         theta=theta,
+    )
+
+
+def conformal_model_2d():
+    """g = (1+|p|^2)^0.2 delta with v = p, so A = zeta^-2 delta."""
+    zeta_expr = "exp(0.1*log(1 + p1^2 + p2^2))"
+    gexpr = parse_expr(f"({zeta_expr})^2")
+    fields = {(0, 0): gexpr, (1, 1): gexpr}
+    return ModelSpec(
+        name="conformal2d",
+        dim=2,
+        metric_field=ExprMetricField(fields, 2),
+        v_fields=(
+            ExprScalarField(parse_expr("p1"), 2),
+            ExprScalarField(parse_expr("p2"), 2),
+        ),
+        energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
     )
 
 
@@ -140,6 +169,195 @@ def product_blocks_reference(model, P):
     ric_G = geom.ricci_from_jet(jet)
     hess_G = geom.covariant_hessian_from_jet(jet, grad_big, hess_big)
     return {"G": G, "ric_G": ric_G, "hess_G_psi": hess_G, "form": ric_G - hess_G}
+
+
+# ---------------------------------------------------------------------------
+# Differentiation on ASTs: the reference for the derivative rules on the DAG
+
+
+def _ref_fold(fn, *args):
+    try:
+        out = fn(*args)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return Const(out) if math.isfinite(out) else None
+
+
+def _ref_is_const(node, value=None):
+    if not isinstance(node, Const):
+        return False
+    return value is None or node.value == value
+
+
+def _ref_neg(a):
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def _ref_add(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _ref_fold(lambda x, y: x + y, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _ref_is_const(a, 0.0):
+        return b
+    if _ref_is_const(b, 0.0):
+        return a
+    return BinOp("+", a, b)
+
+
+def _ref_sub(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _ref_fold(lambda x, y: x - y, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _ref_is_const(b, 0.0):
+        return a
+    if _ref_is_const(a, 0.0):
+        return _ref_neg(b)
+    return BinOp("-", a, b)
+
+
+def _ref_mul(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = _ref_fold(lambda x, y: x * y, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _ref_is_const(a, 0.0) or _ref_is_const(b, 0.0):
+        return Const(0.0)
+    if _ref_is_const(a, 1.0):
+        return b
+    if _ref_is_const(b, 1.0):
+        return a
+    if _ref_is_const(a, -1.0):
+        return _ref_neg(b)
+    if _ref_is_const(b, -1.0):
+        return _ref_neg(a)
+    return BinOp("*", a, b)
+
+
+def _ref_div(a, b):
+    if isinstance(b, Const) and b.value != 0.0 and isinstance(a, Const):
+        folded = _ref_fold(lambda x, y: x / y, a.value, b.value)
+        if folded is not None:
+            return folded
+    if _ref_is_const(b, 1.0):
+        return a
+    if _ref_is_const(a, 0.0) and not _ref_is_const(b, 0.0):
+        return Const(0.0)
+    return BinOp("/", a, b)
+
+
+def _ref_powx(a, b):
+    if _ref_is_const(b, 0.0):
+        return Const(1.0)
+    if _ref_is_const(b, 1.0):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        base, ex = a.value, b.value
+        if (base > 0.0) or (base == 0.0 and ex > 0.0) or (base < 0.0 and ex == int(ex)):
+            folded = _ref_fold(pow, base, ex)
+            if folded is not None:
+                return folded
+    return BinOp("^", a, b)
+
+
+def _ref_call(fn, a):
+    if isinstance(a, Const):
+        v = a.value
+        folded = None
+        if fn == "sqrt" and v >= 0.0:
+            folded = _ref_fold(math.sqrt, v)
+        elif fn == "exp":
+            folded = _ref_fold(math.exp, v)
+        elif fn == "log" and v > 0.0:
+            folded = _ref_fold(math.log, v)
+        if folded is not None:
+            return folded
+    return Call(fn, a)
+
+
+def diff_expr_reference(ast, k):
+    """d/dp{k} of an AST by the derivative rules applied to AST nodes.
+
+    Folding constructors of its own, one memo on node identity per call;
+    `expressions.diff_expr` must give the same tree.
+    """
+    memo = {}
+
+    def d(node):
+        key = id(node)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if isinstance(node, (Const, Theta)):
+            out = Const(0.0)
+        elif isinstance(node, Coord):
+            out = Const(1.0 if node.index == k else 0.0)
+        elif isinstance(node, Neg):
+            out = _ref_neg(d(node.arg))
+        elif isinstance(node, BinOp):
+            a, b = node.left, node.right
+            da, db = d(a), d(b)
+            if node.op == "+":
+                out = _ref_add(da, db)
+            elif node.op == "-":
+                out = _ref_sub(da, db)
+            elif node.op == "*":
+                out = _ref_add(_ref_mul(da, b), _ref_mul(a, db))
+            elif node.op == "/":
+                out = _ref_div(_ref_sub(_ref_mul(da, b), _ref_mul(a, db)),
+                               _ref_mul(b, b))
+            elif isinstance(b, Const):
+                out = _ref_mul(_ref_mul(b, _ref_powx(a, Const(b.value - 1.0))), da)
+            elif _ref_is_const(da, 0.0):
+                out = _ref_mul(node, _ref_mul(_ref_call("log", a), db))
+            else:
+                out = _ref_mul(node, _ref_add(_ref_mul(db, _ref_call("log", a)),
+                                              _ref_div(_ref_mul(b, da), a)))
+        else:  # Call
+            da = d(node.arg)
+            if node.fn == "sqrt":
+                out = _ref_div(da, _ref_mul(Const(2.0), node))
+            elif node.fn == "exp":
+                out = _ref_mul(node, da)
+            else:  # log
+                out = _ref_div(da, node.arg)
+        memo[key] = out
+        return out
+
+    try:
+        return d(ast)
+    finally:
+        del d
+
+
+def jet_reference(entries, shape, dim, order, P, theta):
+    """An order-k field jet built partial by partial on ASTs.
+
+    Each order-k partial is `diff_expr_reference` of an order-(k-1)
+    partial, and all of them compile into one Tape of ASTs, laid out as
+    `fields._ExprJets` lays out its jets.  Returns (jet, tape).
+    """
+    partials = [{((), idx): ast for idx, ast in entries.items()}]
+    while len(partials) <= order:
+        partials.append({
+            (axes + (k,), idx): diff_expr_reference(ast, k + 1)
+            for (axes, idx), ast in partials[-1].items()
+            for k in range(axes[-1] if axes else 0, dim)
+        })
+    jet_shape = (dim,) * order + shape
+    flat = np.arange(math.prod(jet_shape)).reshape(jet_shape)
+    source = np.full(flat.size, len(partials[order]))
+    for row, (axes, idx) in enumerate(partials[order]):
+        for perm in itertools.permutations(axes):
+            source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
+    tape = Tape(list(partials[order].values()) + [Const(0.0)])
+    vals = evaluate(tape, P, theta)
+    return vals.T.take(source, axis=1).reshape((P.shape[0],) + jet_shape), tape
 
 
 def _minmod(a, b):
