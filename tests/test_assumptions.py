@@ -1,5 +1,6 @@
 """Bilinear forms, assumption scans, and log-Sobolev criteria."""
 
+import functools
 import math
 import weakref
 
@@ -681,6 +682,32 @@ class TestSharedPointJets:
         m.metric_field.hess = counted
         asm.check_model(m, grid)
         assert calls == [grid.count]
+
+    def test_check_model_bakry_and_gram_test_once_per_chunk(self, monkeypatch):
+        # the curvature and log-Sobolev scans share one Bakry-Emery tensor,
+        # the dominance and log-Sobolev scans one definiteness test of A
+        calls = []
+        bakry = geom.bakry_emery_from_jet
+        gram_test = asm._PointJet.degenerate.func
+
+        def counted_bakry(jet, grad_E, hess_E):
+            calls.append("bakry")
+            return bakry(jet, grad_E, hess_E)
+
+        def counted_gram_test(pj):
+            calls.append("A")
+            return gram_test(pj)
+
+        counted = functools.cached_property(counted_gram_test)
+        counted.__set_name__(asm._PointJet, "degenerate")
+        monkeypatch.setattr(asm._PointJet, "degenerate", counted)
+        monkeypatch.setattr(geom, "bakry_emery_from_jet", counted_bakry)
+        monkeypatch.setattr(asm, "CHUNK", 64)
+        grid = small_grid()
+        chunks = -(-grid.count // asm.CHUNK)
+        assert chunks >= 2
+        asm.check_model(builtin_relativistic(4.0), grid)
+        assert calls == ["bakry", "A"] * chunks
 
     def test_check_model_holds_two_point_jets_at_most(self, monkeypatch):
         # Each scan keeps per-point values only, so a point jet is freed
