@@ -237,7 +237,7 @@ class CurvatureBounds:
     sigma1: float
     sigma2: float
     witnesses: dict
-    partial: bool = False
+    # Always empty, as a failing point raises; perfbench/spans.py counts it.
     failures: tuple = ()
     shift: float = 0.0
 
@@ -323,63 +323,63 @@ class _PointJet:
             )
 
 
-def _point_jets(model, P, bad):
-    """Yield (indices, point jet) for each CHUNK of the points P, in order.
+_JET_ERRORS = (MetricError, ExprDomainError, FloatingPointError,
+               np.linalg.LinAlgError)
 
-    A chunk whose point jet cannot be built is bisected down to its
-    failing points, which go to bad as (index, exception) in index
-    order.  Point jets are built one at a time, as they are asked for.
+
+def _point_jets(model, P):
+    """Yield the point jet of each CHUNK of the points P, in order.
+
+    The hypotheses must hold at every point, so a point whose point jet
+    cannot be built ends the scan: a failing chunk is bisected down to
+    its first failing point, whose error is raised with the point named.
+    Point jets are built one at a time, as they are asked for.
     """
-    n = P.shape[0]
-    todo = [np.arange(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)][::-1]
-    while todo:
-        idx = todo.pop()
+    for start in range(0, P.shape[0], CHUNK):
+        chunk = P[start:start + CHUNK]
         try:
-            pj = _PointJet(model, P[idx])
-        except (MetricError, ExprDomainError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
-            if idx.size == 1:
-                bad.append((int(idx[0]), exc))
-            else:
-                half = idx.size // 2
-                todo += [idx[half:], idx[:half]]
-            continue
-        yield idx, pj
+            pj = _PointJet(model, chunk)
+        except _JET_ERRORS:
+            lo, hi = 0, chunk.shape[0]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    _PointJet(model, chunk[lo:mid])
+                    lo = mid
+                except _JET_ERRORS:
+                    hi = mid
+            try:
+                _PointJet(model, chunk[lo:hi])
+            except _JET_ERRORS as exc:
+                raise type(exc)(f"{exc} at p = {chunk[lo]}") from exc
+            raise
+        yield pj
 
 
 def _scan(model, grid, *scans):
-    """One pass that adds every point jet to each scan: (grid, P, bad)."""
+    """One pass that adds every point jet to each scan: (grid, P)."""
     grid, P = _grid_points(model, grid)
-    bad = []
-    for idx, pj in _point_jets(model, P, bad):
+    for pj in _point_jets(model, P):
         for scan in scans:
-            scan.add(idx, pj)
-    return grid, P, bad
+            scan.add(pj)
+    return grid, P
 
 
 def _scan_alone(model, grid, scan):
-    _, P, bad = _scan(model, grid, scan)
-    return scan.result(P, bad)
-
-
-def _raise_failure(P, bad):
-    """Re-raise the first failing point's error, naming the point."""
-    if bad:
-        i, exc = bad[0]
-        raise type(exc)(f"{exc} at p = {P[i]}") from exc
+    _, P = _scan(model, grid, scan)
+    return scan.result(P)
 
 
 def _extreme(P, chunks, label, largest=False):
-    """Smallest (or largest) value over (index_array, values) chunks.
+    """Smallest (or largest) value over the per-chunk values of P's points.
 
     Returns (value, Witness at the grid point realizing it); a tie goes
     to the first point.
     """
-    at = np.concatenate([idx for idx, _ in chunks])
-    vals = np.concatenate([v for _, v in chunks])
+    vals = np.concatenate(chunks)
     i = int(np.argmax(vals) if largest else np.argmin(vals))
     best = float(vals[i])
-    return best, Witness(P[at[i]].copy(), best, label)
+    return best, Witness(P[i].copy(), best, label)
 
 
 def _gen_eigs(Mform, base):
@@ -481,28 +481,24 @@ class _Curvature:
     def __init__(self):
         self.lows, self.highs, self.shift = [], [], 0.0
 
-    def add(self, idx, pj):
+    def add(self, pj):
         eigs, sh = _gen_eigs(pj.bakry, pj.jet.g)
         self.shift = max(self.shift, sh)
-        self.lows.append((idx, eigs[:, 0]))
-        self.highs.append((idx, eigs[:, -1]))
+        self.lows.append(eigs[:, 0])
+        self.highs.append(eigs[:, -1])
 
-    def result(self, P, bad):
-        if not self.lows:
-            raise MetricError("curvature scan failed at every grid point")
+    def result(self, P):
         sigma1, wmin = _extreme(P, self.lows, "sigma1")
         sigma2, wmax = _extreme(P, self.highs, "sigma2", largest=True)
-        failures = tuple((P[i].copy(), str(exc)) for i, exc in bad)
         return CurvatureBounds(sigma1, sigma2, {"min": wmin, "max": wmax},
-                               partial=bool(bad), failures=failures,
                                shift=self.shift)
 
 
 def curvature_bounds(model, grid=None):
     """Extremal generalized eigenvalues of (Ric - Hess log u, g).
 
-    Points where the metric or weight degenerates are recorded and
-    skipped; the result is then flagged partial instead of aborting.
+    Like every scan, raises at the first point where the metric or
+    weight degenerates, naming the point.
     """
     return _scan_alone(model, grid, _Curvature())
 
@@ -517,17 +513,16 @@ class _Dominance:
         self.tops = {name: [] for name in self.KINDS}
         self.shift, self.error = 0.0, None
 
-    def add(self, idx, pj):
+    def add(self, pj):
         self.error = self.error or pj.degenerate
         if self.error is None:
             F = _forms(pj, tuple(self.KINDS.values()))
             for name, kind in self.KINDS.items():
                 eigs, sh = _gen_eigs(F[kind], pj.A)
                 self.shift = max(self.shift, sh)
-                self.tops[name].append((idx, eigs[:, -1]))
+                self.tops[name].append(eigs[:, -1])
 
-    def result(self, P, bad):
-        _raise_failure(P, bad)
+    def result(self, P):
         if self.error is not None:
             raise self.error
         best = {name: _extreme(P, tops, name, largest=True)
@@ -558,13 +553,11 @@ class _Hormander:
     def __init__(self):
         self.dets = []
 
-    def add(self, idx, pj):
+    def add(self, pj):
         vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
-        self.dets.append((idx, np.where(np.isfinite(vals), vals, 0.0)))
+        self.dets.append(np.where(np.isfinite(vals), vals, 0.0))
 
-    def result(self, P, bad):
-        if bad:
-            return HormanderResult(0.0, False, Witness(P[bad[0][0]].copy(), 0.0, "detF"))
+    def result(self, P):
         best, wit = _extreme(P, self.dets, "detF")
         return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
 
@@ -572,8 +565,7 @@ class _Hormander:
 def hormander_check(model, grid=None):
     """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
 
-    Never raises: a point whose point jet fails is the witness, with
-    value 0, and so is a vanishing or non-finite value.
+    A vanishing or non-finite value is the witness, with value 0.
     """
     return _scan_alone(model, grid, _Hormander())
 
@@ -739,15 +731,14 @@ class _LogSob:
     def __init__(self):
         self.k1, self.k2, self.error = [], [], None
 
-    def add(self, idx, pj):
+    def add(self, pj):
         self.error = self.error or pj.degenerate
         if self.error is None:
             k1, k2 = _logsob_values(pj)
-            self.k1.append((idx, k1))
-            self.k2.append((idx, k2))
+            self.k1.append(k1)
+            self.k2.append(k2)
 
-    def result(self, P, bad):
-        _raise_failure(P, bad)
+    def result(self, P):
         if self.error is not None:
             raise self.error
         kappa1, w1 = _extreme(P, self.k1, "kappa1")
@@ -769,17 +760,16 @@ class _Product:
     def __init__(self):
         self.lows, self.shift, self.error = [], 0.0, None
 
-    def add(self, idx, pj):
+    def add(self, pj):
         self.error = self.error or pj.degenerate
         if self.error is None:
             blocks = _product_blocks(pj)
             eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
             eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
             self.shift = max(self.shift, sh_p, sh_x)
-            self.lows.append((idx, np.minimum(eig_p[:, 0], eig_x[:, 0])))
+            self.lows.append(np.minimum(eig_p[:, 0], eig_x[:, 0]))
 
-    def result(self, P, bad):
-        _raise_failure(P, bad)
+    def result(self, P):
         if self.error is not None:
             raise self.error
         alpha, wit = _extreme(P, self.lows, "alpha")
@@ -839,17 +829,14 @@ class AssumptionReport:
     gamma: float
     omega: float
     alpha: float | None
-    alpha_source: str | None
     alpha_note: str
     hormander_min: float
-    growth_ok: bool
     grid_radius: float
     grid_points: int
     grid_seed: int | None
     grid_description: str
     passes: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
-    partial: bool = False
     shift: float = 0.0
 
     @property
@@ -873,15 +860,15 @@ def check_model(model, grid=None):
     The scans share one pass over the grid.
     """
     scans = (_Curvature(), _Dominance(), _Hormander(), _LogSob())
-    grid, P, bad = _scan(model, grid, *scans)
+    grid, P = _scan(model, grid, *scans)
 
-    cb = scans[0].result(P, bad)
-    passes = {"curvature": cb.sigma1 >= 0.0 and not cb.partial}
+    cb = scans[0].result(P)
+    passes = {"curvature": cb.sigma1 >= 0.0}
     witnesses = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"]}
     shift = cb.shift
 
     try:
-        dom = scans[1].result(P, bad)
+        dom = scans[1].result(P)
         beta, gamma, omega = dom.beta, dom.gamma, dom.omega
         passes["positivity"] = True
         passes["dominance"] = all(map(math.isfinite, (beta, gamma, omega)))
@@ -893,19 +880,17 @@ def check_model(model, grid=None):
         passes["dominance"] = False
         witnesses["degenerate_A"] = Witness(np.array([]), math.nan, str(exc))
 
-    hor = scans[2].result(P, bad)
+    hor = scans[2].result(P)
     passes["hormander"] = hor.ok
     witnesses["hormander"] = hor.witness
 
-    gr = growth_check(model)
-    passes["growth"] = gr.ok
+    passes["growth"] = growth_check(model).ok
 
-    alpha = source = None
+    alpha = None
     if passes["positivity"]:
-        lr = scans[3].result(P, bad)
+        lr = scans[3].result(P)
         if lr.ok:
             alpha = lr.alpha
-            source = "warped"
             note = (f"warped criterion: kappa1 = {lr.kappa1:.6g}, "
                     f"kappa2 = {lr.kappa2:.6g}")
         else:
@@ -925,17 +910,14 @@ def check_model(model, grid=None):
         gamma=gamma,
         omega=omega,
         alpha=alpha,
-        alpha_source=source,
         alpha_note=note,
         hormander_min=hor.min_absdetF,
-        growth_ok=gr.ok,
         grid_radius=grid.radius,
         grid_points=grid.count,
         grid_seed=grid.seed,
         grid_description=grid.description,
         passes=passes,
         witnesses=witnesses,
-        partial=cb.partial,
         shift=shift,
     )
 
@@ -960,13 +942,10 @@ def report_text(report):
     ]
     if report.alpha is not None:
         lines.append(
-            f"log-Sobolev        alpha = {report.alpha:.8g} "
-            f"({report.alpha_source}); {report.alpha_note}"
+            f"log-Sobolev        alpha = {report.alpha:.8g}; {report.alpha_note}"
         )
     else:
         lines.append(f"log-Sobolev        inconclusive; {report.alpha_note}")
-    if report.partial:
-        lines.append("warning: scan skipped points where the metric degenerated")
     if report.shift:
         lines.append(f"note: eigenvalue shift {report.shift:g} applied")
     wit = "; ".join(str(w) for w in report.witnesses.values() if w is not None)
@@ -988,14 +967,11 @@ def report_kv(report):
         ("gamma", repr(report.gamma)),
         ("omega", repr(report.omega)),
         ("alpha", "" if report.alpha is None else repr(report.alpha)),
-        ("alpha_source", report.alpha_source or ""),
         ("hormander_min", repr(report.hormander_min)),
-        ("growth_ok", str(report.growth_ok).lower()),
         ("grid_radius", repr(report.grid_radius)),
         ("grid_points", str(report.grid_points)),
         ("grid_seed", "" if report.grid_seed is None else str(report.grid_seed)),
         ("shift", repr(report.shift)),
-        ("partial", str(report.partial).lower()),
         ("required_ok", str(report.required_ok).lower()),
         ("witnesses", wit),
     ]

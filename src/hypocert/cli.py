@@ -344,6 +344,8 @@ def cmd_simulate(cfg, args):
         )
     # before any scan, so a bad setting leaves no output behind
     solver.sample_count(cfg.tmax, cfg.sample_dt, cfg.dt)
+    grid = solver.build_grid(model, cfg.Nx, cfg.Np, cfg.P)
+    state = solver.initial_state(model, grid, cfg.initial_data)
     outdir = ensure_outdir(cfg)
 
     if cfg.certificate_path is not None:
@@ -358,8 +360,6 @@ def cmd_simulate(cfg, args):
         (outdir / CERTIFICATE_KV).write_text(certificate_kv(cert))
         cert_source = f"fresh scan (seed {report.grid_seed})"
 
-    grid = solver.build_grid(model, cfg.Nx, cfg.Np, cfg.P)
-    state = solver.initial_state(model, grid, cfg.initial_data)
     series = solver.run(
         model, grid, state.h, cfg.tmax, cfg.sample_dt,
         certificate=cert, dt=cfg.dt, order2=bool(getattr(args, "order2", False)),

@@ -38,7 +38,8 @@ from .errors import (
     NonpositiveValues,
     NonpositiveWeight,
 )
-from .models import log_weight_field
+# Not called here; perfbench/spans.py wraps solver.log_weight_field by name.
+from .models import log_weight_field  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -122,12 +123,13 @@ class FunctionalSeries:
 
 
 def _weight_profile(model, p):
-    """u * sqrt(det g) at the 1D momentum points p, shape (k,)."""
+    """u * sqrt(det g) at the 1D momentum points p, shape (k,), and the
+    first-order metric jet it was computed from."""
     pts = np.asarray(p, dtype=float)[:, None]
     logu, jet = geometry.log_weight_values(model, pts)
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(logu) * jet.sqrt_det
-    return w
+    return w, jet
 
 
 def _require_1d(model):
@@ -150,7 +152,7 @@ def build_grid(model, Nx, Np, P):
     p_nodes = np.linspace(-P, P, Np)
     dp = p_nodes[1] - p_nodes[0]
 
-    w = _weight_profile(model, p_nodes)
+    w, _ = _weight_profile(model, p_nodes)
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise NonpositiveWeight(
             "equilibrium weight u sqrt(det g) must be positive on the grid"
@@ -164,7 +166,7 @@ def build_grid(model, Nx, Np, P):
     # Tail estimate: same integrand and spacing on the doubled slab.
     p_ext = np.linspace(-2.0 * P, 2.0 * P, 2 * Np - 1)
     with np.errstate(over="ignore", under="ignore"):
-        w_ext = _weight_profile(model, p_ext)
+        w_ext, _ = _weight_profile(model, p_ext)
     trap_ext = np.full(p_ext.size, dp)
     trap_ext[0] = trap_ext[-1] = 0.5 * dp
     ext = float(np.sum(np.where(np.isfinite(w_ext), w_ext, 0.0) * trap_ext))
@@ -221,12 +223,10 @@ def _node_geometry(model, grid):
     v = model.v_fields[0].value(pts)
     dv = pj.dv[:, 0, 0]
 
-    lw = log_weight_field(model)
-    w_cov = lw.grad(pts)[:, 0]
-    lu2 = lw.hess(pts)[:, 0, 0]
+    w_cov = geometry.drift_oneform_from_jet(jet, pj.grad_E)[:, 0]
     # Ric vanishes on a 1-manifold, so the Bakry-Emery tensor is just
     # minus the covariant Hessian of log u.
-    ric_t = -(lu2 - Gamma * w_cov)
+    ric_t = pj.bakry[:, 0, 0]
 
     geo = _NodeGeometry(
         gpp=gpp,
@@ -312,15 +312,14 @@ def diffusion_matrix(model, grid):
     _require_1d(model)
     p = grid.p_nodes
     half = 0.5 * (p[:-1] + p[1:])
-    w_half = _weight_profile(model, half)
-    jet = geometry.batch_jet(model, half[:, None], second=False)
+    w_half, jet = _weight_profile(model, half)
     gpp_half = jet.g_inv[:, 0, 0]
 
     # Scale the half-node conductances by the same normalization that
     # produced mu_weights, so generator and measure agree exactly.
     trap = np.full(grid.Np, grid.dp)
     trap[0] = trap[-1] = 0.5 * grid.dp
-    norm = 1.0 / float(np.sum(_weight_profile(model, p) * trap))
+    norm = 1.0 / float(np.sum(_weight_profile(model, p)[0] * trap))
 
     off = norm * w_half * gpp_half / grid.dp
     diag = np.zeros(grid.Np)

@@ -11,7 +11,7 @@ from scipy.stats import qmc
 
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
-from hypocert.errors import DegenerateA, MetricError
+from hypocert.errors import DegenerateA, ExprDomainError, MetricError
 from hypocert.expressions import parse_expr
 from hypocert.fields import ExprMetricField, ExprScalarField
 from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
@@ -276,7 +276,7 @@ class TestCurvatureBounds:
         cb = asm.curvature_bounds(m, small_grid())
         assert abs(cb.sigma1 - 1.0) < 1e-12
         assert abs(cb.sigma2 - 1.0) < 1e-12
-        assert not cb.partial
+        assert cb.failures == ()
         assert cb.shift == 0.0
 
     def test_relativistic_theta4(self):
@@ -311,14 +311,6 @@ class TestCurvatureBounds:
         b = asm.curvature_bounds(m, fine)
         assert b.sigma1 <= a.sigma1 + 1e-12
         assert b.sigma2 >= a.sigma2 - 1e-12
-
-    def test_degenerate_point_isolated(self):
-        m = expr_model_1d("p1^2", "p1^2/2")
-        pts = np.linspace(-2.0, 2.0, 5)[:, None]
-        cb = asm.curvature_bounds(m, pts)
-        assert cb.partial
-        assert len(cb.failures) == 1
-        assert abs(cb.failures[0][0][0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +382,12 @@ class TestHormander:
         assert not res.ok
         assert res.min_absdetF == 0.0
 
-    def test_failed_point_jet_is_the_witness(self):
+    def test_failed_point_jet_raises(self):
         # det F = 1 everywhere, but the energy derivatives of sqrt(p1)
         # fail at p = -1, so that point's point jet does too.
         m = expr_model_1d("1", "sqrt(p1)")
-        res = asm.hormander_check(m, np.array([[-1.0], [0.5], [1.0]]))
-        assert not res.ok
-        assert res.min_absdetF == 0.0
-        assert res.witness.point.tolist() == [-1.0]
-        assert res.witness.value == 0.0
+        with pytest.raises(ExprDomainError, match=r"at p = \[-1\.\]"):
+            asm.hormander_check(m, np.array([[0.5], [-1.0], [1.0]]))
 
 
 class TestGrowth:
@@ -649,18 +638,15 @@ class TestGenEigHelpers:
         assert np.all(np.isfinite(eigs))
 
     def test_scan_eval_bisection(self, monkeypatch):
-        # _point_jets bisects the chunk [4, 8) down to p = 4, the one
-        # point where g = (p1 - 4)^2 is not positive definite.
+        # _point_jets yields the chunk [0, 4), then bisects the chunk
+        # [4, 8) down to its first failing point and raises there.
         monkeypatch.setattr(asm, "CHUNK", 4)
-        m = expr_model_1d("(p1 - 4)^2", "p1^2/2")
         P = np.arange(10.0)[:, None]
-        bad = []
-        chunks = [(idx.tolist(), pj) for idx, pj in asm._point_jets(m, P, bad)]
-        assert [i for i, _ in bad] == [4]
-        assert isinstance(bad[0][1], MetricError)
-        assert [idx for idx, _ in chunks] == [[0, 1, 2, 3], [5], [6, 7], [8, 9]]
-        for idx, pj in chunks:
-            assert np.array_equal(pj.P, P[idx])
+        for g, first in (("(p1 - 4)^2", "4"), ("(p1 - 5)^2 * (p1 - 7)^2", "5")):
+            jets = asm._point_jets(expr_model_1d(g, "p1^2/2"), P)
+            assert np.array_equal(next(jets).P, P[:4])
+            with pytest.raises(MetricError, match=rf"at p = \[{first}\.\]$"):
+                next(jets)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +746,6 @@ class TestSharedPointJets:
         assert built == [8, 8, 8]
         wr = asm.logsob_warped(m, P)
         assert rep.alpha == wr.alpha
-        assert rep.alpha_source == ("warped" if wr.ok else None)
         for name in ("kappa1", "kappa2"):
             got, want = rep.witnesses[name], wr.witnesses[name]
             assert (got.label, got.value) == (want.label, want.value)
@@ -769,20 +754,15 @@ class TestSharedPointJets:
         assert f"kappa2 = {wr.kappa2:.6g}" in rep.alpha_note
 
     @pytest.mark.parametrize("scan", [
-        asm.check_model, asm.dominance_constants, asm.logsob_warped,
-        asm.logsob_product,
+        asm.check_model, asm.curvature_bounds, asm.dominance_constants,
+        asm.hormander_check, asm.logsob_warped, asm.logsob_product,
     ])
     def test_failing_point_named(self, scan):
+        # One rule for every scan: g = p1^2 is not positive definite at
+        # p = 0, so no scan returns a result on this grid.
         m = expr_model_1d("p1^2", "p1^2/2")
-        with pytest.raises(MetricError, match=r"at p = \[0\.\]"):
+        with pytest.raises(MetricError, match=r"at p = \[0\.\]$"):
             scan(m, np.linspace(-2.0, 2.0, 5)[:, None])
-
-    def test_check_model_degenerate_metric_raises(self):
-        # Curvature skips p = 0 (see test_degenerate_point_isolated);
-        # dominance needs every point and re-raises the metric failure.
-        m = expr_model_1d("p1^2", "p1^2/2")
-        with pytest.raises(MetricError):
-            asm.check_model(m, np.linspace(-2.0, 2.0, 5)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +779,6 @@ class TestCheckModel:
             "hormander": True, "growth": True, "logsob": True,
         }
         assert rep.alpha == pytest.approx(1.0, abs=1e-10)
-        assert rep.alpha_source == "warped"
         assert rep.sigma == pytest.approx(0.0, abs=1e-12)
 
     def test_relativistic_theta4_report(self):
@@ -809,7 +788,6 @@ class TestCheckModel:
         assert rep.passes["curvature"]
         assert not rep.passes["logsob"]
         assert rep.alpha is None
-        assert rep.alpha_source is None
         assert "inconclusive" in rep.alpha_note
 
     def test_relativistic_theta30_report(self):
@@ -819,7 +797,6 @@ class TestCheckModel:
         assert rep.passes["logsob"]
         # kappa1 grows with theta while kappa2 stays 11/2
         assert rep.alpha > 5.0
-        assert rep.alpha_source == "warped"
         assert rep.alpha_note.startswith("warped criterion: kappa1 = ")
 
     def test_relativistic_theta01_report(self):
@@ -837,11 +814,16 @@ class TestCheckModel:
             line.split(" = ", 1) for line in kv.strip().splitlines()
         )
         for key in ("sigma1", "sigma2", "sigma", "beta", "gamma", "omega",
-                    "alpha", "alpha_source", "hormander_min", "growth_ok",
+                    "alpha", "hormander_min",
                     "grid_radius", "grid_points", "grid_seed", "required_ok",
                     "witnesses", "pass_curvature", "pass_logsob"):
             assert key in lines
         assert lines["required_ok"] == "true"
         assert float(lines["sigma1"]) == pytest.approx(1.0, abs=1e-12)
+        # each fact once: pass_growth holds the growth gate, and the
+        # warped criterion is the only route
+        for key in ("alpha_source", "growth_ok", "partial"):
+            assert key not in lines
         text = asm.report_text(rep)
         assert "pass" in text and "sigma1" in text
+        assert "(warped)" not in text

@@ -161,8 +161,10 @@ class TestCheck:
         )
         assert run_cli(["check", "--model", path,
                         "--output-dir", tmp_path / "out"]) == 1
-        err = capsys.readouterr().err
-        assert "metric not positive definite" in err and "at p = [0.]" in err
+        assert capsys.readouterr().err == (
+            "failure: metric not positive definite: Matrix is not positive "
+            "definite at p = [0.]\n"
+        )
 
     def test_config_error_exit_2(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -370,6 +372,17 @@ class TestSimulate:
     def test_requires_1d_model(self, tmp_path):
         assert run_cli(["simulate", "--model", "relativistic", "--theta", "4",
                         "--output-dir", tmp_path / "out"] + QUICK) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--Nx", "4"], ["--P", "-1"], ["--initial-data", "log(x)"],
+    ], ids=["Nx", "P", "initial-data"])
+    def test_bad_grid_or_data_rejected_before_scan(self, tmp_path, flags):
+        # the grid and initial state are built before the scan, so a bad
+        # setting leaves no output directory behind
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", "classical",
+                        "--output-dir", out] + flags) == 2
+        assert not out.exists()
 
     def test_bad_initial_data_exit_2(self, tmp_path):
         assert run_cli(["simulate", "--model", "classical",
