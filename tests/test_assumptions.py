@@ -764,6 +764,14 @@ class TestSharedPointJets:
         with pytest.raises(MetricError, match=r"at p = \[0\.\]$"):
             scan(m, np.linspace(-2.0, 2.0, 5)[:, None])
 
+    def test_check_model_degenerate_metric_raises(self):
+        # No scan skips p = 0, so check_model raises there before any
+        # report is built, whichever point of the grid comes first.
+        m = expr_model_1d("p1^2", "p1^2/2")
+        for P in (np.linspace(-2.0, 2.0, 5), np.linspace(2.0, -2.0, 5)):
+            with pytest.raises(MetricError, match=r"at p = \[0\.\]$"):
+                asm.check_model(m, P[:, None])
+
 
 # ---------------------------------------------------------------------------
 # Combined report
