@@ -20,9 +20,10 @@ and raise beta, gamma, omega.
 
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
 energy 2-jet, Gram form A), built from the model's fields once per
-CHUNK of points as a `_PointJet`.  Each scan keeps only per-point
-values, and `check_model` feeds every point jet to all of them in one
-pass, so no point jet outlives its chunk.
+CHUNK of points as a `_PointJet`; the jets of its expression fields
+come from one program per model, compiled once and cached on it.  Each
+scan keeps only per-point values, and `check_model` feeds every point
+jet to all of them in one pass, so no point jet outlives its chunk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fields as _fields
 from . import geometry as _geom
 from .geometry import _t
 from .errors import DegenerateA, MetricError
@@ -286,6 +288,24 @@ class ProductResult:
 # One pass over the chunks
 
 
+def _jet_program(model):
+    """The model's one program for every jet a point jet reads.
+
+    It holds g at orders 0-2, each v^I at orders 1-3 and E at orders 1
+    and 2, and is cached on the model.
+    """
+    program = model._cache.get("point_jet")
+    if program is None:
+        g, vfs, energy = model.metric_field, model.v_fields, model.energy_field
+        program = model._cache["point_jet"] = _fields._JetProgram(
+            [(g, 0), (g, 1), (g, 2)]
+            + [(f, k) for k in (1, 2, 3) for f in vfs]
+            + [(energy, 1), (energy, 2)],
+            model.dim,
+        )
+    return program
+
+
 class _PointJet:
     """The pointwise data of (g, v, E) that the scans read, on points P.
 
@@ -297,13 +317,13 @@ class _PointJet:
     """
 
     def __init__(self, model, P):
-        vfs, energy = model.v_fields, model.energy_field
+        n = len(model.v_fields)
+        g, dg, d2g, *v, self.grad_E, self.hess_E = _jet_program(model)(P)
         self.P = P
-        self.jet = _geom.batch_jet(model, P)
-        self.dv = np.stack([f.grad(P) for f in vfs], axis=1)
-        self.hv = np.stack([f.hess(P) for f in vfs], axis=1)
-        self.tv = np.stack([f.third(P) for f in vfs], axis=1)
-        self.grad_E, self.hess_E = energy.grad(P), energy.hess(P)
+        self.jet = _geom.jet_from_arrays(g, dg, d2g)
+        self.dv, self.hv, self.tv = (
+            np.stack(v[k:k + n], axis=1) for k in range(0, 3 * n, n)
+        )
         self.A = _gram(self.dv, self.jet.g_inv)
 
     @cached_property

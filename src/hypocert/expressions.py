@@ -21,11 +21,11 @@ Differentiation and evaluation share nodes by structure, not by
 identity.  A private DAG (`_Dag`) hash-conses nodes into slots keyed on
 (op, child slots), so a subterm that appears in several entries, or as
 equal copies, is one slot.  The derivative rules run on slots, with one
-memo keyed on (slot, coordinate) for the life of the DAG: a field that
-differentiates its entries again and again (`fields._ExprJets`) builds
-each derivative of each subterm once, and the derivative of exp(f)
-reuses the slot of exp(f).  `diff_expr` is the round trip AST -> slots
--> derivative -> AST.
+memo keyed on (slot, coordinate) for the life of the DAG: a jet builder
+that differentiates the entries of one or more fields again and again
+(`fields._ExprJets`) builds each derivative of each subterm once, and
+the derivative of exp(f) reuses the slot of exp(f).  `diff_expr` is the
+round trip AST -> slots -> derivative -> AST.
 
 A `Tape` is the straight-line program of some slots of a DAG: exactly
 the slots they reach, leaves first.  It runs vectorized over an (n, M)

@@ -5,15 +5,18 @@ and its derivatives on a batch of points P with shape (n, M).  Two
 families exist:
 
 * expression-backed fields (scalar, metric, vector) differentiate
-  symbolically (exact to round off).  All three share one jet builder:
-  the field's entries go once into a hash-consed expression DAG that
-  the field keeps, each derivative order is built lazily on it, one
-  partial per nondecreasing axes tuple and value entry, from the
-  partials of the order below, and compiled into one cached `Tape`
-  that evaluates all of them together.  Every slot that is a
-  permutation of a partial's axes, or the mirror of a metric entry, is
-  filled from that one partial, so the returned arrays are symmetric
-  exactly;
+  symbolically (exact to round off).  All three share one jet builder,
+  `_ExprJets`, which can serve several fields: their entries go once
+  into a hash-consed expression DAG that the builder keeps, each
+  derivative order is built lazily on it, one partial per
+  nondecreasing axes tuple and value entry, from the partials of the
+  order below.  A request lists (field, order) pairs and compiles into
+  one cached `Tape` that evaluates all of its partials together; each
+  field method is a request of one pair, and `_JetProgram` puts the
+  jets of several fields (a model's point jet) into one request.
+  Every slot that is a permutation of a partial's axes, or the mirror
+  of a metric entry, is filled from that one partial, so the returned
+  arrays are symmetric exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
@@ -142,57 +145,82 @@ def as_field(field, dim, theta=None):
 
 
 class _ExprJets:
-    """The derivative jets of one expression field, built lazily by order.
+    """The derivative jets of one or more expression fields, on one DAG.
 
-    entries maps a value index to its AST: () for a scalar, (i,) for a
-    vector component, (i, j) with i <= j for a metric.  The entries go
-    into one hash-consed DAG (`expressions._Dag`) that the field keeps
-    for its life.  The order-k partials are kept once per nondecreasing
-    axes tuple, each taken in increasing axis order from an order-(k-1)
-    partial, and the DAG builds each (slot, axis) derivative once.  The
-    program of order k holds exactly the slots its partials reach.  The
-    order-k jet has shape (n,) + (dim,) * k + shape.  A partial fills
-    every slot that permutes its axes, followed by its index or by its
-    reversed index: the same slot for a scalar or vector, the mirrored
-    entry for a metric.  The program's last root is 0, read by the
-    slots of entries the field leaves out (a metric's zero
-    off-diagonals).
+    fields lists each field's (entries, shape).  entries maps a value
+    index to its AST: () for a scalar, (i,) for a vector component,
+    (i, j) with i <= j for a metric.  Every entry goes into one
+    hash-consed DAG (`expressions._Dag`) that the builder keeps for its
+    life, so the fields share the subterms they have in common.  A
+    field's order-k partials are kept once per nondecreasing axes tuple,
+    each taken in increasing axis order from an order-(k-1) partial, and
+    the DAG builds each (slot, axis) derivative once.
+
+    A request is a tuple of (field, order) pairs, field an index into
+    fields.  Each request compiles once into one program that holds
+    exactly the slots its partials reach, so a partial or subterm that
+    several of its jets read is computed once.  The jet of (field, k)
+    has shape (n,) + (dim,) * k + shape.  A partial fills every slot
+    that permutes its axes, followed by its index or by its reversed
+    index: the same slot for a scalar or vector, the mirrored entry for
+    a metric.  The program's last root is 0, read by the slots of
+    entries a field leaves out (a metric's zero off-diagonals).
     """
 
-    def __init__(self, entries, shape, dim):
-        self.shape = shape
+    def __init__(self, fields, dim):
+        self.fields = fields
         self.dim = dim
         self._dag = _Dag()
-        slots = self._dag.intern(list(entries.values()))
-        self._partials = [{((), idx): s for idx, s in zip(entries, slots)}]
+        slots = iter(self._dag.intern(
+            [ast for entries, _ in fields for ast in entries.values()]))
+        self._partials = [[{((), idx): next(slots) for idx in entries}]
+                          for entries, _ in fields]
         self._compiled = {}
 
-    def _compile(self, order):
-        dag = self._dag
-        while len(self._partials) <= order:
-            self._partials.append({
+    def _order(self, field, order):
+        """{(axes, index): slot} of the order-k partials of a field."""
+        dag, partials = self._dag, self._partials[field]
+        while len(partials) <= order:
+            partials.append({
                 (axes + (k,), idx): dag.derivative(s, k + 1)
-                for (axes, idx), s in self._partials[-1].items()
+                for (axes, idx), s in partials[-1].items()
                 for k in range(axes[-1] if axes else 0, self.dim)
             })
-        partials = self._partials[order]
-        shape = (self.dim,) * order + self.shape
-        flat = np.arange(math.prod(shape)).reshape(shape)
-        # source[s] is the tape row that flat slot s reads
-        source = np.full(flat.size, len(partials))
-        for row, (axes, idx) in enumerate(partials):
-            for perm in itertools.permutations(axes):
-                source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
-        tape = dag.tape(list(partials.values()) + [dag.const(0.0)])
-        return tape, source, shape
+        return partials[order]
 
-    def __call__(self, order, P, theta):
-        """[n, l, ..., k, *index] = d_l ... d_k of the entry at index."""
-        if order not in self._compiled:
-            self._compiled[order] = self._compile(order)
-        tape, source, shape = self._compiled[order]
+    def _compile(self, request):
+        roots, blocks = [], []
+        for field, order in request:
+            partials = self._order(field, order)
+            shape = (self.dim,) * order + self.fields[field][1]
+            flat = np.arange(math.prod(shape)).reshape(shape)
+            # source[s] is the tape row that flat slot s reads, -1 the 0 row
+            source = np.full(flat.size, -1)
+            for row, (axes, idx) in enumerate(partials, start=len(roots)):
+                for perm in itertools.permutations(axes):
+                    source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
+            roots += partials.values()
+            blocks.append((source, shape))
+        for source, _ in blocks:
+            source[source < 0] = len(roots)
+        return self._dag.tape(roots + [self._dag.const(0.0)]), blocks
+
+    def __call__(self, request, P, theta):
+        """The jet of each (field, order) of the request, in order:
+        [n, l, ..., k, *index] = d_l ... d_k of the entry at index."""
+        compiled = self._compiled.get(request)
+        if compiled is None:
+            compiled = self._compiled[request] = self._compile(request)
+        tape, blocks = compiled
         vals = evaluate(tape, P, theta)
-        return vals.T.take(source, axis=1).reshape((P.shape[0],) + shape)
+        # each jet's rows gathered row-major, then transposed once
+        return [np.ascontiguousarray(vals.take(source, axis=0).T)
+                .reshape((P.shape[0],) + shape) for source, shape in blocks]
+
+
+def _jet(field, order, P):
+    """One order of an expression field's jet: a request of one pair."""
+    return field._jets(((0, order),), P, field.theta)[0]
 
 
 class ExprScalarField:
@@ -202,23 +230,23 @@ class ExprScalarField:
         self.ast = ast
         self.dim = dim
         self.theta = theta
-        self._jets = _ExprJets({(): ast}, (), dim)
+        self._jets = _ExprJets([({(): ast}, ())], dim)
 
     def value(self, P):
-        return self._jets(0, P, self.theta)
+        return _jet(self, 0, P)
 
     def grad(self, P):
-        return self._jets(1, P, self.theta)
+        return _jet(self, 1, P)
 
     def hess(self, P):
-        return self._jets(2, P, self.theta)
+        return _jet(self, 2, P)
 
     def third(self, P):
-        return self._jets(3, P, self.theta)
+        return _jet(self, 3, P)
 
     def derivative(self, P, axes):
         """Evaluate an arbitrary mixed partial; axes are 0-based."""
-        return self._jets(len(axes), P, self.theta)[(slice(None),) + tuple(axes)]
+        return _jet(self, len(axes), P)[(slice(None),) + tuple(axes)]
 
 
 class ExprMetricField:
@@ -232,18 +260,18 @@ class ExprMetricField:
         self.dim = dim
         self.theta = theta
         self.entries = {tuple(sorted(ij)): ast for ij, ast in entries.items()}
-        self._jets = _ExprJets(self.entries, (dim, dim), dim)
+        self._jets = _ExprJets([(self.entries, (dim, dim))], dim)
 
     def value(self, P):
-        return self._jets(0, P, self.theta)
+        return _jet(self, 0, P)
 
     def grad(self, P):
         """[n, k, i, j] = d_k g_ij."""
-        return self._jets(1, P, self.theta)
+        return _jet(self, 1, P)
 
     def hess(self, P):
         """[n, l, k, i, j] = d_l d_k g_ij."""
-        return self._jets(2, P, self.theta)
+        return _jet(self, 2, P)
 
 
 class ExprVectorField:
@@ -254,13 +282,49 @@ class ExprVectorField:
         self.dim = dim
         self.theta = theta
         self._jets = _ExprJets(
-            {(i,): ast for i, ast in enumerate(self.components)},
-            (len(self.components),), dim,
+            [({(i,): ast for i, ast in enumerate(self.components)},
+              (len(self.components),))], dim,
         )
 
     def value(self, P):
-        return self._jets(0, P, self.theta)
+        return _jet(self, 0, P)
 
     def jacobian(self, P):
         """[n, k, i] = d_k Z^i."""
-        return self._jets(1, P, self.theta)
+        return _jet(self, 1, P)
+
+
+_EXPR_FIELDS = (ExprScalarField, ExprMetricField, ExprVectorField)
+_METHODS = ("value", "grad", "hess", "third")
+
+
+class _JetProgram:
+    """The jets of several fields together: P -> [jet of each request].
+
+    requests lists (field handle, order) pairs.  The expression fields
+    among them that share the first one's theta (`members`) go into one
+    `_ExprJets`, whose one request (`request`) runs all their jets as
+    one program; every other field answers through its own value, grad,
+    hess or third.
+    """
+
+    def __init__(self, requests, dim):
+        self.requests = requests
+        expr = [f for f, _ in requests if isinstance(f, _EXPR_FIELDS)]
+        self.theta = expr[0].theta if expr else None
+        self.members = []
+        for f in expr:
+            if f.theta == self.theta and not any(f is m for m in self.members):
+                self.members.append(f)
+        self._member = [
+            next((i for i, m in enumerate(self.members) if m is f), None)
+            for f, _ in requests
+        ]
+        self.jets = _ExprJets([m._jets.fields[0] for m in self.members], dim)
+        self.request = tuple((i, order) for i, (_, order)
+                             in zip(self._member, requests) if i is not None)
+
+    def __call__(self, P):
+        merged = iter(self.jets(self.request, P, self.theta))
+        return [next(merged) if i is not None else getattr(f, _METHODS[order])(P)
+                for i, (f, order) in zip(self._member, self.requests)]

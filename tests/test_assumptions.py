@@ -10,6 +10,7 @@ import scipy.linalg
 from scipy.stats import qmc
 
 from hypocert import assumptions as asm
+from hypocert import fields
 from hypocert import geometry as geom
 from hypocert.errors import DegenerateA, ExprDomainError, MetricError
 from hypocert.expressions import parse_expr
@@ -654,20 +655,33 @@ class TestGenEigHelpers:
 
 
 class TestSharedPointJets:
-    def test_check_model_builds_metric_hessian_once_per_chunk(self):
+    def test_check_model_builds_metric_hessian_once_per_chunk(self, monkeypatch):
+        # d2g is one jet of the model's one point-jet program, which runs
+        # once per chunk; the metric field's own hess is not called
         m = builtin_relativistic(4.0)
         grid = small_grid()
         assert grid.count <= asm.CHUNK
         hess = m.metric_field.hess
-        calls = []
+        calls, runs = [], []
 
         def counted(P):
             calls.append(P.shape[0])
             return hess(P)
 
+        def counted_evaluate(tape, P, theta=None):
+            runs.append((tape, P.shape[0]))
+            return evaluate(tape, P, theta)
+
+        evaluate = fields.evaluate
         m.metric_field.hess = counted
+        monkeypatch.setattr(fields, "evaluate", counted_evaluate)
         asm.check_model(m, grid)
-        assert calls == [grid.count]
+        program = m._cache["point_jet"]
+        assert any(program.members[i] is m.metric_field and order == 2
+                   for i, order in program.request)
+        ((tape, *_),) = program.jets._compiled.values()
+        assert [rows for t, rows in runs if t is tape] == [grid.count]
+        assert calls == []
 
     def test_check_model_bakry_and_gram_test_once_per_chunk(self, monkeypatch):
         # the curvature and log-Sobolev scans share one Bakry-Emery tensor,
@@ -763,6 +777,26 @@ class TestSharedPointJets:
         m = expr_model_1d("p1^2", "p1^2/2")
         with pytest.raises(MetricError, match=r"at p = \[0\.\]$"):
             scan(m, np.linspace(-2.0, 2.0, 5)[:, None])
+
+    @pytest.mark.parametrize("g, v, E, error, first", [
+        # v fails at p = 5 and p = 7, in its value and its derivatives
+        ("1", "1/((p1 - 5)*(p1 - 7))", "p1^2/2", ExprDomainError, "5"),
+        # E fails in its derivatives only, at p = 6
+        ("1", "p1", "p1^2/2 + sqrt((p1 - 6)^2)", ExprDomainError, "6"),
+        # g fails after v: the first failing point is still named
+        ("(p1 - 5)^2", "1/(p1 - 6)", "p1^2/2", MetricError, "5"),
+        # at p = 4 g is degenerate and v undefined: the one program runs
+        # before the metric is factored, so v's error is raised
+        ("(p1 - 4)^2", "1/(p1 - 4)", "p1^2/2", ExprDomainError, "4"),
+    ])
+    def test_check_model_names_first_failing_point(self, monkeypatch, g, v, E,
+                                                   error, first):
+        # CHUNK 4: the chunk [0, 4) passes, then the bisection runs the
+        # model's one program on sub-chunks of [4, 8)
+        monkeypatch.setattr(asm, "CHUNK", 4)
+        m = expr_model_1d(g, E, v1=v)
+        with pytest.raises(error, match=rf"at p = \[{first}\.\]$"):
+            asm.check_model(m, np.arange(10.0)[:, None])
 
     def test_check_model_degenerate_metric_raises(self):
         # No scan skips p = 0, so check_model raises there before any

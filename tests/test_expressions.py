@@ -12,13 +12,14 @@ node; a tape must reproduce it bit for bit.
 import gc
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypocert import assumptions as asm
-from hypocert import expressions, fields
+from hypocert import expressions, fields, geometry
 from hypocert.errors import (
     ExprDomainError,
     ExprSyntaxError,
@@ -40,7 +41,7 @@ from hypocert.expressions import (
     to_string,
     uses_theta,
 )
-from hypocert.fields import ExprScalarField, ExprVectorField
+from hypocert.fields import ExprScalarField, ExprVectorField, FDField
 from hypocert.models import (
     builtin_classical,
     builtin_relativistic,
@@ -583,12 +584,13 @@ class TestDagMatchesAstRules:
         P = np.random.default_rng(17).uniform(-1.5, 1.5, size=(7, model.dim))
         for label, entries, shape, field, orders in _jet_fields(model):
             for order in orders:
-                got = field._jets(order, P, field.theta)
+                request = ((0, order),)
+                (got,) = field._jets(request, P, field.theta)
                 want, tape = jet_reference(entries, shape, model.dim, order, P,
                                            field.theta)
                 assert np.array_equal(got, want), (label, order)
                 # the same program, op for op, with the same slots freed
-                assert field._jets._compiled[order][0].code == tape.code
+                assert field._jets._compiled[request][0].code == tape.code
 
     @pytest.mark.parametrize("seed, depths", [(42, (1, 5)), (202, (1, 4))])
     def test_derivative_trees_on_random_asts(self, seed, depths):
@@ -610,6 +612,54 @@ class TestDagMatchesAstRules:
                 diff_expr_reference(tree, k))
 
 
+class TestPointJetProgram:
+    """The model's one point-jet program gives, bit for bit, the arrays
+    that the per-field methods give."""
+
+    @staticmethod
+    def _assert_per_field(model, P):
+        pj = asm._PointJet(model, P)
+        want = vars(geometry.batch_jet(model, P))
+        for name, got in vars(pj.jet).items():
+            assert np.array_equal(got, want[name]), name
+        for name, method in (("dv", "grad"), ("hv", "hess"), ("tv", "third")):
+            stacked = np.stack([getattr(f, method)(P) for f in model.v_fields], axis=1)
+            assert np.array_equal(getattr(pj, name), stacked), name
+        assert np.array_equal(pj.grad_E, model.energy_field.grad(P))
+        assert np.array_equal(pj.hess_E, model.energy_field.hess(P))
+        return model._cache["point_jet"]
+
+    @pytest.mark.parametrize("name", sorted(JET_MODELS))
+    def test_expression_models(self, name, tmp_path):
+        model = JET_MODELS[name](tmp_path)
+        P = np.random.default_rng(23).uniform(-1.5, 1.5, size=(9, model.dim))
+        program = self._assert_per_field(model, P)
+        # every field is in the one program
+        assert len(program.members) == model.dim + 2
+        assert len(program.jets._compiled) == 1
+
+    def test_fd_metric(self):
+        rel = builtin_relativistic(4.0)
+        model = replace(rel, metric_field=FDField(rel.metric_field.value, 3))
+        P = np.random.default_rng(29).uniform(-1.5, 1.5, size=(9, 3))
+        program = self._assert_per_field(model, P)
+        assert program.members == [*model.v_fields, model.energy_field]
+
+    def test_field_with_another_theta(self):
+        # one program binds one theta: a field bound to another one
+        # answers through its own methods
+        rel = builtin_relativistic(4.0)
+        energy = ExprScalarField(rel.energy_field.ast, 3, theta=2.0)
+        model = replace(rel, energy_field=energy)
+        P = np.random.default_rng(31).uniform(-1.5, 1.5, size=(9, 3))
+        program = self._assert_per_field(model, P)
+        assert program.members == [model.metric_field, *model.v_fields]
+        np.testing.assert_allclose(
+            asm._PointJet(model, P).grad_E,
+            0.5 * asm._PointJet(rel, P).grad_E, rtol=1e-15,
+        )
+
+
 class TestJetCost:
     """Work counted, not timed, while the jets a point jet reads are built."""
 
@@ -627,19 +677,39 @@ class TestJetCost:
         model = builtin_relativistic(4.0)
         P = np.array([[0.3, -0.2, 0.5]])
         asm._PointJet(model, P)
-        model.v_fields[0].value(P)
+
+        # one DAG and one program of 1,104 ops for g at orders 0-2, each
+        # v at orders 1-3 and E at orders 1-2; the 14 per-field programs
+        # of those jets would run 1,970
+        program = model._cache["point_jet"]
+        assert program.members == [model.metric_field, *model.v_fields,
+                                   model.energy_field]
+        ((request, (tape, *_)),) = program.jets._compiled.items()
+        assert len(request) == 14
+        assert len(tape.code) == 1104
+        assert rules and {dag for dag, _, _ in rules} == {program.jets._dag}
+        assert len(set(rules)) == len(rules)
+
+        # each field's own methods still compile one program per order
+        g, vs, energy = model.metric_field, model.v_fields, model.energy_field
         logu = log_weight_field(model)
-        for order in range(3):
-            logu._jets(order, P, model.theta)
+        for field, methods in ((g, ("value", "grad", "hess")),
+                               *((v, ("value", "grad", "hess", "third")) for v in vs),
+                               (energy, ("grad", "hess")),
+                               (logu, ("value", "grad", "hess"))):
+            for name in methods:
+                getattr(field, name)(P)
 
         assert calls == []
-        assert rules and len(set(rules)) == len(rules)
+        assert len(set(rules)) == len(rules)
 
         def ops(field):
-            return {order: len(tape.code)
-                    for order, (tape, _, _) in field._jets._compiled.items()}
+            return {order: len(tape.code) for ((_, order),), (tape, *_)
+                    in field._jets._compiled.items()}
 
-        assert ops(model.metric_field) == {0: 25, 1: 102, 2: 392}
-        assert ops(model.v_fields[0]) == {0: 8, 1: 24, 2: 91, 3: 344}
-        assert ops(model.energy_field) == {1: 17, 2: 43}
+        assert ops(g) == {0: 25, 1: 102, 2: 392}
+        assert ops(vs[0]) == {0: 8, 1: 24, 2: 91, 3: 344}
+        assert ops(energy) == {1: 17, 2: 43}
         assert ops(logu) == {0: 44, 1: 239, 2: 980}
+        assert sum(ops(program.members[i])[order]
+                   for i, order in request) == 1970
