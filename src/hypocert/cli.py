@@ -16,6 +16,7 @@ are reproducible.
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -463,7 +464,9 @@ def _diagnostics_table(state, model, grid, tmax):
     # and their relative residuals meaningless
     t_burn = min(0.25, tmax / 4.0)
     safe_dt = 0.9 * min(solver.cfl_limit(model, grid), t_burn)
-    n = max(1, int(round(t_burn / safe_dt)))
+    # Round the count up: rounding down could stretch a step past the
+    # limit.
+    n = math.ceil(t_burn / safe_dt)
     for _ in range(n):
         state = solver.step(state, t_burn / n, model, grid)
     rows = solver.entropy_production_diagnostics(state, model, grid)
@@ -534,7 +537,9 @@ def _add_shared(p):
     p.add_argument("--scan-count", type=int, dest="scan_count",
                    help="quasi-random scan points (scan.quasi_random_count)")
     p.add_argument("--tmax", type=float, help="simulation end time")
-    p.add_argument("--dt", type=float, help="time step (default: CFL-safe)")
+    p.add_argument("--dt", type=float,
+                   help="largest time step (default: 0.9 of the transport "
+                        "limit, 2 dx / max|v|, or dx / max|v| with --order2)")
     p.add_argument("--sample-dt", type=float, dest="sample_dt",
                    help="sampling interval for the CSV series")
     p.add_argument("--initial-data", dest="initial_data", metavar="EXPR",

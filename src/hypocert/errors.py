@@ -93,7 +93,7 @@ class InvalidCertificate(HypocertError):
 
 class CFLViolation(HypocertError):
     """Raised when the requested time step exceeds the transport CFL
-    limit dx / max|v|."""
+    limit: 2 dx / max|v| for upwind, dx / max|v| for MUSCL."""
 
 
 class LinearSolveFailure(HypocertError):

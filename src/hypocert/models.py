@@ -246,10 +246,45 @@ def builtin_relativistic(theta, dim=3):
 
 
 class ClassicalOracle:
-    """Constant closed forms for the classical model."""
+    """Constant closed forms for the classical model, and in one momentum
+    dimension the exact solution of its kinetic equation.
+
+    At M = 1 the model is the Langevin equation.  For the datum
+    h0 = 1 + eps cos(XI x) on the unit torus its density ratio with
+    respect to the Gaussian equilibrium is, for all t >= 0,
+
+        h = 1 + eps exp(-XI^2 s2(t) / 2) cos(XI x - XI p (1 - e^-t)),
+        s2(t) = 2 t - 3 + 4 e^-t - e^-2t
+
+    (Risken, The Fokker-Planck Equation, 1989, ch. 10).
+    """
+
+    XI = 2.0 * np.pi
 
     def __init__(self, dim):
         self.dim = dim
+
+    def langevin_h(self, x, p, t, eps):
+        """Exact density ratio at time t for the datum 1 + eps cos(XI x)."""
+        if self.dim != 1:
+            raise ValueError("the Langevin solution needs one momentum "
+                             f"dimension, not {self.dim}")
+        xi = self.XI
+        s2 = 2.0 * t - 3.0 + 4.0 * np.exp(-t) - np.exp(-2.0 * t)
+        amp = eps * np.exp(-0.5 * xi**2 * s2)
+        return 1.0 + amp * np.cos(xi * x - xi * p * (1.0 - np.exp(-t)))
+
+    def langevin_D(self, t, eps):
+        """Exact relative entropy D(t) = int int (h log h - h + 1) of
+        langevin_h against the Gaussian, by quadrature: 80 probabilists'
+        Gauss-Hermite nodes in p and the 256-point periodic trapezoid
+        rule in x, exact to round-off for this smooth integrand."""
+        p, w = np.polynomial.hermite_e.hermegauss(80)
+        w = w / w.sum()
+        x = np.arange(256) / 256
+        h = self.langevin_h(x[:, None], p[None, :], t, eps)
+        phi = h * np.log(h) - h + 1.0
+        return float(np.sum(phi.mean(axis=0) * w))
 
     def _eye(self, P, scale=1.0):
         n = P.shape[0]

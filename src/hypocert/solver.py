@@ -10,7 +10,9 @@ Time stepping is Strang splitting: half-step upwind transport in x,
 implicit diffusion in p, half-step transport.  Transport is in flux
 form, h_i -= F_{i+1/2} - F_{i-1/2} with the face flux taken from the
 upwind side (first order, or MUSCL with a minmod limiter), so it is
-conservative to round-off and monotone under the CFL bound
+conservative to round-off.  Each half step moves by the Courant number
+nu = v dt / (2 dx), and is positive and total-variation diminishing for
+|nu| <= 1 (upwind) or |nu| <= 1/2 (MUSCL), so dt <= 2 dx / max|v| or
 dt <= dx / max|v|.  The implicit solve is an M-matrix system, so
 positivity survives any dt; its symmetric tridiagonal matrix is
 factored once per dt (LAPACK dpttrf) and solved in place (dpttrs).
@@ -358,6 +360,10 @@ class _Strang:
         # are kept as runs of column slices (one run for a monotone v),
         # since a masked ufunc is several times slower than a slice.
         self.nu = _node_geometry(model, grid).v * (0.5 * dt / grid.dx)
+        # step accepts dt a round-off past cfl_limit, which may carry
+        # |nu| a few ulps past its bound; clip it back (a no-op below).
+        nu_max = 0.5 if order2 else 1.0
+        np.clip(self.nu, -nu_max, nu_max, out=self.nu)
         ends = np.flatnonzero(np.diff(np.concatenate(
             ([0], (self.nu < 0.0).astype(np.int8), [0]))))
         self.from_right = [slice(a, b) for a, b in zip(ends[::2], ends[1::2])]
@@ -376,8 +382,12 @@ class _Strang:
     def transport(self, out):
         """One half step of dh/dt + v dh/dx = 0 on self.h, into out.
 
-        out may be self.h.  MUSCL reconstructs with a minmod limiter
-        and is monotone for |nu| <= 1/2.
+        out may be self.h.  Upwind is a convex combination of h_k and its
+        upwind neighbour for |nu| <= 1.  MUSCL reconstructs with a
+        minmod limiter; in incremental form (nu > 0, mirrored for
+        nu < 0) it is h_k' = h_k - C (h_k - h_{k-1}) with C in
+        [nu/2, 3 nu/2], so it is positive and total-variation
+        diminishing for |nu| <= 2/3, and cfl_limit allows |nu| <= 1/2.
         """
         g, h, flux = self.ghost, self.h, self.flux
         nx = h.shape[0]
@@ -421,9 +431,14 @@ def _strang(model, grid, dt, order2):
 
 
 def cfl_limit(model, grid, order2=False):
-    """Largest stable transport step, dx / max|v| (halved for order2)."""
+    """Largest step dt whose transport half steps stay positive and TVD.
+
+    Each half step moves by nu = v dt / (2 dx), so the limit is
+    2 dx / max|v| for upwind (|nu| <= 1) and dx / max|v| for MUSCL
+    (|nu| <= 1/2).
+    """
     geo = _node_geometry(model, grid)
-    limit = grid.dx / geo.vmax if geo.vmax > 0.0 else math.inf
+    limit = 2.0 * grid.dx / geo.vmax if geo.vmax > 0.0 else math.inf
     return 0.5 * limit if order2 else limit
 
 

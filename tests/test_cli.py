@@ -338,16 +338,16 @@ class TestSimulate:
         assert "at t =" in err
 
     def test_chosen_dt_stays_inside_the_limit(self, tmp_path):
-        # The default grid's transport limit is 1.953e-3, and 0.0025 is
-        # 1.42 steps of 0.9 times it, which rounds down to one step.
+        # The default grid's transport limit is 3.906e-3, and 0.0045 is
+        # 1.28 steps of 0.9 times it, which rounds down to one step.
         assert run_cli(["simulate", "--model", "classical",
-                        "--sample-dt", "0.0025", "--tmax", "0.01",
+                        "--sample-dt", "0.0045", "--tmax", "0.009",
                         "--output-dir", tmp_path / "out"]) == 0
 
     def test_given_dt_bounds_the_sub_step(self, tmp_path):
         # 0.0028 / 0.0019 = 1.47 rounds down to one step of 0.0028, above
-        # both the step asked for and the limit 1.953e-3; two steps of
-        # 0.0014 keep within both.
+        # the step asked for though below the limit 3.906e-3; two steps
+        # of 0.0014 keep within both.
         out = tmp_path / "out"
         assert run_cli(["simulate", "--model", "classical",
                         "--sample-dt", "0.0028", "--dt", "0.0019",
@@ -398,6 +398,13 @@ class TestSimulate:
         assert "entropy-production residuals" in summary
         for row in ("dD", "dIpp", "dIxp", "dIxx", "Qpp_product", "Qxp_product"):
             assert row in summary
+
+    def test_diagnostics_burn_in_stays_inside_the_limit(self, tmp_path):
+        # The burn-in to t = 0.25 at 0.9 of the limit 0.2083 is 1.33
+        # steps; one step of 0.25 would exceed the limit.
+        assert run_cli(["simulate", "--model", "classical", "--diagnostics",
+                        "--Nx", "8", "--Np", "16", "--P", "1.2", "--tmax", "1",
+                        "--output-dir", tmp_path / "out"]) == 0
 
 
 class TestReport:

@@ -73,6 +73,34 @@ class TestClassical:
         assert np.all(model.oracle.form_C(P) == 0.0)
         assert np.all(model.oracle.form_R(P) == 0.0)
 
+    def test_langevin_solution_solves_the_equation(self):
+        # dh/dt + p dh/dx = h_pp - p h_p, checked by central differences
+        # at random (x, p, t); the datum holds at t = 0.
+        orc = builtin_classical(1).oracle
+        rng = np.random.default_rng(4)
+        x, p = rng.uniform(0.0, 1.0, 50), rng.uniform(-3.0, 3.0, 50)
+        t = rng.uniform(0.05, 1.0, 50)
+        k = 1e-4
+
+        def h(dx=0.0, dp=0.0, dt=0.0):
+            return orc.langevin_h(x + dx, p + dp, t + dt, 0.5)
+
+        h_t = (h(dt=k) - h(dt=-k)) / (2 * k)
+        h_x = (h(dx=k) - h(dx=-k)) / (2 * k)
+        h_p = (h(dp=k) - h(dp=-k)) / (2 * k)
+        h_pp = (h(dp=k) - 2 * h() + h(dp=-k)) / k**2
+        np.testing.assert_allclose(h_t + p * h_x, h_pp - p * h_p, atol=1e-5)
+        np.testing.assert_allclose(
+            orc.langevin_h(x, p, 0.0, 0.5), 1.0 + 0.5 * np.cos(orc.XI * x),
+            rtol=1e-15,
+        )
+        # D(0) has no p dependence: the mean over x of phi(1 + eps cos).
+        h0 = 1.0 + 0.5 * np.cos(orc.XI * np.arange(4096) / 4096)
+        assert orc.langevin_D(0.0, 0.5) == pytest.approx(
+            np.mean(h0 * np.log(h0) - h0 + 1.0), rel=1e-13)
+        with pytest.raises(ValueError, match="one momentum dimension"):
+            builtin_classical(2).oracle.langevin_D(0.0, 0.5)
+
 
 class TestRelativistic:
     def test_weight_at_origin(self):

@@ -26,6 +26,7 @@ from tests_support import (
 
 CLASSICAL = builtin_classical(1)
 RELATIVISTIC = builtin_relativistic(1.0, dim=1)
+RELATIVISTIC_10 = builtin_relativistic(10.0, dim=1)
 # v changes sign three times, so the columns that take face values
 # from the right are not one contiguous block.
 WIGGLE = expr_model_1d("1", "p1^2/2", v1="p1^3/4 - 2*p1")
@@ -183,14 +184,50 @@ class TestStep:
         assert out.t == 1e-3
 
     def test_cfl_enforced(self):
+        # A half step moves by nu = v dt / (2 dx) with max|v| = P = 8:
+        # upwind allows |nu| <= 1, MUSCL |nu| <= 1/2.
         grid = sv.build_grid(CLASSICAL, 16, 64, 8.0)
         st = sv.State(h=np.ones((grid.Nx, grid.Np)), t=0.0)
-        limit = grid.dx / 8.0
-        with pytest.raises(CFLViolation):
-            sv.step(st, 2.0 * limit, CLASSICAL, grid)
-        with pytest.raises(CFLViolation):
-            sv.step(st, 0.9 * limit, CLASSICAL, grid, order2=True)
-        sv.step(st, 0.9 * limit, CLASSICAL, grid)
+        for order2, limit in ((False, 2.0 * grid.dx / 8.0),
+                              (True, grid.dx / 8.0)):
+            with pytest.raises(CFLViolation):
+                sv.step(st, 1.01 * limit, CLASSICAL, grid, order2=order2)
+            sv.step(st, 0.99 * limit, CLASSICAL, grid, order2=order2)
+
+    @pytest.mark.parametrize("with_diffusion", [False, True],
+                             ids=["transport", "full"])
+    @pytest.mark.parametrize("order2", [False, True])
+    @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC_10],
+                             ids=["classical", "relativistic10"])
+    def test_positive_and_tvd_at_the_limit(self, model, order2,
+                                           with_diffusion):
+        grid = sv.build_grid(model, 24, 48, 6.0)
+        rng = np.random.default_rng(5)
+        limit = sv.cfl_limit(model, grid, order2)
+        # Six steps just inside the limit, then one at it and one at the
+        # round-off past it that step still accepts.
+        dts = [0.999 * limit] * 6 + [limit, limit * (1.0 + 1e-12)]
+        h = rng.uniform(0.0, 2.0, (grid.Nx, grid.Np))
+        h[rng.random(h.shape) < 0.2] = 0.0
+        st = sv.State(h=h, t=0.0)
+        m0 = sv._mass(h, grid)
+
+        def tv(h):
+            return np.sum(np.abs(np.roll(h, -1, axis=0) - h), axis=0)
+
+        for dt in dts:
+            tv0 = tv(st.h)
+            st = sv.step(st, dt, model, grid, order2=order2,
+                         with_diffusion=with_diffusion)
+            assert np.min(st.h) >= 0.0
+            tv1 = tv(st.h)
+            if with_diffusion:
+                # The p solve averages columns, so one column's variation
+                # may grow; its mu-weighted sum may not.
+                assert tv1 @ grid.mu_weights <= tv0 @ grid.mu_weights
+            else:
+                assert np.all(tv1 <= tv0 * (1.0 + 1e-13))
+        assert abs(sv._mass(st.h, grid) - m0) <= 1e-13 * m0
 
     def test_pure_transport_conserves_l1(self):
         model = expr_model_1d("1", "(p1^2)/2", v1="2")
@@ -369,6 +406,22 @@ class TestRun:
         assert np.all(series.l1_dist <= np.sqrt(2.0 * series.D) + 1e-10)
         assert series.decay_violations == []
         assert series.meta["lambda"] == cert.lam
+
+    def test_muscl_matches_langevin_solution(self):
+        # At the default dt: 0.9 of the MUSCL limit dx / max|v| =
+        # 1 / (128 * 8) rounds to 57 sub-steps per sample.
+        grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
+        orc = CLASSICAL.oracle
+        series = sv.run(CLASSICAL, grid,
+                        lambda X, P: 1.0 + 0.5 * np.cos(orc.XI * X),
+                        tmax=0.8, sample_dt=0.05, order2=True)
+        assert series.meta["dt"] == pytest.approx(0.05 / 57, rel=1e-12)
+        for t in (0.2, 0.4, 0.8):
+            k = int(np.argmin(np.abs(series.times - t)))
+            assert series.times[k] == pytest.approx(t, rel=1e-12)
+            err = series.D[k] / orc.langevin_D(t, 0.5) - 1.0
+            assert abs(err) <= 1e-2, (t, err)
+        assert np.max(np.abs(series.mass - series.mass[0])) < 1e-13
 
     def test_equilibrium_datum_flat(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
