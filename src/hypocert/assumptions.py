@@ -595,7 +595,9 @@ def _sphere_directions(dim):
     for signs in np.ndindex(*(2,) * dim):
         v = np.array([1.0 if s == 0 else -1.0 for s in signs])
         dirs.append(v / math.sqrt(dim))
-    return np.unique(np.round(np.array(dirs), 12), axis=0)
+    # the distinct rows in lexicographic order, as np.unique(axis=0)
+    # gives them, without the numpy.ma import that it costs
+    return np.array(sorted(set(map(tuple, np.round(np.array(dirs), 12).tolist()))))
 
 
 def growth_check(model, radii=None):

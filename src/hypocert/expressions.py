@@ -28,17 +28,22 @@ the derivative of exp(f) reuses the slot of exp(f).  `diff_expr` is the
 round trip AST -> slots -> derivative -> AST.
 
 A `Tape` is the straight-line program of some slots of a DAG: exactly
-the slots they reach, leaves first.  It runs vectorized over an (n, M)
-array of points under one numpy error state and guards the real
-domain: division by zero, log of a nonpositive value, and similar raise
-ExprDomainError instead of propagating NaN.
+the slots they reach, scheduled by level, with the ops of one level and
+one kind run as one numpy ufunc call over consecutive rows of a slot
+array.  It runs vectorized over an (n, M) array of points under one
+numpy error state, gives bit for bit what one ufunc call per op gives,
+and guards the real domain: division by zero, log of a nonpositive
+value, and similar raise ExprDomainError instead of propagating NaN.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -596,14 +601,36 @@ _UFUNCS = {
 _CHECKED = {"/": "division", "^": "power", "sqrt": "sqrt", "exp": "exp", "log": "log"}
 
 
+# A Tape keeps its values in two arrays: the (rows, n) values that vary
+# with the point, and the (rows, 1) columns of those that do not.
+_ROWS, _COLS = 0, 1
+_FIRST, _SECOND = itemgetter(1), itemgetter(2)  # the operands of a DAG key
+_RANK = {op: rank for rank, op in enumerate(sorted(_UFUNCS))}
+
+
 class Tape:
     """Straight-line program that evaluates a list of ASTs together.
 
     The roots are hash-consed into a DAG (`_Dag`), so a subterm shared
     by structure anywhere among them is computed once.  The program
-    holds exactly the slots the roots reach: leaves take the first
-    slots, then each op fills the next slot, in DFS post-order over the
-    roots in order.
+    holds exactly the slots the roots reach (`op_count` ops), scheduled
+    by level: a leaf has level 0 and an op one more than its deepest
+    operand.  The ops of one level with the same op and the same array
+    behind each operand form a group, and `code` holds one entry per
+    group: one ufunc call that writes consecutive rows and reads each
+    operand by slice or by `take`.
+
+    A slot that varies with the point has a row of the (rows, n) array,
+    free again once the group that reads it last has run.  Constants,
+    theta and the ops of those alone have a row of the (rows, 1) column
+    array, so they broadcast over the points as the (1,) arrays of a
+    tree walk do, and each value is bit for bit the one a ufunc call
+    per op gives.  For that a power of a varying base shares its
+    exponent column with its group and reads it with stride 0, as a
+    lone power does where n > 1 (numpy then squares for an exponent of
+    2), and unbroadcast where n = 1.  A group copies its roots to the
+    output as it runs, and the finiteness of its checked outputs to a
+    boolean row each, which one check reads at the end.
     """
 
     def __init__(self, roots):
@@ -612,67 +639,192 @@ class Tape:
 
     def _load(self, dag, roots):
         """Compile the program of the slots roots of dag."""
+        keys = dag.keys
         leaves, ops = dag.reach(roots)
-        # Renumber: the leaves first, then the ops in post-order.
-        order = leaves + ops
-        slot = {s: new for new, s in enumerate(order)}
-        keys = [dag.keys[s] for s in order]
-        nleaves = len(leaves)
-        leaves = list(enumerate(keys[:nleaves]))
-        ops = [[slot[c] for c in key[1:]] for key in keys[nleaves:]]
-        self.roots = [slot[s] for s in roots]
-        self._leaves = [
-            np.full(1, float.fromhex(key[1])) if key[0] == "const" else None
-            for _, key in leaves
-        ]
-        self._coords = [(s, key[1]) for s, key in leaves if key[0] == "coord"]
-        self._theta = next((s for s, key in leaves if key[0] == "theta"), None)
-        self._checked = [
-            (s, _CHECKED[key[0]]) for s, key in enumerate(keys) if key[0] in _CHECKED
-        ]
-        # Roots and checked outputs live to the end, where the one
-        # finiteness check reads them; every other slot is freed after
-        # the op that reads it last.
-        keep = set(self.roots) | {s for s, _ in self._checked}
-        last = {s: pos for pos, args in enumerate(ops) for s in args}
-        dead = [() for _ in ops]
-        for s, pos in last.items():
-            if s not in keep:
-                dead[pos] += (s,)
-        self.code = [
-            (_UFUNCS[key[0]], args[0], args[1] if len(args) > 1 else None, dead[pos])
-            for pos, (key, args) in enumerate(zip(keys[nleaves:], ops))
-        ]
+        self.op_count = len(ops)
+        # each slot's array, row and level, and the last step reading it
+        where, row = [_ROWS] * len(keys), [0] * len(keys)
+        level, dies = [0] * len(keys), [0] * len(keys)
+        cols, self._theta = [], None
+        for s in leaves:
+            key = keys[s]
+            if key[0] == "theta":
+                self._theta = len(cols)
+            if key[0] != "coord":
+                where[s], row[s] = _COLS, len(cols)
+                cols.append(float.fromhex(key[1]) if key[0] == "const" else 0.0)
+        # the coordinates take the first rows, in the order of P's columns
+        coords = [s for s in leaves if keys[s][0] == "coord"]
+        self._coords = [keys[s][1] for s in coords]
+        coords.sort(key=lambda s: keys[s][1])
+        for r, s in enumerate(coords):
+            row[s] = r
+        # Groups run in steps, level * 9 + the rank of the op's name.  One
+        # pass over the post-order gives each op its group, (step, array,
+        # operand arrays, DAG key of a shared exponent).
+        rank, nops = _RANK, len(_RANK)
+        groups = defaultdict(list)
+        for s in ops:
+            key = keys[s]
+            a = key[1]
+            if len(key) == 2:
+                lv = level[a] + 1
+                step = lv * nops + rank[key[0]]
+                where[s] = where[a]
+                gkey = (step, where[a], where[a])
+            else:
+                b = key[2]
+                lv = (level[a] if level[a] > level[b] else level[b]) + 1
+                step = lv * nops + rank[key[0]]
+                wa, wb = where[a], where[b]
+                where[s] = wa & wb  # _ROWS if either operand varies
+                shared = keys[b] if wa < wb and key[0] == "^" else ()
+                gkey = (step, wa & wb, wa, wb, shared)
+                if dies[b] < step:
+                    dies[b] = step
+            if dies[a] < step:
+                dies[a] = step
+            level[s], dies[s] = lv, step
+            groups[gkey].append(s)
+        order = sorted(groups)
+
+        # Varying rows: the coordinates, then a pool whose rows are free
+        # again once the last step that reads them has run.  A group
+        # takes pool rows first fit, its members in the order they die.
+        base = len(coords)
+        free = bytearray()  # 1 where a pool row is free
+        release = [[] for _ in range(order[-1][0] + 1 if order else 0)]
+        at = {}  # the output rows of each root
+        for pos, s in enumerate(roots):
+            at.setdefault(s, []).append(pos)
+        flags = {}  # the boolean row of each checked output
+        self.code, exponents = [], []
+        done = 0  # the steps whose pool rows are released
+        for gkey in order:
+            step, dst, *args = gkey
+            while done < step:
+                for r0, r1 in release[done]:
+                    free[r0:r1] = b"\x01" * (r1 - r0)
+                done += 1
+            members = groups[gkey]
+            k = len(members)
+            if dst == _ROWS:
+                members.sort(key=dies.__getitem__)
+                lo = free.find(b"\x01" * k)
+                if lo < 0:
+                    lo = len(free.rstrip(b"\x01"))
+                    free.extend(bytes(lo + k - len(free)))
+                free[lo:lo + k] = bytes(k)
+                r0 = lo
+                for d, run in groupby(map(dies.__getitem__, members)):
+                    r1 = r0 + len(list(run))
+                    release[d].append((r0, r1))
+                    r0 = r1
+                lo += base
+            else:
+                lo = len(cols)
+                cols += [0.0] * k
+            for r, s in enumerate(members, lo):
+                row[s] = r
+            kids = list(map(keys.__getitem__, members))
+            op = kids[0][0]
+            # ufunc, array and rows written, (array, rows) of each
+            # operand, flag rows, and the output rows of the roots with
+            # their rows in the group's block
+            first = _rows_of(list(map(row.__getitem__, map(_FIRST, kids))))
+            entry = [_UFUNCS[op], dst, slice(lo, lo + k), args[0], first,
+                     -1, None, None, None, None]
+            if len(args) > 1:
+                second = _rows_of(list(map(row.__getitem__, map(_SECOND, kids))))
+                entry[5:7] = args[1], second
+                if args[2]:
+                    exponents.append((len(self.code), row[kids[0][2]]))
+            if op in _CHECKED:
+                entry[7] = slice(len(flags), len(flags) + k)
+                flags.update(zip(members, range(len(flags), len(flags) + k)))
+            if not at.keys().isdisjoint(members):
+                pos, inside = map(list, zip(*[(pos, i) for i, s in enumerate(members)
+                                             if s in at for pos in at[s]]))
+                entry[8] = _rows_of(pos)
+                entry[9] = (slice(None) if inside == list(range(k))
+                            else np.array(inside, dtype=np.intp))
+            self.code.append(tuple(entry))
+        # n = 1 reads a shared exponent as a column, n > 1 with stride 0
+        self._code1 = list(self.code)
+        for g, exponent in exponents:
+            self.code[g] = self.code[g][:6] + (exponent,) + self.code[g][7:]
+        self.rows = base + len(free)
+        self._cols = np.array(cols).reshape(-1, 1)
+        self._coord_cols = _rows_of([keys[s][1] - 1 for s in coords])
+        self._checked = [(flags[s], _CHECKED[keys[s][0]]) for s in ops if s in flags]
+        self._roots = len(roots)
+        # the roots that are leaves, copied at the end
+        self._leaf_roots = []
+        for arr in (_ROWS, _COLS):
+            hits = [(pos, row[s]) for pos, s in enumerate(roots)
+                    if keys[s][0] in _LEAVES and where[s] == arr]
+            if hits:
+                pos, rows = zip(*hits)
+                self._leaf_roots.append((arr, np.array(pos, dtype=np.intp),
+                                         np.array(rows, dtype=np.intp)))
+
+    @property
+    def program(self):
+        """The groups as plain tuples, to compare the programs of two tapes."""
+        def plain(ix):
+            return tuple(ix.tolist()) if isinstance(ix, np.ndarray) else ix
+
+        return tuple((fn.__name__, *map(plain, entry)) for fn, *entry in self.code)
 
     def run(self, P, theta):
         """Values of the roots at the rows of P (n, M), as a (k, n) array."""
         n, m = P.shape
-        vals = list(self._leaves)
-        for s, index in self._coords:
+        for index in self._coords:
             if index > m:
                 raise UnknownIdentifier(f"p{index}")
-            vals[s] = P[:, index - 1]
+        cols = self._cols.copy()
         if self._theta is not None:
             if theta is None:
                 raise ExprDomainError("expression uses theta but no value was bound")
-            vals[self._theta] = np.full(1, float(theta))
+            cols[self._theta] = float(theta)
+        vals = np.empty((self.rows, n))
+        vals[:len(self._coords)] = P.T[self._coord_cols]
+        arrays = (vals, cols)
+        out = np.empty((self._roots, n))
+        finite = np.empty((len(self._checked), n), dtype=bool)
         with np.errstate(all="ignore"):
-            for fn, a, b, dead in self.code:
-                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
-                for s in dead:
-                    vals[s] = None
-        if self._checked:
-            parts = [vals[s] for s, _ in self._checked]
-            if not np.isfinite(np.concatenate(parts)).all():
-                for (_, what), part in zip(self._checked, parts):
-                    if not np.isfinite(part).all():
-                        raise ExprDomainError(
-                            f"{what} left the real domain during evaluation"
-                        )
-        out = np.empty((len(self.roots), n))
-        for row, s in enumerate(self.roots):
-            out[row] = vals[s]
+            for fn, dst, rows, a, ia, b, ib, flags, pos, inside in (
+                    self._code1 if n == 1 else self.code):
+                x = arrays[a]
+                x = x.take(ia, axis=0) if ia.__class__ is np.ndarray else x[ia]
+                block = arrays[dst][rows]
+                if b < 0:
+                    fn(x, out=block)
+                else:
+                    y = arrays[b]
+                    y = y.take(ib, axis=0) if ib.__class__ is np.ndarray else y[ib]
+                    fn(x, y, out=block)
+                if flags is not None:
+                    np.isfinite(block, out=finite[flags])
+                if pos is not None:
+                    out[pos] = (block[inside] if inside.__class__ is slice
+                                else block.take(inside, axis=0))
+        if self._checked and not finite.all():
+            for r, what in self._checked:
+                if not finite[r].all():
+                    raise ExprDomainError(
+                        f"{what} left the real domain during evaluation")
+        for arr, pos, rows in self._leaf_roots:
+            out[pos] = arrays[arr].take(rows, axis=0)
         return out
+
+
+def _rows_of(rows):
+    """A slice for consecutive rows, else the rows as an index array."""
+    first = rows[0] if rows else 0
+    if rows == list(range(first, first + len(rows))):
+        return slice(first, first + len(rows))
+    return np.array(rows, dtype=np.intp)
 
 
 def evaluate(expr, points, theta=None):

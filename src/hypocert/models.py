@@ -264,27 +264,34 @@ class ClassicalOracle:
     def __init__(self, dim):
         self.dim = dim
 
-    def langevin_h(self, x, p, t, eps):
-        """Exact density ratio at time t for the datum 1 + eps cos(XI x)."""
+    def _langevin_amplitude(self, t, eps):
+        """a(t) = eps exp(-XI^2 s2(t) / 2), the amplitude of h - 1."""
         if self.dim != 1:
             raise ValueError("the Langevin solution needs one momentum "
                              f"dimension, not {self.dim}")
-        xi = self.XI
         s2 = 2.0 * t - 3.0 + 4.0 * np.exp(-t) - np.exp(-2.0 * t)
-        amp = eps * np.exp(-0.5 * xi**2 * s2)
-        return 1.0 + amp * np.cos(xi * x - xi * p * (1.0 - np.exp(-t)))
+        return eps * np.exp(-0.5 * self.XI**2 * s2)
+
+    def langevin_h(self, x, p, t, eps):
+        """Exact density ratio at time t for the datum 1 + eps cos(XI x)."""
+        xi = self.XI
+        return 1.0 + self._langevin_amplitude(t, eps) * np.cos(
+            xi * x - xi * p * (1.0 - np.exp(-t)))
 
     def langevin_D(self, t, eps):
         """Exact relative entropy D(t) = int int (h log h - h + 1) of
-        langevin_h against the Gaussian, by quadrature: 80 probabilists'
-        Gauss-Hermite nodes in p and the 256-point periodic trapezoid
-        rule in x, exact to round-off for this smooth integrand."""
-        p, w = np.polynomial.hermite_e.hermegauss(80)
-        w = w / w.sum()
-        x = np.arange(256) / 256
-        h = self.langevin_h(x[:, None], p[None, :], t, eps)
-        phi = h * np.log(h) - h + 1.0
-        return float(np.sum(phi.mean(axis=0) * w))
+        langevin_h against the Gaussian.
+
+        Over a period in x, h - 1 is a cos(theta) with theta uniform,
+        whatever p is, so D is the mean over theta of (1 + e) log(1 + e)
+        - e at e = a cos(theta): 1 - b + log((1 + b) / 2) with b =
+        sqrt(1 - a^2).  In c = 1 - b = a^2 / (1 + b) that is c +
+        log1p(-c / 2), which keeps its relative accuracy however small a
+        gets, where h log h - h + 1 rounds to 0 once it is below the
+        spacing of floats at 1."""
+        a = self._langevin_amplitude(t, eps)
+        c = a * a / (1.0 + np.sqrt(1.0 - a * a))
+        return float(c + np.log1p(-0.5 * c))
 
     def _eye(self, P, scale=1.0):
         n = P.shape[0]

@@ -464,3 +464,18 @@ class TestEntryPoint:
                               text=True, env=module_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[] []"
+
+    def test_check_loads_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs a cold check about 14 ms; np.unique(axis=0) was
+        # the only thing that loaded it
+        code = (
+            "import sys\n"
+            "from hypocert import cli\n"
+            f"out = ['--output-dir', {str(tmp_path / 'out')!r}]\n"
+            "assert cli.main(['check', '--model', 'classical', *out]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

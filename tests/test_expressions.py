@@ -424,6 +424,39 @@ class TestTape:
         jet += [diff_expr(d, l) for d in jet[1:] for l in (1, 2, 3)]
         self._assert_matches_walk(jet, P, 4.0)
 
+    @pytest.mark.parametrize("n", [1, 7, 133, 1024])
+    def test_level_groups_match_the_walk(self, n):
+        # one ufunc call per group gives, at any batch size, the bits of
+        # one call per op, one point (where a lone op reads its operands
+        # unbroadcast) included
+        rng = np.random.default_rng(n)
+        pool = [random_safe_ast(rng, depth=int(d)) for d in rng.integers(1, 5, size=12)]
+        pool += [diff_expr(ast, 2) for ast in pool[:6]]
+        P = rng.uniform(-1.0, 1.0, size=(n, 3))
+        self._assert_matches_walk(pool, P, 1.7)
+        self._assert_matches_walk(_metric_2jet(self.REL.metric_field), 1.5 * P, 4.0)
+
+    def test_one_level_of_powers_with_mixed_exponents(self):
+        # Each constant exponent of a varying base makes its own group,
+        # read with stride 0 as a lone power reads it where n > 1: numpy
+        # then squares, takes square roots and reciprocals for 2, 0.5
+        # and -1, whose last bits differ from pow's.  Powers of theta
+        # alone are one group of columns, read unbroadcast as a tree
+        # walk reads them.
+        x, exps = parse_expr("p1 + p2"), (2.0, 3.0, 0.5, 1.5, -1.0)
+        roots = [BinOp("^", x, Const(e)) for e in exps]
+        roots += [BinOp("^", Theta(), Const(e)) for e in exps]
+        roots += [BinOp("^", x, Theta()), BinOp("^", Const(2.0), x)]
+        tape = Tape(roots)
+        powers = [entry for entry in tape.program if entry[0] == "power"]
+        assert len(powers) == len(exps) + 3
+        rng = np.random.default_rng(5)
+        for theta in (2.0, 0.5, 1.7):
+            P = rng.uniform(0.05, 2.0, size=(200, 2))
+            self._assert_matches_walk(roots, P, theta)
+            for p in P[:40]:
+                self._assert_matches_walk(roots, p[None, :], theta)
+
     def test_single_point_rows(self):
         roots = [parse_expr("p1*p2"), parse_expr("sqrt(1+p2^2)")]
         got = evaluate(Tape(roots), np.array([2.0, 3.0]))
@@ -433,14 +466,14 @@ class TestTape:
     def test_structural_copies_share_ops(self):
         a, b = parse_expr("sqrt(1+p1^2)"), parse_expr("sqrt(1+p1^2)")
         assert a is not b
-        one = len(Tape([a]).code)
-        assert len(Tape([a, b]).code) == one
-        assert len(Tape([BinOp("+", a, b)]).code) == one + 1
+        one = Tape([a]).op_count
+        assert Tape([a, b]).op_count == one
+        assert Tape([BinOp("+", a, b)]).op_count == one + 1
 
     def test_metric_jet_is_shared_across_entries(self):
         jet = _metric_2jet(self.REL.metric_field)
-        separate = sum(len(Tape([ast]).code) for ast in jet)
-        assert len(Tape(jet).code) < separate / 2
+        separate = sum(Tape([ast]).op_count for ast in jet)
+        assert Tape(jet).op_count < separate / 2
 
     def test_first_failing_entry_names_the_error(self):
         bad = np.array([[-1.0]])
@@ -449,9 +482,17 @@ class TestTape:
             ExprVectorField([sqrt_, log_], 1).value(bad)
         with pytest.raises(ExprDomainError, match="^log"):
             ExprVectorField([log_, sqrt_], 1).value(bad)
-        # Within one entry the first failure in post-order wins.
+        # Within one entry the first failure in post-order wins, whatever
+        # level or group runs first.
         with pytest.raises(ExprDomainError, match="^log"):
             evaluate(Tape([BinOp("+", log_, sqrt_), sqrt_]), bad)
+        with pytest.raises(ExprDomainError, match="^sqrt"):
+            evaluate(Tape([BinOp("+", sqrt_, log_)]), bad)
+        ratio = BinOp("/", Const(1.0), BinOp("-", Coord(1), Coord(1)))
+        with pytest.raises(ExprDomainError, match="^division"):
+            evaluate(Tape([ratio, log_]), bad)
+        with pytest.raises(ExprDomainError, match="^log"):
+            evaluate(Tape([log_, ratio]), bad)
 
     def test_signed_zero_constants_stay_distinct(self):
         zero = Const(0.0)
@@ -589,8 +630,8 @@ class TestDagMatchesAstRules:
                 want, tape = jet_reference(entries, shape, model.dim, order, P,
                                            field.theta)
                 assert np.array_equal(got, want), (label, order)
-                # the same program, op for op, with the same slots freed
-                assert field._jets._compiled[request][0].code == tape.code
+                # the same program, group for group, in the same rows
+                assert field._jets._compiled[request][0].program == tape.program
 
     @pytest.mark.parametrize("seed, depths", [(42, (1, 5)), (202, (1, 4))])
     def test_derivative_trees_on_random_asts(self, seed, depths):
@@ -679,14 +720,16 @@ class TestJetCost:
         asm._PointJet(model, P)
 
         # one DAG and one program of 1,104 ops for g at orders 0-2, each
-        # v at orders 1-3 and E at orders 1-2; the 14 per-field programs
-        # of those jets would run 1,970
+        # v at orders 1-3 and E at orders 1-2, in 86 ufunc calls over 317
+        # varying rows; the 14 per-field programs of those jets would run
+        # 1,970 ops
         program = model._cache["point_jet"]
         assert program.members == [model.metric_field, *model.v_fields,
                                    model.energy_field]
         ((request, (tape, *_)),) = program.jets._compiled.items()
         assert len(request) == 14
-        assert len(tape.code) == 1104
+        assert tape.op_count == 1104
+        assert (len(tape.code), tape.rows) == (86, 317)
         assert rules and {dag for dag, _, _ in rules} == {program.jets._dag}
         assert len(set(rules)) == len(rules)
 
@@ -704,7 +747,7 @@ class TestJetCost:
         assert len(set(rules)) == len(rules)
 
         def ops(field):
-            return {order: len(tape.code) for ((_, order),), (tape, *_)
+            return {order: tape.op_count for ((_, order),), (tape, *_)
                     in field._jets._compiled.items()}
 
         assert ops(g) == {0: 25, 1: 102, 2: 392}

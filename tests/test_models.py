@@ -101,6 +101,23 @@ class TestClassical:
         with pytest.raises(ValueError, match="one momentum dimension"):
             builtin_classical(2).oracle.langevin_D(0.0, 0.5)
 
+    def test_langevin_entropy_in_the_tail(self):
+        # h log h - h + 1 rounds to 0 once it is below the spacing of
+        # floats at 1, from t = 1.6 at eps 0.5; D stays positive and
+        # strictly decreasing to t = 3, and where nothing has cancelled
+        # it is the quadrature of h log h - h + 1 (80 Gauss-Hermite
+        # nodes in p, 256 trapezoid points in x).
+        orc = builtin_classical(1).oracle
+        tail = [orc.langevin_D(t, 0.5) for t in np.linspace(1.0, 3.0, 11)]
+        assert all(d > 0.0 for d in tail)
+        assert all(a > b for a, b in zip(tail, tail[1:]))
+        p, w = np.polynomial.hermite_e.hermegauss(80)
+        x = np.arange(256) / 256
+        for t in (0.2, 0.4, 0.8):
+            h = orc.langevin_h(x[:, None], p[None, :], t, 0.5)
+            quad = np.sum((h * np.log(h) - h + 1.0).mean(axis=0) * w) / w.sum()
+            assert orc.langevin_D(t, 0.5) == pytest.approx(quad, rel=1e-12)
+
 
 class TestRelativistic:
     def test_weight_at_origin(self):
