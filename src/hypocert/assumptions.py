@@ -11,7 +11,7 @@ The checks fall into three groups:
   warped route run on the minorant t I <= A of the velocity Gram form,
   with t = 1 / tr(A^-1), so one formula serves every A (see
   logsob_warped).  The product-metric route on the doubled phase-space
-  metric (see product_metric_blocks) is a standalone scan that
+  metric (see _product_blocks) is a standalone scan that
   check_model does not run.
 
 All scans are pure reductions over grid points: evaluation order never
@@ -51,7 +51,6 @@ __all__ = [
     "WarpedResult",
     "ProductResult",
     "AssumptionReport",
-    "forms_on",
     "curvature_bounds",
     "dominance_constants",
     "hormander_check",
@@ -90,10 +89,6 @@ class ScanGrid:
     @property
     def count(self):
         return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
 
 def _lattice_ball(dim, radius, axis_points):
@@ -481,16 +476,6 @@ def _forms(pj, kinds):
     return out
 
 
-def forms_on(model, P, kinds=("A", "B", "C", "R")):
-    """Evaluate the requested velocity forms on a point batch.
-
-    Returns a dict kind -> (n, N, N) array, all read off one point jet
-    of P (which holds the third velocity derivatives B needs).
-    """
-    pj = _PointJet(model, np.asarray(P, dtype=float))
-    return _forms(pj, tuple(kinds))
-
-
 # ---------------------------------------------------------------------------
 # Assumption scans
 
@@ -693,31 +678,7 @@ def _logsob_values(pj):
 
 
 def _product_blocks(pj):
-    """product_metric_blocks on the points of one point jet."""
-    jet = pj.jet
-    n, M = pj.P.shape
-    dA, d2A = _gram_derivs(pj)
-    h = _symmetrize(np.linalg.inv(pj.A))
-    dh, d2h = _inverse_derivs(h, dA, d2A)
-    N = h.shape[1]
-    # X[n, a] = d_a h A; A d_a h is its transpose, as both are symmetric
-    X = dh @ pj.A[:, None]
-    Xf, XTf = X.reshape(n, M, N * N), _t(X).reshape(n, M, N * N)
-    # tr(A d_a h A d_b h) = sum over (I, J) of (X_a^T)_IJ (X_b)_IJ
-    pp = pj.bakry - 0.25 * (XTf @ _t(Xf))
-
-    grad_logu = _geom.gradient_from_jet(
-        jet, _geom.drift_oneform_from_jet(jet, pj.grad_E))
-    pair = np.einsum("na,naIJ->nIJ", grad_logu, dh)
-    # g^ab d_a h A d_b h, summed over b and the inner index in one product
-    Y = (jet.g_inv @ Xf).reshape(n, M, N, N)
-    quad = Y.swapaxes(1, 2).reshape(n, N, M * N) @ dh.reshape(n, M * N, N)
-    xx = -0.5 * (_geom.laplace_from_jet(jet, dh, d2h) + pair) + 0.5 * quad
-    return {"g": jet.g, "h": h, "pp": pp, "xx": xx}
-
-
-def product_metric_blocks(model, P):
-    """Blocks of the product criterion's form at momentum points P.
+    """Blocks of the product criterion's form at the points of a point jet.
 
     The doubled metric is G = g_ab dp^a dp^b + h_IJ dx^I dx^J with
     h = A^-1, and the form is Ric_G - Hess_G psi for the weight
@@ -740,10 +701,26 @@ def product_metric_blocks(model, P):
     Returns a dict with g, h, and the (n, M, M) and (n, N, N) blocks
     pp and xx of the form.
     """
-    pj = _PointJet(model, np.asarray(P, dtype=float))
-    if (exc := pj.degenerate) is not None:
-        raise exc
-    return _product_blocks(pj)
+    jet = pj.jet
+    n, M = pj.P.shape
+    dA, d2A = _gram_derivs(pj)
+    h = _symmetrize(np.linalg.inv(pj.A))
+    dh, d2h = _inverse_derivs(h, dA, d2A)
+    N = h.shape[1]
+    # X[n, a] = d_a h A; A d_a h is its transpose, as both are symmetric
+    X = dh @ pj.A[:, None]
+    Xf, XTf = X.reshape(n, M, N * N), _t(X).reshape(n, M, N * N)
+    # tr(A d_a h A d_b h) = sum over (I, J) of (X_a^T)_IJ (X_b)_IJ
+    pp = pj.bakry - 0.25 * (XTf @ _t(Xf))
+
+    grad_logu = _geom.gradient_from_jet(
+        jet, _geom.drift_oneform_from_jet(jet, pj.grad_E))
+    pair = np.einsum("na,naIJ->nIJ", grad_logu, dh)
+    # g^ab d_a h A d_b h, summed over b and the inner index in one product
+    Y = (jet.g_inv @ Xf).reshape(n, M, N, N)
+    quad = Y.swapaxes(1, 2).reshape(n, N, M * N) @ dh.reshape(n, M * N, N)
+    xx = -0.5 * (_geom.laplace_from_jet(jet, dh, d2h) + pair) + 0.5 * quad
+    return {"g": jet.g, "h": h, "pp": pp, "xx": xx}
 
 
 class _LogSob:
@@ -822,7 +799,7 @@ def logsob_product(model, grid=None):
 
     alpha is the grid minimum of the generalized eigenvalues of
     (Ric_G - Hess_G psi, G); the criterion holds iff alpha > 0.  The
-    form and G are block diagonal in (p, x) (see product_metric_blocks),
+    form and G are block diagonal in (p, x) (see _product_blocks),
     so the eigenvalues are those of the two pencils (pp, g) and (xx, h).
     A standalone scan: check_model uses logsob_warped's criterion only.
     """

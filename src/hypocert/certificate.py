@@ -33,15 +33,10 @@ __all__ = [
     "certificate_kv",
     "choose_abck",
     "epsilon_defaults",
-    "lemma_bounds_rhs",
     "proposition_coefficients",
     "read_certificate_kv",
     "validate_certificate",
 ]
-
-BOUND_BASIS = ("Ixx", "Ipp", "Qpp", "Qxp")
-BOUND_ROWS = ("dIpp", "dIxp", "dIxx")
-
 
 def _aux(sigma2, beta, gamma, omega):
     s = 2.0 + beta + 16.0 * gamma + omega
@@ -69,9 +64,6 @@ class EpsilonChoice:
 
     def __getitem__(self, i):
         return self.eps[i - 1]
-
-    def as_dict(self):
-        return {f"eps{i}": self.eps[i - 1] for i in range(1, 11)}
 
 
 def epsilon_defaults(sigma1, sigma2, beta, gamma, omega, a):
@@ -111,56 +103,6 @@ def epsilon_defaults(sigma1, sigma2, beta, gamma, omega, a):
         0.5, 0.5,         # eps9, eps10
     )
     return EpsilonChoice(eps=eps, dropped=tuple(dropped))
-
-
-def _times(eps, coef):
-    # eps*coef with the convention inf*0 = 0: an infinite epsilon only
-    # appears next to a vanishing term.
-    if coef == 0.0:
-        return 0.0
-    return eps * coef
-
-
-def _inv(eps):
-    return 0.0 if math.isinf(eps) else 1.0 / eps
-
-
-def lemma_bounds_rhs(eps, sigma1, sigma2, beta, gamma, omega):
-    """Production-bound coefficient table for arbitrary split constants.
-
-    Returns {row: 4-tuple} with rows dIpp, dIxp, dIxx and columns in
-    BOUND_BASIS order (Ixx, Ipp, Qpp, Qxp): each row bounds the time
-    derivative of one entropy functional from above.  All epsilons must
-    be positive; inf marks a skipped split (see EpsilonChoice).
-    """
-    e = list(eps.eps) if isinstance(eps, EpsilonChoice) else list(eps)
-    if len(e) != 10:
-        raise ValueError("expected 10 epsilon values")
-    if any(not x > 0.0 for x in e):
-        raise ValueError("epsilons must be positive")
-    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10 = e
-    sigma = sigma2 - sigma1
-    row_pp = (
-        2.0 * e1,
-        0.5 / e1 - 2.0 * sigma1,
-        -2.0,
-        0.0,
-    )
-    row_xp = (
-        _times(e2, sigma) + _times(e3, sigma1) + 2.0 * _times(e5, gamma)
-        + _times(e7, omega) + _times(e6, beta) - 1.0,
-        0.25 * (sigma * _inv(e2) + sigma1 * _inv(e3) + _inv(e6) + _inv(e7)),
-        2.0 * e4 + 0.5 * _inv(e5),
-        0.5 / e4,
-    )
-    row_xx = (
-        4.0 * _times(e8, gamma) + 0.5 / e9 + 2.0 * e9 * beta
-        + 2.0 * e10 * omega + 0.5 / e10,
-        0.0,
-        0.0,
-        _inv(e8) - 2.0,
-    )
-    return {"dIpp": row_pp, "dIxp": row_xp, "dIxx": row_xx}
 
 
 # ---------------------------------------------------------------------------

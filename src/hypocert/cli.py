@@ -345,7 +345,9 @@ def cmd_simulate(cfg, args):
         )
     # before any scan, so a bad setting leaves no output behind
     solver.sample_count(cfg.tmax, cfg.sample_dt, cfg.dt)
+    order2 = bool(getattr(args, "order2", False))
     grid = solver.build_grid(model, cfg.Nx, cfg.Np, cfg.P)
+    solver.sub_steps(model, grid, cfg.sample_dt, cfg.dt, order2)
     state = solver.initial_state(model, grid, cfg.initial_data)
     outdir = ensure_outdir(cfg)
 
@@ -363,7 +365,7 @@ def cmd_simulate(cfg, args):
 
     series = solver.run(
         model, grid, state.h, cfg.tmax, cfg.sample_dt,
-        certificate=cert, dt=cfg.dt, order2=bool(getattr(args, "order2", False)),
+        certificate=cert, dt=cfg.dt, order2=order2,
     )
     solver.series_to_csv(series, outdir / SERIES_CSV)
 
@@ -590,22 +592,13 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, ModelFileError, ExprSyntaxError, UnknownIdentifier,
+            ExprDomainError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelFileError, ExprSyntaxError, UnknownIdentifier,
-            ExprDomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PipelineFailure as exc:
+    except (PipelineFailure, HypocertError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    except HypocertError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

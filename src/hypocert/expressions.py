@@ -63,7 +63,6 @@ __all__ = [
     "Tape",
     "to_string",
     "uses_theta",
-    "max_coord",
 ]
 
 _FUNCTIONS = ("sqrt", "exp", "log")
@@ -930,15 +929,3 @@ def uses_theta(ast):
         return uses_theta(ast.arg)
     return False
 
-
-def max_coord(ast):
-    """Largest coordinate label appearing in the tree, 0 if none."""
-    if isinstance(ast, Coord):
-        return ast.index
-    if isinstance(ast, Neg):
-        return max_coord(ast.arg)
-    if isinstance(ast, BinOp):
-        return max(max_coord(ast.left), max_coord(ast.right))
-    if isinstance(ast, Call):
-        return max_coord(ast.arg)
-    return 0

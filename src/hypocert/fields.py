@@ -29,6 +29,7 @@ callable, or expression string into a handle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -223,6 +224,13 @@ def _jet(field, order, P):
     return field._jets(((0, order),), P, field.theta)[0]
 
 
+def _own_jets(field):
+    """A field's own jet builder over its one (entries, shape), made on
+    first use: a model's scans read its fields through one `_JetProgram`
+    and never build it."""
+    return _ExprJets([field._spec], field.dim)
+
+
 class ExprScalarField:
     """Scalar field defined by an expression AST."""
 
@@ -230,7 +238,9 @@ class ExprScalarField:
         self.ast = ast
         self.dim = dim
         self.theta = theta
-        self._jets = _ExprJets([({(): ast}, ())], dim)
+        self._spec = ({(): ast}, ())
+
+    _jets = functools.cached_property(_own_jets)
 
     def value(self, P):
         return _jet(self, 0, P)
@@ -260,7 +270,9 @@ class ExprMetricField:
         self.dim = dim
         self.theta = theta
         self.entries = {tuple(sorted(ij)): ast for ij, ast in entries.items()}
-        self._jets = _ExprJets([(self.entries, (dim, dim))], dim)
+        self._spec = (self.entries, (dim, dim))
+
+    _jets = functools.cached_property(_own_jets)
 
     def value(self, P):
         return _jet(self, 0, P)
@@ -281,10 +293,10 @@ class ExprVectorField:
         self.components = list(components)
         self.dim = dim
         self.theta = theta
-        self._jets = _ExprJets(
-            [({(i,): ast for i, ast in enumerate(self.components)},
-              (len(self.components),))], dim,
-        )
+        self._spec = ({(i,): ast for i, ast in enumerate(self.components)},
+                      (len(self.components),))
+
+    _jets = functools.cached_property(_own_jets)
 
     def value(self, P):
         return _jet(self, 0, P)
@@ -320,7 +332,7 @@ class _JetProgram:
             next((i for i, m in enumerate(self.members) if m is f), None)
             for f, _ in requests
         ]
-        self.jets = _ExprJets([m._jets.fields[0] for m in self.members], dim)
+        self.jets = _ExprJets([m._spec for m in self.members], dim)
         self.request = tuple((i, order) for i, (_, order)
                              in zip(self._member, requests) if i is not None)
 

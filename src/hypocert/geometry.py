@@ -41,7 +41,6 @@ __all__ = [
     "MetricJet",
     "SymTensor2",
     "VecP",
-    "metric_jet",
     "ricci",
     "covariant_hessian",
     "gradient_p",
@@ -208,19 +207,6 @@ def batch_jet(model, P, second=True):
     dg = mf.grad(P)
     d2g = mf.hess(P) if second else None
     return jet_from_arrays(g, dg, d2g)
-
-
-def _squeeze_jet(jet):
-    single = {k: None if v is None else v[0] for k, v in vars(jet).items()}
-    single["sqrt_det"] = float(single["sqrt_det"])
-    return MetricJet(**single)
-
-
-def metric_jet(model, p, second=True):
-    """Full metric jet at p (see MetricJet for the index conventions)."""
-    P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P, second=second)
-    return _squeeze_jet(jet) if single else jet
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,12 @@ load_model_file.
 from __future__ import annotations
 
 import configparser
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .errors import (
-    HypocertError,
-    ModelFileError,
-    NonpositiveWeight,
-)
+from .errors import HypocertError, ModelFileError
 from .expressions import (
     Const,
     Coord,
@@ -55,10 +50,7 @@ __all__ = [
     "ModelSpec",
     "builtin_classical",
     "builtin_relativistic",
-    "weight_u",
-    "drift_W",
     "log_weight_field",
-    "normalization",
     "load_model_file",
     "parse_expr",
     "diff_expr",
@@ -158,22 +150,6 @@ def log_weight_field(model):
         out = FDField(value, model.dim)
     model._cache["log_weight"] = out
     return out
-
-
-def weight_u(model, p):
-    """Equilibrium weight u = e^-E / sqrt(det g) at p (positive)."""
-    P, single = geometry.as_batch(p, model.dim)
-    logu, _ = geometry.log_weight_values(model, P)
-    with np.errstate(over="ignore", under="ignore"):
-        u = np.exp(logu)
-    if not np.all(np.isfinite(u)) or np.any(u <= 0.0):
-        raise NonpositiveWeight("weight u underflowed or is not positive")
-    return float(u[0]) if single else u
-
-
-def drift_W(model, p):
-    """Drift vector W = grad_p log u (the unique choice preserving u)."""
-    return geometry.gradient_p(model, log_weight_field(model), p)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +342,6 @@ class RelativisticOracle:
         p0, eye, pp = self._parts(P)
         return (eye - pp / p0[:, None, None] ** 2) / p0[:, None, None] ** 3
 
-    def form_A_lower_const(self, P):
-        """A(xi, xi) >= |xi|^2 / p0^5."""
-        return self.p0(P) ** -5
-
     def form_B(self, P):
         # Gram matrix of div Hess v^I; equals (11/2)^2 delta at p = 0.
         p0, eye, _ = self._parts(P)
@@ -420,12 +392,6 @@ class RelativisticOracle:
             -(1 + 4 * th * p0)[:, None, None] * eye + c_g[:, None, None] * g
         ) / (4 * p0**2)[:, None, None]
 
-    def bakry_lower_bracket(self, P):
-        """Exact lower bound: bakry >= bracket * g pointwise."""
-        p0 = self.p0(P)
-        th = self.theta
-        return (2 * th * p0**3 - 13 * p0**2 + 2 * th * p0 - 1) / (4 * p0**3)
-
     # -- product-metric blocks (x-block uses G_IJ = inverse of form_A)
 
     def G_xx(self, P):
@@ -467,79 +433,6 @@ class RelativisticOracle:
         return ((th * p0 + 12) / p0**2)[:, None, None] * eye - (
             (3 * th * p0**3 + 18 * p0**2 + th * p0 + 18) / (2 * p0**3)
         )[:, None, None] * g
-
-
-# ---------------------------------------------------------------------------
-# Normalization constant
-
-
-def normalization(model, radius=12.0, points_per_axis=None, shells=6):
-    """Normalization Theta with Theta^-1 = integral of e^-E over p.
-
-    Computed once per model by trapezoid quadrature on the cube
-    [-radius, radius]^M and cached.  A geometric continuation of the
-    outermost shell masses estimates the truncated tail; a tail above
-    1e-8 of the total triggers a warning, since then the cached Theta
-    (and any measure built from it) undercounts.
-
-    Returns a dict with keys theta_norm, total, tail_fraction, radius.
-    """
-    cached = model._cache.get("normalization")
-    if cached is not None:
-        return cached
-    m = model.dim
-    if points_per_axis is None:
-        points_per_axis = {1: 4001, 2: 401, 3: 101, 4: 41}.get(m, 21)
-    axis = np.linspace(-radius, radius, points_per_axis)
-    w = np.full(points_per_axis, axis[1] - axis[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    P = np.stack([gr.ravel() for gr in grids], axis=1)
-    weights = np.ones(P.shape[0])
-    for k in range(m):
-        wk = np.meshgrid(*([w] * m), indexing="ij")[k].ravel()
-        weights *= wk
-
-    total = 0.0
-    shell_mass = np.zeros(shells)
-    edges = np.linspace(0.0, radius, shells + 1)
-    chunk = 262144
-    for start in range(0, P.shape[0], chunk):
-        block = P[start : start + chunk]
-        wts = weights[start : start + chunk]
-        with np.errstate(under="ignore"):
-            dens = np.exp(-model.energy_field.value(block)) * wts
-        total += float(np.sum(dens))
-        rad = np.max(np.abs(block), axis=1)
-        idx = np.clip(np.searchsorted(edges, rad, side="right") - 1, 0, shells - 1)
-        np.add.at(shell_mass, idx, dens)
-
-    if total <= 0.0 or not np.isfinite(total):
-        raise NonpositiveWeight("normalization integral is not positive and finite")
-    last, prev = shell_mass[-1], shell_mass[-2]
-    if last <= 0.0:
-        tail = 0.0
-    elif last >= prev:
-        tail = np.inf
-    else:
-        ratio = last / prev
-        tail = last * ratio / (1.0 - ratio)
-    tail_fraction = tail / (total + tail) if np.isfinite(tail) else 1.0
-    if tail_fraction > 1e-8:
-        warnings.warn(
-            f"normalization tail estimate {tail_fraction:.2e} of total exceeds 1e-8; "
-            f"increase the quadrature radius for model {model.name}",
-            stacklevel=2,
-        )
-    info = {
-        "theta_norm": 1.0 / total,
-        "total": total,
-        "tail_fraction": float(tail_fraction),
-        "radius": radius,
-    }
-    model._cache["normalization"] = info
-    return info
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ __all__ = [
     "series_from_csv",
     "series_to_csv",
     "step",
+    "sub_steps",
 ]
 
 CSV_HEADER = "t,D,Ipp,Ixp,Ixx,Emod,mass,l1_dist"
@@ -67,6 +68,10 @@ CSV_HEADER = "t,D,Ipp,Ixp,Ixx,Emod,mass,l1_dist"
 # Floor for log h in functional evaluation only, as a fraction of the
 # mean density; the dynamics never see it.
 H_FLOOR_FRAC = 1e-14
+
+# A run checks each sample against Emod(0) exp(-lambda t) with the
+# exponent relaxed by this fraction.
+DECAY_ALLOWANCE = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +447,18 @@ def cfl_limit(model, grid, order2=False):
     return 0.5 * limit if order2 else limit
 
 
+def _check_cfl(dt, limit, where=""):
+    if dt > limit * (1.0 + 1e-12):
+        raise CFLViolation(
+            f"dt = {dt:.3e} exceeds the transport limit {limit:.3e}{where}"
+        )
+
+
 def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
     """One Strang-split step: half transport, implicit diffusion, half transport."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    limit = cfl_limit(model, grid, order2)
-    if dt > limit * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt = {dt:.3e} exceeds the transport limit {limit:.3e}"
-        )
+    _check_cfl(dt, cfl_limit(model, grid, order2))
     st = _strang(model, grid, dt, order2)
     h = st.h
     np.copyto(h, state.h)
@@ -597,6 +605,30 @@ def sample_count(tmax, sample_dt, dt=None):
     return n_samples
 
 
+def sub_steps(model, grid, sample_dt, dt=None, order2=False):
+    """(n_sub, dt_eff): the steps a run takes per sample, and their length.
+
+    Without dt the step is 0.9 times the transport limit, or sample_dt
+    when that is smaller; a given dt bounds the step from above.
+    round() may take the count down past that bound, so sub-steps are
+    added until the step is within it.  Raises CFLViolation, stamped
+    with the run's start time, when the step exceeds the transport
+    limit.
+    """
+    limit = cfl_limit(model, grid, order2)
+    if dt is None:
+        bound = limit
+        dt = min(sample_dt, 0.9 * limit)
+    else:
+        bound = dt
+    n_sub = max(1, round(sample_dt / dt))
+    while sample_dt / n_sub > bound * (1.0 + 1e-12):
+        n_sub += 1
+    dt_eff = sample_dt / n_sub
+    _check_cfl(dt_eff, limit, " (at t = 0)")
+    return n_sub, dt_eff
+
+
 def run(
     model,
     grid,
@@ -607,31 +639,18 @@ def run(
     *,
     dt=None,
     order2=False,
-    decay_allowance=0.1,
 ):
     """Evolve h_in to tmax, sampling the functionals every sample_dt.
 
-    The time settings must pass sample_count.
+    The time settings must pass sample_count, and the step that
+    sub_steps picks from them must be within the transport limit.
 
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
-    decay_allowance; offending samples land in decay_violations.
-    A given dt bounds the sub-step from above; the run raises
-    CFLViolation when that step exceeds the transport limit.
+    DECAY_ALLOWANCE; offending samples land in decay_violations.
     """
     n_samples = sample_count(tmax, sample_dt, dt)
-    # round() may take the count down past the bound (the given dt, or
-    # the transport limit when dt is chosen here); add sub-steps until
-    # the sub-step is within it.
-    if dt is None:
-        bound = cfl_limit(model, grid, order2)
-        dt = min(sample_dt, 0.9 * bound)
-    else:
-        bound = dt
-    n_sub = max(1, round(sample_dt / dt))
-    while sample_dt / n_sub > bound * (1.0 + 1e-12):
-        n_sub += 1
-    dt_eff = sample_dt / n_sub
+    n_sub, dt_eff = sub_steps(model, grid, sample_dt, dt, order2)
 
     state = initial_state(model, grid, h_in)
     rows = [functionals(state, model, grid, certificate)]
@@ -640,8 +659,8 @@ def run(
             for _ in range(n_sub):
                 state = step(state, dt_eff, model, grid, order2=order2)
             rows.append(functionals(state, model, grid, certificate))
-    except (CFLViolation, LinearSolveFailure) as exc:
-        raise type(exc)(f"{exc} (at t = {state.t:.6g})") from exc
+    except LinearSolveFailure as exc:
+        raise LinearSolveFailure(f"{exc} (at t = {state.t:.6g})") from exc
 
     series = FunctionalSeries(
         times=np.array([r["t"] for r in rows]),
@@ -657,11 +676,11 @@ def run(
     if certificate is not None and getattr(certificate, "lam", None):
         lam = certificate.lam
         series.meta["lambda"] = lam
-        series.meta["decay_allowance"] = decay_allowance
+        series.meta["decay_allowance"] = DECAY_ALLOWANCE
         e0 = series.Emod[0]
         slack = 1e-12 * max(abs(e0), 1.0)
         for t, e in zip(series.times, series.Emod):
-            bound = e0 * math.exp(-(1.0 - decay_allowance) * lam * t) + slack
+            bound = e0 * math.exp(-(1.0 - DECAY_ALLOWANCE) * lam * t) + slack
             if e > bound:
                 series.decay_violations.append((float(t), float(e / bound)))
     return series

@@ -14,12 +14,13 @@ from hypocert.certificate import (
     certificate_kv,
     choose_abck,
     epsilon_defaults,
-    lemma_bounds_rhs,
     proposition_coefficients,
     read_certificate_kv,
     validate_certificate,
 )
 from hypocert.errors import InfeasibleRegion, InvalidCertificate
+
+from tests_support import lemma_bounds_rhs
 
 CLASSICAL = dict(sigma1=1.0, sigma2=1.0, beta=0.0, gamma=0.0, omega=0.0)
 
@@ -65,12 +66,6 @@ class TestEpsilonDefaults:
             epsilon_defaults(**CLASSICAL, a=0.0)
         with pytest.raises(ValueError, match="beta"):
             epsilon_defaults(1.0, 1.0, -0.1, 0.0, 0.0, a=1.0)
-
-    def test_as_dict(self):
-        eps = epsilon_defaults(**CLASSICAL, a=20.0)
-        d = eps.as_dict()
-        assert set(d) == {f"eps{i}" for i in range(1, 11)}
-        assert d["eps1"] == eps[1]
 
 
 class TestLemmaBounds:

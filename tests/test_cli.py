@@ -337,6 +337,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "at t =" in err
 
+    def test_too_large_dt_fails_before_the_scan(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", "classical", "--dt", "1",
+                        "--output-dir", out]) == 1
+        assert ("dt = 5.000e-02 exceeds the transport limit 3.906e-03 "
+                "(at t = 0)") in capsys.readouterr().err
+        for name in (cli.ASSUMPTIONS_TXT, cli.ASSUMPTIONS_KV, cli.CERTIFICATE_KV):
+            assert not (out / name).exists()
+
     def test_chosen_dt_stays_inside_the_limit(self, tmp_path):
         # The default grid's transport limit is 3.906e-3, and 0.0045 is
         # 1.28 steps of 0.9 times it, which rounds down to one step.

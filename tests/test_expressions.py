@@ -35,7 +35,6 @@ from hypocert.expressions import (
     Theta,
     diff_expr,
     evaluate,
-    max_coord,
     neg,
     parse_expr,
     to_string,
@@ -258,10 +257,6 @@ class TestIntrospection:
     def test_uses_theta(self):
         assert uses_theta(parse_expr("exp(-theta*p1)"))
         assert not uses_theta(parse_expr("p1+p2"))
-
-    def test_max_coord(self):
-        assert max_coord(parse_expr("p1*p3+sqrt(p2)")) == 3
-        assert max_coord(parse_expr("1+2")) == 0
 
 
 _ast_atoms = st.one_of(
@@ -756,3 +751,22 @@ class TestJetCost:
         assert ops(logu) == {0: 44, 1: 239, 2: 980}
         assert sum(ops(program.members[i])[order]
                    for i, order in request) == 1970
+
+    def test_fields_intern_nothing_until_read(self, monkeypatch):
+        # A model's fields build their own jets on first use; the scans
+        # read them through the point-jet program, which interns every
+        # entry of g, v and E once.
+        roots = []
+        intern = expressions._Dag.intern
+
+        def counted(dag, asts):
+            roots.append(len(asts))
+            return intern(dag, asts)
+
+        monkeypatch.setattr(expressions._Dag, "intern", counted)
+        model = builtin_relativistic(4.0)
+        assert roots == []
+        asm._PointJet(model, np.array([[0.3, -0.2, 0.5]]))
+        assert roots == [10]
+        model.metric_field.value(np.zeros((1, 3)))
+        assert roots == [10, 6]

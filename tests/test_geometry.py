@@ -28,8 +28,8 @@ from hypocert.geometry import (
     divergence_tensor2,
     divergence_vec,
     gradient_p,
+    as_batch,
     laplace_beltrami,
-    metric_jet,
     ricci,
 )
 from hypocert.models import (
@@ -47,20 +47,20 @@ CLA3 = builtin_classical(3)
 
 class TestMetricJet:
     def test_euclidean_trivial(self):
-        jet = metric_jet(CLA3, PointP((0.3, -1.2, 2.0)))
-        assert np.array_equal(jet.christoffel, np.zeros((3, 3, 3)))
-        assert jet.sqrt_det == pytest.approx(1.0)
-        assert np.array_equal(jet.g, np.eye(3))
+        jet = batch_jet(CLA3, PointP((0.3, -1.2, 2.0)).array[None])
+        assert np.array_equal(jet.christoffel[0], np.zeros((3, 3, 3)))
+        assert jet.sqrt_det[0] == pytest.approx(1.0)
+        assert np.array_equal(jet.g[0], np.eye(3))
 
     def test_relativistic_origin(self):
-        jet = metric_jet(REL, np.zeros(3))
-        assert np.allclose(jet.g, np.eye(3), atol=1e-14)
-        assert np.allclose(jet.g_inv, np.eye(3), atol=1e-14)
-        assert jet.sqrt_det == pytest.approx(1.0)
+        jet = batch_jet(REL, np.zeros(3)[None])
+        assert np.allclose(jet.g[0], np.eye(3), atol=1e-14)
+        assert np.allclose(jet.g_inv[0], np.eye(3), atol=1e-14)
+        assert jet.sqrt_det[0] == pytest.approx(1.0)
 
     def test_relativistic_sqrt_det(self):
-        jet = metric_jet(REL, np.array([1.0, 0.0, 0.0]))
-        assert jet.sqrt_det == pytest.approx(2.0 ** 0.25, rel=1e-12)
+        jet = batch_jet(REL, np.array([1.0, 0.0, 0.0])[None])
+        assert jet.sqrt_det[0] == pytest.approx(2.0 ** 0.25, rel=1e-12)
 
     def test_jet_invariants(self):
         P = rel_points(50)
@@ -88,16 +88,16 @@ class TestMetricJet:
     def test_not_positive_definite(self):
         bad = load_negative_metric()
         with pytest.raises(MetricError):
-            metric_jet(bad, np.array([0.5]))
+            batch_jet(bad, np.array([0.5])[None])
 
     def test_degenerate_metric(self):
         model = expr_model_1d(g11="p1^2", E="p1^2/2")
         with pytest.raises(MetricError):
-            metric_jet(model, np.array([0.0]))
+            batch_jet(model, np.array([0.0])[None])
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            metric_jet(REL, np.zeros(2))
+            as_batch(np.zeros(2), REL.dim)
 
 
 def load_negative_metric():
@@ -278,13 +278,13 @@ class TestBakryEmery:
 class TestFiniteDifferencePath:
     def test_richardson_order(self):
         p = np.array([0.3, -0.2, 0.5])
-        exact = metric_jet(REL, p)
+        exact = batch_jet(REL, p[None])
         errors_gamma = []
         errors_ricci = []
         for h in (1e-2, 5e-3, 2.5e-3):
             fd = fd_model(REL, h_scale=h)
-            jet = metric_jet(fd, p)
-            errors_gamma.append(np.max(np.abs(jet.christoffel - exact.christoffel)))
+            jet = batch_jet(fd, p[None])
+            errors_gamma.append(np.max(np.abs(jet.christoffel[0] - exact.christoffel[0])))
             errors_ricci.append(
                 np.max(
                     np.abs(

@@ -6,19 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypocert.errors import ModelFileError, NonpositiveWeight
+from hypocert.errors import ModelFileError
 from hypocert.expressions import parse_expr
 from hypocert.fields import ExprScalarField, FDField
-from hypocert.geometry import batch_jet, bakry_emery_ricci, metric_jet
+from hypocert.geometry import (
+    bakry_emery_ricci,
+    batch_jet,
+    gradient_p,
+    log_weight_values,
+)
 from hypocert.models import (
     ModelSpec,
     builtin_classical,
     builtin_relativistic,
-    drift_W,
     load_model_file,
     log_weight_field,
-    normalization,
-    weight_u,
 )
 
 
@@ -33,32 +35,34 @@ class TestModelSpec:
         )
         assert isinstance(model.v_fields[0], FDField)
         assert isinstance(model.energy_field, ExprScalarField)
-        out = drift_W(model, np.array([2.0]))
+        out = gradient_p(model, log_weight_field(model), np.array([2.0]))
         assert out.entries == pytest.approx([-2.0], abs=1e-12)
 
     def test_replace_starts_a_fresh_cache(self):
         model = builtin_classical(1)
-        drift_W(model, np.array([2.0]))
+        gradient_p(model, log_weight_field(model), np.array([2.0]))
         quartic = replace(
             model, energy_field=ExprScalarField(parse_expr("p1^4/4"), 1)
         )
-        out = drift_W(quartic, np.array([2.0]))
+        out = gradient_p(quartic, log_weight_field(quartic), np.array([2.0]))
         assert out.entries == pytest.approx([-8.0], abs=1e-12)
 
 
 class TestClassical:
     def test_drift_is_minus_p(self):
         model = builtin_classical(1)
-        out = drift_W(model, np.array([2.0]))
+        out = gradient_p(model, log_weight_field(model), np.array([2.0]))
         assert out.entries == pytest.approx([-2.0], abs=1e-12)
 
     def test_weight_at_origin(self):
         model = builtin_classical(2)
-        assert weight_u(model, np.zeros(2)) == pytest.approx(1.0)
+        logu, _ = log_weight_values(model, np.zeros((1, 2)))
+        assert np.exp(logu[0]) == pytest.approx(1.0)
 
     def test_weight_value(self):
         model = builtin_classical(1)
-        assert weight_u(model, np.array([3.0])) == pytest.approx(math.exp(-4.5))
+        logu, _ = log_weight_values(model, np.array([[3.0]]))
+        assert np.exp(logu[0]) == pytest.approx(math.exp(-4.5))
 
     def test_bakry_emery_identity(self):
         model = builtin_classical(1)
@@ -122,12 +126,13 @@ class TestClassical:
 class TestRelativistic:
     def test_weight_at_origin(self):
         model = builtin_relativistic(4.0)
-        assert weight_u(model, np.zeros(3)) == pytest.approx(math.exp(-4.0))
+        logu, _ = log_weight_values(model, np.zeros((1, 3)))
+        assert np.exp(logu[0]) == pytest.approx(math.exp(-4.0))
 
     def test_det_g_is_p0(self):
         model = builtin_relativistic(4.0)
-        jet = metric_jet(model, np.array([0.0, 0.0, 2.0]))
-        assert jet.sqrt_det**2 == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        jet = batch_jet(model, np.array([[0.0, 0.0, 2.0]]))
+        assert jet.sqrt_det[0] ** 2 == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
     def test_velocity_component(self):
         model = builtin_relativistic(4.0)
@@ -137,7 +142,7 @@ class TestRelativistic:
 
     def test_drift_vanishes_at_origin(self):
         model = builtin_relativistic(4.0)
-        out = drift_W(model, np.zeros(3))
+        out = gradient_p(model, log_weight_field(model), np.zeros(3))
         assert np.allclose(out.entries, 0.0, atol=1e-12)
 
     def test_drift_closed_form(self):
@@ -149,12 +154,10 @@ class TestRelativistic:
         dlogu = -(theta / p0 + 0.5 / p0**2)[:, None] * P
         ginv = (np.eye(3)[None] + P[:, :, None] * P[:, None, :]) / p0[:, None, None]
         expected = np.einsum("nij,nj->ni", ginv, dlogu)
-        out = drift_W(model, P)
+        out = gradient_p(model, log_weight_field(model), P)
         assert np.allclose(out.entries, expected, rtol=1e-10, atol=1e-10)
 
     def test_log_weight_field_consistent(self):
-        from hypocert.geometry import log_weight_values
-
         model = builtin_relativistic(2.5)
         P = np.random.default_rng(1).normal(size=(30, 3))
         field_vals = log_weight_field(model).value(P)
@@ -194,50 +197,13 @@ class TestRelativistic:
         assert g[0, 0, 0] == pytest.approx(1.0 / math.sqrt(1.64), rel=1e-12)
         # weight u = e^{-theta p0} sqrt(p0)
         p0 = math.sqrt(1.64)
-        assert weight_u(model, P)[0] == pytest.approx(
+        assert np.exp(log_weight_values(model, P)[0][0]) == pytest.approx(
             math.exp(-4.0 * p0) * math.sqrt(p0), rel=1e-10
         )
 
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             builtin_relativistic(0.0)
-
-
-class TestNormalization:
-    def test_gaussian(self):
-        model = builtin_classical(1)
-        info = normalization(model)
-        assert info["theta_norm"] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-6)
-        assert info["tail_fraction"] < 1e-10
-
-    def test_cached(self):
-        model = builtin_classical(2)
-        a = normalization(model)
-        b = normalization(model)
-        assert a is b
-
-    def test_heavy_tail_warns(self):
-        model = builtin_relativistic(0.1, dim=1)
-        with pytest.warns(UserWarning, match="tail"):
-            normalization(model)
-
-    def test_relativistic_cold_ok(self):
-        import warnings
-
-        model = builtin_relativistic(4.0, dim=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            info = normalization(model)
-        assert info["theta_norm"] > 0
-
-
-class TestWeightErrors:
-    def test_underflow_raises(self):
-        from tests_support import expr_model_1d
-
-        model = expr_model_1d(g11="1", E="1000*(1+p1^2)")
-        with pytest.raises(NonpositiveWeight):
-            weight_u(model, np.array([0.0]))
 
 
 class TestModelFiles:
@@ -263,7 +229,9 @@ E = p1^2/2
         ref = builtin_classical(1)
         P = np.linspace(-2, 2, 9)[:, None]
         assert np.allclose(
-            drift_W(model, P).entries, drift_W(ref, P).entries, atol=1e-12
+            gradient_p(model, log_weight_field(model), P).entries,
+            gradient_p(ref, log_weight_field(ref), P).entries,
+            atol=1e-12,
         )
         assert np.allclose(
             bakry_emery_ricci(model, P).entries,
@@ -293,7 +261,10 @@ E = theta*sqrt(1+p1^2)
             model.metric_field.value(P), ref.metric_field.value(P), rtol=1e-12
         )
         assert np.allclose(
-            drift_W(model, P).entries, drift_W(ref, P).entries, rtol=1e-9, atol=1e-11
+            gradient_p(model, log_weight_field(model), P).entries,
+            gradient_p(ref, log_weight_field(ref), P).entries,
+            rtol=1e-9,
+            atol=1e-11,
         )
 
     def test_missing_section(self, tmp_path):

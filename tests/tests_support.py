@@ -11,6 +11,7 @@ from scipy.stats import qmc
 from hypocert import assumptions as asm
 from hypocert import geometry as geom
 from hypocert import solver as sv
+from hypocert.certificate import EpsilonChoice
 from hypocert.expressions import (
     BinOp,
     Call,
@@ -393,3 +394,54 @@ def step_reference(h, dt, model, grid, order2=False):
     h = advect_reference(h, nu, order2)
     h = diffusion_solve_reference(sv._op(model, grid), h, dt)
     return advect_reference(h, nu, order2)
+
+
+def _times(eps, coef):
+    # eps*coef with the convention inf*0 = 0: an infinite epsilon only
+    # appears next to a vanishing term.
+    if coef == 0.0:
+        return 0.0
+    return eps * coef
+
+
+def _inv(eps):
+    return 0.0 if math.isinf(eps) else 1.0 / eps
+
+
+def lemma_bounds_rhs(eps, sigma1, sigma2, beta, gamma, omega):
+    """Production-bound coefficient table for arbitrary split constants.
+
+    The reference that certificate.epsilon_defaults' choice is checked
+    against.  Returns {row: 4-tuple} with rows dIpp, dIxp, dIxx and
+    columns in the order (Ixx, Ipp, Qpp, Qxp): each row bounds the time
+    derivative of one entropy functional from above.  All epsilons must
+    be positive; inf marks a skipped split (see certificate.EpsilonChoice).
+    """
+    e = list(eps.eps) if isinstance(eps, EpsilonChoice) else list(eps)
+    if len(e) != 10:
+        raise ValueError("expected 10 epsilon values")
+    if any(not x > 0.0 for x in e):
+        raise ValueError("epsilons must be positive")
+    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10 = e
+    sigma = sigma2 - sigma1
+    row_pp = (
+        2.0 * e1,
+        0.5 / e1 - 2.0 * sigma1,
+        -2.0,
+        0.0,
+    )
+    row_xp = (
+        _times(e2, sigma) + _times(e3, sigma1) + 2.0 * _times(e5, gamma)
+        + _times(e7, omega) + _times(e6, beta) - 1.0,
+        0.25 * (sigma * _inv(e2) + sigma1 * _inv(e3) + _inv(e6) + _inv(e7)),
+        2.0 * e4 + 0.5 * _inv(e5),
+        0.5 / e4,
+    )
+    row_xx = (
+        4.0 * _times(e8, gamma) + 0.5 / e9 + 2.0 * e9 * beta
+        + 2.0 * e10 * omega + 0.5 / e10,
+        0.0,
+        0.0,
+        _inv(e8) - 2.0,
+    )
+    return {"dIpp": row_pp, "dIxp": row_xp, "dIxx": row_xx}
