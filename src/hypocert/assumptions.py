@@ -20,8 +20,8 @@ and raise beta, gamma, omega.
 
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
 energy 2-jet, Gram form A), built from the model's fields once per
-CHUNK of points as a `_PointJet`; the jets of its expression fields
-come from one program per model, compiled once and cached on it.  Each
+CHUNK of points as a `_PointJet`; its jets are one request to the
+model's jet builder, whose program is compiled once per model.  Each
 scan keeps only per-point values, and `check_model` feeds every point
 jet to all of them in one pass, so no point jet outlives its chunk.
 """
@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fields as _fields
 from . import geometry as _geom
 from .geometry import _t
 from .errors import DegenerateA, MetricError
@@ -283,24 +282,6 @@ class ProductResult:
 # One pass over the chunks
 
 
-def _jet_program(model):
-    """The model's one program for every jet a point jet reads.
-
-    It holds g at orders 0-2, each v^I at orders 1-3 and E at orders 1
-    and 2, and is cached on the model.
-    """
-    program = model._cache.get("point_jet")
-    if program is None:
-        g, vfs, energy = model.metric_field, model.v_fields, model.energy_field
-        program = model._cache["point_jet"] = _fields._JetProgram(
-            [(g, 0), (g, 1), (g, 2)]
-            + [(f, k) for k in (1, 2, 3) for f in vfs]
-            + [(energy, 1), (energy, 2)],
-            model.dim,
-        )
-    return program
-
-
 class _PointJet:
     """The pointwise data of (g, v, E) that the scans read, on points P.
 
@@ -312,8 +293,13 @@ class _PointJet:
     """
 
     def __init__(self, model, P):
+        # g at orders 0-2, each v^I at orders 1-3 and E at orders 1 and 2,
+        # as one request to the model's jet builder
         n = len(model.v_fields)
-        g, dg, d2g, *v, self.grad_E, self.hess_E = _jet_program(model)(P)
+        request = ((0, 0), (0, 1), (0, 2),
+                   *((i, k) for k in (1, 2, 3) for i in range(1, n + 1)),
+                   (n + 1, 1), (n + 1, 2))
+        g, dg, d2g, *v, self.grad_E, self.hess_E = model._jets(request, P)
         self.P = P
         self.jet = _geom.jet_from_arrays(g, dg, d2g)
         self.dv, self.hv, self.tv = (
@@ -603,7 +589,7 @@ def growth_check(model, radii=None):
     ratios = []
     for r in radii:
         try:
-            g = model.metric_field.value(dirs * r)
+            (g,) = model._jets(((0, 0),), dirs * r)
             gi = np.linalg.inv(g)
         except (ExprDomainError, FloatingPointError, np.linalg.LinAlgError):
             return GrowthResult(ok=False, radii=tuple(radii), ratios=tuple(ratios))

@@ -205,13 +205,12 @@ def _failed_gates(passes):
     ]
 
 
-def run_scan(cfg, outdir):
-    """Scan assumptions and write both report renderings."""
-    model = load_model(cfg)
+def run_scan(cfg, model, outdir):
+    """Scan the model's assumptions and write both report renderings."""
     report = check_model(model, scan_grid_for(cfg, model))
     (outdir / ASSUMPTIONS_TXT).write_text(report_text(report))
     (outdir / ASSUMPTIONS_KV).write_text(report_kv(report))
-    return model, report
+    return report
 
 
 def certificate_from_report(report, margin):
@@ -262,7 +261,7 @@ def _kv_lines(mapping):
 def cmd_check(cfg, args):
     """Assumption scan; exit 0 iff every required gate passes."""
     outdir = ensure_outdir(cfg)
-    _, report = run_scan(cfg, outdir)
+    report = run_scan(cfg, load_model(cfg), outdir)
     sys.stdout.write(report_text(report))
     if report.required_ok:
         print("assumption check: pass")
@@ -278,7 +277,7 @@ def cmd_certify(cfg, args):
         report = _report_from_kv(Path(args.report))
         source = f"report file {args.report}"
     else:
-        _, report = run_scan(cfg, outdir)
+        report = run_scan(cfg, load_model(cfg), outdir)
         source = f"fresh scan (seed {report.grid_seed})"
     cert = certificate_from_report(report, cfg.margin)
     (outdir / CERTIFICATE_KV).write_text(certificate_kv(cert))
@@ -358,7 +357,7 @@ def cmd_simulate(cfg, args):
         cert = load_certificate_file(outdir / CERTIFICATE_KV)
         cert_source = f"file {outdir / CERTIFICATE_KV}"
     else:
-        _, report = run_scan(cfg, outdir)
+        report = run_scan(cfg, model, outdir)
         cert = certificate_from_report(report, cfg.margin)
         (outdir / CERTIFICATE_KV).write_text(certificate_kv(cert))
         cert_source = f"fresh scan (seed {report.grid_seed})"

@@ -31,9 +31,9 @@ A `Tape` is the straight-line program of some slots of a DAG: exactly
 the slots they reach, scheduled by level, with the ops of one level and
 one kind run as one numpy ufunc call over consecutive rows of a slot
 array.  It runs vectorized over an (n, M) array of points under one
-numpy error state, gives bit for bit what one ufunc call per op gives,
-and guards the real domain: division by zero, log of a nonpositive
-value, and similar raise ExprDomainError instead of propagating NaN.
+numpy error state, gives bit for bit what one ufunc call per op gives
+at any n, and guards the real domain: division by zero, log of a
+nonpositive value, and similar raise ExprDomainError instead of NaN.
 """
 
 from __future__ import annotations
@@ -595,16 +595,22 @@ def diff_expr(ast, k):
 _UFUNCS = {
     "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
     "/": np.divide, "^": np.power, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+    # a varying base raised to the constant 2, 0.5 or -1 (see Tape)
+    "^2": np.square, "^0.5": np.sqrt, "^-1": np.reciprocal,
 }
+_POWERS = {2.0: "^2", 0.5: "^0.5", -1.0: "^-1"}
 # Ops whose outputs must stay finite, and the name a domain error gives.
-_CHECKED = {"/": "division", "^": "power", "sqrt": "sqrt", "exp": "exp", "log": "log"}
+_CHECKED = {"/": "division", "sqrt": "sqrt", "exp": "exp", "log": "log",
+            **dict.fromkeys(("^", *_POWERS.values()), "power")}
 
 
 # A Tape keeps its values in two arrays: the (rows, n) values that vary
-# with the point, and the (rows, 1) columns of those that do not.
-_ROWS, _COLS = 0, 1
+# with the point, and the (rows, 1) columns of those that do not, which
+# an operand can also read repeated over the points (_SPREAD).
+_ROWS, _COLS, _SPREAD = 0, 1, 2
 _FIRST, _SECOND = itemgetter(1), itemgetter(2)  # the operands of a DAG key
-_RANK = {op: rank for rank, op in enumerate(sorted(_UFUNCS))}
+_OPS = sorted(_UFUNCS)
+_RANK = {op: rank for rank, op in enumerate(_OPS)}
 
 
 class Tape:
@@ -622,12 +628,14 @@ class Tape:
     A slot that varies with the point has a row of the (rows, n) array,
     free again once the group that reads it last has run.  Constants,
     theta and the ops of those alone have a row of the (rows, 1) column
-    array, so they broadcast over the points as the (1,) arrays of a
-    tree walk do, and each value is bit for bit the one a ufunc call
-    per op gives.  For that a power of a varying base shares its
-    exponent column with its group and reads it with stride 0, as a
-    lone power does where n > 1 (numpy then squares for an exponent of
-    2), and unbroadcast where n = 1.  A group copies its roots to the
+    array, so they broadcast over the points.  Each value is bit for bit
+    the one a ufunc call per op gives, whatever n and the other roots
+    are.  For that, as numpy squares, takes a square root or a
+    reciprocal for an exponent of 2, 0.5 or -1 that broadcasts over
+    n > 1 points and calls pow otherwise, a varying base raised to such
+    a constant runs as np.square, np.sqrt or np.reciprocal, and one
+    raised to another column (theta, say) reads it repeated over the
+    points, so that it calls pow.  A group copies its roots to the
     output as it runs, and the finiteness of its checked outputs to a
     boolean row each, which one check reads at the end.
     """
@@ -658,27 +666,31 @@ class Tape:
         coords.sort(key=lambda s: keys[s][1])
         for r, s in enumerate(coords):
             row[s] = r
-        # Groups run in steps, level * 9 + the rank of the op's name.  One
-        # pass over the post-order gives each op its group, (step, array,
-        # operand arrays, DAG key of a shared exponent).
+        # Groups run in steps, level * len(_OPS) + the rank of the op's
+        # name.  One pass over the post-order gives each op its group,
+        # (step, array, operand arrays).
         rank, nops = _RANK, len(_RANK)
         groups = defaultdict(list)
         for s in ops:
             key = keys[s]
-            a = key[1]
-            if len(key) == 2:
+            op, a = key[0], key[1]
+            if op == "^" and where[a] == _ROWS:
+                # a square, square root or reciprocal runs as one
+                op = _POWERS.get(dag.value(key[2]), op)
+            if op != key[0] or len(key) == 2:
                 lv = level[a] + 1
-                step = lv * nops + rank[key[0]]
+                step = lv * nops + rank[op]
                 where[s] = where[a]
                 gkey = (step, where[a], where[a])
             else:
                 b = key[2]
                 lv = (level[a] if level[a] > level[b] else level[b]) + 1
-                step = lv * nops + rank[key[0]]
+                step = lv * nops + rank[op]
                 wa, wb = where[a], where[b]
+                if op == "^" and wa < wb and dag.value(b) is None:
+                    wb = _SPREAD
                 where[s] = wa & wb  # _ROWS if either operand varies
-                shared = keys[b] if wa < wb and key[0] == "^" else ()
-                gkey = (step, wa & wb, wa, wb, shared)
+                gkey = (step, wa & wb, wa, wb)
                 if dies[b] < step:
                     dies[b] = step
             if dies[a] < step:
@@ -697,7 +709,7 @@ class Tape:
         for pos, s in enumerate(roots):
             at.setdefault(s, []).append(pos)
         flags = {}  # the boolean row of each checked output
-        self.code, exponents = [], []
+        self.code = []
         done = 0  # the steps whose pool rows are released
         for gkey in order:
             step, dst, *args = gkey
@@ -726,7 +738,7 @@ class Tape:
             for r, s in enumerate(members, lo):
                 row[s] = r
             kids = list(map(keys.__getitem__, members))
-            op = kids[0][0]
+            op = _OPS[step % nops]
             # ufunc, array and rows written, (array, rows) of each
             # operand, flag rows, and the output rows of the roots with
             # their rows in the group's block
@@ -736,8 +748,6 @@ class Tape:
             if len(args) > 1:
                 second = _rows_of(list(map(row.__getitem__, map(_SECOND, kids))))
                 entry[5:7] = args[1], second
-                if args[2]:
-                    exponents.append((len(self.code), row[kids[0][2]]))
             if op in _CHECKED:
                 entry[7] = slice(len(flags), len(flags) + k)
                 flags.update(zip(members, range(len(flags), len(flags) + k)))
@@ -748,10 +758,6 @@ class Tape:
                 entry[9] = (slice(None) if inside == list(range(k))
                             else np.array(inside, dtype=np.intp))
             self.code.append(tuple(entry))
-        # n = 1 reads a shared exponent as a column, n > 1 with stride 0
-        self._code1 = list(self.code)
-        for g, exponent in exponents:
-            self.code[g] = self.code[g][:6] + (exponent,) + self.code[g][7:]
         self.rows = base + len(free)
         self._cols = np.array(cols).reshape(-1, 1)
         self._coord_cols = _rows_of([keys[s][1] - 1 for s in coords])
@@ -788,12 +794,11 @@ class Tape:
             cols[self._theta] = float(theta)
         vals = np.empty((self.rows, n))
         vals[:len(self._coords)] = P.T[self._coord_cols]
-        arrays = (vals, cols)
+        arrays = (vals, cols, cols)
         out = np.empty((self._roots, n))
         finite = np.empty((len(self._checked), n), dtype=bool)
         with np.errstate(all="ignore"):
-            for fn, dst, rows, a, ia, b, ib, flags, pos, inside in (
-                    self._code1 if n == 1 else self.code):
+            for fn, dst, rows, a, ia, b, ib, flags, pos, inside in self.code:
                 x = arrays[a]
                 x = x.take(ia, axis=0) if ia.__class__ is np.ndarray else x[ia]
                 block = arrays[dst][rows]
@@ -802,6 +807,8 @@ class Tape:
                 else:
                     y = arrays[b]
                     y = y.take(ib, axis=0) if ib.__class__ is np.ndarray else y[ib]
+                    if b == _SPREAD:
+                        y = y.repeat(n, axis=1)
                     fn(x, y, out=block)
                 if flags is not None:
                     np.isfinite(block, out=finite[flags])

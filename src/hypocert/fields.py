@@ -5,18 +5,20 @@ and its derivatives on a batch of points P with shape (n, M).  Two
 families exist:
 
 * expression-backed fields (scalar, metric, vector) differentiate
-  symbolically (exact to round off).  All three share one jet builder,
-  `_ExprJets`, which can serve several fields: their entries go once
-  into a hash-consed expression DAG that the builder keeps, each
-  derivative order is built lazily on it, one partial per
-  nondecreasing axes tuple and value entry, from the partials of the
-  order below.  A request lists (field, order) pairs and compiles into
-  one cached `Tape` that evaluates all of its partials together; each
-  field method is a request of one pair, and `_JetProgram` puts the
-  jets of several fields (a model's point jet) into one request.
-  Every slot that is a permutation of a partial's axes, or the mirror
-  of a metric entry, is filled from that one partial, so the returned
-  arrays are symmetric exactly;
+  symbolically (exact to round off).  Their jets come from one
+  builder, `_ExprJets`, over a list of field handles: the expression
+  handles that share the first one's theta go once into a hash-consed
+  expression DAG that the builder keeps, and each derivative order is
+  built lazily on it, one partial per nondecreasing axes tuple and
+  value entry, from the partials of the order below; any other handle
+  answers through its own methods.  A request lists (field, order)
+  pairs and compiles into one cached `Tape` that evaluates all of its
+  partials together.  A model keeps one builder over its (g, v, E)
+  (`models.ModelSpec._jets`), so every jet of its fields is one request
+  to it; a field's own methods are requests of one pair to a builder
+  of its own, made on first use.  Every slot that is a permutation of
+  a partial's axes, or the mirror of a metric entry, is filled from
+  that one partial, so the returned arrays are symmetric exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
   uses central differences with a per-point step
   h = h_scale * max(1, |p|).
@@ -146,40 +148,49 @@ def as_field(field, dim, theta=None):
 
 
 class _ExprJets:
-    """The derivative jets of one or more expression fields, on one DAG.
+    """The derivative jets of one or more field handles: one builder.
 
-    fields lists each field's (entries, shape).  entries maps a value
-    index to its AST: () for a scalar, (i,) for a vector component,
-    (i, j) with i <= j for a metric.  Every entry goes into one
-    hash-consed DAG (`expressions._Dag`) that the builder keeps for its
-    life, so the fields share the subterms they have in common.  A
-    field's order-k partials are kept once per nondecreasing axes tuple,
-    each taken in increasing axis order from an order-(k-1) partial, and
-    the DAG builds each (slot, axis) derivative once.
+    The members are the expression handles among fields that share the
+    first one's theta.  Their entries go once into one hash-consed DAG
+    (`expressions._Dag`) that the builder keeps for its life, so they
+    share the subterms they have in common.  A member's
+    entries map a value index to an AST: () for a scalar, (i,) for a
+    vector component, (i, j) with i <= j for a metric.  Its order-k
+    partials are kept once per nondecreasing axes tuple, each taken in
+    increasing axis order from an order-(k-1) partial, and the DAG
+    builds each (slot, axis) derivative once.  Every other handle (an
+    `FDField`, or a field bound to another theta) answers through its
+    own value, grad, hess or third; only those handles are kept.
 
     A request is a tuple of (field, order) pairs, field an index into
     fields.  Each request compiles once into one program that holds
-    exactly the slots its partials reach, so a partial or subterm that
-    several of its jets read is computed once.  The jet of (field, k)
-    has shape (n,) + (dim,) * k + shape.  A partial fills every slot
-    that permutes its axes, followed by its index or by its reversed
-    index: the same slot for a scalar or vector, the mirrored entry for
-    a metric.  The program's last root is 0, read by the slots of
-    entries a field leaves out (a metric's zero off-diagonals).
+    exactly the slots its members' partials reach, so a partial or
+    subterm that several of its jets read is computed once.  The jet of
+    (field, k) has shape (n,) + (dim,) * k + shape.  A partial fills
+    every slot that permutes its axes, followed by its index or by its
+    reversed index: the same slot for a scalar or vector, the mirrored
+    entry for a metric.  The program's last root is 0, read by the
+    slots of entries a field leaves out (a metric's zero off-diagonals).
     """
 
     def __init__(self, fields, dim):
-        self.fields = fields
         self.dim = dim
+        expr = [f for f in fields if isinstance(f, _EXPR_FIELDS)]
+        self.theta = expr[0].theta if expr else None
+        self._others = {k: f for k, f in enumerate(fields)
+                        if not isinstance(f, _EXPR_FIELDS) or f.theta != self.theta}
+        specs = [({}, ()) if k in self._others else f._spec
+                 for k, f in enumerate(fields)]
+        self._shapes = [shape for _, shape in specs]
         self._dag = _Dag()
         slots = iter(self._dag.intern(
-            [ast for entries, _ in fields for ast in entries.values()]))
+            [ast for entries, _ in specs for ast in entries.values()]))
         self._partials = [[{((), idx): next(slots) for idx in entries}]
-                          for entries, _ in fields]
+                          for entries, _ in specs]
         self._compiled = {}
 
     def _order(self, field, order):
-        """{(axes, index): slot} of the order-k partials of a field."""
+        """{(axes, index): slot} of the order-k partials of a member."""
         dag, partials = self._dag, self._partials[field]
         while len(partials) <= order:
             partials.append({
@@ -190,10 +201,15 @@ class _ExprJets:
         return partials[order]
 
     def _compile(self, request):
+        """(tape, blocks): one (source, shape) block per pair of the
+        request, None for a field that is not a member."""
         roots, blocks = [], []
         for field, order in request:
+            if field in self._others:
+                blocks.append(None)
+                continue
             partials = self._order(field, order)
-            shape = (self.dim,) * order + self.fields[field][1]
+            shape = (self.dim,) * order + self._shapes[field]
             flat = np.arange(math.prod(shape)).reshape(shape)
             # source[s] is the tape row that flat slot s reads, -1 the 0 row
             source = np.full(flat.size, -1)
@@ -202,33 +218,42 @@ class _ExprJets:
                     source[flat[perm + idx]] = source[flat[perm + idx[::-1]]] = row
             roots += partials.values()
             blocks.append((source, shape))
-        for source, _ in blocks:
+        for source, _ in filter(None, blocks):
             source[source < 0] = len(roots)
-        return self._dag.tape(roots + [self._dag.const(0.0)]), blocks
+        roots.append(self._dag.const(0.0))
+        return (self._dag.tape(roots) if len(roots) > 1 else None), blocks
 
-    def __call__(self, request, P, theta):
+    def __call__(self, request, P):
         """The jet of each (field, order) of the request, in order:
-        [n, l, ..., k, *index] = d_l ... d_k of the entry at index."""
+        [n, l, ..., k, *index] = d_l ... d_k of the entry at index.  The
+        members' jets come from one run of the request's program."""
         compiled = self._compiled.get(request)
         if compiled is None:
             compiled = self._compiled[request] = self._compile(request)
         tape, blocks = compiled
-        vals = evaluate(tape, P, theta)
-        # each jet's rows gathered row-major, then transposed once
-        return [np.ascontiguousarray(vals.take(source, axis=0).T)
-                .reshape((P.shape[0],) + shape) for source, shape in blocks]
+        if tape is not None:
+            vals = evaluate(tape, P, self.theta)
+        out = []
+        for (field, order), block in zip(request, blocks):
+            if block is None:
+                out.append(getattr(self._others[field], _METHODS[order])(P))
+            else:
+                # the jet's rows gathered row-major, then transposed once
+                source, shape = block
+                out.append(np.ascontiguousarray(vals.take(source, axis=0).T)
+                           .reshape((P.shape[0],) + shape))
+        return out
 
 
 def _jet(field, order, P):
     """One order of an expression field's jet: a request of one pair."""
-    return field._jets(((0, order),), P, field.theta)[0]
+    return field._jets(((0, order),), P)[0]
 
 
 def _own_jets(field):
-    """A field's own jet builder over its one (entries, shape), made on
-    first use: a model's scans read its fields through one `_JetProgram`
-    and never build it."""
-    return _ExprJets([field._spec], field.dim)
+    """A field's own jet builder, made when its methods are first called;
+    a model reads its fields' jets through its own builder instead."""
+    return _ExprJets([field], field.dim)
 
 
 class ExprScalarField:
@@ -308,35 +333,3 @@ class ExprVectorField:
 
 _EXPR_FIELDS = (ExprScalarField, ExprMetricField, ExprVectorField)
 _METHODS = ("value", "grad", "hess", "third")
-
-
-class _JetProgram:
-    """The jets of several fields together: P -> [jet of each request].
-
-    requests lists (field handle, order) pairs.  The expression fields
-    among them that share the first one's theta (`members`) go into one
-    `_ExprJets`, whose one request (`request`) runs all their jets as
-    one program; every other field answers through its own value, grad,
-    hess or third.
-    """
-
-    def __init__(self, requests, dim):
-        self.requests = requests
-        expr = [f for f, _ in requests if isinstance(f, _EXPR_FIELDS)]
-        self.theta = expr[0].theta if expr else None
-        self.members = []
-        for f in expr:
-            if f.theta == self.theta and not any(f is m for m in self.members):
-                self.members.append(f)
-        self._member = [
-            next((i for i, m in enumerate(self.members) if m is f), None)
-            for f, _ in requests
-        ]
-        self.jets = _ExprJets([m._spec for m in self.members], dim)
-        self.request = tuple((i, order) for i, (_, order)
-                             in zip(self._member, requests) if i is not None)
-
-    def __call__(self, P):
-        merged = iter(self.jets(self.request, P, self.theta))
-        return [next(merged) if i is not None else getattr(f, _METHODS[order])(P)
-                for i, (f, order) in zip(self._member, self.requests)]

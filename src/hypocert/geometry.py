@@ -201,12 +201,10 @@ def jet_from_arrays(g, dg, d2g=None):
 
 
 def batch_jet(model, P, second=True):
-    """Metric jet on a batch of points P with shape (n, M)."""
-    mf = model.metric_field
-    g = mf.value(P)
-    dg = mf.grad(P)
-    d2g = mf.hess(P) if second else None
-    return jet_from_arrays(g, dg, d2g)
+    """Metric jet on a batch of points P with shape (n, M): g at orders
+    0-1, or 0-2, in one request to the model's jet builder."""
+    request = ((0, 0), (0, 1), (0, 2)) if second else ((0, 0), (0, 1))
+    return jet_from_arrays(*model._jets(request, P))
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +352,23 @@ def laplace_beltrami(model, f, p):
 
 def log_weight_values(model, P):
     """log u = -E - log sqrt(det g) on a batch, plus the jet used."""
-    jet = batch_jet(model, P, second=False)
-    E = model.energy_field.value(P)
+    g, dg, E = model._jets(((0, 0), (0, 1), (model.dim + 1, 0)), P)
+    jet = jet_from_arrays(g, dg)
     return -E - np.log(jet.sqrt_det), jet
 
 
 def bakry_emery_ricci(model, p):
     """Bakry-Emery-Ricci tensor Ric - Hess(log u) at p."""
     P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P)
-    E = model.energy_field
+    e = model.dim + 1
+    g, dg, d2g, E, dE, d2E = model._jets(
+        ((0, 0), (0, 1), (0, 2), (e, 0), (e, 1), (e, 2)), P)
+    jet = jet_from_arrays(g, dg, d2g)
     with np.errstate(over="ignore"):
-        u = np.exp(-E.value(P)) / jet.sqrt_det
+        u = np.exp(-E) / jet.sqrt_det
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0):
         raise NonpositiveWeight(
             "equilibrium weight u = e^-E / sqrt(det g) is not positive"
         )
-    out = bakry_emery_from_jet(jet, E.grad(P), E.hess(P))
+    out = bakry_emery_from_jet(jet, dE, d2E)
     return SymTensor2(out[0] if single else out, "covariant")

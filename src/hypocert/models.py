@@ -22,6 +22,7 @@ load_model_file.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ from .expressions import (
     sub,
     uses_theta,
 )
-from .fields import ExprMetricField, ExprScalarField, FDField, as_field
+from .fields import ExprMetricField, ExprScalarField, FDField, _ExprJets, as_field
 
 __all__ = [
     "ModelSpec",
@@ -97,6 +98,16 @@ class ModelSpec:
         object.__setattr__(self, "metric_field", coerce(self.metric_field))
         object.__setattr__(self, "v_fields", tuple(map(coerce, self.v_fields)))
         object.__setattr__(self, "energy_field", coerce(self.energy_field))
+
+    def _jets(self, request, P):
+        """The jets of a request of (field, order) pairs, in order, from the
+        model's one jet builder (`fields._ExprJets`), made on first use:
+        field 0 is g, field I is v^I and field dim + 1 is E."""
+        jets = self._cache.get("jets")
+        if jets is None:
+            jets = self._cache["jets"] = _ExprJets(
+                (self.metric_field, *self.v_fields, self.energy_field), self.dim)
+        return jets(request, P)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +204,8 @@ def builtin_relativistic(theta, dim=3):
     without closed-form references (dim = 1 feeds the 1D solver).
     """
     theta = float(theta)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     p0 = _p0_ast(dim)
     entries = {}
     for i in range(dim):
@@ -477,6 +488,8 @@ def load_model_file(path):
             theta = float(config.get("model", "theta"))
         except ValueError as exc:
             raise ModelFileError(f"{path}: theta is not a number") from exc
+        if not math.isfinite(theta):
+            raise ModelFileError(f"{path}: theta must be finite, got {theta}")
 
     velocity = _require(config, "velocity", path)
     dim = 0

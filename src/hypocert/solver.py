@@ -151,8 +151,8 @@ def build_grid(model, Nx, Np, P):
     _require_1d(model)
     if Nx < 8 or Np < 8:
         raise ValueError("need at least 8 cells per direction")
-    if not P > 0.0:
-        raise ValueError("momentum truncation radius P must be positive")
+    if not 0.0 < P < math.inf:
+        raise ValueError(f"momentum truncation radius P must be positive and finite: {P}")
     Nx, Np = int(Nx), int(Np)
     dx = 1.0 / Nx
     x_nodes = dx * np.arange(Nx)
@@ -227,7 +227,7 @@ def _node_geometry(model, grid):
     # The general M-dimensional Hessian and div-Hessian forms at M = 1.
     H_v = _covariant_hessians(jet, pj.dv, pj.hv)[:, 0, 0, 0]
     divH = _div_hessians(jet, pj.dv, pj.hv, pj.tv)[:, 0, 0]
-    v = model.v_fields[0].value(pts)
+    (v,) = model._jets(((1, 0),), pts)
     dv = pj.dv[:, 0, 0]
 
     w_cov = geometry.drift_oneform_from_jet(jet, pj.grad_E)[:, 0]

@@ -20,6 +20,7 @@ from hypocert.models import ModelSpec, builtin_classical, builtin_relativistic
 from tests_support import (
     conformal_logsob_reference,
     conformal_model_2d,
+    count_builder_dags,
     expr_model_1d,
     fd_model,
     halton_ball_reference,
@@ -659,8 +660,9 @@ class TestGenEigHelpers:
 
 class TestSharedPointJets:
     def test_check_model_builds_metric_hessian_once_per_chunk(self, monkeypatch):
-        # d2g is one jet of the model's one point-jet program, which runs
-        # once per chunk; the metric field's own hess is not called
+        # d2g is one jet of the point-jet request to the model's jet
+        # builder, whose program runs once per chunk; the metric field's
+        # own hess is not called, and every program run is the builder's
         m = builtin_relativistic(4.0)
         grid = small_grid()
         assert grid.count <= asm.CHUNK
@@ -679,12 +681,18 @@ class TestSharedPointJets:
         m.metric_field.hess = counted
         monkeypatch.setattr(fields, "evaluate", counted_evaluate)
         asm.check_model(m, grid)
-        program = m._cache["point_jet"]
-        assert any(program.members[i] is m.metric_field and order == 2
-                   for i, order in program.request)
-        ((tape, *_),) = program.jets._compiled.values()
+        jets = m._cache["jets"]
+        (request,) = [r for r in jets._compiled if (0, 2) in r]
+        tape, _ = jets._compiled[request]
         assert [rows for t, rows in runs if t is tape] == [grid.count]
+        assert {t for t, _ in runs} <= {t for t, _ in jets._compiled.values()}
         assert calls == []
+
+    def test_check_model_builds_one_dag(self, monkeypatch):
+        # the point jets and the growth gate read the model's one builder
+        dags = count_builder_dags(monkeypatch)
+        asm.check_model(builtin_relativistic(4.0), small_grid())
+        assert len(dags) == 1
 
     def test_check_model_bakry_and_gram_test_once_per_chunk(self, monkeypatch):
         # the curvature and log-Sobolev scans share one Bakry-Emery tensor,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypocert import cli
 from hypocert import solver as sv
 from hypocert.certificate import build_certificate, certificate_kv
 from hypocert.cli import ConfigError, RunConfig
+
+from tests_support import count_builder_dags
 
 CLASSICAL_ARGS = ["--model", "classical"]
 
@@ -127,6 +130,38 @@ class TestModelSelection:
         )
         with pytest.raises(ConfigError, match="model file"):
             cli.load_model(RunConfig(model=str(path), theta=2.0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_theta_exit_2(self, tmp_path, capsys, value):
+        assert run_cli(["check", "--model", "relativistic", "--theta", value,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_model_file_nonfinite_theta_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "model.ini"
+        path.write_text(f"[model]\ntheta = {value}\n[metric]\ng11 = 1\n"
+                        "[velocity]\nv1 = p1\n[energy]\nE = theta*p1^2/2\n")
+        assert run_cli(["check", "--model", path,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert "theta" in capsys.readouterr().err
+
+
+class TestOneDagPerModel:
+    """Work counted: each command differentiates its model's fields on
+    one DAG, the one of the model's jet builder."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "classical"],
+        ["certify", "--model", "classical"],
+        ["simulate", "--model", "classical", "--tmax", "1"],
+        ["check", "--model", "relativistic", "--theta", "4",
+         "--scan-resolution", "5", "--scan-count", "100"],
+    ], ids=["check", "certify", "simulate", "check-relativistic"])
+    def test_one_dag(self, tmp_path, monkeypatch, argv):
+        dags = count_builder_dags(monkeypatch)
+        assert run_cli(argv + ["--output-dir", tmp_path / "out"]) == 0
+        assert len(dags) == 1
 
 
 class TestCheck:
@@ -391,6 +426,16 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run_cli(["simulate", "--model", "classical",
                         "--output-dir", out] + flags) == 2
+        assert not out.exists()
+
+    def test_infinite_P_exit_2(self, tmp_path, capsys):
+        # rejected when the grid is built, before numpy sees an inf
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["simulate", "--model", "classical", "--P", "inf",
+                            "--output-dir", out]) == 2
+        assert "P must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_initial_data_exit_2(self, tmp_path):

@@ -12,6 +12,7 @@ node; a tape must reproduce it bit for bit.
 import gc
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -351,8 +352,27 @@ class TestNoCyclicGarbage:
         assert collectable_after(lambda: to_string(ast)) == 0
 
 
+_POWER_RULE = {2.0: np.square, 0.5: np.sqrt, -1.0: np.reciprocal}
+
+
+def _varies(node):
+    """True when a coordinate occurs in the AST."""
+    if isinstance(node, Coord):
+        return True
+    if isinstance(node, BinOp):
+        return _varies(node.left) or _varies(node.right)
+    return isinstance(node, (Neg, Call)) and _varies(node.arg)
+
+
 def walk_reference(ast, P, theta=None):
-    """One AST at the rows of P (n, M), walked node by node."""
+    """One AST at the rows of P (n, M), walked node by node.
+
+    A power takes the Tape's rule: a base that varies with the point,
+    raised to the constant 2, 0.5 or -1, is squared, square-rooted or
+    inverted, and every other power calls np.power on n values each,
+    so that no batch size takes the path numpy keeps for an exponent
+    that broadcasts.
+    """
     memo = {}
 
     def ev(node):
@@ -368,10 +388,20 @@ def walk_reference(ast, P, theta=None):
             out = -ev(node.arg)
         else:
             with np.errstate(all="ignore"):
-                if isinstance(node, BinOp):
+                rule = None
+                if (isinstance(node, BinOp) and node.op == "^"
+                        and isinstance(node.right, Const) and _varies(node.left)):
+                    rule = _POWER_RULE.get(node.right.value)
+                if rule is not None:
+                    out = rule(ev(node.left))
+                elif isinstance(node, BinOp) and node.op == "^":
+                    a, b = ev(node.left), ev(node.right)
+                    n = max(a.size, b.size)
+                    out = np.power(np.resize(a, n), np.resize(b, n))
+                elif isinstance(node, BinOp):
                     a, b = ev(node.left), ev(node.right)
                     out = {"+": np.add, "-": np.subtract, "*": np.multiply,
-                           "/": np.divide, "^": np.power}[node.op](a, b)
+                           "/": np.divide}[node.op](a, b)
                 else:
                     out = {"sqrt": np.sqrt, "exp": np.exp, "log": np.log}[node.fn](
                         ev(node.arg)
@@ -421,9 +451,8 @@ class TestTape:
 
     @pytest.mark.parametrize("n", [1, 7, 133, 1024])
     def test_level_groups_match_the_walk(self, n):
-        # one ufunc call per group gives, at any batch size, the bits of
-        # one call per op, one point (where a lone op reads its operands
-        # unbroadcast) included
+        # one ufunc call per group gives, at any batch size, one point
+        # included, the bits of one call per op
         rng = np.random.default_rng(n)
         pool = [random_safe_ast(rng, depth=int(d)) for d in rng.integers(1, 5, size=12)]
         pool += [diff_expr(ast, 2) for ast in pool[:6]]
@@ -432,25 +461,29 @@ class TestTape:
         self._assert_matches_walk(_metric_2jet(self.REL.metric_field), 1.5 * P, 4.0)
 
     def test_one_level_of_powers_with_mixed_exponents(self):
-        # Each constant exponent of a varying base makes its own group,
-        # read with stride 0 as a lone power reads it where n > 1: numpy
-        # then squares, takes square roots and reciprocals for 2, 0.5
-        # and -1, whose last bits differ from pow's.  Powers of theta
-        # alone are one group of columns, read unbroadcast as a tree
-        # walk reads them.
+        # A varying base raised to the constant 2, 0.5 or -1 is squared,
+        # square-rooted or inverted, at one point as in a batch; where
+        # numpy broadcasts the exponent of a lone power it does the
+        # same, and pow's last bits can differ.  The other constant
+        # powers of a varying base are one group, its power of theta
+        # reads theta repeated over the points, and the powers of theta
+        # alone are one group of columns: each calls pow at any n.
         x, exps = parse_expr("p1 + p2"), (2.0, 3.0, 0.5, 1.5, -1.0)
         roots = [BinOp("^", x, Const(e)) for e in exps]
         roots += [BinOp("^", Theta(), Const(e)) for e in exps]
         roots += [BinOp("^", x, Theta()), BinOp("^", Const(2.0), x)]
         tape = Tape(roots)
-        powers = [entry for entry in tape.program if entry[0] == "power"]
-        assert len(powers) == len(exps) + 3
+        kinds = Counter(entry[0] for entry in tape.program)
+        assert kinds == {"add": 1, "power": 4, "square": 1, "sqrt": 1,
+                         "reciprocal": 1}
         rng = np.random.default_rng(5)
         for theta in (2.0, 0.5, 1.7):
             P = rng.uniform(0.05, 2.0, size=(200, 2))
             self._assert_matches_walk(roots, P, theta)
-            for p in P[:40]:
+            batch = evaluate(tape, P, theta)
+            for i, p in enumerate(P[:40]):
                 self._assert_matches_walk(roots, p[None, :], theta)
+                assert np.array_equal(evaluate(tape, p, theta), batch[:, i])
 
     def test_single_point_rows(self):
         roots = [parse_expr("p1*p2"), parse_expr("sqrt(1+p2^2)")]
@@ -621,7 +654,7 @@ class TestDagMatchesAstRules:
         for label, entries, shape, field, orders in _jet_fields(model):
             for order in orders:
                 request = ((0, order),)
-                (got,) = field._jets(request, P, field.theta)
+                (got,) = field._jets(request, P)
                 want, tape = jet_reference(entries, shape, model.dim, order, P,
                                            field.theta)
                 assert np.array_equal(got, want), (label, order)
@@ -649,13 +682,14 @@ class TestDagMatchesAstRules:
 
 
 class TestPointJetProgram:
-    """The model's one point-jet program gives, bit for bit, the arrays
-    that the per-field methods give."""
+    """A point jet, one request to the model's jet builder, gives bit for
+    bit the arrays that the per-field methods and `jet_from_arrays` give."""
 
     @staticmethod
     def _assert_per_field(model, P):
         pj = asm._PointJet(model, P)
-        want = vars(geometry.batch_jet(model, P))
+        mf = model.metric_field
+        want = vars(geometry.jet_from_arrays(mf.value(P), mf.grad(P), mf.hess(P)))
         for name, got in vars(pj.jet).items():
             assert np.array_equal(got, want[name]), name
         for name, method in (("dv", "grad"), ("hv", "hess"), ("tv", "third")):
@@ -663,37 +697,76 @@ class TestPointJetProgram:
             assert np.array_equal(getattr(pj, name), stacked), name
         assert np.array_equal(pj.grad_E, model.energy_field.grad(P))
         assert np.array_equal(pj.hess_E, model.energy_field.hess(P))
-        return model._cache["point_jet"]
+        return model._cache["jets"]
 
     @pytest.mark.parametrize("name", sorted(JET_MODELS))
     def test_expression_models(self, name, tmp_path):
         model = JET_MODELS[name](tmp_path)
         P = np.random.default_rng(23).uniform(-1.5, 1.5, size=(9, model.dim))
-        program = self._assert_per_field(model, P)
-        # every field is in the one program
-        assert len(program.members) == model.dim + 2
-        assert len(program.jets._compiled) == 1
+        jets = self._assert_per_field(model, P)
+        # every field is a member of the builder, and the point jet is
+        # the one request it has compiled
+        assert jets._others == {}
+        assert len(jets._compiled) == 1
 
     def test_fd_metric(self):
         rel = builtin_relativistic(4.0)
         model = replace(rel, metric_field=FDField(rel.metric_field.value, 3))
         P = np.random.default_rng(29).uniform(-1.5, 1.5, size=(9, 3))
-        program = self._assert_per_field(model, P)
-        assert program.members == [*model.v_fields, model.energy_field]
+        jets = self._assert_per_field(model, P)
+        assert jets._others == {0: model.metric_field}
 
     def test_field_with_another_theta(self):
-        # one program binds one theta: a field bound to another one
+        # one builder binds one theta: a field bound to another one
         # answers through its own methods
         rel = builtin_relativistic(4.0)
         energy = ExprScalarField(rel.energy_field.ast, 3, theta=2.0)
         model = replace(rel, energy_field=energy)
         P = np.random.default_rng(31).uniform(-1.5, 1.5, size=(9, 3))
-        program = self._assert_per_field(model, P)
-        assert program.members == [model.metric_field, *model.v_fields]
+        jets = self._assert_per_field(model, P)
+        assert jets._others == {4: energy}
         np.testing.assert_allclose(
             asm._PointJet(model, P).grad_E,
             0.5 * asm._PointJet(rel, P).grad_E, rtol=1e-15,
         )
+
+    @pytest.mark.parametrize("name", ["relativistic1", "relativistic3", "conformal2d"])
+    def test_every_request_matches_the_field_methods(self, name, tmp_path):
+        model = JET_MODELS[name](tmp_path)
+        P = np.random.default_rng(37).uniform(-1.5, 1.5, size=(9, model.dim))
+        mf, E = model.metric_field, model.energy_field
+        for second in (False, True):
+            want = geometry.jet_from_arrays(
+                mf.value(P), mf.grad(P), mf.hess(P) if second else None)
+            got = geometry.batch_jet(model, P, second=second)
+            for key, value in vars(want).items():
+                if value is None:
+                    assert vars(got)[key] is None, key
+                else:
+                    assert np.array_equal(vars(got)[key], value), key
+        logu, jet = geometry.log_weight_values(model, P)
+        assert np.array_equal(logu, -E.value(P) - np.log(jet.sqrt_det))
+        (v,) = model._jets(((1, 0),), P)
+        assert np.array_equal(v, model.v_fields[0].value(P))
+        want = geometry.bakry_emery_from_jet(
+            geometry.jet_from_arrays(mf.value(P), mf.grad(P), mf.hess(P)),
+            E.grad(P), E.hess(P))
+        assert np.array_equal(geometry.bakry_emery_ricci(model, P).entries, want)
+        # one builder, one program per request
+        jets = model._cache["jets"]
+        assert len(jets._compiled) == 5
+
+
+def count_runs(monkeypatch):
+    """The tapes run from now on, one entry per run."""
+    runs, run = [], Tape.run
+
+    def counted(tape, P, theta):
+        runs.append(tape)
+        return run(tape, P, theta)
+
+    monkeypatch.setattr(Tape, "run", counted)
+    return runs
 
 
 class TestJetCost:
@@ -714,18 +787,17 @@ class TestJetCost:
         P = np.array([[0.3, -0.2, 0.5]])
         asm._PointJet(model, P)
 
-        # one DAG and one program of 1,104 ops for g at orders 0-2, each
-        # v at orders 1-3 and E at orders 1-2, in 86 ufunc calls over 317
-        # varying rows; the 14 per-field programs of those jets would run
-        # 1,970 ops
-        program = model._cache["point_jet"]
-        assert program.members == [model.metric_field, *model.v_fields,
-                                   model.energy_field]
-        ((request, (tape, *_)),) = program.jets._compiled.items()
+        # the model's one builder: one DAG and one program of 1,104 ops
+        # for g at orders 0-2, each v at orders 1-3 and E at orders 1-2,
+        # in 86 ufunc calls over 317 varying rows; the 14 per-field
+        # programs of those jets would run 1,970 ops
+        jets = model._cache["jets"]
+        assert jets._others == {}
+        ((request, (tape, _)),) = jets._compiled.items()
         assert len(request) == 14
         assert tape.op_count == 1104
         assert (len(tape.code), tape.rows) == (86, 317)
-        assert rules and {dag for dag, _, _ in rules} == {program.jets._dag}
+        assert rules and {dag for dag, _, _ in rules} == {jets._dag}
         assert len(set(rules)) == len(rules)
 
         # each field's own methods still compile one program per order
@@ -749,12 +821,35 @@ class TestJetCost:
         assert ops(vs[0]) == {0: 8, 1: 24, 2: 91, 3: 344}
         assert ops(energy) == {1: 17, 2: 43}
         assert ops(logu) == {0: 44, 1: 239, 2: 980}
-        assert sum(ops(program.members[i])[order]
-                   for i, order in request) == 1970
+        by_index = (g, *vs, energy)
+        assert sum(ops(by_index[i])[order] for i, order in request) == 1970
+
+    def test_batch_jet_runs_one_program(self, monkeypatch):
+        runs = count_runs(monkeypatch)
+        for model in (builtin_relativistic(4.0), builtin_classical(3)):
+            for second in (False, True):
+                runs.clear()
+                geometry.batch_jet(model, np.zeros((2, 3)), second=second)
+                assert len(runs) == 1
+
+    def test_pointwise_geometry_program_runs(self, monkeypatch):
+        # ricci reads g at orders 0-2 in one run, the covariant Hessian
+        # of log u (a field of no model) the metric 1-jet and log u's own
+        # grad and hess, and Bakry-Emery g and E at orders 0-2 in one run
+        model = builtin_relativistic(4.0)
+        logu = log_weight_field(model)
+        p = np.array([0.5, -0.25, 1.0])
+        runs, counts = count_runs(monkeypatch), []
+        for op in (geometry.ricci, geometry.bakry_emery_ricci,
+                   lambda m, q: geometry.covariant_hessian(m, logu, q)):
+            runs.clear()
+            op(model, p)
+            counts.append(len(runs))
+        assert counts == [1, 1, 3]
 
     def test_fields_intern_nothing_until_read(self, monkeypatch):
         # A model's fields build their own jets on first use; the scans
-        # read them through the point-jet program, which interns every
+        # read them through the model's jet builder, which interns every
         # entry of g, v and E once.
         roots = []
         intern = expressions._Dag.intern

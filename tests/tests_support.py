@@ -9,6 +9,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.stats import qmc
 
 from hypocert import assumptions as asm
+from hypocert import fields
 from hypocert import geometry as geom
 from hypocert import solver as sv
 from hypocert.certificate import EpsilonChoice
@@ -42,6 +43,19 @@ def expr_model_1d(g11, E, v1="p1", theta=None):
         energy_field=ExprScalarField(parse_expr(E), 1, theta=theta),
         theta=theta,
     )
+
+
+def count_builder_dags(monkeypatch):
+    """The DAGs that field jet builders make from now on, in a list."""
+    made = []
+
+    class Counted(fields._Dag):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(fields, "_Dag", Counted)
+    return made
 
 
 def conformal_model_2d():
