@@ -795,6 +795,10 @@ def logsob_product(model, grid=None):
 # ---------------------------------------------------------------------------
 # Combined report
 
+# The gates that certificate generation needs, in name order; see
+# AssumptionReport.required_ok.
+_REQUIRED_GATES = ("curvature", "dominance", "growth", "hormander", "positivity")
+
 
 @dataclass
 class AssumptionReport:
@@ -835,8 +839,7 @@ class AssumptionReport:
         The log-Sobolev entry is advisory: a missing alpha blocks the
         final rate but does not falsify the model assumptions.
         """
-        keys = ("curvature", "positivity", "dominance", "hormander", "growth")
-        return all(self.passes.get(k, False) for k in keys)
+        return all(self.passes.get(k, False) for k in _REQUIRED_GATES)
 
 
 def check_model(model, grid=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibleRegion, InvalidCertificate
 
@@ -220,6 +220,15 @@ class Certificate:
     conditions: dict = field(default_factory=dict)
 
 
+# certificate.kv's numeric lines, one per float field in dataclass order:
+# (key, field, optional).  lam is written as lambda, and an optional
+# field that is None as an empty value.
+_KV_NUMBERS = tuple(
+    ("lambda" if f.name == "lam" else f.name, f.name, f.type != "float")
+    for f in fields(Certificate) if f.type.startswith("float")
+)
+
+
 def build_certificate(sigma1, sigma2, beta, gamma, omega,
                       alpha=None, margin=0.05):
     """Full pipeline: choose weights, check signs, assemble the rate.
@@ -314,27 +323,10 @@ def certificate_kv(cert):
     Floats use repr for exact round-trip; inf epsilons print as inf.
     """
     items = [
-        ("sigma1", repr(cert.sigma1)),
-        ("sigma2", repr(cert.sigma2)),
-        ("beta", repr(cert.beta)),
-        ("gamma", repr(cert.gamma)),
-        ("omega", repr(cert.omega)),
-        ("alpha", "" if cert.alpha is None else repr(cert.alpha)),
-        ("margin", repr(cert.margin)),
-        ("s", repr(cert.s)),
-        ("s1", repr(cert.s1)),
-        ("s2", repr(cert.s2)),
-        ("a", repr(cert.a)),
-        ("b", repr(cert.b)),
-        ("c", repr(cert.c)),
-        ("k", repr(cert.k)),
-        ("d", repr(cert.d)),
-        ("coef_Ipp", repr(cert.coef_Ipp)),
-        ("coef_Ixx", repr(cert.coef_Ixx)),
-        ("coef_Qpp", repr(cert.coef_Qpp)),
-        ("coef_Qxp", repr(cert.coef_Qxp)),
-        ("M_bound", repr(cert.M_bound)),
-        ("lambda", "" if cert.lam is None else repr(cert.lam)),
+        (key, "" if getattr(cert, name) is None else repr(getattr(cert, name)))
+        for key, name, _ in _KV_NUMBERS
+    ]
+    items += [
         ("valid", str(bool(cert.valid)).lower()),
         ("eps_dropped", ",".join(cert.eps.dropped)),
     ]
@@ -390,13 +382,6 @@ def read_certificate_kv(text):
         if key.startswith("cond_")
     }
     return Certificate(
-        sigma1=num("sigma1"), sigma2=num("sigma2"), beta=num("beta"),
-        gamma=num("gamma"), omega=num("omega"),
-        alpha=num("alpha", optional=True), margin=num("margin"),
-        s=num("s"), s1=num("s1"), s2=num("s2"),
-        a=num("a"), b=num("b"), c=num("c"), k=num("k"), d=num("d"),
-        coef_Ipp=num("coef_Ipp"), coef_Ixx=num("coef_Ixx"),
-        coef_Qpp=num("coef_Qpp"), coef_Qxp=num("coef_Qxp"),
-        M_bound=num("M_bound"), lam=num("lambda", optional=True),
+        **{name: num(key, optional=opt) for key, name, opt in _KV_NUMBERS},
         eps=eps, valid=raw.get("valid") == "true", conditions=conditions,
     )

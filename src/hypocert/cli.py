@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import solver
-from .assumptions import check_model, default_grid, report_kv, report_text
+from .assumptions import (
+    _REQUIRED_GATES,
+    check_model,
+    default_grid,
+    report_kv,
+    report_text,
+)
 from .certificate import (
     build_certificate,
     certificate_kv,
@@ -95,25 +101,39 @@ class RunConfig:
     output_dir: str = "out"
 
 
-# config-file key -> (RunConfig field, coercion)
-_CONFIG_KEYS = {
-    "model": ("model", str),
-    "theta": ("theta", float),
-    "dim": ("dim", int),
-    "grid.Nx": ("Nx", int),
-    "grid.Np": ("Np", int),
-    "grid.P": ("P", float),
-    "scan.radius": ("scan_radius", float),
-    "scan.resolution": ("scan_resolution", int),
-    "scan.quasi_random_count": ("scan_count", int),
-    "time.tmax": ("tmax", float),
-    "time.dt": ("dt", float),
-    "time.sample_dt": ("sample_dt", float),
-    "initial_data": ("initial_data", str),
-    "certificate.margin": ("margin", float),
-    "certificate.path": ("certificate_path", str),
-    "output_dir": ("output_dir", str),
-}
+# One row per setting, in RunConfig's field order: (config-file key,
+# flag, RunConfig field, type, metavar, help).  The flag's argparse dest
+# is the field.
+_SETTINGS = (
+    ("model", "--model", "model", str, "TAG|FILE",
+     "classical | relativistic | path to a model file"),
+    ("theta", "--theta", "theta", float, None,
+     "temperature parameter for the relativistic tag"),
+    ("dim", "--dim", "dim", int, None, "dimension override for builtin tags"),
+    ("grid.Nx", "--Nx", "Nx", int, None, "spatial cells"),
+    ("grid.Np", "--Np", "Np", int, None, "momentum nodes"),
+    ("grid.P", "--P", "P", float, None, "momentum slab half-width"),
+    ("scan.radius", "--scan-radius", "scan_radius", float, None,
+     "scan ball radius"),
+    ("scan.resolution", "--scan-resolution", "scan_resolution", int, None,
+     "lattice points per axis in the scan ball"),
+    ("scan.quasi_random_count", "--scan-count", "scan_count", int, None,
+     "quasi-random scan points (scan.quasi_random_count)"),
+    ("time.tmax", "--tmax", "tmax", float, None, "simulation end time"),
+    ("time.dt", "--dt", "dt", float, None,
+     "largest time step (default: 0.9 of the transport limit, 2 dx / "
+     "max|v|, or dx / max|v| with --order2)"),
+    ("time.sample_dt", "--sample-dt", "sample_dt", float, None,
+     "sampling interval for the CSV series"),
+    ("initial_data", "--initial-data", "initial_data", str, "EXPR",
+     "initial datum over x and p (sqrt/exp/log, pi)"),
+    ("certificate.margin", "--margin", "margin", float, None,
+     "certificate slack fraction in (0, 1)"),
+    ("certificate.path", "--certificate", "certificate_path", str, "FILE",
+     "use this certificate file instead of building one"),
+    ("output_dir", "--output-dir", "output_dir", str, "DIR",
+     "directory for all outputs (default: out)"),
+)
 
 
 def parse_config_text(text, source="<config>"):
@@ -123,11 +143,12 @@ def parse_config_text(text, source="<config>"):
     uncoercible values are errors, not warnings: a typo must not
     silently fall back to a default.
     """
+    settings = {key: (field, coerce) for key, _, field, coerce, _, _ in _SETTINGS}
     fields = {}
     for lineno, key, value in read_kv(text, ConfigError, f"{source} "):
-        if key not in _CONFIG_KEYS:
+        if key not in settings:
             raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
-        field, coerce = _CONFIG_KEYS[key]
+        field, coerce = settings[key]
         try:
             fields[field] = coerce(value)
         except ValueError as exc:
@@ -198,11 +219,7 @@ def ensure_outdir(cfg):
 
 
 def _failed_gates(passes):
-    # logsob is advisory: it blocks the rate, not the certificate region
-    return [
-        name for name, ok in sorted(passes.items())
-        if not ok and name != "logsob"
-    ]
+    return [name for name in _REQUIRED_GATES if not passes.get(name, False)]
 
 
 def run_scan(cfg, model, outdir):
@@ -305,18 +322,20 @@ def _report_from_kv(path):
     num = functools.partial(kv_float, raw, error=ConfigError,
                             where=f"report file {path}: ")
 
-    passes = {
-        key[len("pass_"):]: val == "true"
-        for key, val in raw.items() if key.startswith("pass_")
-    }
-    if not passes:
-        raise ConfigError(f"report file {path}: no pass_* fields")
+    passes = {}
+    for name in _REQUIRED_GATES:
+        val = raw.get(f"pass_{name}")
+        if val not in ("true", "false"):
+            raise ConfigError(
+                f"report file {path}: field pass_{name} is "
+                + ("missing" if val is None else f"{val!r}, not true or false")
+            )
+        passes[name] = val == "true"
     witnesses = {"summary": raw.get("witnesses", "")} if raw.get("witnesses") else {}
     return _ReportValues(
         sigma1=num("sigma1"), sigma2=num("sigma2"), beta=num("beta"),
         gamma=num("gamma"), omega=num("omega"), alpha=num("alpha", optional=True),
         passes=passes, witnesses=witnesses,
-        grid_seed=raw.get("grid_seed") or None,
     )
 
 
@@ -332,7 +351,6 @@ class _ReportValues:
     alpha: float | None
     passes: dict
     witnesses: dict
-    grid_seed: object
 
 
 def cmd_simulate(cfg, args):
@@ -391,13 +409,8 @@ def _fit_positive_prefix(series):
         return None, None, (
             f"InsufficientDecay: only {cut} samples above the noise floor"
         )
-    sub = solver.FunctionalSeries(
-        times=series.times[:cut], D=D[:cut], Ipp=series.Ipp[:cut],
-        Ixp=series.Ixp[:cut], Ixx=series.Ixx[:cut], Emod=series.Emod[:cut],
-        mass=series.mass[:cut], l1_dist=series.l1_dist[:cut],
-    )
     try:
-        rate, r2 = solver.fit_rate(sub)
+        rate, r2 = solver.fit_rate(series[:cut])
     except (InsufficientData, NonpositiveValues) as exc:
         return None, None, f"InsufficientDecay: {exc}"
     note = f"trailing half of {cut} samples"
@@ -506,8 +519,8 @@ def cmd_report(cfg, args):
         f"-- series digest ({SERIES_CSV}) --",
         f"samples = {len(series)}",
         f"t = [{series.times[0]:.6g}, {series.times[-1]:.6g}]",
-        f"D = {series.D[0]!r} -> {series.D[-1]!r}",
-        f"Emod = {series.Emod[0]!r} -> {series.Emod[-1]!r}",
+        f"D = {float(series.D[0])!r} -> {float(series.D[-1])!r}",
+        f"Emod = {float(series.Emod[0])!r} -> {float(series.Emod[-1])!r}",
     ]
     text = "\n".join(parts) + "\n"
     (outdir / REPORT_TXT).write_text(text)
@@ -522,35 +535,9 @@ def cmd_report(cfg, args):
 def _add_shared(p):
     p.add_argument("--config", metavar="FILE",
                    help="plain-text key = value configuration file")
-    p.add_argument("--model", metavar="TAG|FILE",
-                   help="classical | relativistic | path to a model file")
-    p.add_argument("--theta", type=float,
-                   help="temperature parameter for the relativistic tag")
-    p.add_argument("--dim", type=int,
-                   help="dimension override for builtin tags")
-    p.add_argument("--Nx", type=int, help="spatial cells")
-    p.add_argument("--Np", type=int, help="momentum nodes")
-    p.add_argument("--P", type=float, help="momentum slab half-width")
-    p.add_argument("--scan-radius", type=float, dest="scan_radius",
-                   help="scan ball radius")
-    p.add_argument("--scan-resolution", type=int, dest="scan_resolution",
-                   help="lattice points per axis in the scan ball")
-    p.add_argument("--scan-count", type=int, dest="scan_count",
-                   help="quasi-random scan points (scan.quasi_random_count)")
-    p.add_argument("--tmax", type=float, help="simulation end time")
-    p.add_argument("--dt", type=float,
-                   help="largest time step (default: 0.9 of the transport "
-                        "limit, 2 dx / max|v|, or dx / max|v| with --order2)")
-    p.add_argument("--sample-dt", type=float, dest="sample_dt",
-                   help="sampling interval for the CSV series")
-    p.add_argument("--initial-data", dest="initial_data", metavar="EXPR",
-                   help="initial datum over x and p (sqrt/exp/log, pi)")
-    p.add_argument("--margin", type=float,
-                   help="certificate slack fraction in (0, 1)")
-    p.add_argument("--certificate", dest="certificate_path", metavar="FILE",
-                   help="use this certificate file instead of building one")
-    p.add_argument("--output-dir", dest="output_dir", metavar="DIR",
-                   help="directory for all outputs (default: out)")
+    for _, flag, field, coerce, metavar, text in _SETTINGS:
+        p.add_argument(flag, dest=field, type=coerce, metavar=metavar,
+                       help=text)
 
 
 def build_parser():

@@ -25,7 +25,7 @@ empirical decay rates, and evaluates both sides of the entropy
 production identities term by term for verification.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 import re
 
@@ -62,8 +62,6 @@ __all__ = [
     "step",
     "sub_steps",
 ]
-
-CSV_HEADER = "t,D,Ipp,Ixp,Ixx,Emod,mass,l1_dist"
 
 # Floor for log h in functional evaluation only, as a fraction of the
 # mean density; the dynamics never see it.
@@ -127,6 +125,21 @@ class FunctionalSeries:
 
     def __len__(self):
         return len(self.times)
+
+    def __getitem__(self, index):
+        """The samples at index, a slice, as a series of their own."""
+        return FunctionalSeries(
+            **{name: getattr(self, name)[index] for _, name in _SAMPLED}
+        )
+
+
+# The sampled fields in order, each with its series.csv column and
+# functionals() key: the field's name, but t for times.
+_SAMPLED = tuple(
+    ("t" if f.name == "times" else f.name, f.name)
+    for f in fields(FunctionalSeries) if f.type is np.ndarray
+)
+CSV_HEADER = ",".join(column for column, _ in _SAMPLED)
 
 
 def _weight_profile(model, p):
@@ -663,14 +676,7 @@ def run(
         raise LinearSolveFailure(f"{exc} (at t = {state.t:.6g})") from exc
 
     series = FunctionalSeries(
-        times=np.array([r["t"] for r in rows]),
-        D=np.array([r["D"] for r in rows]),
-        Ipp=np.array([r["Ipp"] for r in rows]),
-        Ixp=np.array([r["Ixp"] for r in rows]),
-        Ixx=np.array([r["Ixx"] for r in rows]),
-        Emod=np.array([r["Emod"] for r in rows]),
-        mass=np.array([r["mass"] for r in rows]),
-        l1_dist=np.array([r["l1_dist"] for r in rows]),
+        **{name: np.array([r[key] for r in rows]) for key, name in _SAMPLED},
         meta={"dt": dt_eff, "sample_dt": sample_dt, "order2": order2},
     )
     if certificate is not None and getattr(certificate, "lam", None):
@@ -822,12 +828,10 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=True):
 
 def series_to_csv(series, path):
     """Write the series with full round-trip decimal precision."""
-    cols = ("times", "D", "Ipp", "Ixp", "Ixx", "Emod", "mass", "l1_dist")
     lines = [CSV_HEADER]
+    columns = [getattr(series, name) for _, name in _SAMPLED]
     for i in range(len(series)):
-        lines.append(
-            ",".join(repr(float(getattr(series, c)[i])) for c in cols)
-        )
+        lines.append(",".join(repr(float(col[i])) for col in columns))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -835,21 +839,31 @@ def series_to_csv(series, path):
 
 
 def series_from_csv(path):
-    """Read a series written by series_to_csv."""
+    """Read a series written by series_to_csv.
+
+    ValueError unless the file holds the header, then at least one row,
+    and every row has as many numbers as the header has fields.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, ln.strip())
+                 for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
-    data = np.array(
-        [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    ).reshape(-1, 8)
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no rows after the header")
+    rows = []
+    for lineno, line in lines[1:]:
+        tokens = line.split(",")
+        if len(tokens) != len(_SAMPLED):
+            raise ValueError(
+                f"{path} line {lineno}: {len(tokens)} fields, "
+                f"the header has {len(_SAMPLED)}"
+            )
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+    data = np.array(rows)
     return FunctionalSeries(
-        times=data[:, 0],
-        D=data[:, 1],
-        Ipp=data[:, 2],
-        Ixp=data[:, 3],
-        Ixx=data[:, 4],
-        Emod=data[:, 5],
-        mass=data[:, 6],
-        l1_dist=data[:, 7],
+        **{name: data[:, j] for j, (_, name) in enumerate(_SAMPLED)}
     )

@@ -105,6 +105,17 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="cannot read"):
             cli.resolve_config(args)
 
+    def test_readme_example(self):
+        # The ini block under "### Configuration" in README.md parses,
+        # names every settings key once, and selects a model that loads.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration\n", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        fields = cli.parse_config_text(block, source="README.md")
+        cli.load_model(RunConfig(**fields))
+        keys = [key for _, key, _ in cli.read_kv(block, ConfigError)]
+        assert sorted(keys) == sorted(row[0] for row in cli._SETTINGS)
+
 
 class TestModelSelection:
     def test_classical_rejects_theta(self):
@@ -280,13 +291,30 @@ class TestCertify:
         assert run_cli(["certify", "--report", report,
                         "--output-dir", tmp_path / "out"]) == 1
 
-    def test_missing_or_malformed_report(self, tmp_path):
+    def test_missing_or_malformed_report(self, tmp_path, capsys):
         assert run_cli(["certify", "--report", tmp_path / "none.kv",
                         "--output-dir", tmp_path / "out"]) == 2
         bad = tmp_path / "bad.kv"
         bad.write_text("sigma1 = 1.0\n")  # no pass_* fields
         assert run_cli(["certify", "--report", bad,
                         "--output-dir", tmp_path / "out"]) == 2
+        # a saved report whose pass_growth line was deleted
+        bad.write_text(
+            "sigma1 = 1.0\nsigma2 = 1.0\nbeta = 0.0\ngamma = 0.0\n"
+            "omega = 0.0\nalpha = 1.0\npass_curvature = true\n"
+            "pass_positivity = true\npass_dominance = true\n"
+            "pass_hormander = true\n"
+        )
+        capsys.readouterr()
+        assert run_cli(["certify", "--report", bad,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert "field pass_growth is missing" in capsys.readouterr().err
+        # a gate that is neither true nor false
+        bad.write_text(bad.read_text() + "pass_growth = True\n")
+        assert run_cli(["certify", "--report", bad,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert "pass_growth is 'True'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "certificate.kv").exists()
 
     def test_rateless_model(self, tmp_path, capsys):
         # 1D relativistic: no certified log-Sobolev constant, no rate
@@ -479,8 +507,27 @@ class TestReport:
         for marker in ("assumption scan", "decay certificate",
                        "simulation summary", "series digest"):
             assert marker in text
+        # the digest prints plain floats, whatever numpy's scalar repr
+        for name in ("D", "Emod"):
+            (line,) = [ln for ln in text.splitlines()
+                       if ln.startswith(f"{name} = ")]
+            start, end = line[len(f"{name} = "):].split(" -> ")
+            float(start), float(end)
         assert run_cli(["report", "--output-dir", out]) == 0
         assert (out / "report.txt").read_bytes() == first
+
+
+    def test_malformed_series_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("assumptions.txt", "certificate.kv", "summary.txt"):
+            (out / name).write_text("")
+        # header only; two 4-field rows
+        for rows in ["", "0.0,1.0,0.0,0.0\n1.0,0.5,0.0,0.0\n"]:
+            (out / "series.csv").write_text(sv.CSV_HEADER + "\n" + rows)
+            assert run_cli(["report", "--output-dir", out]) == 2
+            assert "series.csv" in capsys.readouterr().err
+            assert not (out / "report.txt").exists()
 
 
 class TestEntryPoint:

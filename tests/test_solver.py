@@ -592,6 +592,13 @@ class TestCSV:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            sv.series_from_csv(path)
+        for text, match in [
+            ("a,b\n1,2\n", "expected header"),
+            # two 4-field rows, once read as one sample
+            (sv.CSV_HEADER + "\n0,1,2,3\n4,5,6,7\n", "line 2: 4 fields"),
+            (sv.CSV_HEADER + "\n", "no rows"),
+            (sv.CSV_HEADER + "\n0,1,2,3,4,5,6,x\n", "line 2: could not convert"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=match):
+                sv.series_from_csv(path)
