@@ -341,17 +341,22 @@ def read_kv(text, error, where=""):
     """Split `key = value` lines into (line number, key, value) triples.
 
     Blank lines and # comments are skipped; any other line needs a key
-    and an `=`, else error(message) is raised with `where` prefixed.
+    and an `=`, and no key may appear twice, else error(message) is
+    raised with `where` prefixed.
     """
-    out = []
+    out, seen = [], {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise error(f"{where}line {lineno}: expected key = value")
-        out.append((lineno, key.strip(), value.strip()))
+        if key in seen:
+            raise error(f"{where}line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        out.append((lineno, key, value.strip()))
     return out
 
 

@@ -532,12 +532,16 @@ def cmd_report(cfg, args):
 # Argument parsing
 
 
-def _add_shared(p):
+def _shared_parser():
+    """The options every subcommand takes: --config and one flag per
+    setting, in one parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE",
                    help="plain-text key = value configuration file")
     for _, flag, field, coerce, metavar, text in _SETTINGS:
         p.add_argument(flag, dest=field, type=coerce, metavar=metavar,
                        help=text)
+    return p
 
 
 def build_parser():
@@ -547,27 +551,28 @@ def build_parser():
                     "entropy decay, and validate the rate numerically",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_parser()]
 
-    p = sub.add_parser("check", help="scan the model assumptions")
-    _add_shared(p)
+    p = sub.add_parser("check", help="scan the model assumptions",
+                       parents=shared)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("certify", help="build and validate a decay certificate")
-    _add_shared(p)
+    p = sub.add_parser("certify", help="build and validate a decay certificate",
+                       parents=shared)
     p.add_argument("--report", metavar="FILE",
                    help="reuse a saved assumptions.kv instead of rescanning")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("simulate", help="run the solver against the certificate")
-    _add_shared(p)
+    p = sub.add_parser("simulate", help="run the solver against the certificate",
+                       parents=shared)
     p.add_argument("--diagnostics", action="store_true",
                    help="append the entropy-production residual table")
     p.add_argument("--order2", action="store_true",
                    help="second-order transport reconstruction")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="collate prior outputs into one report")
-    _add_shared(p)
+    p = sub.add_parser("report", help="collate prior outputs into one report",
+                       parents=shared)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -13,10 +13,12 @@ families exist:
   value entry, from the partials of the order below; any other handle
   answers through its own methods.  A request lists (field, order)
   pairs and compiles into one cached `Tape` that evaluates all of its
-  partials together.  A model keeps one builder over its (g, v, E)
-  (`models.ModelSpec._jets`), so every jet of its fields is one request
-  to it; a field's own methods are requests of one pair to a builder
-  of its own, made on first use.  Every slot that is a permutation of
+  partials together.  A model keeps one builder over its (g, v, E),
+  which log u joins once `models.log_weight_field` makes it
+  (`models.ModelSpec._jets`), so every jet of those fields is one
+  request to it; any other field is read through a builder of its
+  own, made on first use, and its methods are requests of one pair to
+  that builder.  Every slot that is a permutation of
   a partial's axes, or the mirror of a metric entry, is filled from
   that one partial, so the returned arrays are symmetric exactly;
 * `FDField` wraps a plain evaluation callable of any value shape and
@@ -70,6 +72,12 @@ def _per_point(x, like):
     return x.reshape(x.shape + (1,) * (like.ndim - 1))
 
 
+def _own_jets(field):
+    """A field's own jet builder, made on first use; a model reads the
+    jets of its builder's fields through that builder instead."""
+    return _ExprJets([field], field.dim)
+
+
 class FDField:
     """Field given only by an evaluation callable fn(P) -> (n, ...).
 
@@ -83,6 +91,8 @@ class FDField:
         self.fn = fn
         self.dim = dim
         self.h_scale = h_scale
+
+    _jets = functools.cached_property(_own_jets)
 
     def value(self, P):
         return np.asarray(self.fn(P), dtype=float)
@@ -160,10 +170,11 @@ class _ExprJets:
     increasing axis order from an order-(k-1) partial, and the DAG
     builds each (slot, axis) derivative once.  Every other handle (an
     `FDField`, or a field bound to another theta) answers through its
-    own value, grad, hess or third; only those handles are kept.
+    own value, grad, hess or third.  A field added later (`add`), such
+    as a model's log u, takes the next index.
 
     A request is a tuple of (field, order) pairs, field an index into
-    fields.  Each request compiles once into one program that holds
+    the fields.  Each request compiles once into one program that holds
     exactly the slots its members' partials reach, so a partial or
     subterm that several of its jets read is computed once.  The jet of
     (field, k) has shape (n,) + (dim,) * k + shape.  A partial fills
@@ -177,17 +188,43 @@ class _ExprJets:
         self.dim = dim
         expr = [f for f in fields if isinstance(f, _EXPR_FIELDS)]
         self.theta = expr[0].theta if expr else None
-        self._others = {k: f for k, f in enumerate(fields)
-                        if not isinstance(f, _EXPR_FIELDS) or f.theta != self.theta}
-        specs = [({}, ()) if k in self._others else f._spec
-                 for k, f in enumerate(fields)]
-        self._shapes = [shape for _, shape in specs]
+        self._fields, self._others, self._shapes, self._partials = [], {}, [], []
+        self._pending = {}
         self._dag = _Dag()
-        slots = iter(self._dag.intern(
-            [ast for entries, _ in specs for ast in entries.values()]))
-        self._partials = [[{((), idx): next(slots) for idx in entries}]
-                          for entries, _ in specs]
         self._compiled = {}
+        for f in fields:
+            self.add(f)
+        self._intern(range(len(fields)))
+
+    def add(self, field):
+        """Give a field handle the next index.  A member added after
+        the builder was made is interned on the first request that
+        reads it."""
+        k = len(self._fields)
+        self._fields.append(field)
+        if isinstance(field, _EXPR_FIELDS) and field.theta == self.theta:
+            entries, shape = field._spec
+            self._pending[k] = entries
+        else:
+            self._others[k], shape = field, ()
+        self._shapes.append(shape)
+        self._partials.append(None)
+
+    def index(self, field):
+        """The index of a field handle in this builder, or None."""
+        return next((k for k, f in enumerate(self._fields) if f is field), None)
+
+    def _intern(self, fields):
+        """Put the entries of the members among fields that are not yet
+        interned into the DAG, in one pass."""
+        members = [k for k in dict.fromkeys(fields) if k in self._pending]
+        if not members:
+            return
+        entries = [self._pending.pop(k) for k in members]
+        slots = iter(self._dag.intern(
+            [ast for e in entries for ast in e.values()]))
+        for k, e in zip(members, entries):
+            self._partials[k] = [{((), idx): next(slots) for idx in e}]
 
     def _order(self, field, order):
         """{(axes, index): slot} of the order-k partials of a member."""
@@ -203,6 +240,7 @@ class _ExprJets:
     def _compile(self, request):
         """(tape, blocks): one (source, shape) block per pair of the
         request, None for a field that is not a member."""
+        self._intern(f for f, _ in request)
         roots, blocks = [], []
         for field, order in request:
             if field in self._others:
@@ -248,12 +286,6 @@ class _ExprJets:
 def _jet(field, order, P):
     """One order of an expression field's jet: a request of one pair."""
     return field._jets(((0, order),), P)[0]
-
-
-def _own_jets(field):
-    """A field's own jet builder, made when its methods are first called;
-    a model reads its fields' jets through its own builder instead."""
-    return _ExprJets([field], field.dim)
 
 
 class ExprScalarField:

@@ -14,7 +14,10 @@ because einsum runs a contraction of three or more operands as one
 loop over every index; traces and two-operand sums are einsum calls.
 The public operations accept a single point (PointP or shape (M,))
 and return single-point tensors, or a batch (n, M) and return batched
-tensors.
+tensors.  Each reads each field it needs in one request of all the
+orders it needs: a field of the model's jet builder (g, v, E, and log u
+once `models.log_weight_field` has made it) in the same request as g,
+any other field in one request to a builder of its own.
 
 Index conventions, fixed once:
     dg[n, k, i, j]            = d_k g_ij
@@ -154,9 +157,13 @@ def jet_from_arrays(g, dg, d2g=None):
     """
     g = np.asarray(g, dtype=float)
     n, m, _ = g.shape
-    if not np.allclose(g, np.swapaxes(g, 1, 2), rtol=1e-8, atol=1e-10):
+    gt = np.swapaxes(g, 1, 2)
+    # exact symmetry first; a NaN or an asymmetric entry fails it and
+    # gets the tolerance test
+    if not (np.array_equal(g, gt)
+            or np.allclose(g, gt, rtol=1e-8, atol=1e-10)):
         raise MetricError("metric is not symmetric")
-    gs = 0.5 * (g + np.swapaxes(g, 1, 2))
+    gs = 0.5 * (g + gt)
     try:
         chol = np.linalg.cholesky(gs)
     except np.linalg.LinAlgError as exc:
@@ -166,11 +173,7 @@ def jet_from_arrays(g, dg, d2g=None):
     g_inv = 0.5 * (g_inv + np.swapaxes(g_inv, 1, 2))
 
     # T[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, and Tt[n, l, ij]
-    T = (
-        dg
-        + np.einsum("njil->nijl", dg)
-        - np.einsum("nlij->nijl", dg)
-    )
+    T = dg + dg.swapaxes(1, 2) - dg.transpose(0, 2, 3, 1)
     Tt = _t(T.reshape(n, m * m, m))
     christoffel = 0.5 * (g_inv @ Tt).reshape(n, m, m, m)
     dlog_sqrt = 0.5 * np.einsum("nij,nkij->nk", g_inv, dg)
@@ -178,11 +181,7 @@ def jet_from_arrays(g, dg, d2g=None):
 
     dchristoffel = None
     if d2g is not None:
-        dT = (
-            d2g
-            + np.einsum("nmjil->nmijl", d2g)
-            - np.einsum("nmlij->nmijl", d2g)
-        )
+        dT = d2g + d2g.swapaxes(2, 3) - d2g.transpose(0, 1, 3, 4, 2)
         dTt = _t(dT.reshape(n, m, m * m, m))
         dchristoffel = 0.5 * (
             dg_inv @ Tt[:, None] + g_inv[:, None] @ dTt
@@ -200,11 +199,28 @@ def jet_from_arrays(g, dg, d2g=None):
     )
 
 
+def _metric_request(second):
+    return ((0, 0), (0, 1), (0, 2)) if second else ((0, 0), (0, 1))
+
+
 def batch_jet(model, P, second=True):
     """Metric jet on a batch of points P with shape (n, M): g at orders
     0-1, or 0-2, in one request to the model's jet builder."""
-    request = ((0, 0), (0, 1), (0, 2)) if second else ((0, 0), (0, 1))
-    return jet_from_arrays(*model._jets(request, P))
+    return jet_from_arrays(*model._jets(_metric_request(second), P))
+
+
+def _jet_with(model, P, second, field, orders):
+    """batch_jet, and the jet of a field handle at each of orders.  A
+    field of the model's jet builder (g, v, E, or log u once made) is
+    read in the same request as g; any other in one request to a
+    builder of its own."""
+    k = model._builder().index(field)
+    if k is None:
+        return batch_jet(model, P, second), field._jets(
+            tuple((0, order) for order in orders), P)
+    metric = _metric_request(second)
+    out = model._jets(metric + tuple((k, order) for order in orders), P)
+    return jet_from_arrays(*out[:len(metric)]), out[len(metric):]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +325,8 @@ def covariant_hessian(model, f, p):
     """Covariant Hessian of the scalar field f at p."""
     P, single = as_batch(p, model.dim)
     field = _fields.as_field(f, model.dim, model.theta)
-    jet = batch_jet(model, P, second=False)
-    out = covariant_hessian_from_jet(jet, field.grad(P), field.hess(P))
+    jet, (grad_f, hess_f) = _jet_with(model, P, False, field, (1, 2))
+    out = covariant_hessian_from_jet(jet, grad_f, hess_f)
     return SymTensor2(out[0] if single else out, "covariant")
 
 
@@ -318,8 +334,8 @@ def gradient_p(model, f, p):
     """Gradient vector (df)^i = g^ij d_j f at p."""
     P, single = as_batch(p, model.dim)
     field = _fields.as_field(f, model.dim, model.theta)
-    jet = batch_jet(model, P, second=False)
-    out = gradient_from_jet(jet, field.grad(P))
+    jet, (grad_f,) = _jet_with(model, P, False, field, (1,))
+    out = gradient_from_jet(jet, grad_f)
     return VecP(out[0] if single else out, "vector")
 
 
@@ -327,8 +343,8 @@ def divergence_vec(model, Z, p):
     """Divergence of a vector field: (1/sqrt g) d_i(sqrt g Z^i)."""
     P, single = as_batch(p, model.dim)
     Z = _fields.as_field(Z, model.dim)
-    jet = batch_jet(model, P, second=False)
-    out = divergence_vec_from_jet(jet, Z.value(P), Z.jacobian(P))
+    jet, (Z_val, dZ) = _jet_with(model, P, False, Z, (0, 1))
+    out = divergence_vec_from_jet(jet, Z_val, dZ)
     return float(out[0]) if single else out
 
 
@@ -336,8 +352,8 @@ def divergence_tensor2(model, A, p):
     """Divergence of a (2,0)-tensor field, contracted in the second slot."""
     P, single = as_batch(p, model.dim)
     A = _fields.as_field(A, model.dim)
-    jet = batch_jet(model, P)
-    out = divergence_tensor2_from_jet(jet, A.value(P), A.grad(P))
+    jet, (A_val, dA) = _jet_with(model, P, False, A, (0, 1))
+    out = divergence_tensor2_from_jet(jet, A_val, dA)
     return VecP(out[0] if single else out, "vector")
 
 
@@ -345,25 +361,21 @@ def laplace_beltrami(model, f, p):
     """Laplace-Beltrami operator applied to f at p."""
     P, single = as_batch(p, model.dim)
     field = _fields.as_field(f, model.dim, model.theta)
-    jet = batch_jet(model, P, second=False)
-    out = laplace_from_jet(jet, field.grad(P), field.hess(P))
+    jet, (grad_f, hess_f) = _jet_with(model, P, False, field, (1, 2))
+    out = laplace_from_jet(jet, grad_f, hess_f)
     return float(out[0]) if single else out
 
 
 def log_weight_values(model, P):
     """log u = -E - log sqrt(det g) on a batch, plus the jet used."""
-    g, dg, E = model._jets(((0, 0), (0, 1), (model.dim + 1, 0)), P)
-    jet = jet_from_arrays(g, dg)
+    jet, (E,) = _jet_with(model, P, False, model.energy_field, (0,))
     return -E - np.log(jet.sqrt_det), jet
 
 
 def bakry_emery_ricci(model, p):
     """Bakry-Emery-Ricci tensor Ric - Hess(log u) at p."""
     P, single = as_batch(p, model.dim)
-    e = model.dim + 1
-    g, dg, d2g, E, dE, d2E = model._jets(
-        ((0, 0), (0, 1), (0, 2), (e, 0), (e, 1), (e, 2)), P)
-    jet = jet_from_arrays(g, dg, d2g)
+    jet, (E, dE, d2E) = _jet_with(model, P, True, model.energy_field, (0, 1, 2))
     with np.errstate(over="ignore"):
         u = np.exp(-E) / jet.sqrt_det
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0):

@@ -99,15 +99,20 @@ class ModelSpec:
         object.__setattr__(self, "v_fields", tuple(map(coerce, self.v_fields)))
         object.__setattr__(self, "energy_field", coerce(self.energy_field))
 
-    def _jets(self, request, P):
-        """The jets of a request of (field, order) pairs, in order, from the
-        model's one jet builder (`fields._ExprJets`), made on first use:
-        field 0 is g, field I is v^I and field dim + 1 is E."""
+    def _builder(self):
+        """The model's one jet builder (`fields._ExprJets`), made on first
+        use: field 0 is g, field I is v^I, field dim + 1 is E, and field
+        dim + 2 is log u once `log_weight_field` has made it."""
         jets = self._cache.get("jets")
         if jets is None:
             jets = self._cache["jets"] = _ExprJets(
                 (self.metric_field, *self.v_fields, self.energy_field), self.dim)
-        return jets(request, P)
+        return jets
+
+    def _jets(self, request, P):
+        """The jets of a request of (field, order) pairs, in order, from
+        the model's one jet builder."""
+        return self._builder()(request, P)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,9 @@ def log_weight_field(model):
 
     Uses an exact expression when both g and E are expression-backed;
     falls back to a finite-difference field otherwise.  The result is
-    cached on the model.
+    cached on the model and joins the model's jet builder as field
+    dim + 2, interned on its first request, so a request can read it
+    together with g, v and E.
     """
     cached = model._cache.get("log_weight")
     if cached is not None:
@@ -159,6 +166,7 @@ def log_weight_field(model):
             return logu
 
         out = FDField(value, model.dim)
+    model._builder().add(out)
     model._cache["log_weight"] = out
     return out
 

@@ -89,6 +89,12 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="key = value"):
             cli.parse_config_text("just words")
 
+    def test_repeated_key_rejected(self):
+        # the last of two lines used to win silently
+        with pytest.raises(ConfigError,
+                           match="line 3: key 'grid.Nx' repeats line 1"):
+            cli.parse_config_text("grid.Nx = 8\ngrid.Np = 32\ngrid.Nx = 16")
+
     def test_flags_override_file(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("grid.Nx = 32\ntime.tmax = 2.0\n")
@@ -216,6 +222,10 @@ class TestCheck:
         conf = tmp_path / "bad.conf"
         conf.write_text("grid.Nz = 4\n")
         assert run_cli(["check", "--config", conf]) == 2
+        conf.write_text("time.tmax = 1\ntime.tmax = 2\n")
+        assert run_cli(["check", "--model", "classical", "--config", conf,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
         assert run_cli(["check", "--model", "classical", "--theta", "1"]) == 2
         assert run_cli(["check", "--model", tmp_path / "missing.ini"]) == 2
 
@@ -314,6 +324,14 @@ class TestCertify:
         assert run_cli(["certify", "--report", bad,
                         "--output-dir", tmp_path / "out"]) == 2
         assert "pass_growth is 'True'" in capsys.readouterr().err
+        # a failed gate followed by a passed one for the same gate
+        bad.write_text(bad.read_text().replace("True", "true").replace(
+            "pass_hormander = true", "pass_hormander = false")
+            + "pass_hormander = true\n")
+        assert run_cli(["certify", "--report", bad,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert (f"{bad} line 12: key 'pass_hormander' repeats line 10"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out" / "certificate.kv").exists()
 
     def test_rateless_model(self, tmp_path, capsys):
@@ -382,7 +400,9 @@ class TestSimulate:
         (lambda text: "".join(line for line in text.splitlines(True)
                               if not line.startswith("eps1 ")),
          "missing field eps1"),
-    ], ids=["no-equals-sign", "missing-field"])
+        (lambda text: text.replace("\n", "\nsigma1 = 2.0\n", 1),
+         "line 2: key 'sigma1' repeats line 1"),
+    ], ids=["no-equals-sign", "missing-field", "repeated-key"])
     def test_unparsable_certificate_exit_2(self, tmp_path, capsys, edit, message):
         # Nothing was validated, so this is a config error naming the file.
         cert = build_certificate(1.0, 1.0, 0.0, 0.0, 0.0, alpha=1.0)

@@ -49,7 +49,12 @@ from hypocert.models import (
     log_weight_field,
 )
 
-from tests_support import conformal_model_2d, diff_expr_reference, jet_reference
+from tests_support import (
+    conformal_model_2d,
+    count_builder_dags,
+    diff_expr_reference,
+    jet_reference,
+)
 
 
 def fd_derivative(ast, points, k, theta=None, h=1e-5):
@@ -834,8 +839,9 @@ class TestJetCost:
 
     def test_pointwise_geometry_program_runs(self, monkeypatch):
         # ricci reads g at orders 0-2 in one run, the covariant Hessian
-        # of log u (a field of no model) the metric 1-jet and log u's own
-        # grad and hess, and Bakry-Emery g and E at orders 0-2 in one run
+        # of log u (a member of the model's builder) g at orders 0-1 and
+        # log u at orders 1-2 in one run, and Bakry-Emery g and E at
+        # orders 0-2 in one run
         model = builtin_relativistic(4.0)
         logu = log_weight_field(model)
         p = np.array([0.5, -0.25, 1.0])
@@ -845,7 +851,25 @@ class TestJetCost:
             runs.clear()
             op(model, p)
             counts.append(len(runs))
-        assert counts == [1, 1, 3]
+        assert counts == [1, 1, 1]
+        # log u's program holds every op of g's, so the covariant Hessian
+        # costs log u's 2-jet and no more
+        jets = model._cache["jets"]
+        e = model.dim + 2
+        tape, _ = jets._compiled[((0, 0), (0, 1), (e, 1), (e, 2))]
+        assert tape.op_count == 995
+        assert "_jets" not in vars(logu)
+
+    def test_pointwise_geometry_builds_one_dag(self, monkeypatch):
+        # one geom-pointwise op on a fresh model: g, E and log u are all
+        # differentiated on the model's DAG
+        made = count_builder_dags(monkeypatch)
+        model = builtin_relativistic(4.0)
+        p = np.array([0.5, -0.25, 1.0])
+        geometry.ricci(model, p)
+        geometry.covariant_hessian(model, log_weight_field(model), p)
+        geometry.bakry_emery_ricci(model, p)
+        assert made == [model._cache["jets"]._dag]
 
     def test_fields_intern_nothing_until_read(self, monkeypatch):
         # A model's fields build their own jets on first use; the scans
@@ -865,3 +889,9 @@ class TestJetCost:
         assert roots == [10]
         model.metric_field.value(np.zeros((1, 3)))
         assert roots == [10, 6]
+        # log u joins the model's builder, and is interned on its first
+        # request there
+        logu = log_weight_field(model)
+        assert roots == [10, 6]
+        geometry.covariant_hessian(model, logu, np.zeros(3))
+        assert roots == [10, 6, 1]

@@ -13,10 +13,13 @@ import pytest
 
 from hypocert.errors import FDOrderError, MetricError, NonpositiveWeight
 from hypocert.expressions import parse_expr
+from hypocert import geometry
 from hypocert.fields import (
     ExprMetricField,
     ExprScalarField,
+    ExprVectorField,
     FDField,
+    as_field,
 )
 from hypocert.geometry import (
     PointP,
@@ -29,6 +32,7 @@ from hypocert.geometry import (
     divergence_vec,
     gradient_p,
     as_batch,
+    jet_from_arrays,
     laplace_beltrami,
     ricci,
 )
@@ -39,7 +43,7 @@ from hypocert.models import (
     log_weight_field,
 )
 
-from tests_support import expr_model_1d, fd_model, rel_points
+from tests_support import conformal_model_2d, expr_model_1d, fd_model, rel_points
 
 REL = builtin_relativistic(4.0)
 CLA3 = builtin_classical(3)
@@ -98,6 +102,31 @@ class TestMetricJet:
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValueError):
             as_batch(np.zeros(2), REL.dim)
+
+    @pytest.mark.parametrize("g", [
+        [[1.0, 0.5], [0.4, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+    ], ids=["asymmetric", "nan-pair", "nan-diagonal"])
+    def test_asymmetric_or_nan_metric_rejected(self, g):
+        with pytest.raises(MetricError, match="metric is not symmetric"):
+            jet_from_arrays(np.array([g]), np.zeros((1, 2, 2, 2)))
+
+    def test_symmetric_inf_metric(self):
+        # the exact symmetry test passes inf == inf, as the tolerance
+        # test did; the Cholesky factor then decides
+        dg = np.zeros((1, 2, 2, 2))
+        with pytest.raises(MetricError, match="not positive definite"):
+            jet_from_arrays(np.array([[[1.0, np.inf], [np.inf, 1.0]]]), dg)
+        jet = jet_from_arrays(np.array([[[np.inf, 0.0], [0.0, 1.0]]]), dg)
+        assert jet.sqrt_det[0] == np.inf
+        assert np.array_equal(jet.g_inv[0], [[0.0, 0.0], [0.0, 1.0]])
+
+    def test_nearly_symmetric_metric_symmetrized(self):
+        g = np.array([[[2.0, 0.5], [0.5 + 1e-12, 1.0]]])
+        jet = jet_from_arrays(g, np.zeros((1, 2, 2, 2)))
+        assert np.array_equal(jet.g, jet.g.swapaxes(1, 2))
+        assert jet.g[0, 0, 1] == 0.5 * (g[0, 0, 1] + g[0, 1, 0])
 
 
 def load_negative_metric():
@@ -364,3 +393,98 @@ class TestSchemeRule:
         model = _with_fields(REL, metric_field=mf)
         P = rel_points(10, seed=43)
         assert np.array_equal(batch_jet(model, P).dg, mf.grad(P))
+
+
+ONE_REQUEST_MODELS = {
+    "relativistic3": lambda: builtin_relativistic(4.0),
+    "relativistic1": lambda: builtin_relativistic(4.0, dim=1),
+    "classical3": lambda: builtin_classical(3),
+    "conformal2d": conformal_model_2d,
+}
+
+
+class TestOneRequestPerField:
+    """Each public operation reads each field in one request of all the
+    orders it needs, and gives bit for bit what the field's and the
+    metric's per-order methods give."""
+
+    @staticmethod
+    def _fields(model):
+        dim = model.dim
+        src = " + ".join(f"p{i + 1}^2" for i in range(dim)) + " + exp(0.3*p1)"
+        scalars = {
+            "log u": log_weight_field(model),
+            "expression": ExprScalarField(parse_expr(src), dim, theta=model.theta),
+            "string": src,
+            "fd": FDField(lambda P: np.sum(P * P, axis=1) + np.exp(0.3 * P[:, 0]),
+                          dim),
+        }
+        comps = [parse_expr(f"p{(i + 1) % dim + 1}*exp(0.2*p{i + 1})")
+                 for i in range(dim)]
+        vectors = {
+            "expression": ExprVectorField(comps, dim),
+            "fd": FDField(lambda P: P[:, ::-1] * np.exp(0.2 * P), dim),
+        }
+        tensors = {
+            "metric": model.metric_field,
+            "expression": ExprMetricField(
+                {(i, j): parse_expr(f"p{i + 1}*p{j + 1} + {i + 1}")
+                 for i in range(dim) for j in range(i, dim)}, dim),
+            "fd": FDField(lambda P: P[:, :, None] * P[:, None, :]
+                          + np.eye(P.shape[1]), dim),
+        }
+        return scalars, vectors, tensors
+
+    @pytest.mark.parametrize("n", [1, 7, 133])
+    @pytest.mark.parametrize("name", sorted(ONE_REQUEST_MODELS))
+    def test_every_operation_matches_the_per_order_methods(self, name, n):
+        model = ONE_REQUEST_MODELS[name]()
+        P = np.random.default_rng(n).uniform(-1.5, 1.5, size=(n, model.dim))
+        mf, energy = model.metric_field, model.energy_field
+        jet1 = jet_from_arrays(mf.value(P), mf.grad(P))
+        jet2 = jet_from_arrays(mf.value(P), mf.grad(P), mf.hess(P))
+        scalars, vectors, tensors = self._fields(model)
+        cases = [
+            ("ricci", lambda p: ricci(model, p).entries,
+             geometry.ricci_from_jet(jet2)),
+            ("bakry-emery", lambda p: bakry_emery_ricci(model, p).entries,
+             geometry.bakry_emery_from_jet(jet2, energy.grad(P), energy.hess(P))),
+        ]
+        for label, f in scalars.items():
+            h = as_field(f, model.dim, model.theta)
+            grad, hess = h.grad(P), h.hess(P)
+            cases += [
+                ("hessian " + label,
+                 lambda p, f=f: covariant_hessian(model, f, p).entries,
+                 geometry.covariant_hessian_from_jet(jet1, grad, hess)),
+                ("gradient " + label, lambda p, f=f: gradient_p(model, f, p).entries,
+                 geometry.gradient_from_jet(jet1, grad)),
+                ("laplacian " + label, lambda p, f=f: laplace_beltrami(model, f, p),
+                 geometry.laplace_from_jet(jet1, grad, hess)),
+            ]
+        for label, Z in vectors.items():
+            cases.append(("div vector " + label,
+                          lambda p, Z=Z: divergence_vec(model, Z, p),
+                          geometry.divergence_vec_from_jet(
+                              jet1, Z.value(P), Z.jacobian(P))))
+        for label, A in tensors.items():
+            cases.append(("div tensor " + label,
+                          lambda p, A=A: divergence_tensor2(model, A, p).entries,
+                          geometry.divergence_tensor2_from_jet(
+                              jet2, A.value(P), A.grad(P))))
+        for label, op, want in cases:
+            assert np.array_equal(op(P), want), label
+            if n == 1:
+                assert np.array_equal(op(P[0]), want[0]), label
+
+    def test_log_u_of_a_differenced_model(self):
+        # log u of a model with FD fields is an FDField; it still joins
+        # the model's builder, and answers through its own methods
+        model = fd_model(REL)
+        logu = log_weight_field(model)
+        assert model._builder().index(logu) == model.dim + 2
+        P = rel_points(5, seed=47)
+        mf = model.metric_field
+        want = geometry.covariant_hessian_from_jet(
+            jet_from_arrays(mf.value(P), mf.grad(P)), logu.grad(P), logu.hess(P))
+        assert np.array_equal(covariant_hessian(model, logu, P).entries, want)
