@@ -564,6 +564,18 @@ class _Dag(_Algebra):
                     (leaves if leaf[slot] else ops).append(slot)
         return leaves, ops
 
+    def content(self, roots):
+        """What the roots compute, independent of this DAG: the keys of
+        the slots they reach, renumbered leaves first and then ops in
+        post-order, and the roots' new numbers.  Equal roots of any two
+        DAGs give equal content; a constant is told by its bits."""
+        leaves, ops = self.reach(roots)
+        new = {s: i for i, s in enumerate(leaves + ops)}
+        keys = [self.keys[s] for s in leaves]
+        keys += [(key[0], *map(new.__getitem__, key[1:]))
+                 for key in map(self.keys.__getitem__, ops)]
+        return tuple(keys), tuple(map(new.__getitem__, roots))
+
     def tape(self, roots):
         """A Tape that evaluates the slots roots together."""
         tape = Tape.__new__(Tape)
@@ -772,6 +784,15 @@ class Tape:
                 pos, rows = zip(*hits)
                 self._leaf_roots.append((arr, np.array(pos, dtype=np.intp),
                                          np.array(rows, dtype=np.intp)))
+        # A compiled program may be shared (`fields._ExprJets`), so `run`
+        # writes theta into a copy of `_cols` and the template and the
+        # rows written by index are read-only.  The rows read by `take`
+        # stay writeable: numpy copies a read-only index on every take,
+        # which costs a one-point geometry op about 7%.
+        for a in (self._cols, self._coord_cols, *(entry[8] for entry in self.code),
+                  *(pos for _, pos, _ in self._leaf_roots)):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def program(self):

@@ -12,8 +12,11 @@ families exist:
   built lazily on it, one partial per nondecreasing axes tuple and
   value entry, from the partials of the order below; any other handle
   answers through its own methods.  A request lists (field, order)
-  pairs and compiles into one cached `Tape` that evaluates all of its
-  partials together.  A model keeps one builder over its (g, v, E),
+  pairs and compiles into one `Tape` that evaluates all of its
+  partials together.  Compiled programs live in one table per process,
+  keyed on what the request's fields compute, not on the fields or the
+  model, so a model rebuilt from the same expressions, at any theta,
+  reuses them.  A model keeps one builder over its (g, v, E),
   which log u joins once `models.log_weight_field` makes it
   (`models.ModelSpec._jets`), so every jet of those fields is one
   request to it; any other field is read through a builder of its
@@ -36,6 +39,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -174,14 +179,28 @@ class _ExprJets:
     as a model's log u, takes the next index.
 
     A request is a tuple of (field, order) pairs, field an index into
-    the fields.  Each request compiles once into one program that holds
-    exactly the slots its members' partials reach, so a partial or
-    subterm that several of its jets read is computed once.  The jet of
-    (field, k) has shape (n,) + (dim,) * k + shape.  A partial fills
-    every slot that permutes its axes, followed by its index or by its
-    reversed index: the same slot for a scalar or vector, the mirrored
-    entry for a metric.  The program's last root is 0, read by the
-    slots of entries a field leaves out (a metric's zero off-diagonals).
+    the fields.  Each request compiles at most once, into one program
+    that holds exactly the slots its members' partials reach, so a
+    partial or subterm that several of its jets read is computed once.
+    The jet of (field, k) has shape (n,) + (dim,) * k + shape.  A
+    partial fills every slot that permutes its axes, followed by its
+    index or by its reversed index: the same slot for a scalar or
+    vector, the mirrored entry for a metric.  The program's last root
+    is 0, read by the slots of entries a field leaves out (a metric's
+    zero off-diagonals).
+
+    The builder keeps its programs by request (`_compiled`), and takes a
+    request it has not met from the process's table (`_programs`)
+    before it compiles one.  The table's key is dim and, per pair,
+    None for a field that is not a member, else the order and the
+    member's content: what its entries compute (`_Dag.content`, which
+    tells constants by their bits), their indices and the value shape.
+    theta is not in it, as a program reads theta at run time.  The key
+    holds no field, model or `id()`, and the table keeps the
+    `_PROGRAMS_MAX` most recently used programs, whose sources and
+    column templates are read-only (see `Tape`).  Two threads that miss
+    on one key together may each compile the program, and store equal
+    ones.
     """
 
     def __init__(self, fields, dim):
@@ -191,7 +210,7 @@ class _ExprJets:
         self._fields, self._others, self._shapes, self._partials = [], {}, [], []
         self._pending = {}
         self._dag = _Dag()
-        self._compiled = {}
+        self._compiled, self._contents = {}, {}
         for f in fields:
             self.add(f)
         self._intern(range(len(fields)))
@@ -237,6 +256,25 @@ class _ExprJets:
             })
         return partials[order]
 
+    def _key(self, request):
+        """The request's key in the program table: dim, and per pair None
+        for a field that is not a member, else the order and the
+        member's content, taken once per member."""
+        self._intern(f for f, _ in request)
+        return (self.dim, *(None if f in self._others else (self._content(f), order)
+                            for f, order in request))
+
+    def _content(self, field):
+        """What a member's entries compute (`_Dag.content`), their
+        indices and its value shape."""
+        content = self._contents.get(field)
+        if content is None:
+            first = self._partials[field][0]
+            content = self._contents[field] = (
+                self._dag.content(first.values()),
+                tuple(idx for _, idx in first), self._shapes[field])
+        return content
+
     def _compile(self, request):
         """(tape, blocks): one (source, shape) block per pair of the
         request, None for a field that is not a member."""
@@ -258,6 +296,7 @@ class _ExprJets:
             blocks.append((source, shape))
         for source, _ in filter(None, blocks):
             source[source < 0] = len(roots)
+            source.flags.writeable = False  # shared through the table
         roots.append(self._dag.const(0.0))
         return (self._dag.tape(roots) if len(roots) > 1 else None), blocks
 
@@ -267,7 +306,8 @@ class _ExprJets:
         members' jets come from one run of the request's program."""
         compiled = self._compiled.get(request)
         if compiled is None:
-            compiled = self._compiled[request] = self._compile(request)
+            compiled = self._compiled[request] = _program(
+                self._key(request), self._compile, request)
         tape, blocks = compiled
         if tape is not None:
             vals = evaluate(tape, P, self.theta)
@@ -281,6 +321,30 @@ class _ExprJets:
                 out.append(np.ascontiguousarray(vals.take(source, axis=0).T)
                            .reshape((P.shape[0],) + shape))
         return out
+
+
+# Compiled programs (tape, blocks), shared by every builder in the
+# process and keyed on what they compute (see _ExprJets), the least
+# recently used first.  One relativistic point-jet program holds about
+# 130 KB.
+_PROGRAMS_MAX = 32
+_programs = OrderedDict()
+_programs_lock = threading.Lock()
+
+
+def _program(key, compile, request):
+    """The program of key from the table, else compile(request), stored."""
+    with _programs_lock:
+        program = _programs.get(key)
+        if program is not None:
+            _programs.move_to_end(key)
+            return program
+    program = compile(request)
+    with _programs_lock:
+        _programs[key] = program
+        if len(_programs) > _PROGRAMS_MAX:
+            _programs.popitem(last=False)
+    return program
 
 
 def _jet(field, order, P):

@@ -12,6 +12,7 @@ node; a tape must reproduce it bit for bit.
 import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -53,6 +54,7 @@ from tests_support import (
     conformal_model_2d,
     count_builder_dags,
     diff_expr_reference,
+    empty_program_table,
     jet_reference,
 )
 
@@ -778,6 +780,7 @@ class TestJetCost:
     """Work counted, not timed, while the jets a point jet reads are built."""
 
     def test_relativistic_point_jet(self, monkeypatch):
+        empty_program_table(monkeypatch)
         calls, rules = [], []
         for owner in (expressions, fields):
             monkeypatch.setattr(owner, "diff_expr", lambda *a: calls.append(a))
@@ -875,6 +878,7 @@ class TestJetCost:
         # A model's fields build their own jets on first use; the scans
         # read them through the model's jet builder, which interns every
         # entry of g, v and E once.
+        empty_program_table(monkeypatch)
         roots = []
         intern = expressions._Dag.intern
 
@@ -895,3 +899,163 @@ class TestJetCost:
         assert roots == [10, 6]
         geometry.covariant_hessian(model, logu, np.zeros(3))
         assert roots == [10, 6, 1]
+
+
+def count_compiles(monkeypatch):
+    """The (builder, request) of each program jet builders compile from
+    now on."""
+    calls, compile = [], fields._ExprJets._compile
+
+    def counted(jets, request):
+        calls.append((jets, request))
+        return compile(jets, request)
+
+    monkeypatch.setattr(fields._ExprJets, "_compile", counted)
+    return calls
+
+
+class TestProgramTable:
+    """Compiled jet programs are shared across builders, keyed on what
+    their fields compute (`fields._programs`)."""
+
+    @staticmethod
+    def _point_jet(model, P):
+        """The program of the model's point jet, and its jets at P."""
+        asm._PointJet(model, P)
+        jets = model._cache["jets"]
+        ((request, program),) = jets._compiled.items()
+        return program, jets(request, P)
+
+    @pytest.mark.parametrize("dim", [3, 1])
+    def test_one_program_for_every_theta(self, monkeypatch, dim):
+        # theta is a run-time column: the models at three thetas share one
+        # program, and each reads bit for bit what a cold compile at its
+        # own theta reads
+        thetas = (4.0, 0.1, 30.0)
+        P = np.random.default_rng(41).uniform(-1.5, 1.5, size=(9, dim))
+        empty_program_table(monkeypatch)
+        compiles = count_compiles(monkeypatch)
+        programs, warm = zip(*(self._point_jet(builtin_relativistic(t, dim=dim), P)
+                               for t in thetas))
+        assert len(compiles) == 1
+        assert all(program is programs[0] for program in programs)
+        assert not all(map(np.array_equal, warm[0], warm[1]))
+        for theta, jets in zip(thetas, warm):
+            empty_program_table(monkeypatch)
+            program, cold = self._point_jet(builtin_relativistic(theta, dim=dim), P)
+            assert program is not programs[0]
+            assert len(cold) == len(jets)
+            for got, want in zip(jets, cold):
+                assert np.array_equal(got, want), theta
+        assert len(compiles) == 4
+
+    def test_different_fields_never_share(self, monkeypatch):
+        empty_program_table(monkeypatch)
+        P = np.array([[-0.0, 0.5, 1.0]])
+
+        def run(fs, request, dim=3):
+            jets = fields._ExprJets(fs, dim)
+            out = jets(request, P[:, :dim])
+            return jets._compiled[request], out
+
+        # 0.0 and -0.0 are equal as dataclasses, not bit for bit:
+        # -0 + 0 is 0 and -0 + -0 is -0
+        plus, minus = (ExprScalarField(BinOp("+", Coord(1), Const(z)), 3)
+                       for z in (0.0, -0.0))
+        assert plus.ast == minus.ast
+        (a, (x,)), (b, (y,)) = run([plus], ((0, 0),)), run([minus], ((0, 0),))
+        assert a is not b
+        assert (np.signbit(x[0]), np.signbit(y[0])) == (False, True)
+
+        p1, p2 = (ExprScalarField(parse_expr(s), 3) for s in ("p1", "p2"))
+        (a, (x,)), (b, (y,)) = run([p1], ((0, 1),)), run([p2], ((0, 1),))
+        assert a is not b
+        assert x.tolist() == [[1.0, 0.0, 0.0]] and y.tolist() == [[0.0, 1.0, 0.0]]
+
+        ast = parse_expr("p1^2")
+        (a, (x,)) = run([ExprScalarField(ast, 1)], ((0, 1),), dim=1)
+        (b, (y,)) = run([ExprScalarField(ast, 3)], ((0, 1),))
+        assert a is not b
+        assert (x.shape, y.shape) == ((1, 1), (1, 3))
+
+        # a pair of a field that is not a member holds no program part,
+        # and each builder reads its own such field
+        f = ExprScalarField(parse_expr("p2*p3"), 3)
+        request = ((0, 1), (1, 1))
+        exact = ExprScalarField(parse_expr("p2*p3"), 3)
+        fd = FDField(lambda Q: Q[:, 1] * Q[:, 2], 3)
+        fd2 = FDField(lambda Q: 2.0 * Q[:, 1] * Q[:, 2], 3)
+        (a, (_, x)), (b, (_, y)) = run([f, fd], request), run([f, exact], request)
+        assert a is not b
+        assert a[1][1] is None and b[1][1] is not None
+        np.testing.assert_allclose(x, y, rtol=1e-8)
+        c, (_, z) = run([f, fd2], request)
+        assert c is a
+        np.testing.assert_allclose(z, 2.0 * y, rtol=1e-8)
+
+    def test_table_keeps_no_model_alive(self, monkeypatch):
+        empty_program_table(monkeypatch)
+        model = builtin_relativistic(4.0)
+        asm._PointJet(model, np.zeros((1, 3)))
+        refs = [weakref.ref(model), weakref.ref(model._cache["jets"])]
+        del model
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert len(fields._programs) == 1
+
+    def test_table_never_grows_past_its_bound(self, monkeypatch):
+        empty_program_table(monkeypatch)
+        compiles = count_compiles(monkeypatch)
+        bound = fields._PROGRAMS_MAX
+        P = np.ones((1, 1))
+
+        def read(i):
+            assert ExprScalarField(parse_expr(f"p1 + {i}"), 1).value(P)[0] == 1 + i
+
+        for i in range(bound):
+            read(i)
+        read(0)  # now the most recently used
+        for i in range(bound, bound + 3):
+            read(i)
+            assert len(fields._programs) == bound
+        assert len(compiles) == bound + 3
+        read(0)
+        read(bound + 2)
+        assert len(compiles) == bound + 3
+        read(1)  # the least recently used went first
+        assert len(compiles) == bound + 4
+        assert len(fields._programs) == bound
+
+    def test_shared_programs_are_read_only(self, monkeypatch):
+        empty_program_table(monkeypatch)
+        P = np.zeros((1, 3))
+        program, want = self._point_jet(builtin_relativistic(4.0), P)
+        # the column template, each block's source and the rows the tape
+        # writes by index (the rows it reads by `take` stay writeable)
+        tape, blocks = program
+        arrays = [tape._cols, *(source for source, _ in blocks)]
+        arrays += [entry[8] for entry in tape.code if isinstance(entry[8], np.ndarray)]
+        assert len(arrays) > 1 + len(blocks)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+        _, got = self._point_jet(builtin_relativistic(4.0), P)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("op", [geometry.covariant_hessian, geometry.gradient_p,
+                                    geometry.laplace_beltrami])
+    def test_string_field_compiles_once(self, monkeypatch, op):
+        # a string is parsed into a fresh field on every call, whose
+        # program comes from the table after the first
+        empty_program_table(monkeypatch)
+        model = builtin_relativistic(4.0)
+        p = np.array([0.5, -0.25, 1.0])
+        compiles = count_compiles(monkeypatch)
+        first = op(model, "p1^2 + exp(0.3*p2)", p)
+        second = op(model, "p1^2 + exp(0.3*p2)", p)
+        own = [request for jets, request in compiles if jets is not model._builder()]
+        assert len(own) == 1
+        assert len(compiles) == 2
+        assert np.array_equal(getattr(first, "entries", first),
+                              getattr(second, "entries", second))

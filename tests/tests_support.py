@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,14 @@ def count_builder_dags(monkeypatch):
 
     monkeypatch.setattr(fields, "_Dag", Counted)
     return made
+
+
+def empty_program_table(monkeypatch):
+    """Start from an empty table of compiled jet programs
+    (`fields._programs`), so that the next request of each builder
+    compiles as in a fresh process; the process's table is back after
+    the test."""
+    monkeypatch.setattr(fields, "_programs", OrderedDict())
 
 
 def conformal_model_2d():
