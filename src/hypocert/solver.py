@@ -14,10 +14,13 @@ conservative to round-off.  Each half step moves by the Courant number
 nu = v dt / (2 dx), and is positive and total-variation diminishing for
 |nu| <= 1 (upwind) or |nu| <= 1/2 (MUSCL), so dt <= 2 dx / max|v| or
 dt <= dx / max|v|.  The implicit solve is an M-matrix system, so
-positivity survives any dt; its symmetric tridiagonal matrix is
-factored once per dt (LAPACK dpttrf) and solved in place (dpttrs).
-A step works in arrays allocated once per (model, grid, dt, order2)
-and reused, so the only array it allocates is the returned density.
+positivity survives any dt.  Its tridiagonal matrix is factored once
+per dt as a block LU in numpy: the momentum nodes are cut into blocks
+of at most _BLOCK_WIDTH, each block's Schur complement is inverted
+once, and a solve is one matmul per block plus one matmul that couples
+the blocks through their edge values.  A step works in arrays
+allocated once per (model, grid, dt, order2) and reused: `run` advances
+the density in place, and `step` allocates only the density it returns.
 
 Alongside the dynamics the module tracks the entropy functionals
 (D, Ipp, Ixp, Ixx, the modified entropy, mass, L1 distance), fits
@@ -267,6 +270,105 @@ def _node_geometry(model, grid):
 # Diffusion operator
 
 
+# Widest diagonal block of the diffusion solve's block LU.  A solve
+# costs one (rows x b) by (b x b) matmul per block of b nodes plus one
+# (rows x 2K) by (2K x Np) matmul over K blocks, so narrow blocks trade
+# the first for the second.  32 was the fastest of the widths 16-128
+# at both 64 x 128 and 128 x 256: 21 and 69 us a solve, against 24 and
+# 83 us at 64 and about 50 and 170 us at 128 (one OpenBLAS 0.3.31
+# thread, 2.1 GHz Xeon vCPU).
+_BLOCK_WIDTH = 32
+
+
+class _BlockLU:
+    """(I - dt L)^-1 at one dt, as a block LU of the tridiagonal system.
+
+    I - dt L is W^-1 A, where A = W - dt W L is symmetric tridiagonal
+    and, for dt > 0, a strictly diagonally dominant M-matrix.  The nodes
+    are cut into K blocks of at most _BLOCK_WIDTH (Golub and Van Loan,
+    Matrix Computations, 4.5).  Block k's Schur complement S_k is block
+    k of A with its first diagonal entry replaced by A's L D L^T pivot
+    there, and is inverted once, here; as a diagonally dominant
+    symmetric matrix it needs no row swaps, so its inverse G_k comes out
+    entrywise nonnegative, as it is exactly.
+
+    A solve takes z_k = G_k W_k h_k, one matmul per block.  The solution
+    is x_k = z_k + alpha_k G_k e_first + beta_k G_k e_last, where alpha
+    runs forward over the blocks from the last entry of each z_k and
+    beta backward from the first: two recurrences of length K.  Both
+    are linear in those 2K edge values, so they run here once on unit
+    edge values, and a solve applies them together with every block's
+    rank-2 correction as one matmul of its edge values.  With a single
+    block the solve is z, the dense inverse applied to h.
+    """
+
+    def __init__(self, op, dt):
+        self.dt = dt
+        w = op.weight
+        n = w.size
+        a = w - dt * op.diag
+        c = dt * op.off  # A[i, i + 1] = A[i + 1, i] = -c[i]
+        # A's L D L^T pivots, as LAPACK's dpttrf takes them: all positive
+        # exactly when A is positive definite.
+        pivots = []
+        for i, (ai, ci) in enumerate(zip(a.tolist(), [0.0, *c.tolist()])):
+            p = ai - ci * ci / pivots[-1] if i else ai
+            if not p > 0.0:
+                raise LinearSolveFailure(
+                    "implicit diffusion matrix W - dt W L is not positive "
+                    f"definite at dt = {dt:.6g}: pivot {i + 1} of {n} is {p:.3g}"
+                )
+            pivots.append(p)
+
+        K = -(-n // _BLOCK_WIDTH)
+        cuts = [k * n // K for k in range(K + 1)]
+        self.blocks = []
+        # cols[k, s:e] is G_k e_first, cols[K + k, s:e] is G_k e_last
+        cols = np.zeros((2 * K, n))
+        g_first, g_corner = [], []
+        for k, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            S = np.diag(a[s:e]) - np.diag(c[s:e - 1], 1) - np.diag(c[s:e - 1], -1)
+            S[0, 0] = pivots[s]
+            G = np.linalg.inv(S)
+            # h @ (W_k G_k) = (G_k W_k h^T)^T, as G_k is symmetric
+            self.blocks.append((slice(s, e), w[s:e, None] * G))
+            cols[k, s:e] = G[:, 0]
+            cols[K + k, s:e] = G[:, -1]
+            g_first.append(G[0, 0])
+            g_corner.append(G[0, -1])
+        # edges[k] is the last node of block k, edges[K + k] the first,
+        # and -link[k] is the entry of A that couples blocks k - 1 and k.
+        self.edges = np.array([*(e - 1 for e in cuts[1:]), *cuts[:-1]])
+        link = [0.0, *(c[s - 1] for s in cuts[1:-1])]
+
+        # Row j of alpha and beta is their value for the unit edge value
+        # j: alpha_k = link_k (S_{k-1}^-1 y_{k-1})_last, where y is the
+        # right-hand side after the forward sweep, and
+        # beta_k = link_{k+1} (x_{k+1})_first.
+        edge = np.eye(2 * K)
+        alpha, beta = np.zeros((2 * K, K)), np.zeros((2 * K, K))
+        for k in range(1, K):
+            alpha[:, k] = link[k] * (edge[:, k - 1] + g_corner[k - 1] * alpha[:, k - 1])
+        for k in range(K - 2, -1, -1):
+            beta[:, k] = link[k + 1] * (edge[:, K + k + 1]
+                                        + g_first[k + 1] * alpha[:, k + 1]
+                                        + g_corner[k + 1] * beta[:, k + 1])
+        self.correction = np.hstack([alpha, beta]) @ cols
+        self._z = None
+
+    def solve(self, h, out):
+        """x for the rows of h, shape (rows, n), into out of that shape;
+        out may be h."""
+        z = self._z
+        if z is None or z.shape != h.shape:
+            z = self._z = np.empty(h.shape)
+        for cols, WG in self.blocks:
+            np.matmul(h[:, cols], WG, out=z[:, cols])
+        np.matmul(z[:, self.edges], self.correction, out=out)
+        out += z
+        return out
+
+
 @dataclass
 class DiffusionOperator:
     """Tridiagonal momentum diffusion in mu-symmetric divergence form.
@@ -280,7 +382,7 @@ class DiffusionOperator:
     off: np.ndarray
     diag: np.ndarray
     weight: np.ndarray
-    _factors: dict = field(default_factory=dict, repr=False)
+    _lu: _BlockLU = field(default=None, compare=False, repr=False)
 
     def apply(self, h):
         """L h for h with momentum on the last axis."""
@@ -295,35 +397,22 @@ class DiffusionOperator:
 
         The result goes to out, a C-contiguous float array of h's shape
         that may be h itself, or to a new array when out is None.  The
-        symmetric tridiagonal W - dt W L is factored (L D L^T) once per dt.
+        operator keeps the block LU (`_BlockLU`) of its latest dt, and
+        reuses it while dt stays the same; a new dt replaces it.  Raises
+        LinearSolveFailure when W - dt W L is not positive definite.
+        The solve keeps work arrays on the operator, so it is not
+        reentrant.
         """
-        # scipy's LAPACK loads on the first solve, not at import.
-        from scipy.linalg import lapack
-
         dt = float(dt)
-        fac = self._factors.get(dt)
-        if fac is None:
-            d, e, info = lapack.dpttrf(self.weight - dt * self.diag,
-                                       -dt * self.off)
-            if info != 0:
-                raise LinearSolveFailure(
-                    "implicit diffusion factorization failed: "
-                    f"dpttrf info = {info}"
-                )
-            fac = self._factors[dt] = (d, e)
+        lu = self._lu
+        if lu is None or lu.dt != dt:
+            lu = self._lu = _BlockLU(self, dt)
         if out is None:
             out = np.empty(np.shape(h))
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        np.multiply(h, self.weight, out=out)
-        # A C-ordered (..., Np) array is Fortran-ordered (Np, rows), so
-        # dpttrs solves every row in place.
-        rhs = out.reshape(-1, self.weight.size).T
-        _, info = lapack.dpttrs(*fac, rhs, overwrite_b=True)
-        if info != 0:
-            raise LinearSolveFailure(
-                f"implicit diffusion solve failed: dpttrs info = {info}"
-            )
+        n = self.weight.size
+        lu.solve(np.asarray(h, dtype=float).reshape(-1, n), out.reshape(-1, n))
         return out
 
 
@@ -365,8 +454,9 @@ class _Strang:
     """Work arrays and column data of one Strang step on one grid.
 
     Built for one (model, grid, dt, order2); every step with those
-    reuses the arrays, so it allocates only the density it returns.
-    The work arrays make a step not reentrant on one grid.
+    reuses the arrays.  A step advances h, a view of them, in place, so
+    `run` allocates nothing per step and `step` only the density it
+    returns.  The work arrays make a step not reentrant on one grid.
     """
 
     def __init__(self, model, grid, dt, order2):
@@ -374,17 +464,20 @@ class _Strang:
         self.dt = dt
         self.order2 = order2
         # Courant number of a half step per column.  Columns with
-        # nu < 0 take their face values from the cell on the right; they
-        # are kept as runs of column slices (one run for a monotone v),
-        # since a masked ufunc is several times slower than a slice.
+        # nu < 0 take their face values from the cell on the right, the
+        # others from the cell on the left; each side is kept as runs of
+        # column slices (one run for a monotone v), since a masked ufunc
+        # is several times slower than a slice.
         self.nu = _node_geometry(model, grid).v * (0.5 * dt / grid.dx)
         # step accepts dt a round-off past cfl_limit, which may carry
         # |nu| a few ulps past its bound; clip it back (a no-op below).
         nu_max = 0.5 if order2 else 1.0
         np.clip(self.nu, -nu_max, nu_max, out=self.nu)
-        ends = np.flatnonzero(np.diff(np.concatenate(
-            ([0], (self.nu < 0.0).astype(np.int8), [0]))))
-        self.from_right = [slice(a, b) for a, b in zip(ends[::2], ends[1::2])]
+        negative = self.nu < 0.0
+        cuts = [0, *(np.flatnonzero(np.diff(negative)) + 1), np_]
+        runs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        self.from_left = [r for r in runs if not negative[r.start]]
+        self.from_right = [r for r in runs if negative[r.start]]
         # Rows 1..Nx of ghost hold h, rows 0 and Nx + 1 its periodic
         # neighbours; h is a C-contiguous view of those rows.  flux[k]
         # is the flux through face k - 1/2.
@@ -417,25 +510,36 @@ class _Strang:
             jump, slope = self.jump, self.slope
             np.subtract(g[1:], g[:-1], out=jump)
             a, b, mm = jump[:-1], jump[1:], slope[:-1]
-            # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0)
+            # minmod(a, b) = median(a, b, 0) = max(min(a, b), min(max(a, b), 0))
             np.minimum(a, b, out=mm)
-            np.maximum(mm, 0.0, out=mm)
             np.maximum(a, b, out=face)
             np.minimum(face, 0.0, out=face)
-            mm += face
+            np.maximum(mm, face, out=mm)
             mm *= 0.5
             slope[-1] = slope[0]
-            np.add(h, mm, out=face)
+            for cols in self.from_left:
+                np.add(h[:, cols], mm[:, cols], out=face[:, cols])
             for cols in self.from_right:
                 np.subtract(right[:, cols], slope[1:, cols], out=face[:, cols])
         else:
-            np.copyto(face, h)
+            for cols in self.from_left:
+                face[:, cols] = h[:, cols]
             for cols in self.from_right:
                 face[:, cols] = right[:, cols]
         face *= self.nu
         flux[0] = flux[nx]
         np.subtract(h, face, out=out)
         out += flux[:-1]
+
+    def advance(self, op, out):
+        """One step of self.h by self.dt into out, which may be self.h:
+        half transport, the implicit diffusion solve of op (None to skip
+        it), half transport."""
+        h = self.h
+        self.transport(out=h)
+        if op is not None:
+            op.solve(h, self.dt, out=h)
+        self.transport(out=out)
 
 
 def _strang(model, grid, dt, order2):
@@ -473,13 +577,9 @@ def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
         raise ValueError("dt must be positive")
     _check_cfl(dt, cfl_limit(model, grid, order2))
     st = _strang(model, grid, dt, order2)
-    h = st.h
-    np.copyto(h, state.h)
-    st.transport(out=h)
-    if with_diffusion:
-        _op(model, grid).solve(h, dt, out=h)
-    out = np.empty_like(h)
-    st.transport(out=out)
+    np.copyto(st.h, state.h)
+    out = np.empty_like(st.h)
+    st.advance(_op(model, grid) if with_diffusion else None, out)
     return State(h=out, t=state.t + dt)
 
 
@@ -667,13 +767,18 @@ def run(
 
     state = initial_state(model, grid, h_in)
     rows = [functionals(state, model, grid, certificate)]
+    # The steps of `step`, advancing its work array in place.
+    st, op = _strang(model, grid, dt_eff, order2), _op(model, grid)
+    h, t = st.h, state.t
+    np.copyto(h, state.h)
     try:
         for _ in range(n_samples):
             for _ in range(n_sub):
-                state = step(state, dt_eff, model, grid, order2=order2)
-            rows.append(functionals(state, model, grid, certificate))
+                st.advance(op, h)
+                t += dt_eff
+            rows.append(functionals(State(h=h, t=t), model, grid, certificate))
     except LinearSolveFailure as exc:
-        raise LinearSolveFailure(f"{exc} (at t = {state.t:.6g})") from exc
+        raise LinearSolveFailure(f"{exc} (at t = {t:.6g})") from exc
 
     series = FunctionalSeries(
         **{name: np.array([r[key] for r in rows]) for key, name in _SAMPLED},

@@ -568,7 +568,7 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
     def test_import_and_scans_load_no_scipy(self, tmp_path):
-        # scipy's LAPACK is for the solver only; the scans use numpy.
+        # The runtime is numpy alone: the scans and the solver too.
         out = str(tmp_path / "out")
         code = (
             "import sys, hypocert\n"
@@ -577,6 +577,7 @@ class TestEntryPoint:
             f"out = ['--model', 'classical', '--output-dir', {out!r}]\n"
             "assert cli.main(['check', *out]) == 0\n"
             "assert cli.main(['certify', *out]) == 0\n"
+            "assert cli.main(['simulate', '--tmax', '1', *out]) == 0\n"
             "cli.main(['report', '--output-dir', out[-1]])\n"
             "after = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "print(before, after)\n"
