@@ -21,9 +21,13 @@ and raise beta, gamma, omega.
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
 energy 2-jet, Gram form A), built from the model's fields once per
 CHUNK of points as a `_PointJet`; its jets are one request to the
-model's jet builder, whose program is compiled once per model.  Each
-scan keeps only per-point values, and `check_model` feeds every point
-jet to all of them in one pass, so no point jet outlives its chunk.
+model's jet builder, whose program is compiled once per model.  A scan
+is a plain function of a point jet that returns its per-point values
+by name.  `_EXTREMA` names each scanned constant once, with its scan
+and whether it is the smallest or the largest sample, so a new
+constant is one entry there and one more value from its scan.  One
+`_ScanPass` runs any set of scans and `check_model` runs all of its
+scans in one pass, so no point jet outlives its chunk.
 """
 
 from __future__ import annotations
@@ -357,30 +361,53 @@ def _point_jets(model, P):
         yield pj
 
 
-def _scan(model, grid, *scans):
-    """One pass that adds every point jet to each scan: (grid, P)."""
-    grid, P = _grid_points(model, grid)
-    for pj in _point_jets(model, P):
-        for scan in scans:
-            scan.add(pj)
-    return grid, P
+class _ScanPass:
+    """One pass of the given scans over the point jets of a grid.
 
-
-def _scan_alone(model, grid, scan):
-    _, P = _scan(model, grid, scan)
-    return scan.result(P)
-
-
-def _extreme(P, chunks, label, largest=False):
-    """Smallest (or largest) value over the per-chunk values of P's points.
-
-    Returns (value, Witness at the grid point realizing it); a tie goes
-    to the first point.
+    A scan is a function of a point jet that returns (values by name,
+    eigenvalue shift), each name one of its _EXTREMA entries.  One that
+    inverts A first raises the chunk's DegenerateA: the pass latches the
+    first such error, the scan skips every later chunk, and asking for
+    an extremum that was not sampled on every chunk raises the error.
     """
-    vals = np.concatenate(chunks)
-    i = int(np.argmax(vals) if largest else np.argmin(vals))
-    best = float(vals[i])
-    return best, Witness(P[i].copy(), best, label)
+
+    def __init__(self, model, grid, *scans):
+        self.grid, self.P = _grid_points(model, grid)
+        self.chunks = {name: [] for name, (scan, _) in _EXTREMA.items()
+                       if scan in scans}
+        self.shifts = dict.fromkeys(scans, 0.0)
+        self.count, self.error, stopped = 0, None, set()
+        for pj in _point_jets(model, self.P):
+            self.count += 1
+            for scan in scans:
+                if scan in stopped:
+                    continue
+                try:
+                    values, shift = scan(pj)
+                except DegenerateA as exc:
+                    self.error = self.error or exc
+                    stopped.add(scan)
+                    continue
+                self.shifts[scan] = max(self.shifts[scan], shift)
+                for name, vals in values.items():
+                    self.chunks[name].append(vals)
+
+    def extreme(self, name):
+        """(value, Witness) of a scanned constant; a tie goes to the
+        first point."""
+        if len(self.chunks[name]) < self.count:
+            raise self.error
+        _, pick = _EXTREMA[name]
+        vals = np.concatenate(self.chunks[name])
+        i = int(pick(vals))
+        best = float(vals[i])
+        return best, Witness(self.P[i].copy(), best, name)
+
+
+def _definite(pj):
+    """Raise the chunk's DegenerateA unless every Gram form is definite."""
+    if pj.degenerate is not None:
+        raise pj.degenerate
 
 
 def _gen_eigs(Mform, base):
@@ -466,99 +493,27 @@ def _forms(pj, kinds):
 # Assumption scans
 
 
-class _Curvature:
-    """curvature_bounds, one chunk at a time."""
-
-    def __init__(self):
-        self.lows, self.highs, self.shift = [], [], 0.0
-
-    def add(self, pj):
-        eigs, sh = _gen_eigs(pj.bakry, pj.jet.g)
-        self.shift = max(self.shift, sh)
-        self.lows.append(eigs[:, 0])
-        self.highs.append(eigs[:, -1])
-
-    def result(self, P):
-        sigma1, wmin = _extreme(P, self.lows, "sigma1")
-        sigma2, wmax = _extreme(P, self.highs, "sigma2", largest=True)
-        return CurvatureBounds(sigma1, sigma2, {"min": wmin, "max": wmax},
-                               shift=self.shift)
+def _curvature(pj):
+    """Per point: the extremal generalized eigenvalues of (Ric - Hess log u, g)."""
+    eigs, shift = _gen_eigs(pj.bakry, pj.jet.g)
+    return {"sigma1": eigs[:, 0], "sigma2": eigs[:, -1]}, shift
 
 
-def curvature_bounds(model, grid=None):
-    """Extremal generalized eigenvalues of (Ric - Hess log u, g).
-
-    Like every scan, raises at the first point where the metric or
-    weight degenerates, naming the point.
-    """
-    return _scan_alone(model, grid, _Curvature())
-
-
-class _Dominance:
-    """dominance_constants, one chunk at a time, up to the first chunk
-    where A is not positive definite."""
-
-    KINDS = {"beta": "B", "gamma": "C", "omega": "R"}
-
-    def __init__(self):
-        self.tops = {name: [] for name in self.KINDS}
-        self.shift, self.error = 0.0, None
-
-    def add(self, pj):
-        self.error = self.error or pj.degenerate
-        if self.error is None:
-            F = _forms(pj, tuple(self.KINDS.values()))
-            for name, kind in self.KINDS.items():
-                eigs, sh = _gen_eigs(F[kind], pj.A)
-                self.shift = max(self.shift, sh)
-                self.tops[name].append(eigs[:, -1])
-
-    def result(self, P):
-        if self.error is not None:
-            raise self.error
-        best = {name: _extreme(P, tops, name, largest=True)
-                for name, tops in self.tops.items()}
-        # The forms are Gram matrices, so the true constants are >= 0; tiny
-        # negative scan values are rounding noise.
-        return DominanceConstants(
-            beta=max(best["beta"][0], 0.0),
-            gamma=max(best["gamma"][0], 0.0),
-            omega=max(best["omega"][0], 0.0),
-            witnesses={name: wit for name, (_, wit) in best.items()},
-            shift=self.shift,
-        )
+def _dominance(pj):
+    """Per point: the largest generalized eigenvalue of (form, A) for each
+    of the forms B, C and R, which give beta, gamma and omega."""
+    _definite(pj)
+    F = _forms(pj, ("B", "C", "R"))
+    pencils = [_gen_eigs(F[kind], pj.A) for kind in ("B", "C", "R")]
+    tops = zip(("beta", "gamma", "omega"), pencils)
+    return ({name: eigs[:, -1] for name, (eigs, _) in tops},
+            max(shift for _, shift in pencils))
 
 
-def dominance_constants(model, grid=None):
-    """Smallest beta, gamma, omega with B <= beta A, C <= gamma A, R <= omega A.
-
-    Each is the grid maximum of the largest generalized eigenvalue of
-    the pencil (form, A).  A must be positive definite on the grid.
-    """
-    return _scan_alone(model, grid, _Dominance())
-
-
-class _Hormander:
-    """hormander_check, one chunk at a time."""
-
-    def __init__(self):
-        self.dets = []
-
-    def add(self, pj):
-        vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
-        self.dets.append(np.where(np.isfinite(vals), vals, 0.0))
-
-    def result(self, P):
-        best, wit = _extreme(P, self.dets, "detF")
-        return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
-
-
-def hormander_check(model, grid=None):
-    """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
-
-    A vanishing or non-finite value is the witness, with value 0.
-    """
-    return _scan_alone(model, grid, _Hormander())
+def _hormander(pj):
+    """Per point: det(g) * |det(dv)|, with 0 where it is not finite."""
+    vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
+    return {"detF": np.where(np.isfinite(vals), vals, 0.0)}, 0.0
 
 
 def _sphere_directions(dim):
@@ -641,13 +596,14 @@ def _gram_derivs(pj):
     return dA, d2A
 
 
-def _logsob_values(pj):
+def _logsob(pj):
     """Per point: kappa1's and kappa2's integrands, on the minorant t I of A.
 
     t = 1 / tr(A^-1) is at most the smallest eigenvalue of A, so
     phi = log t = -log tr h with h = A^-1, and its derivatives follow
     from those of h.
     """
+    _definite(pj)
     jet, N = pj.jet, pj.A.shape[1]
     h = _symmetrize(np.linalg.inv(pj.A))
     dh, d2h = _inverse_derivs(h, *_gram_derivs(pj))
@@ -656,11 +612,11 @@ def _logsob_values(pj):
     d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
              + dphi[:, :, None] * dphi[:, None, :])
     cond1 = pj.bakry - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-    eigs, _ = _gen_eigs(cond1, jet.g)
+    eigs, shift = _gen_eigs(cond1, jet.g)
     dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
     lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
     pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
-    return eigs[:, 0], -0.5 * (lap_phi + pair)
+    return {"kappa1": eigs[:, 0], "kappa2": -0.5 * (lap_phi + pair)}, shift
 
 
 def _product_blocks(pj):
@@ -709,57 +665,94 @@ def _product_blocks(pj):
     return {"g": jet.g, "h": h, "pp": pp, "xx": xx}
 
 
-class _LogSob:
-    """logsob_warped, one chunk at a time, up to the first chunk where A
-    is not positive definite."""
-
-    def __init__(self):
-        self.k1, self.k2, self.error = [], [], None
-
-    def add(self, pj):
-        self.error = self.error or pj.degenerate
-        if self.error is None:
-            k1, k2 = _logsob_values(pj)
-            self.k1.append(k1)
-            self.k2.append(k2)
-
-    def result(self, P):
-        if self.error is not None:
-            raise self.error
-        kappa1, w1 = _extreme(P, self.k1, "kappa1")
-        k2_raw, w2 = _extreme(P, self.k2, "kappa2", largest=True)
-        kappa2 = max(0.0, k2_raw)
-        ok = kappa1 > kappa2
-        return WarpedResult(
-            kappa1=kappa1,
-            kappa2=kappa2,
-            alpha=(kappa1 - kappa2) if ok else None,
-            ok=bool(ok),
-            witnesses={"kappa1": w1, "kappa2": w2},
-        )
+def _product(pj):
+    """Per point: the smallest eigenvalue of the product criterion's form."""
+    _definite(pj)
+    blocks = _product_blocks(pj)
+    eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
+    eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
+    return {"alpha": np.minimum(eig_p[:, 0], eig_x[:, 0])}, max(sh_p, sh_x)
 
 
-class _Product:
-    """logsob_product, one chunk at a time."""
+# ---------------------------------------------------------------------------
+# Scanned extrema
 
-    def __init__(self):
-        self.lows, self.shift, self.error = [], 0.0, None
+# Every scanned constant: the scan whose per-point values sample it, and
+# whether it is their smallest (argmin) or largest (argmax) sample.
+_EXTREMA = {
+    "sigma1": (_curvature, np.argmin),
+    "sigma2": (_curvature, np.argmax),
+    "beta": (_dominance, np.argmax),
+    "gamma": (_dominance, np.argmax),
+    "omega": (_dominance, np.argmax),
+    "detF": (_hormander, np.argmin),
+    "kappa1": (_logsob, np.argmin),
+    "kappa2": (_logsob, np.argmax),
+    "alpha": (_product, np.argmin),
+}
 
-    def add(self, pj):
-        self.error = self.error or pj.degenerate
-        if self.error is None:
-            blocks = _product_blocks(pj)
-            eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
-            eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
-            self.shift = max(self.shift, sh_p, sh_x)
-            self.lows.append(np.minimum(eig_p[:, 0], eig_x[:, 0]))
 
-    def result(self, P):
-        if self.error is not None:
-            raise self.error
-        alpha, wit = _extreme(P, self.lows, "alpha")
-        return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit,
-                             shift=self.shift)
+def _curvature_result(sp):
+    (sigma1, wmin), (sigma2, wmax) = map(sp.extreme, ("sigma1", "sigma2"))
+    return CurvatureBounds(sigma1, sigma2, {"min": wmin, "max": wmax},
+                           shift=sp.shifts[_curvature])
+
+
+def _dominance_result(sp):
+    best = {name: sp.extreme(name) for name in ("beta", "gamma", "omega")}
+    # The forms are Gram matrices, so the true constants are >= 0; tiny
+    # negative scan values are rounding noise.
+    beta, gamma, omega = (max(value, 0.0) for value, _ in best.values())
+    return DominanceConstants(
+        beta, gamma, omega,
+        witnesses={name: wit for name, (_, wit) in best.items()},
+        shift=sp.shifts[_dominance],
+    )
+
+
+def _hormander_result(sp):
+    best, wit = sp.extreme("detF")
+    return HormanderResult(min_absdetF=best, ok=best > 0.0, witness=wit)
+
+
+def _logsob_result(sp):
+    (kappa1, w1), (k2_raw, w2) = map(sp.extreme, ("kappa1", "kappa2"))
+    kappa2 = max(0.0, k2_raw)
+    ok = kappa1 > kappa2
+    return WarpedResult(kappa1, kappa2, (kappa1 - kappa2) if ok else None,
+                        bool(ok), {"kappa1": w1, "kappa2": w2})
+
+
+def _product_result(sp):
+    alpha, wit = sp.extreme("alpha")
+    return ProductResult(alpha=alpha, ok=alpha > 0.0, witness=wit,
+                         shift=sp.shifts[_product])
+
+
+def curvature_bounds(model, grid=None):
+    """Extremal generalized eigenvalues of (Ric - Hess log u, g).
+
+    Like every scan, raises at the first point where the metric or
+    weight degenerates, naming the point.
+    """
+    return _curvature_result(_ScanPass(model, grid, _curvature))
+
+
+def dominance_constants(model, grid=None):
+    """Smallest beta, gamma, omega with B <= beta A, C <= gamma A, R <= omega A.
+
+    Each is the grid maximum of the largest generalized eigenvalue of
+    the pencil (form, A).  A must be positive definite on the grid.
+    """
+    return _dominance_result(_ScanPass(model, grid, _dominance))
+
+
+def hormander_check(model, grid=None):
+    """min over the grid of det(g) * |det(d_a v^I)|; ok iff positive.
+
+    A vanishing or non-finite value is the witness, with value 0.
+    """
+    return _hormander_result(_ScanPass(model, grid, _hormander))
 
 
 def logsob_warped(model, grid=None):
@@ -777,7 +770,7 @@ def logsob_warped(model, grid=None):
     and the criterion holds with alpha = kappa1 - kappa2 iff
     kappa1 > kappa2.  Both are grid samples on |p| <= grid radius.
     """
-    return _scan_alone(model, grid, _LogSob())
+    return _logsob_result(_ScanPass(model, grid, _logsob))
 
 
 def logsob_product(model, grid=None):
@@ -789,7 +782,7 @@ def logsob_product(model, grid=None):
     so the eigenvalues are those of the two pencils (pp, g) and (xx, h).
     A standalone scan: check_model uses logsob_warped's criterion only.
     """
-    return _scan_alone(model, grid, _Product())
+    return _product_result(_ScanPass(model, grid, _product))
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +826,11 @@ class AssumptionReport:
         return self.sigma2 - self.sigma1
 
     @property
+    def witness_summary(self):
+        """Every witness, as one `; `-separated line."""
+        return "; ".join(str(w) for w in self.witnesses.values())
+
+    @property
     def required_ok(self):
         """Assumption gates that certificate generation depends on.
 
@@ -847,16 +845,14 @@ def check_model(model, grid=None):
 
     The scans share one pass over the grid.
     """
-    scans = (_Curvature(), _Dominance(), _Hormander(), _LogSob())
-    grid, P = _scan(model, grid, *scans)
-
-    cb = scans[0].result(P)
+    sp = _ScanPass(model, grid, _curvature, _dominance, _hormander, _logsob)
+    cb = _curvature_result(sp)
     passes = {"curvature": cb.sigma1 >= 0.0}
     witnesses = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"]}
     shift = cb.shift
 
     try:
-        dom = scans[1].result(P)
+        dom = _dominance_result(sp)
         beta, gamma, omega = dom.beta, dom.gamma, dom.omega
         passes["positivity"] = True
         passes["dominance"] = all(map(math.isfinite, (beta, gamma, omega)))
@@ -864,11 +860,10 @@ def check_model(model, grid=None):
         shift = max(shift, dom.shift)
     except DegenerateA as exc:
         beta = gamma = omega = math.nan
-        passes["positivity"] = False
-        passes["dominance"] = False
+        passes["positivity"] = passes["dominance"] = False
         witnesses["degenerate_A"] = Witness(np.array([]), math.nan, str(exc))
 
-    hor = scans[2].result(P)
+    hor = _hormander_result(sp)
     passes["hormander"] = hor.ok
     witnesses["hormander"] = hor.witness
 
@@ -876,7 +871,7 @@ def check_model(model, grid=None):
 
     alpha = None
     if passes["positivity"]:
-        lr = scans[3].result(P)
+        lr = _logsob_result(sp)
         if lr.ok:
             alpha = lr.alpha
             note = (f"warped criterion: kappa1 = {lr.kappa1:.6g}, "
@@ -900,10 +895,10 @@ def check_model(model, grid=None):
         alpha=alpha,
         alpha_note=note,
         hormander_min=hor.min_absdetF,
-        grid_radius=grid.radius,
-        grid_points=grid.count,
-        grid_seed=grid.seed,
-        grid_description=grid.description,
+        grid_radius=sp.grid.radius,
+        grid_points=sp.grid.count,
+        grid_seed=sp.grid.seed,
+        grid_description=sp.grid.description,
         passes=passes,
         witnesses=witnesses,
         shift=shift,
@@ -936,15 +931,13 @@ def report_text(report):
         lines.append(f"log-Sobolev        inconclusive; {report.alpha_note}")
     if report.shift:
         lines.append(f"note: eigenvalue shift {report.shift:g} applied")
-    wit = "; ".join(str(w) for w in report.witnesses.values() if w is not None)
-    if wit:
-        lines.append(f"witnesses: {wit}")
+    if report.witness_summary:
+        lines.append(f"witnesses: {report.witness_summary}")
     return "\n".join(lines) + "\n"
 
 
 def report_kv(report):
     """Machine-readable key-value rendering (one `key = value` per line)."""
-    wit = "; ".join(str(w) for w in report.witnesses.values() if w is not None)
     items = [
         ("model", report.model_name),
         ("theta", "" if report.theta is None else repr(float(report.theta))),
@@ -961,7 +954,7 @@ def report_kv(report):
         ("grid_seed", "" if report.grid_seed is None else str(report.grid_seed)),
         ("shift", repr(report.shift)),
         ("required_ok", str(report.required_ok).lower()),
-        ("witnesses", wit),
+        ("witnesses", report.witness_summary),
     ]
     for name, okflag in sorted(report.passes.items()):
         items.append((f"pass_{name}", str(bool(okflag)).lower()))

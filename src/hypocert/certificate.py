@@ -191,7 +191,8 @@ class Certificate:
     conditions maps each region/sign condition to a bool; valid is their
     conjunction as established by the independent validator.  lam is
     None when no log-Sobolev constant was available (the entropy
-    comparison still holds; only the final rate is missing).
+    comparison still holds; only the final rate is missing).  model
+    names the model the constants were scanned on ("" when unknown).
     """
 
     sigma1: float
@@ -218,6 +219,7 @@ class Certificate:
     eps: EpsilonChoice
     valid: bool = False
     conditions: dict = field(default_factory=dict)
+    model: str = ""
 
 
 # certificate.kv's numeric lines, one per float field in dataclass order:
@@ -327,6 +329,7 @@ def certificate_kv(cert):
         for key, name, _ in _KV_NUMBERS
     ]
     items += [
+        ("model", cert.model),
         ("valid", str(bool(cert.valid)).lower()),
         ("eps_dropped", ",".join(cert.eps.dropped)),
     ]
@@ -389,4 +392,5 @@ def read_certificate_kv(text):
     return Certificate(
         **{name: num(key, optional=opt) for key, name, opt in _KV_NUMBERS},
         eps=eps, valid=raw.get("valid") == "true", conditions=conditions,
+        model=raw.get("model", ""),
     )

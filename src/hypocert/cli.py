@@ -236,8 +236,7 @@ def certificate_from_report(report, margin):
     if failed:
         raise PipelineFailure(
             f"assumption gate failed: {', '.join(failed)}; "
-            f"witnesses: "
-            + "; ".join(str(w) for w in report.witnesses.values() if w is not None)
+            f"witnesses: {report.witness_summary}"
         )
     cert = build_certificate(
         report.sigma1, report.sigma2, report.beta, report.gamma, report.omega,
@@ -246,7 +245,7 @@ def certificate_from_report(report, margin):
     if not cert.valid:
         bad = [name for name, ok in sorted(cert.conditions.items()) if not ok]
         raise PipelineFailure(f"certificate conditions failed: {', '.join(bad)}")
-    return cert
+    return dataclasses.replace(cert, model=report.model_name)
 
 
 def load_certificate_file(path):
@@ -331,11 +330,11 @@ def _report_from_kv(path):
                 + ("missing" if val is None else f"{val!r}, not true or false")
             )
         passes[name] = val == "true"
-    witnesses = {"summary": raw.get("witnesses", "")} if raw.get("witnesses") else {}
     return _ReportValues(
+        model_name=raw.get("model", ""),
         sigma1=num("sigma1"), sigma2=num("sigma2"), beta=num("beta"),
         gamma=num("gamma"), omega=num("omega"), alpha=num("alpha", optional=True),
-        passes=passes, witnesses=witnesses,
+        passes=passes, witness_summary=raw.get("witnesses", ""),
     )
 
 
@@ -343,6 +342,7 @@ def _report_from_kv(path):
 class _ReportValues:
     """The slice of an assumption report that certification consumes."""
 
+    model_name: str
     sigma1: float
     sigma2: float
     beta: float
@@ -350,7 +350,7 @@ class _ReportValues:
     omega: float
     alpha: float | None
     passes: dict
-    witnesses: dict
+    witness_summary: str
 
 
 def cmd_simulate(cfg, args):
@@ -379,6 +379,9 @@ def cmd_simulate(cfg, args):
         cert = certificate_from_report(report, cfg.margin)
         (outdir / CERTIFICATE_KV).write_text(certificate_kv(cert))
         cert_source = f"fresh scan (seed {report.grid_seed})"
+    if cert.model and cert.model != model.name:
+        raise ConfigError(f"certificate {cert_source} is for model "
+                          f"{cert.model!r}, not {model.name!r}")
 
     series = solver.run(
         model, grid, state.h, cfg.tmax, cfg.sample_dt,

@@ -480,7 +480,8 @@ class TestTraceMinorant:
         # of phi = log(tr A / N).
         m = CONFORMAL_MODELS[name]()
         P = rel_points(60, radius=2.5, seed=11, dim=m.dim)
-        k1, k2 = asm._logsob_values(asm._PointJet(m, P))
+        vals, _ = asm._logsob(asm._PointJet(m, P))
+        k1, k2 = vals["kappa1"], vals["kappa2"]
         r1, r2 = conformal_logsob_reference(m, P)
         assert rel_err(k1, r1) < 1e-12
         assert rel_err(k2, r2) < 1e-12
@@ -509,7 +510,8 @@ class TestTraceMinorant:
         grad_phi = geom.gradient_p(m, phi, P).entries
         want2 = -0.5 * (geom.laplace_beltrami(m, phi, P)
                         + np.sum(dlogu * grad_phi, axis=1))
-        k1, k2 = asm._logsob_values(asm._PointJet(m, P))
+        vals, _ = asm._logsob(asm._PointJet(m, P))
+        k1, k2 = vals["kappa1"], vals["kappa2"]
         assert rel_err(k1, want1) < 1e-10
         assert rel_err(k2, want2) < 1e-10
 
@@ -517,8 +519,8 @@ class TestTraceMinorant:
     def test_relativistic_kappa2_at_origin(self, theta):
         # dphi vanishes at p = 0 and -Lap phi / 2 is 11/2 for every theta.
         m = builtin_relativistic(theta)
-        _, k2 = asm._logsob_values(asm._PointJet(m, np.zeros((1, 3))))
-        assert k2[0] == pytest.approx(5.5, abs=1e-12)
+        vals, _ = asm._logsob(asm._PointJet(m, np.zeros((1, 3))))
+        assert vals["kappa2"][0] == pytest.approx(5.5, abs=1e-12)
         wr = asm.logsob_warped(m, small_grid())
         assert wr.kappa2 == pytest.approx(5.5, abs=1e-12)
 
@@ -769,10 +771,22 @@ class TestSharedPointJets:
         monkeypatch.setattr(asm, "_PointJet", Counted)
         rep = asm.check_model(m, P)
         assert built == [8, 8, 8]
+        # every extremum and witness of the one pass is the one that its
+        # scan finds on its own
+        cb = asm.curvature_bounds(m, P)
+        dom = asm.dominance_constants(m, P)
+        hor = asm.hormander_check(m, P)
         wr = asm.logsob_warped(m, P)
+        assert (rep.sigma1, rep.sigma2) == (cb.sigma1, cb.sigma2)
+        assert (rep.beta, rep.gamma, rep.omega) == (dom.beta, dom.gamma, dom.omega)
+        assert rep.hormander_min == hor.min_absdetF
         assert rep.alpha == wr.alpha
-        for name in ("kappa1", "kappa2"):
-            got, want = rep.witnesses[name], wr.witnesses[name]
+        assert rep.shift == max(cb.shift, dom.shift)
+        wants = {"sigma1": cb.witnesses["min"], "sigma2": cb.witnesses["max"],
+                 **dom.witnesses, "hormander": hor.witness, **wr.witnesses}
+        assert list(rep.witnesses) == list(wants)
+        for name, want in wants.items():
+            got = rep.witnesses[name]
             assert (got.label, got.value) == (want.label, want.value)
             assert np.array_equal(got.point, want.point)
         assert f"kappa1 = {wr.kappa1:.6g}" in rep.alpha_note
@@ -858,6 +872,32 @@ class TestCheckModel:
         assert not rep.required_ok
         assert not rep.passes["curvature"]
         assert rep.sigma1 <= -3.0
+
+    def test_degenerate_gram_form(self, monkeypatch):
+        # v = p^3 gives A = 9 p^4, which vanishes at p = 0 in the second
+        # chunk: the scans that invert A stop there, and the curvature
+        # and hypoellipticity scans still cover the whole grid
+        monkeypatch.setattr(asm, "CHUNK", 8)
+        m = expr_model_1d("1", "p1^2/2", v1="p1^3")
+        P = np.concatenate([np.linspace(1.0, 2.0, 8),
+                            np.linspace(-1.0, 1.0, 9)])[:, None]
+        rep = asm.check_model(m, P)
+        assert not rep.passes["positivity"]
+        assert not rep.passes["dominance"]
+        assert all(math.isnan(x) for x in (rep.beta, rep.gamma, rep.omega))
+        assert rep.alpha is None
+        assert rep.alpha_note == "log-Sobolev criterion skipped: Gram form degenerate"
+        assert rep.witnesses["degenerate_A"].label.endswith("at p = [0.]")
+        cb = asm.curvature_bounds(m, P)
+        hor = asm.hormander_check(m, P)
+        assert (rep.sigma1, rep.sigma2) == (cb.sigma1, cb.sigma2)
+        assert rep.hormander_min == hor.min_absdetF
+        for name, want in (("sigma1", cb.witnesses["min"]),
+                           ("sigma2", cb.witnesses["max"]),
+                           ("hormander", hor.witness)):
+            got = rep.witnesses[name]
+            assert (got.label, got.value) == (want.label, want.value)
+            assert np.array_equal(got.point, want.point)
 
     def test_report_kv_keys_and_text(self):
         m = builtin_classical(3)

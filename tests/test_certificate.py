@@ -271,13 +271,20 @@ class TestBuildAndValidate:
 
 class TestKeyValueRoundTrip:
     def test_round_trip(self):
-        cert = build_certificate(**CLASSICAL, alpha=1.0)
-        text = certificate_kv(cert)
-        back = read_certificate_kv(text)
-        for fld in dataclasses.fields(cert):
-            got = getattr(back, fld.name)
-            want = getattr(cert, fld.name)
-            assert got == want, fld.name
+        for model in ("", "relativistic(theta=10), dim=1"):
+            cert = dataclasses.replace(
+                build_certificate(**CLASSICAL, alpha=1.0), model=model)
+            text = certificate_kv(cert)
+            assert f"\nmodel = {model}\n" in text
+            # a certificate written without a model line names no model
+            older = "".join(line for line in text.splitlines(True)
+                            if not line.startswith("model ="))
+            for back, name in ((read_certificate_kv(text), model),
+                               (read_certificate_kv(older), "")):
+                for fld in dataclasses.fields(cert):
+                    got = getattr(back, fld.name)
+                    want = name if fld.name == "model" else getattr(cert, fld.name)
+                    assert got == want, fld.name
 
     def test_rateless_round_trip(self):
         cert = build_certificate(0.0, 1.0, 0.5, 0.0, 0.2, alpha=None)

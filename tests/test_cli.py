@@ -385,6 +385,20 @@ class TestSimulate:
         # nothing new scanned: the certificate came from the file
         assert not (out / "assumptions.kv").exists()
 
+    def test_other_models_certificate_exit_2(self, tmp_path, capsys):
+        # the certificate.kv that a classical certify left in the output
+        # directory does not certify a relativistic run
+        out = tmp_path / "out"
+        assert run_cli(["certify", "--model", "classical",
+                        "--output-dir", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["simulate", "--model", "relativistic", "--dim", "1",
+                        "--theta", "10", "--tmax", "1",
+                        "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "model 'classical', not 'relativistic(theta=10), dim=1'" in err
+        assert not (out / "series.csv").exists()
+
     def test_tampered_certificate_rejected(self, tmp_path):
         cert = build_certificate(1.0, 1.0, 0.0, 0.0, 0.0, alpha=1.0)
         text = certificate_kv(cert).replace("b = 3.5", "b = 30.0")
