@@ -28,6 +28,18 @@ and whether it is the smallest or the largest sample, so a new
 constant is one entry there and one more value from its scan.  One
 `_ScanPass` runs any set of scans and `check_model` runs all of its
 scans in one pass, so no point jet outlives its chunk.
+
+Each contraction over a chunk is one matmul per point.  The index axes
+a product runs over (a derivative axis, a velocity component) fold into
+the rows of its left factor, so X_k B for every k is one (rows x M) @
+(M x M) product (`_right`); a product B X_k with the point's matrix on
+the left runs as (X_k^T B^T)^T (`_left`), and one with both factors
+varying takes the right ones side by side (`_cols`).  No product
+assumes that its inputs are symmetric.  Each scanned constant is an
+extreme eigenvalue of a symmetric-definite pencil (form, base), and
+each base is factored once per chunk: g for the curvature and kappa1
+pencils, A for the B, C and R pencils, whose forms share two stacked
+solves and one eigvalsh (`_pencil_eigs`).
 """
 
 from __future__ import annotations
@@ -292,8 +304,8 @@ class _PointJet:
     jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
     tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
-    `bakry` and `degenerate` are computed on first use, once for every
-    scan that reads them.
+    `bakry`, `g_factor` and `degenerate` are computed on first use, once
+    for every scan that reads them.
     """
 
     def __init__(self, model, P):
@@ -315,6 +327,16 @@ class _PointJet:
     def bakry(self):
         """The Bakry-Emery tensor Ric - Hess log u, (n, M, M)."""
         return _geom.bakry_emery_from_jet(self.jet, self.grad_E, self.hess_E)
+
+    @cached_property
+    def g_factor(self):
+        """The Cholesky factor of g that every pencil on base g shares.
+
+        g is the symmetrized metric that jet_from_arrays has factored
+        already, so this factorization succeeds too: a pencil on base g
+        never needs EIG_SHIFT.
+        """
+        return np.linalg.cholesky(self.jet.g)
 
     @cached_property
     def degenerate(self):
@@ -410,28 +432,57 @@ def _definite(pj):
         raise pj.degenerate
 
 
-def _gen_eigs(Mform, base):
-    """Eigenvalues of the pencil (Mform, base), base symmetric positive.
-
-    Returns (eigs (n, M), shift) where shift is the diagonal load that
-    was needed to factor base (0.0 when none).
-    """
-    base = 0.5 * (base + np.swapaxes(base, 1, 2))
-    shift = 0.0
+def _factor(base):
+    """Cholesky factor of a pencil base (n, S, S), symmetric positive,
+    and the diagonal load that factoring it needed (0.0 when none)."""
     try:
-        L = np.linalg.cholesky(base)
+        return np.linalg.cholesky(base), 0.0
     except np.linalg.LinAlgError:
-        shift = EIG_SHIFT
         eye = np.eye(base.shape[1])
-        L = np.linalg.cholesky(base + shift * eye)
-    X = np.linalg.solve(L, Mform)
-    Z = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, 1, 2)), 1, 2)
-    Z = 0.5 * (Z + np.swapaxes(Z, 1, 2))
-    return np.linalg.eigvalsh(Z), shift
+        return np.linalg.cholesky(base + EIG_SHIFT * eye), EIG_SHIFT
+
+
+def _pencil_eigs(L, *forms):
+    """The eigenvalues of each pencil (form, L L^T), an (n, S) array per
+    form in the order given: those of L^-1 form L^-T.  Every form goes
+    through the same two stacked solves and one eigvalsh.
+    """
+    n, S, _ = L.shape
+    k = len(forms)
+    # [L^-1 F_1 | ... | L^-1 F_k], then the transposes of its blocks
+    X = np.linalg.solve(L, np.concatenate(forms, axis=2))
+    X = X.reshape(n, S, k, S).transpose(0, 3, 2, 1).reshape(n, S, k * S)
+    Z = np.linalg.solve(L, X).reshape(n, S, k, S).transpose(0, 2, 3, 1)
+    return tuple(np.moveaxis(np.linalg.eigvalsh(_symmetrize(Z)), 1, 0))
 
 
 # ---------------------------------------------------------------------------
 # Velocity bilinear forms
+
+
+def _rows(X):
+    """The matrices on the trailing axes of X (n, ..., r, s) stacked as the
+    rows of one (n, rows, s) matrix per point (a copy unless X is C-ordered)."""
+    return X.reshape(X.shape[0], -1, X.shape[-1])
+
+
+def _cols(X):
+    """The matrices of X (n, ..., r, s) side by side: (n, r, columns)."""
+    return np.moveaxis(X, -2, 1).reshape(X.shape[0], X.shape[-2], -1)
+
+
+def _right(X, B):
+    """X_k B for every matrix X_k of X (n, ..., r, s) and B (n, s, t): one
+    matmul per point, with every X_k in its left factor's rows.  B is
+    copied to C order first, as matmul takes a transposed B several
+    times slower."""
+    return (_rows(X) @ np.ascontiguousarray(B)).reshape(
+        *X.shape[:-1], B.shape[-1])
+
+
+def _left(B, X):
+    """B X_k for every matrix X_k of X, as (X_k^T B^T)^T."""
+    return _t(_right(_t(X), _t(B)))
 
 
 def _covariant_hessians(jet, dv, hv):
@@ -442,17 +493,26 @@ def _covariant_hessians(jet, dv, hv):
 def _div_hessians(jet, dv, hv, tv):
     """div of the raised Hessian of each velocity component: (n, N, M)."""
     n, N, M = dv.shape
+    gi, dgi, G = jet.g_inv, jet.dg_inv, jet.christoffel
+    giT = np.ascontiguousarray(_t(gi))
     Hv = _covariant_hessians(jet, dv, hv)
-    # d_k (Hess v)_ab = third - dGamma.dv - Gamma.hess, over flattened (a, b)
-    dG_dv = dv[:, None] @ jet.dchristoffel.reshape(n, M, M, M * M)
-    G_hv = hv.reshape(n, N * M, M) @ jet.christoffel.reshape(n, M, M * M)
-    dHv = (tv - dG_dv.reshape(n, M, N, M, M).swapaxes(1, 2)
-           - G_hv.reshape(tv.shape))
-    # H^ij = g^ia Hv_ab g^jb, and its d_k by the product rule
-    gi, dgi, Hk = jet.g_inv[:, None, None], jet.dg_inv[:, None], Hv[:, :, None]
-    H_up = (gi @ Hk @ _t(gi))[:, :, 0]
-    dH_up = dgi @ Hk @ _t(gi) + gi @ Hk @ _t(dgi) + gi @ dHv @ _t(gi)
-    return _geom.divergence_tensor2_from_jet(jet, H_up, dH_up)
+    # H^ij = g^ia Hv_ab g^jb, and its d_k by the product rule, [I, k, i, j]
+    gHv = _rows(_left(gi, Hv))
+    H_up = (gHv @ giT).reshape(Hv.shape)
+    dH_up = (_right(dgi, _cols(Hv)).reshape(n, -1, M) @ giT).reshape(
+        n, M, M, N, M).transpose(0, 3, 1, 2, 4)             # from [k, i, I, j]
+    dH_up += (gHv @ _cols(_t(dgi))).reshape(n, N, M, M, M).swapaxes(2, 3)
+    # d_k (Hess v^I)_ab = third - dGamma.dv - Gamma.hess, [I, k, a, b]
+    dHv = tv - (dv @ _cols(jet.dchristoffel.reshape(n, M, M, M * M))
+                ).reshape(tv.shape)
+    dHv -= (_rows(hv) @ G.reshape(n, M, M * M)).reshape(tv.shape)
+    dH_up += _right(_left(gi, dHv), giT)
+    # div^i = d_k H^ik + Gamma^i_ka H^ak + Gamma^k_ka H^ia
+    div = np.trace(dH_up, axis1=2, axis2=4)
+    div += _right(_t(H_up).reshape(n, N, M * M), _t(G.reshape(n, M, M * M)))
+    div += (_rows(H_up) @ np.trace(G, axis1=1, axis2=2)[:, :, None]).reshape(
+        n, N, M)
+    return div
 
 
 def _symmetrize(F):
@@ -461,7 +521,7 @@ def _symmetrize(F):
 
 def _gram(F, X):
     """The Gram form F X F^T of the rows of F in X, symmetrized."""
-    return _symmetrize(F @ X @ _t(F))
+    return _symmetrize(_right(F @ X, _t(F)))
 
 
 def _forms(pj, kinds):
@@ -495,8 +555,8 @@ def _forms(pj, kinds):
 
 def _curvature(pj):
     """Per point: the extremal generalized eigenvalues of (Ric - Hess log u, g)."""
-    eigs, shift = _gen_eigs(pj.bakry, pj.jet.g)
-    return {"sigma1": eigs[:, 0], "sigma2": eigs[:, -1]}, shift
+    (eigs,) = _pencil_eigs(pj.g_factor, pj.bakry)
+    return {"sigma1": eigs[:, 0], "sigma2": eigs[:, -1]}, 0.0
 
 
 def _dominance(pj):
@@ -504,10 +564,10 @@ def _dominance(pj):
     of the forms B, C and R, which give beta, gamma and omega."""
     _definite(pj)
     F = _forms(pj, ("B", "C", "R"))
-    pencils = [_gen_eigs(F[kind], pj.A) for kind in ("B", "C", "R")]
+    L, shift = _factor(pj.A)
+    pencils = _pencil_eigs(L, F["B"], F["C"], F["R"])
     tops = zip(("beta", "gamma", "omega"), pencils)
-    return ({name: eigs[:, -1] for name, (eigs, _) in tops},
-            max(shift for _, shift in pencils))
+    return {name: eigs[:, -1] for name, eigs in tops}, shift
 
 
 def _hormander(pj):
@@ -526,12 +586,24 @@ def _sphere_directions(dim):
     return np.array(sorted(set(map(tuple, np.round(np.array(dirs), 12).tolist()))))
 
 
+def _growth_ratios(model, dirs, radii):
+    """max_ij |g^{ij}| / r^2 on the directions dirs scaled to each of the
+    radii: one jet request and one inv.  Raises where g cannot be
+    evaluated or inverted; a ratio that is not finite is returned."""
+    P = (radii[:, None, None] * dirs).reshape(-1, dirs.shape[1])
+    (g,) = model._jets(((0, 0),), P)
+    gi = np.abs(np.linalg.inv(g)).reshape(radii.size, -1)
+    return np.max(gi, axis=1) / radii**2
+
+
 def growth_check(model, radii=None):
     """Check that max_ij |g^{ij}(p)| / |p|^2 decays along growing radii.
 
     Passes iff the ratio is non-increasing radius to radius and the last
     value is below a tenth of the first.  radii must be increasing and
-    span at least one decade.
+    span at least one decade.  A radius where g cannot be evaluated or
+    inverted, or where the ratio is not finite, fails the check; the
+    result then holds the ratios of the radii below it.
     """
     if radii is None:
         radii = np.geomspace(1.0, 100.0, 9)
@@ -541,18 +613,29 @@ def growth_check(model, radii=None):
     if radii[-1] < 10.0 * radii[0]:
         raise ValueError("radii must span at least one decade")
     dirs = _sphere_directions(model.dim)
-    ratios = []
-    for r in radii:
+
+    def ratios_or_none(lo, hi):
         try:
-            (g,) = model._jets(((0, 0),), dirs * r)
-            gi = np.linalg.inv(g)
+            ratios = _growth_ratios(model, dirs, radii[lo:hi])
         except (ExprDomainError, FloatingPointError, np.linalg.LinAlgError):
-            return GrowthResult(ok=False, radii=tuple(radii), ratios=tuple(ratios))
-        val = float(np.max(np.abs(gi))) / r**2
-        if not math.isfinite(val):
-            return GrowthResult(ok=False, radii=tuple(radii), ratios=tuple(ratios))
-        ratios.append(val)
-    ratios = np.array(ratios)
+            return None
+        return ratios if np.all(np.isfinite(ratios)) else None
+
+    ratios = ratios_or_none(0, radii.size)
+    if ratios is None:
+        # bisect down to the first failing radius, keeping the ratios of
+        # the radii below it
+        kept, lo, hi = [], 0, radii.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            part = ratios_or_none(lo, mid)
+            if part is None:
+                hi = mid
+            else:
+                kept.append(part)
+                lo = mid
+        return GrowthResult(ok=False, radii=tuple(radii),
+                            ratios=tuple(x for part in kept for x in part))
     monotone = bool(np.all(np.diff(ratios) <= 1e-9 * ratios[:-1] + 1e-300))
     ok = monotone and ratios[-1] < ratios[0] / 10.0
     return GrowthResult(ok=bool(ok), radii=tuple(radii), ratios=tuple(ratios))
@@ -568,10 +651,15 @@ def _inverse_derivs(Xi, dX, d2X):
     dX[n, k] = d_k X and d2X[n, l, k] = d_l d_k X; the results share
     that layout.
     """
-    Y = Xi[:, None] @ dX
-    T = Y[:, :, None] @ Y[:, None] @ Xi[:, None, None]
-    d2Xi = T + T.swapaxes(1, 2) - Xi[:, None, None] @ d2X @ Xi[:, None, None]
-    return -(Y @ Xi[:, None]), d2Xi
+    n, K, S, _ = dX.shape
+    Y = _rows(_left(Xi, dX))                        # Xi dX_k, rows (k, i)
+    # (Y_l Y_k) Xi, from the products Y_l Y_k in rows (l, i), columns (k, j)
+    d2Xi = _right((Y @ _cols(Y.reshape(n, K, S, S))).reshape(n, K, S, K, S)
+                  .swapaxes(2, 3), Xi)
+    d2Xi = d2Xi + d2Xi.swapaxes(1, 2)
+    d2Xi -= _right(_left(Xi, d2X), Xi)
+    dXi = (Y @ Xi).reshape(dX.shape)
+    return np.negative(dXi, out=dXi), d2Xi
 
 
 def _gram_derivs(pj):
@@ -579,20 +667,31 @@ def _gram_derivs(pj):
 
     A = H F^T with F = dv and H = F g^-1, so both follow from the
     product rule; axis 1 (and 2) of a derivative indexes the
-    coordinate it is taken along, l (and k) in d2A[n, l, k].
+    coordinate it is taken along, l (and k) in d2A[n, l, k].  d_k F is
+    hv[:, :, k] and d_l d_k F is tv[:, :, l, k], so a product with
+    them on the left takes hv's and tv's rows as they lie.
     """
     gi = pj.jet.g_inv
     dgi, d2gi = _inverse_derivs(gi, pj.jet.dg, pj.jet.d2g)
-    F, dF, d2F = pj.dv, pj.hv.swapaxes(1, 2), np.moveaxis(pj.tv, 1, 3)
+    F, hv, tv = pj.dv, pj.hv, pj.tv
+    n, N, M = F.shape
     H = F @ gi
-    dH = dF @ gi[:, None] + F[:, None] @ dgi
-    dF_dG = dF[:, :, None] @ dgi[:, None]
-    d2H = (d2F @ gi[:, None, None] + dF_dG + dF_dG.swapaxes(1, 2)
-           + F[:, None, None] @ d2gi)
-    dH_dF = dH[:, None] @ _t(dF)[:, :, None]
-    dA = dH @ _t(F)[:, None] + H[:, None] @ _t(dF)
-    d2A = (d2H @ _t(F)[:, None, None] + dH_dF + dH_dF.swapaxes(1, 2)
-           + H[:, None, None] @ _t(d2F))
+    dH = _right(hv.swapaxes(1, 2), gi)                      # [k, I, b]
+    dH += _left(F, dgi)
+    d2H = _right(np.moveaxis(tv, 1, 3), gi)                 # [l, k, I, b]
+    # dF_l dg^-1_k, [I, l, k, b]
+    dF_dG = (_rows(hv) @ _cols(dgi)).reshape(n, N, M, M, M)
+    d2H += np.moveaxis(dF_dG, 1, 3)
+    d2H += np.moveaxis(dF_dG, 1, 3).swapaxes(1, 2)
+    d2H += _left(F, d2gi)
+    # dH_k dF_l^T, [k, I, l, J]
+    dH_dF = (_rows(dH) @ _cols(hv.transpose(0, 2, 3, 1))).reshape(n, M, N, M, N)
+    dA = _right(dH, _t(F))
+    dA += _right(hv, _t(H)).transpose(0, 2, 3, 1)
+    d2A = _right(d2H, _t(F))
+    d2A += dH_dF.transpose(0, 3, 1, 2, 4)
+    d2A += dH_dF.transpose(0, 1, 3, 2, 4)
+    d2A += _right(tv, _t(H)).transpose(0, 2, 3, 4, 1)
     return dA, d2A
 
 
@@ -612,11 +711,11 @@ def _logsob(pj):
     d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
              + dphi[:, :, None] * dphi[:, None, :])
     cond1 = pj.bakry - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-    eigs, shift = _gen_eigs(cond1, jet.g)
+    (eigs,) = _pencil_eigs(pj.g_factor, cond1)
     dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
     lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
     pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
-    return {"kappa1": eigs[:, 0], "kappa2": -0.5 * (lap_phi + pair)}, shift
+    return {"kappa1": eigs[:, 0], "kappa2": -0.5 * (lap_phi + pair)}, 0.0
 
 
 def _product_blocks(pj):
@@ -669,9 +768,10 @@ def _product(pj):
     """Per point: the smallest eigenvalue of the product criterion's form."""
     _definite(pj)
     blocks = _product_blocks(pj)
-    eig_p, sh_p = _gen_eigs(blocks["pp"], blocks["g"])
-    eig_x, sh_x = _gen_eigs(blocks["xx"], blocks["h"])
-    return {"alpha": np.minimum(eig_p[:, 0], eig_x[:, 0])}, max(sh_p, sh_x)
+    (eig_p,) = _pencil_eigs(pj.g_factor, blocks["pp"])
+    L, shift = _factor(blocks["h"])
+    (eig_x,) = _pencil_eigs(L, blocks["xx"])
+    return {"alpha": np.minimum(eig_p[:, 0], eig_x[:, 0])}, shift
 
 
 # ---------------------------------------------------------------------------

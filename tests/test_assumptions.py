@@ -304,7 +304,8 @@ class TestCurvatureBounds:
         m = builtin_relativistic(4.0)
         cb = asm.curvature_bounds(m, grid)
         orc = m.oracle
-        eigs, _ = asm._gen_eigs(orc.bakry(grid.points), orc.metric(grid.points))
+        L, _ = asm._factor(orc.metric(grid.points))
+        (eigs,) = asm._pencil_eigs(L, orc.bakry(grid.points))
         assert cb.sigma1 == pytest.approx(float(eigs[:, 0].min()), abs=1e-9)
         assert cb.sigma2 == pytest.approx(float(eigs[:, -1].max()), abs=1e-9)
 
@@ -413,6 +414,17 @@ class TestGrowth:
         m = expr_model_1d("p1^-4", "p1^2/2")
         res = asm.growth_check(m)
         assert not res.ok
+
+    def test_failure_keeps_the_ratios_below_the_failing_radius(self):
+        # g = 1 / sqrt(400 - p^2) leaves its domain past |p| = 20: the
+        # probe fails at r = 31.6 and keeps the six ratios for r = 1 ... 17.8
+        m = expr_model_1d("1/sqrt(400 - p1^2)", "p1^2/2")
+        res = asm.growth_check(m)
+        assert not res.ok
+        assert res.radii[5] < 20.0 < res.radii[6]
+        r = np.array(res.radii[:6])
+        np.testing.assert_allclose(res.ratios, np.sqrt(400.0 - r**2) / r**2,
+                                   rtol=1e-14)
 
     def test_radii_validation(self):
         m = builtin_classical(1)
@@ -631,8 +643,9 @@ class TestGenEigHelpers:
         Mf = rng.normal(size=(4, 3, 3))
         Mf = Mf + np.swapaxes(Mf, 1, 2)
         base = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-        eigs, shift = asm._gen_eigs(Mf, base)
+        L, shift = asm._factor(base)
         assert shift == 0.0
+        (eigs,) = asm._pencil_eigs(L, Mf)
         np.testing.assert_allclose(
             eigs, np.linalg.eigvalsh(Mf), atol=1e-12
         )
@@ -640,9 +653,24 @@ class TestGenEigHelpers:
     def test_shift_recorded_on_failure(self):
         Mf = np.eye(2)[None]
         base = np.diag([1.0, -1e-18])[None]
-        eigs, shift = asm._gen_eigs(Mf, base)
+        L, shift = asm._factor(base)
         assert shift == asm.EIG_SHIFT
-        assert np.all(np.isfinite(eigs))
+        assert np.all(np.isfinite(asm._pencil_eigs(L, Mf)))
+
+    @pytest.mark.parametrize("S", [1, 3])
+    def test_stacked_pencils_match_scipy(self, S):
+        # forms on one factored base: each gets its own pencil's
+        # eigenvalues, in the order given
+        rng = np.random.default_rng(S)
+        forms = [rng.normal(size=(5, S, S)) for _ in range(3)]
+        forms = [F + np.swapaxes(F, 1, 2) for F in forms]
+        B = rng.normal(size=(5, S, S))
+        base = B @ np.swapaxes(B, 1, 2) + S * np.eye(S)
+        L, _ = asm._factor(base)
+        for F, eigs in zip(forms, asm._pencil_eigs(L, *forms)):
+            want = [scipy.linalg.eigh(F[i], base[i], eigvals_only=True)
+                    for i in range(5)]
+            np.testing.assert_allclose(eigs, want, rtol=1e-12, atol=1e-12)
 
     def test_scan_eval_bisection(self, monkeypatch):
         # _point_jets yields the chunk [0, 4), then bisects the chunk
@@ -721,6 +749,59 @@ class TestSharedPointJets:
         assert chunks >= 2
         asm.check_model(builtin_relativistic(4.0), grid)
         assert calls == ["bakry", "A"] * chunks
+
+    def test_scan_values_do_not_depend_on_the_chunk(self):
+        # A point's scan values are the same bits whether it is scanned
+        # alone, in a 50-point chunk or in the whole 133-point chunk of
+        # the check-rel3d grid.
+        m = builtin_relativistic(4.0)
+        P = asm.default_grid(3, axis_points=5, quasi_points=100).points
+        scans = (asm._curvature, asm._dominance, asm._hormander, asm._logsob)
+
+        def values(Q):
+            pj = asm._PointJet(m, Q)
+            return {name: [float(x).hex() for x in vals]
+                    for scan in scans for name, vals in scan(pj)[0].items()}
+
+        chunks = [(0, values(P)), (40, values(P[40:90]))]
+        for i in (0, 7, 50, 132):
+            alone = values(P[i:i + 1])
+            for start, vals in chunks:
+                if start <= i < start + len(vals["sigma1"]):
+                    for name, want in vals.items():
+                        assert alone[name] == [want[i - start]], (i, name)
+
+    def test_check_model_factors_each_pencil_base_once(self, monkeypatch):
+        # Per chunk: g is factored by jet_from_arrays and once more for
+        # every pencil on base g, A once for the three dominance
+        # pencils; each scan that solves pencils makes two stacked
+        # solves and one eigvalsh, and the Gram test one more eigvalsh.
+        # The growth probe inverts g once over all its radii.
+        calls, built = [], []
+        for name in ("cholesky", "solve", "eigvalsh", "inv", "det"):
+            def counted(a, *args, _fn=getattr(np.linalg, name), _name=name):
+                calls.append((_name, a))
+                return _fn(a, *args)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        class Counted(asm._PointJet):
+            def __init__(self, model, P):
+                built.append(self)
+                super().__init__(model, P)
+
+        monkeypatch.setattr(asm, "_PointJet", Counted)
+        monkeypatch.setattr(asm, "CHUNK", 80)
+        asm.check_model(builtin_relativistic(4.0),
+                        asm.default_grid(3, axis_points=5, quasi_points=100))
+        assert len(built) == 2
+        kinds = [kind for kind, _ in calls]
+        per_chunk = {"cholesky": 3, "solve": 6, "eigvalsh": 4, "inv": 2, "det": 2}
+        assert {k: kinds.count(k) for k in per_chunk} == {
+            k: 2 * c + (k == "inv") for k, c in per_chunk.items()}
+        factored = [a for kind, a in calls if kind == "cholesky"]
+        for pj in built:
+            assert sum(a is pj.A for a in factored) == 1
+            assert sum(a is pj.jet.g for a in factored) == 2
 
     def test_check_model_holds_two_point_jets_at_most(self, monkeypatch):
         # Each scan keeps per-point values only, so a point jet is freed

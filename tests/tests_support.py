@@ -144,7 +144,7 @@ def conformal_logsob_reference(model, P):
              - dphi[:, :, None] * dphi[:, None, :])
     ric = geom.bakry_emery_from_jet(jet, pj.grad_E, pj.hess_E)
     cond1 = ric - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-    eigs, _ = asm._gen_eigs(cond1, jet.g)
+    (eigs,) = asm._pencil_eigs(asm._factor(jet.g)[0], cond1)
     dlogu = geom.drift_oneform_from_jet(jet, pj.grad_E)
     lap_phi = geom.laplace_from_jet(jet, dphi, d2phi)
     pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
