@@ -27,19 +27,15 @@ by name.  `_EXTREMA` names each scanned constant once, with its scan
 and whether it is the smallest or the largest sample, so a new
 constant is one entry there and one more value from its scan.  One
 `_ScanPass` runs any set of scans and `check_model` runs all of its
-scans in one pass, so no point jet outlives its chunk.
-
-Each contraction over a chunk is one matmul per point.  The index axes
-a product runs over (a derivative axis, a velocity component) fold into
-the rows of its left factor, so X_k B for every k is one (rows x M) @
-(M x M) product (`_right`); a product B X_k with the point's matrix on
-the left runs as (X_k^T B^T)^T (`_left`), and one with both factors
-varying takes the right ones side by side (`_cols`).  No product
-assumes that its inputs are symmetric.  Each scanned constant is an
-extreme eigenvalue of a symmetric-definite pencil (form, base), and
-each base is factored once per chunk: g for the curvature and kappa1
-pencils, A for the B, C and R pencils, whose forms share two stacked
-solves and one eigvalsh (`_pencil_eigs`).
+scans in one pass, so no point jet outlives its chunk.  Each field
+derived from a point jet has one builder, and the point jet keeps
+those that two readers take from it.  The tensor kernels are
+`geometry`'s, one matmul per point, so a point's scan values are the
+same bits in any chunk.  Each scanned constant is an extreme
+eigenvalue of a symmetric-definite pencil (form, base), and each base
+is factored once per chunk: g when its jet is assembled, for the
+curvature and kappa1 pencils, and A for the B, C and R pencils, whose
+forms share two stacked solves and one eigvalsh (`_pencil_eigs`).
 """
 
 from __future__ import annotations
@@ -51,9 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as _geom
-from .geometry import _t
-from .errors import DegenerateA, MetricError
-from .errors import ExprDomainError
+from .geometry import _cols, _inverse_derivs, _inverse_second, _left, _right
+from .geometry import _rows, _symmetrize, _t
+from .errors import DegenerateA, ExprDomainError, MetricError
 
 __all__ = [
     "ScanGrid",
@@ -304,8 +300,9 @@ class _PointJet:
     jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
     tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
-    `bakry`, `g_factor` and `degenerate` are computed on first use, once
-    for every scan that reads them.
+    The fields that two or more readers take from one point jet,
+    `bakry`, `Hv`, `dlogu` and `degenerate`, are computed on first use,
+    once for all of them.
     """
 
     def __init__(self, model, P):
@@ -329,14 +326,16 @@ class _PointJet:
         return _geom.bakry_emery_from_jet(self.jet, self.grad_E, self.hess_E)
 
     @cached_property
-    def g_factor(self):
-        """The Cholesky factor of g that every pencil on base g shares.
+    def Hv(self):
+        """Covariant Hessians of the velocity components, (n, N, M, M):
+        read by the C and R forms, B's divergence and the solver."""
+        return _geom.covariant_hessian_from_jet(self.jet, self.dv, self.hv)
 
-        g is the symmetrized metric that jet_from_arrays has factored
-        already, so this factorization succeeds too: a pencil on base g
-        never needs EIG_SHIFT.
-        """
-        return np.linalg.cholesky(self.jet.g)
+    @cached_property
+    def dlogu(self):
+        """The drift one-form d log u, (n, M): read by the R form,
+        kappa2, the product blocks and the solver."""
+        return _geom.drift_oneform_from_jet(self.jet, self.grad_E)
 
     @cached_property
     def degenerate(self):
@@ -360,12 +359,12 @@ def _point_jets(model, P):
     The hypotheses must hold at every point, so a point whose point jet
     cannot be built ends the scan: a failing chunk is bisected down to
     its first failing point, whose error is raised with the point named.
-    Point jets are built one at a time, as they are asked for.
+    Point jets are built as they are asked for and not kept once yielded.
     """
     for start in range(0, P.shape[0], CHUNK):
         chunk = P[start:start + CHUNK]
         try:
-            pj = _PointJet(model, chunk)
+            yield _PointJet(model, chunk)
         except _JET_ERRORS:
             lo, hi = 0, chunk.shape[0]
             while hi - lo > 1:
@@ -380,7 +379,6 @@ def _point_jets(model, P):
             except _JET_ERRORS as exc:
                 raise type(exc)(f"{exc} at p = {chunk[lo]}") from exc
             raise
-        yield pj
 
 
 class _ScanPass:
@@ -413,6 +411,7 @@ class _ScanPass:
                 self.shifts[scan] = max(self.shifts[scan], shift)
                 for name, vals in values.items():
                     self.chunks[name].append(vals)
+            del pj  # freed before the next point jet is built
 
     def extreme(self, name):
         """(value, Witness) of a scanned constant; a tie goes to the
@@ -460,42 +459,12 @@ def _pencil_eigs(L, *forms):
 # Velocity bilinear forms
 
 
-def _rows(X):
-    """The matrices on the trailing axes of X (n, ..., r, s) stacked as the
-    rows of one (n, rows, s) matrix per point (a copy unless X is C-ordered)."""
-    return X.reshape(X.shape[0], -1, X.shape[-1])
-
-
-def _cols(X):
-    """The matrices of X (n, ..., r, s) side by side: (n, r, columns)."""
-    return np.moveaxis(X, -2, 1).reshape(X.shape[0], X.shape[-2], -1)
-
-
-def _right(X, B):
-    """X_k B for every matrix X_k of X (n, ..., r, s) and B (n, s, t): one
-    matmul per point, with every X_k in its left factor's rows.  B is
-    copied to C order first, as matmul takes a transposed B several
-    times slower."""
-    return (_rows(X) @ np.ascontiguousarray(B)).reshape(
-        *X.shape[:-1], B.shape[-1])
-
-
-def _left(B, X):
-    """B X_k for every matrix X_k of X, as (X_k^T B^T)^T."""
-    return _t(_right(_t(X), _t(B)))
-
-
-def _covariant_hessians(jet, dv, hv):
-    """Covariant Hessians of every velocity component: (n, N, M, M)."""
-    return hv - np.einsum("ncab,nIc->nIab", jet.christoffel, dv)
-
-
-def _div_hessians(jet, dv, hv, tv):
+def _div_hessians(pj):
     """div of the raised Hessian of each velocity component: (n, N, M)."""
+    jet, dv, hv, tv, Hv = pj.jet, pj.dv, pj.hv, pj.tv, pj.Hv
     n, N, M = dv.shape
     gi, dgi, G = jet.g_inv, jet.dg_inv, jet.christoffel
     giT = np.ascontiguousarray(_t(gi))
-    Hv = _covariant_hessians(jet, dv, hv)
     # H^ij = g^ia Hv_ab g^jb, and its d_k by the product rule, [I, k, i, j]
     gHv = _rows(_left(gi, Hv))
     H_up = (gHv @ giT).reshape(Hv.shape)
@@ -507,16 +476,7 @@ def _div_hessians(jet, dv, hv, tv):
                 ).reshape(tv.shape)
     dHv -= (_rows(hv) @ G.reshape(n, M, M * M)).reshape(tv.shape)
     dH_up += _right(_left(gi, dHv), giT)
-    # div^i = d_k H^ik + Gamma^i_ka H^ak + Gamma^k_ka H^ia
-    div = np.trace(dH_up, axis1=2, axis2=4)
-    div += _right(_t(H_up).reshape(n, N, M * M), _t(G.reshape(n, M, M * M)))
-    div += (_rows(H_up) @ np.trace(G, axis1=1, axis2=2)[:, :, None]).reshape(
-        n, N, M)
-    return div
-
-
-def _symmetrize(F):
-    return 0.5 * (F + _t(F))
+    return _geom.divergence_tensor2_from_jet(jet, H_up, dH_up)
 
 
 def _gram(F, X):
@@ -526,26 +486,22 @@ def _gram(F, X):
 
 def _forms(pj, kinds):
     """The requested velocity forms from a point jet: kind -> (n, N, N)."""
-    jet, dv, hv = pj.jet, pj.dv, pj.hv
+    jet = pj.jet
     gi = jet.g_inv
     out = {}
     if "A" in kinds:
         out["A"] = pj.A
-    if {"C", "R"} & set(kinds):
-        Hv = _covariant_hessians(jet, dv, hv)
     if "C" in kinds:
         # Gram form of Hv^I flattened over (a, b), in g^ac g^bd
-        n, N, M = dv.shape
+        n, N, M = pj.dv.shape
         gg = gi[:, :, None, :, None] * gi[:, None, :, None, :]
-        out["C"] = _gram(Hv.reshape(n, N, M * M), gg.reshape(n, M * M, M * M))
+        out["C"] = _gram(pj.Hv.reshape(n, N, M * M), gg.reshape(n, M * M, M * M))
     if "R" in kinds:
-        w_low = _geom.drift_oneform_from_jet(jet, pj.grad_E)
-        w_up = np.einsum("nij,nj->ni", gi, w_low)
-        K = np.einsum("nIab,nb->nIa", Hv, w_up)
+        w_up = _geom.gradient_from_jet(jet, pj.dlogu)
+        K = np.einsum("nIab,nb->nIa", pj.Hv, w_up)
         out["R"] = _gram(K, gi)
     if "B" in kinds:
-        divH = _div_hessians(jet, dv, hv, pj.tv)
-        out["B"] = _gram(divH, jet.g)
+        out["B"] = _gram(_div_hessians(pj), jet.g)
     return out
 
 
@@ -554,8 +510,10 @@ def _forms(pj, kinds):
 
 
 def _curvature(pj):
-    """Per point: the extremal generalized eigenvalues of (Ric - Hess log u, g)."""
-    (eigs,) = _pencil_eigs(pj.g_factor, pj.bakry)
+    """Per point: the extremal generalized eigenvalues of (Ric - Hess log u,
+    g).  A pencil on base g takes the factor that jet_from_arrays made,
+    so it never needs EIG_SHIFT."""
+    (eigs,) = _pencil_eigs(pj.jet.g_factor, pj.bakry)
     return {"sigma1": eigs[:, 0], "sigma2": eigs[:, -1]}, 0.0
 
 
@@ -645,23 +603,6 @@ def growth_check(model, radii=None):
 # Log-Sobolev criteria
 
 
-def _inverse_derivs(Xi, dX, d2X):
-    """First and second derivatives of X^{-1}, from X^{-1}, dX and d2X.
-
-    dX[n, k] = d_k X and d2X[n, l, k] = d_l d_k X; the results share
-    that layout.
-    """
-    n, K, S, _ = dX.shape
-    Y = _rows(_left(Xi, dX))                        # Xi dX_k, rows (k, i)
-    # (Y_l Y_k) Xi, from the products Y_l Y_k in rows (l, i), columns (k, j)
-    d2Xi = _right((Y @ _cols(Y.reshape(n, K, S, S))).reshape(n, K, S, K, S)
-                  .swapaxes(2, 3), Xi)
-    d2Xi = d2Xi + d2Xi.swapaxes(1, 2)
-    d2Xi -= _right(_left(Xi, d2X), Xi)
-    dXi = (Y @ Xi).reshape(dX.shape)
-    return np.negative(dXi, out=dXi), d2Xi
-
-
 def _gram_derivs(pj):
     """First and second p-derivatives of A^{IJ} = g^{ab} d_a v^I d_b v^J.
 
@@ -671,9 +612,9 @@ def _gram_derivs(pj):
     hv[:, :, k] and d_l d_k F is tv[:, :, l, k], so a product with
     them on the left takes hv's and tv's rows as they lie.
     """
-    gi = pj.jet.g_inv
-    dgi, d2gi = _inverse_derivs(gi, pj.jet.dg, pj.jet.d2g)
-    F, hv, tv = pj.dv, pj.hv, pj.tv
+    jet, F, hv, tv = pj.jet, pj.dv, pj.hv, pj.tv
+    gi, dgi = jet.g_inv, jet.dg_inv
+    d2gi = _inverse_second(gi, _rows(_left(gi, jet.dg)), jet.d2g)
     n, N, M = F.shape
     H = F @ gi
     dH = _right(hv.swapaxes(1, 2), gi)                      # [k, I, b]
@@ -695,6 +636,13 @@ def _gram_derivs(pj):
     return dA, d2A
 
 
+def _inverse_gram(pj):
+    """h = A^-1 and its first and second p-derivatives, from the Gram
+    form's (see _gram_derivs)."""
+    h = _symmetrize(np.linalg.inv(pj.A))
+    return (h, *_inverse_derivs(h, *_gram_derivs(pj)))
+
+
 def _logsob(pj):
     """Per point: kappa1's and kappa2's integrands, on the minorant t I of A.
 
@@ -704,17 +652,15 @@ def _logsob(pj):
     """
     _definite(pj)
     jet, N = pj.jet, pj.A.shape[1]
-    h = _symmetrize(np.linalg.inv(pj.A))
-    dh, d2h = _inverse_derivs(h, *_gram_derivs(pj))
+    h, dh, d2h = _inverse_gram(pj)
     tr = np.einsum("nII->n", h)
     dphi = -np.einsum("nkII->nk", dh) / tr[:, None]
     d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
              + dphi[:, :, None] * dphi[:, None, :])
     cond1 = pj.bakry - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-    (eigs,) = _pencil_eigs(pj.g_factor, cond1)
-    dlogu = _geom.drift_oneform_from_jet(jet, pj.grad_E)
+    (eigs,) = _pencil_eigs(jet.g_factor, cond1)
     lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
-    pair = np.einsum("nij,ni,nj->n", jet.g_inv, dlogu, dphi)
+    pair = np.einsum("nij,ni,nj->n", jet.g_inv, pj.dlogu, dphi)
     return {"kappa1": eigs[:, 0], "kappa2": -0.5 * (lap_phi + pair)}, 0.0
 
 
@@ -744,9 +690,7 @@ def _product_blocks(pj):
     """
     jet = pj.jet
     n, M = pj.P.shape
-    dA, d2A = _gram_derivs(pj)
-    h = _symmetrize(np.linalg.inv(pj.A))
-    dh, d2h = _inverse_derivs(h, dA, d2A)
+    h, dh, d2h = _inverse_gram(pj)
     N = h.shape[1]
     # X[n, a] = d_a h A; A d_a h is its transpose, as both are symmetric
     X = dh @ pj.A[:, None]
@@ -754,8 +698,7 @@ def _product_blocks(pj):
     # tr(A d_a h A d_b h) = sum over (I, J) of (X_a^T)_IJ (X_b)_IJ
     pp = pj.bakry - 0.25 * (XTf @ _t(Xf))
 
-    grad_logu = _geom.gradient_from_jet(
-        jet, _geom.drift_oneform_from_jet(jet, pj.grad_E))
+    grad_logu = _geom.gradient_from_jet(jet, pj.dlogu)
     pair = np.einsum("na,naIJ->nIJ", grad_logu, dh)
     # g^ab d_a h A d_b h, summed over b and the inner index in one product
     Y = (jet.g_inv @ Xf).reshape(n, M, N, N)
@@ -768,7 +711,7 @@ def _product(pj):
     """Per point: the smallest eigenvalue of the product criterion's form."""
     _definite(pj)
     blocks = _product_blocks(pj)
-    (eig_p,) = _pencil_eigs(pj.g_factor, blocks["pp"])
+    (eig_p,) = _pencil_eigs(pj.jet.g_factor, blocks["pp"])
     L, shift = _factor(blocks["h"])
     (eig_x,) = _pencil_eigs(L, blocks["xx"])
     return {"alpha": np.minimum(eig_p[:, 0], eig_x[:, 0])}, shift

@@ -8,16 +8,25 @@ the Laplace-Beltrami operator, and the Bakry-Emery-Ricci tensor
 Ric - Hess_p(log u) for the equilibrium weight u = e^-E / sqrt(det g).
 
 Internals are batched: arrays carry a leading axis over n points.
-Chains of matrix products (the inverse-metric derivative, the
-Christoffel symbols and their derivatives) are batched `@` calls,
-because einsum runs a contraction of three or more operands as one
-loop over every index; traces and two-operand sums are einsum calls.
+The kernels on jets (`*_from_jet`, `_inverse_derivs`) serve the public
+operations, the assumption scans and the solver alike.  Traces and
+two-operand sums are einsum calls; a chain of matrix products is one
+matmul per point, as einsum runs a contraction of three or more
+operands as one loop over every index.  The index axes a product runs
+over (a derivative axis, a velocity component) fold into the rows of
+its left factor, so X_k B for every k is one (rows x M) @ (M x M)
+product (`_right`); B X_k runs as (X_k^T B^T)^T (`_left`), and a
+product with both factors varying takes the right ones side by side
+(`_cols`).  No product assumes that its inputs are symmetric, and
+matmul gives a point the same bits alone as in any batch.
+
 The public operations accept a single point (PointP or shape (M,))
 and return single-point tensors, or a batch (n, M) and return batched
-tensors.  Each reads each field it needs in one request of all the
-orders it needs: a field of the model's jet builder (g, v, E, and log u
-once `models.log_weight_field` has made it) in the same request as g,
-any other field in one request to a builder of its own.
+tensors.  Each takes its field through one rule (`_field_jets`), which
+checks the field's rank, and reads it in one request of all the orders
+it needs: a field of the model's jet builder (g, v, E, and log u once
+`models.log_weight_field` has made it) in the same request as g, any
+other field in one request to a builder of its own.
 
 Index conventions, fixed once:
     dg[n, k, i, j]            = d_k g_ij
@@ -86,6 +95,8 @@ class MetricJet:
     For a single point the arrays have the plain tensor shapes
     (M, M), (M, M, M), ...; for a batch they carry a leading axis n.
     d2g and dchristoffel are None when built without second derivatives.
+    g_factor is the lower Cholesky factor of g, the one factorization of
+    g that every pencil on base g shares.
     """
 
     g: np.ndarray
@@ -97,6 +108,7 @@ class MetricJet:
     dg_inv: np.ndarray = None
     dlog_sqrt: np.ndarray = None
     d2g: np.ndarray | None = None
+    g_factor: np.ndarray | None = None
 
 
 @dataclass
@@ -149,6 +161,35 @@ def _t(X):
     return np.swapaxes(X, -1, -2)
 
 
+def _symmetrize(F):
+    return 0.5 * (F + _t(F))
+
+
+def _rows(X):
+    """The matrices on the trailing axes of X (n, ..., r, s) stacked as the
+    rows of one (n, rows, s) matrix per point (a copy unless X is C-ordered)."""
+    return X.reshape(X.shape[0], -1, X.shape[-1])
+
+
+def _cols(X):
+    """The matrices of X (n, ..., r, s) side by side: (n, r, columns)."""
+    return np.moveaxis(X, -2, 1).reshape(X.shape[0], X.shape[-2], -1)
+
+
+def _right(X, B):
+    """X_k B for every matrix X_k of X (n, ..., r, s) and B (n, s, t): one
+    matmul per point, with every X_k in its left factor's rows.  B is
+    copied to C order first, as matmul takes a transposed B several
+    times slower."""
+    return (_rows(X) @ np.ascontiguousarray(B)).reshape(
+        *X.shape[:-1], B.shape[-1])
+
+
+def _left(B, X):
+    """B X_k for every matrix X_k of X, as (X_k^T B^T)^T."""
+    return _t(_right(_t(X), _t(B)))
+
+
 def jet_from_arrays(g, dg, d2g=None):
     """Build a batched MetricJet from raw derivative arrays.
 
@@ -163,14 +204,13 @@ def jet_from_arrays(g, dg, d2g=None):
     if not (np.array_equal(g, gt)
             or np.allclose(g, gt, rtol=1e-8, atol=1e-10)):
         raise MetricError("metric is not symmetric")
-    gs = 0.5 * (g + gt)
+    gs = _symmetrize(g)
     try:
         chol = np.linalg.cholesky(gs)
     except np.linalg.LinAlgError as exc:
         raise MetricError(f"metric not positive definite: {exc}") from exc
     sqrt_det = np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)
-    g_inv = np.linalg.inv(gs)
-    g_inv = 0.5 * (g_inv + np.swapaxes(g_inv, 1, 2))
+    g_inv = _symmetrize(np.linalg.inv(gs))
 
     # T[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, and Tt[n, l, ij]
     T = dg + dg.swapaxes(1, 2) - dg.transpose(0, 2, 3, 1)
@@ -196,6 +236,7 @@ def jet_from_arrays(g, dg, d2g=None):
         dg_inv=dg_inv,
         dlog_sqrt=dlog_sqrt,
         d2g=d2g,
+        g_factor=chol,
     )
 
 
@@ -238,12 +279,34 @@ def ricci_from_jet(jet):
         + np.einsum("nkkl,nlij->nij", G, G)
         - np.einsum("nkil,nlkj->nij", G, G)
     )
-    return 0.5 * (ric + np.swapaxes(ric, 1, 2))
+    return _symmetrize(ric)
 
 
 def covariant_hessian_from_jet(jet, grad_f, hess_f):
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    return hess_f - np.einsum("nkij,nk->nij", jet.christoffel, grad_f)
+    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, also for a family of
+    functions: grad_f[n, ..., k] and hess_f[n, ..., i, j]."""
+    return hess_f - np.einsum("nkij,n...k->n...ij", jet.christoffel, grad_f)
+
+
+def _inverse_second(Xi, Y, d2X):
+    """d_l d_k X^{-1} = (Y_l Y_k + Y_k Y_l) X^{-1} - X^{-1} d_l d_k X X^{-1},
+    from X^{-1}, the products Y_k = X^{-1} d_k X in rows (k, i) and
+    d2X[n, l, k] = d_l d_k X; the result has d2X's layout."""
+    n, K, S = d2X.shape[:3]
+    # (Y_l Y_k) Xi, from the products Y_l Y_k in rows (l, i), columns (k, j)
+    d2Xi = _right((Y @ _cols(Y.reshape(n, K, S, S))).reshape(n, K, S, K, S)
+                  .swapaxes(2, 3), Xi)
+    d2Xi = d2Xi + d2Xi.swapaxes(1, 2)
+    d2Xi -= _right(_left(Xi, d2X), Xi)
+    return d2Xi
+
+
+def _inverse_derivs(Xi, dX, d2X):
+    """First and second derivatives of X^{-1}, from X^{-1}, dX[n, k] =
+    d_k X and d2X[n, l, k] = d_l d_k X; the results share that layout."""
+    Y = _rows(_left(Xi, dX))                        # Xi dX_k, rows (k, i)
+    dXi = (Y @ Xi).reshape(dX.shape)
+    return np.negative(dXi, out=dXi), _inverse_second(Xi, Y, d2X)
 
 
 def gradient_from_jet(jet, grad_f):
@@ -273,14 +336,16 @@ def divergence_tensor2_from_jet(jet, A, dA):
 
     (div A)^i = d_k A^{ik} + Gamma^i_{ka} A^{ak} + Gamma^k_{ka} A^{ia},
     with dA[n, k, i, j] = d_k A^{ij}.  A family of tensors may carry
-    extra axes after n: A[n, ..., i, j] and dA[n, ..., k, i, j].
+    extra axes after n: A[n, ..., i, j] and dA[n, ..., k, i, j].  Each
+    sum over (k, a) is one matmul per point.
     """
+    n, M = A.shape[0], A.shape[-1]
     G = jet.christoffel
-    return (
-        np.einsum("n...kik->n...i", dA)
-        + np.einsum("nika,n...ak->n...i", G, A)
-        + np.einsum("nkka,n...ia->n...i", G, A)
-    )
+    div = np.trace(dA, axis1=-3, axis2=-1)
+    div += _right(_t(A).reshape(*A.shape[:-2], M * M), _t(G.reshape(n, M, M * M)))
+    div += (_rows(A) @ np.trace(G, axis1=1, axis2=2)[:, :, None]).reshape(
+        A.shape[:-1])
+    return div
 
 
 def hessian_log_sqrt_from_jet(jet):
@@ -292,8 +357,7 @@ def hessian_log_sqrt_from_jet(jet):
     if jet.dchristoffel is None:
         raise MetricError("needs a jet with second derivatives")
     H = np.einsum("nikkj->nij", jet.dchristoffel)
-    H = 0.5 * (H + np.swapaxes(H, 1, 2))
-    return H - np.einsum("nkij,nk->nij", jet.christoffel, jet.dlog_sqrt)
+    return covariant_hessian_from_jet(jet, jet.dlog_sqrt, _symmetrize(H))
 
 
 def bakry_emery_from_jet(jet, grad_E, hess_E):
@@ -321,47 +385,56 @@ def ricci(model, p):
     return SymTensor2(out[0] if single else out, "covariant")
 
 
-def covariant_hessian(model, f, p):
-    """Covariant Hessian of the scalar field f at p."""
+def _field_jets(op, model, p, f, rank, orders):
+    """For the public operation op: (was p one point, the metric 1-jet,
+    the jets of f at each of orders), f coerced by `fields.as_field` at
+    the model's theta.  A ValueError names op unless f has the given rank."""
     P, single = as_batch(p, model.dim)
     field = _fields.as_field(f, model.dim, model.theta)
-    jet, (grad_f, hess_f) = _jet_with(model, P, False, field, (1, 2))
+    jet, jets = _jet_with(model, P, False, field, orders)
+    shape, want = jets[0].shape[1 + orders[0]:], (model.dim,) * rank
+    if shape != want:
+        need = ("a scalar", "a vector", "a 2-tensor")[rank]
+        raise ValueError(f"{op} needs {need} field, with values of "
+                         f"shape {want}; got values of shape {shape}")
+    return single, jet, jets
+
+
+def covariant_hessian(model, f, p):
+    """Covariant Hessian of the scalar field f at p."""
+    single, jet, (grad_f, hess_f) = _field_jets(
+        "covariant_hessian", model, p, f, 0, (1, 2))
     out = covariant_hessian_from_jet(jet, grad_f, hess_f)
     return SymTensor2(out[0] if single else out, "covariant")
 
 
 def gradient_p(model, f, p):
     """Gradient vector (df)^i = g^ij d_j f at p."""
-    P, single = as_batch(p, model.dim)
-    field = _fields.as_field(f, model.dim, model.theta)
-    jet, (grad_f,) = _jet_with(model, P, False, field, (1,))
+    single, jet, (grad_f,) = _field_jets("gradient_p", model, p, f, 0, (1,))
     out = gradient_from_jet(jet, grad_f)
     return VecP(out[0] if single else out, "vector")
 
 
 def divergence_vec(model, Z, p):
     """Divergence of a vector field: (1/sqrt g) d_i(sqrt g Z^i)."""
-    P, single = as_batch(p, model.dim)
-    Z = _fields.as_field(Z, model.dim)
-    jet, (Z_val, dZ) = _jet_with(model, P, False, Z, (0, 1))
+    single, jet, (Z_val, dZ) = _field_jets(
+        "divergence_vec", model, p, Z, 1, (0, 1))
     out = divergence_vec_from_jet(jet, Z_val, dZ)
     return float(out[0]) if single else out
 
 
 def divergence_tensor2(model, A, p):
     """Divergence of a (2,0)-tensor field, contracted in the second slot."""
-    P, single = as_batch(p, model.dim)
-    A = _fields.as_field(A, model.dim)
-    jet, (A_val, dA) = _jet_with(model, P, False, A, (0, 1))
+    single, jet, (A_val, dA) = _field_jets(
+        "divergence_tensor2", model, p, A, 2, (0, 1))
     out = divergence_tensor2_from_jet(jet, A_val, dA)
     return VecP(out[0] if single else out, "vector")
 
 
 def laplace_beltrami(model, f, p):
     """Laplace-Beltrami operator applied to f at p."""
-    P, single = as_batch(p, model.dim)
-    field = _fields.as_field(f, model.dim, model.theta)
-    jet, (grad_f, hess_f) = _jet_with(model, P, False, field, (1, 2))
+    single, jet, (grad_f, hess_f) = _field_jets(
+        "laplace_beltrami", model, p, f, 0, (1, 2))
     out = laplace_from_jet(jet, grad_f, hess_f)
     return float(out[0]) if single else out
 

@@ -230,7 +230,7 @@ def builtin_relativistic(theta, dim=3):
     energy = ExprScalarField(mul(Theta(), p0), dim, theta=theta)
     oracle = RelativisticOracle(theta) if dim == 3 else None
     return ModelSpec(
-        name=f"relativistic(theta={theta:g})" + ("" if dim == 3 else f", dim={dim}"),
+        name=f"relativistic(theta={theta:g}" + ("" if dim == 3 else f", dim={dim}") + ")",
         dim=dim,
         metric_field=metric,
         v_fields=v_fields,

@@ -35,7 +35,7 @@ import re
 import numpy as np
 
 from . import geometry
-from .assumptions import _covariant_hessians, _div_hessians, _PointJet
+from .assumptions import _div_hessians, _PointJet
 from .errors import (
     CFLViolation,
     InsufficientData,
@@ -236,32 +236,15 @@ def _node_geometry(model, grid):
         return geo
     pts = grid.p_nodes[:, None]
     pj = _PointJet(model, pts)
-    jet = pj.jet
-    gpp = jet.g_inv[:, 0, 0]
-    Gamma = jet.christoffel[:, 0, 0, 0]
-
-    # The general M-dimensional Hessian and div-Hessian forms at M = 1.
-    H_v = _covariant_hessians(jet, pj.dv, pj.hv)[:, 0, 0, 0]
-    divH = _div_hessians(jet, pj.dv, pj.hv, pj.tv)[:, 0, 0]
     (v,) = model._jets(((1, 0),), pts)
-    dv = pj.dv[:, 0, 0]
-
-    w_cov = geometry.drift_oneform_from_jet(jet, pj.grad_E)[:, 0]
-    # Ric vanishes on a 1-manifold, so the Bakry-Emery tensor is just
-    # minus the covariant Hessian of log u.
-    ric_t = pj.bakry[:, 0, 0]
-
+    # The general M-dimensional fields at M = 1.  Ric vanishes on a
+    # 1-manifold, so the Bakry-Emery tensor is just minus the covariant
+    # Hessian of log u.
     geo = _NodeGeometry(
-        gpp=gpp,
-        Gamma=Gamma,
-        w_cov=w_cov,
-        ric_t=ric_t,
-        v=v,
-        dv=dv,
-        H_v=H_v,
-        divH=divH,
-        vmax=float(np.max(np.abs(v))),
-    )
+        gpp=pj.jet.g_inv[:, 0, 0], Gamma=pj.jet.christoffel[:, 0, 0, 0],
+        w_cov=pj.dlogu[:, 0], ric_t=pj.bakry[:, 0, 0], v=v, dv=pj.dv[:, 0, 0],
+        H_v=pj.Hv[:, 0, 0, 0], divH=_div_hessians(pj)[:, 0, 0],
+        vmax=float(np.max(np.abs(v))))
     grid._cache[key] = geo
     return geo
 

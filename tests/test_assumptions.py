@@ -165,12 +165,10 @@ class TestDifferentialIdentities:
         # div Hess f = grad(lap f) + Ric . grad f, with both slots raised.
         m = builtin_relativistic(4.0)
         P = rel_points(10, radius=2.0, seed=13)
-        jet = geom.batch_jet(m, P)
+        pj = asm._PointJet(m, P)
+        jet = pj.jet
         f = m.v_fields[0]
-        dv = np.stack([f.grad(P)], axis=1)
-        hv = np.stack([f.hess(P)], axis=1)
-        tv = np.stack([f.third(P)], axis=1)
-        lhs = asm._div_hessians(jet, dv, hv, tv)[:, 0, :]
+        lhs = asm._div_hessians(pj)[:, 0, :]
 
         def lap_at(Q):
             j = geom.batch_jet(m, Q)
@@ -772,17 +770,26 @@ class TestSharedPointJets:
                         assert alone[name] == [want[i - start]], (i, name)
 
     def test_check_model_factors_each_pencil_base_once(self, monkeypatch):
-        # Per chunk: g is factored by jet_from_arrays and once more for
-        # every pencil on base g, A once for the three dominance
-        # pencils; each scan that solves pencils makes two stacked
-        # solves and one eigvalsh, and the Gram test one more eigvalsh.
-        # The growth probe inverts g once over all its radii.
-        calls, built = [], []
+        # Per chunk: g is factored once, by jet_from_arrays, for every
+        # pencil on base g, and A once for the three dominance pencils;
+        # each scan that solves pencils makes two stacked solves and one
+        # eigvalsh, and the Gram test one more eigvalsh.  The growth
+        # probe inverts g once over all its radii.  The velocity
+        # Hessians are built once per chunk, for the C and R forms and
+        # B's divergence.
+        calls, built, hessians = [], [], []
         for name in ("cholesky", "solve", "eigvalsh", "inv", "det"):
             def counted(a, *args, _fn=getattr(np.linalg, name), _name=name):
                 calls.append((_name, a))
                 return _fn(a, *args)
             monkeypatch.setattr(np.linalg, name, counted)
+        hessian = geom.covariant_hessian_from_jet
+
+        def counted_hessian(jet, grad_f, hess_f):
+            hessians.append(grad_f)
+            return hessian(jet, grad_f, hess_f)
+
+        monkeypatch.setattr(geom, "covariant_hessian_from_jet", counted_hessian)
 
         class Counted(asm._PointJet):
             def __init__(self, model, P):
@@ -795,17 +802,18 @@ class TestSharedPointJets:
                         asm.default_grid(3, axis_points=5, quasi_points=100))
         assert len(built) == 2
         kinds = [kind for kind, _ in calls]
-        per_chunk = {"cholesky": 3, "solve": 6, "eigvalsh": 4, "inv": 2, "det": 2}
+        per_chunk = {"cholesky": 2, "solve": 6, "eigvalsh": 4, "inv": 2, "det": 2}
         assert {k: kinds.count(k) for k in per_chunk} == {
             k: 2 * c + (k == "inv") for k, c in per_chunk.items()}
         factored = [a for kind, a in calls if kind == "cholesky"]
         for pj in built:
             assert sum(a is pj.A for a in factored) == 1
-            assert sum(a is pj.jet.g for a in factored) == 2
+            assert sum(a is pj.jet.g for a in factored) == 1
+            assert sum(a is pj.dv for a in hessians) == 1
 
     def test_check_model_holds_two_point_jets_at_most(self, monkeypatch):
         # Each scan keeps per-point values only, so a point jet is freed
-        # once the next one is built.
+        # before the next one is built: the pass holds one at a time.
         live, counts = weakref.WeakSet(), []
 
         class Counted(asm._PointJet):
@@ -821,7 +829,7 @@ class TestSharedPointJets:
         assert chunks >= 4
         asm.check_model(builtin_relativistic(4.0), grid)
         assert len(counts) == chunks
-        assert max(counts) <= 2
+        assert max(counts) == 1
 
     def test_mixed_conformal_grid_one_pass(self, monkeypatch):
         # A = diag(1, (1 + 0.3 p2^2)^2) is conformal on p2 = 0 only, which

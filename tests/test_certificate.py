@@ -271,7 +271,7 @@ class TestBuildAndValidate:
 
 class TestKeyValueRoundTrip:
     def test_round_trip(self):
-        for model in ("", "relativistic(theta=10), dim=1"):
+        for model in ("", "relativistic(theta=10, dim=1)"):
             cert = dataclasses.replace(
                 build_certificate(**CLASSICAL, alpha=1.0), model=model)
             text = certificate_kv(cert)

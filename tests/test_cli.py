@@ -396,7 +396,7 @@ class TestSimulate:
                         "--theta", "10", "--tmax", "1",
                         "--output-dir", out]) == 2
         err = capsys.readouterr().err
-        assert "model 'classical', not 'relativistic(theta=10), dim=1'" in err
+        assert "model 'classical', not 'relativistic(theta=10, dim=1)'" in err
         assert not (out / "series.csv").exists()
 
     def test_tampered_certificate_rejected(self, tmp_path):

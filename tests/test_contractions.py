@@ -170,13 +170,17 @@ def jet_reference(g_inv, dg, d2g):
 
 
 def random_point_jet(r):
-    jet = SimpleNamespace(
-        g=r.g, g_inv=r.g_inv, dg=r.dg, d2g=r.d2g,
+    """A real point jet over the random arrays, so that the fields it
+    computes on first use (Hv, dlogu) come from its own properties."""
+    jet = geom.MetricJet(
+        g=r.g, g_inv=r.g_inv, sqrt_det=None, dg=r.dg, d2g=r.d2g,
         dg_inv=inverse_d1_reference(r.g_inv, r.dg),
         christoffel=r.gamma, dchristoffel=r.dgamma, dlog_sqrt=r.dlog_sqrt,
     )
-    return SimpleNamespace(jet=jet, dv=r.dv, hv=r.hv, tv=r.tv,
-                           grad_E=r.grad_E, A=asm._gram(r.dv, r.g_inv))
+    pj = object.__new__(asm._PointJet)
+    vars(pj).update(jet=jet, dv=r.dv, hv=r.hv, tv=r.tv, grad_E=r.grad_E,
+                    A=asm._gram(r.dv, r.g_inv))
+    return pj
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def test_gram_derivs(n, sym):
 def test_div_hessians(n, sym):
     r = random_inputs(n, sym)
     pj = random_point_jet(r)
-    got = asm._div_hessians(pj.jet, r.dv, r.hv, r.tv)
+    got = asm._div_hessians(pj)
     assert_same(got, div_hessians_reference(pj.jet, r.dv, r.hv, r.tv))
 
 

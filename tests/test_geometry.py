@@ -277,6 +277,35 @@ class TestDivergences:
         expected = (8 * 3 + 16) * P
         assert np.allclose(out.entries, expected, rtol=1e-6, atol=1e-6)
 
+    def test_tensor_divergence_does_not_depend_on_the_batch(self):
+        # each sum is one matmul per point, so a point gets the same bits
+        # alone as inside a batch
+        P = rel_points(133, seed=31)
+        batch = divergence_tensor2(REL, REL.metric_field, P).entries
+        for i, p in enumerate(P):
+            alone = divergence_tensor2(REL, REL.metric_field, p).entries
+            assert np.array_equal(alone, batch[i]), i
+
+
+class TestFieldRank:
+    """Each public operation names itself and the field rank it needs
+    when it is given a field of another rank."""
+
+    @pytest.mark.parametrize("op,field,need", [
+        (covariant_hessian, REL.metric_field, "a scalar"),
+        (gradient_p, ExprVectorField([parse_expr("p1")] * 3, 3), "a scalar"),
+        (laplace_beltrami, FDField(lambda P: P.copy(), 3), "a scalar"),
+        (divergence_vec, "p1 + p2", "a vector"),
+        (divergence_vec, REL.metric_field, "a vector"),
+        # a vector of another dimension than the model's
+        (divergence_vec, ExprVectorField([parse_expr("p1")] * 2, 3), "a vector"),
+        (divergence_tensor2, "p1 * p2", "a 2-tensor"),
+        (divergence_tensor2, FDField(lambda P: P.copy(), 3), "a 2-tensor"),
+    ])
+    def test_wrong_rank_raises(self, op, field, need):
+        with pytest.raises(ValueError, match=rf"^{op.__name__} needs {need} field"):
+            op(REL, field, np.array([0.5, -0.25, 1.0]))
+
 
 class TestBakryEmery:
     def test_classical_identity_everywhere(self):
