@@ -300,19 +300,22 @@ class _PointJet:
     jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
     tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
-    The fields that two or more readers take from one point jet,
-    `bakry`, `Hv`, `dlogu` and `degenerate`, are computed on first use,
-    once for all of them.
+    extra holds the jets of any more (field, order) pairs given, which
+    join the same request.  The fields that two or more readers take
+    from one point jet, `bakry`, `Hv`, `dlogu` and `degenerate`, are
+    computed on first use, once for all of them.
     """
 
-    def __init__(self, model, P):
+    def __init__(self, model, P, *extra):
         # g at orders 0-2, each v^I at orders 1-3 and E at orders 1 and 2,
-        # as one request to the model's jet builder
+        # after the extra pairs, as one request to the model's jet builder
         n = len(model.v_fields)
-        request = ((0, 0), (0, 1), (0, 2),
+        request = (*extra, (0, 0), (0, 1), (0, 2),
                    *((i, k) for k in (1, 2, 3) for i in range(1, n + 1)),
                    (n + 1, 1), (n + 1, 2))
-        g, dg, d2g, *v, self.grad_E, self.hess_E = model._jets(request, P)
+        jets = model._jets(request, P)
+        self.extra = jets[:len(extra)]
+        g, dg, d2g, *v, self.grad_E, self.hess_E = jets[len(extra):]
         self.P = P
         self.jet = _geom.jet_from_arrays(g, dg, d2g)
         self.dv, self.hv, self.tv = (
@@ -405,7 +408,12 @@ class _ScanPass:
                 try:
                     values, shift = scan(pj)
                 except DegenerateA as exc:
+                    # Kept without its traceback, which would hold this
+                    # chunk's point jet alive until the pass ends.  Every
+                    # scan of a chunk raises the chunk's one error, so
+                    # each catch drops the traceback its raise set.
                     self.error = self.error or exc
+                    exc.with_traceback(None)
                     stopped.add(scan)
                     continue
                 self.shifts[scan] = max(self.shifts[scan], shift)

@@ -988,6 +988,28 @@ class TestCheckModel:
             assert (got.label, got.value) == (want.label, want.value)
             assert np.array_equal(got.point, want.point)
 
+    def test_degenerate_gram_form_frees_each_point_jet(self, monkeypatch):
+        # The pass keeps the first DegenerateA without the traceback that
+        # would hold its chunk's point jet, so one point jet is alive at a
+        # time: the one of the chunk being scanned.
+        live, alive = [], []
+
+        class Counted(asm._PointJet):
+            def __init__(self, model, P):
+                super().__init__(model, P)
+                live.append(weakref.ref(self))
+                alive.append(sum(ref() is not None for ref in live))
+
+        monkeypatch.setattr(asm, "CHUNK", 8)
+        monkeypatch.setattr(asm, "_PointJet", Counted)
+        m = expr_model_1d("1", "p1^2/2", v1="p1^3")
+        # A = 9 p^4 vanishes at p = 0, in the second of five chunks
+        P = np.concatenate([np.linspace(1.0, 2.0, 8), np.linspace(-1.0, 1.0, 9),
+                            np.linspace(2.0, 3.0, 23)])[:, None]
+        rep = asm.check_model(m, P)
+        assert not rep.passes["positivity"]
+        assert alive == [1, 1, 1, 1, 1]
+
     def test_report_kv_keys_and_text(self):
         m = builtin_classical(3)
         rep = asm.check_model(m, small_grid())

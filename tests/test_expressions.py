@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypocert import assumptions as asm
-from hypocert import expressions, fields, geometry
+from hypocert import expressions, fields, geometry, solver
 from hypocert.errors import (
     ExprDomainError,
     ExprSyntaxError,
@@ -862,6 +862,15 @@ class TestJetCost:
         tape, _ = jets._compiled[((0, 0), (0, 1), (e, 1), (e, 2))]
         assert tape.op_count == 995
         assert "_jets" not in vars(logu)
+
+    def test_node_geometry_runs_one_program(self, monkeypatch):
+        # the solver's node geometry reads v itself in the point jet's
+        # one request
+        model = builtin_relativistic(10.0, dim=1)
+        grid = solver.build_grid(model, 8, 16, 6.0)
+        runs = count_runs(monkeypatch)
+        solver._node_geometry(model, grid)
+        assert len(runs) == 1
 
     def test_pointwise_geometry_builds_one_dag(self, monkeypatch):
         # one geom-pointwise op on a fresh model: g, E and log u are all

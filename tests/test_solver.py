@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypocert.models import builtin_classical, builtin_relativistic
 from tests_support import (
     diffusion_solve_reference,
     expr_model_1d,
+    functionals_reference,
     step_reference,
 )
 
@@ -383,6 +385,87 @@ class TestFunctionals:
         st = smooth_state(CLASSICAL, grid)
         row = sv.functionals(st, CLASSICAL, grid)
         assert row["Emod"] == row["D"]
+
+    @pytest.mark.parametrize("case", ["classical", "relativistic10", "zeros",
+                                      "unaligned_view"])
+    def test_bit_for_bit_the_plain_formula(self, case):
+        # Each column runs its formula's operations in order, into work
+        # arrays.  Np = 101 leaves the rows of those arrays off the
+        # 64-byte lines, zero entries take the phi = 1 branch, and a
+        # view of a wider array is neither contiguous nor aligned.
+        model, shape = CLASSICAL, (128, 256)
+        if case == "relativistic10":
+            model, shape = RELATIVISTIC_10, (60, 101)
+        grid = sv.build_grid(model, *shape, 8.0)
+        rng = np.random.default_rng(31)
+        h = rng.uniform(0.05, 3.0, shape)
+        if case == "zeros":
+            h[rng.random(shape) < 0.2] = 0.0
+        elif case == "unaligned_view":
+            wide = np.zeros((shape[0], shape[1] + 3))
+            wide[:, 1:-2] = h
+            h = wide[:, 1:-2]
+            assert not h.flags.c_contiguous and h.ctypes.data % 64 != 0
+        st = sv.State(h=h, t=0.25)
+        cert = build_certificate(1.0, 1.0, 0.0, 0.0, 0.0, alpha=1.0)
+        for c in (None, cert):
+            got = sv.functionals(st, model, grid, certificate=c)
+            want = functionals_reference(st, model, grid, certificate=c)
+            assert list(got) == list(want)
+            for key, value in want.items():
+                np.testing.assert_array_equal(got[key], value, err_msg=key)
+        if case == "zeros":
+            assert got["D"] > 0.0
+
+    def test_difference_stencils_are_roll_and_gradient(self):
+        # the slice forms that functionals and the diagnostics share
+        h = np.random.default_rng(37).uniform(0.1, 2.0, (12, 21))
+        np.testing.assert_array_equal(
+            sv._ddx(h, 0.1), (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / 0.2)
+        np.testing.assert_array_equal(
+            sv._ddp(h, 0.3), np.gradient(h, 0.3, axis=1, edge_order=2))
+
+
+class TestWorkArrays:
+    """The step and sample passes write to arrays on 64-byte lines."""
+
+    def test_aligned_allocator(self):
+        for shape in ((1,), (3, 5), (17, 101), (130, 256)):
+            a = sv._aligned(shape)
+            assert a.shape == shape and a.dtype == float
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+
+    def test_fine_grid_arrays_start_on_a_line(self):
+        # Np = 256 is a multiple of 8, so the row views start on a line
+        # too: the density inside the ghost rows and the faces past the
+        # first.
+        grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
+        h0 = smooth_state(CLASSICAL, grid).h
+        sv.run(CLASSICAL, grid, h0, 0.01, 0.01, order2=True)
+        st = grid._cache[("strang", CLASSICAL, True)]
+        lu = sv._op(CLASSICAL, grid)._lu
+        arrays = {"ghost": st.ghost, "h": st.h, "flux": st.flux,
+                  "face": st.flux[1:], "jump": st.jump, "slope": st.slope,
+                  "nu": st.nu, "_BlockLU._z": lu._z}
+        for k, a in enumerate(sv._sample(CLASSICAL, grid).work):
+            arrays[f"sample work {k}"] = a
+        assert {name: a.ctypes.data % 64 for name, a in arrays.items()} == (
+            dict.fromkeys(arrays, 0))
+        assert st.nu.shape == st.h.shape
+        np.testing.assert_array_equal(st.nu, np.broadcast_to(st.nu[0], st.nu.shape))
+
+    def test_functionals_allocates_less_than_one_grid_array(self):
+        grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
+        st = smooth_state(CLASSICAL, grid)
+        sv.functionals(st, CLASSICAL, grid)  # builds the work arrays
+        tracemalloc.start()
+        try:
+            sv.functionals(st, CLASSICAL, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.Nx * grid.Np * 8
 
 
 class TestInitialState:

@@ -419,6 +419,40 @@ def step_reference(h, dt, model, grid, order2=False):
     return advect_reference(h, nu, order2)
 
 
+def functionals_reference(state, model, grid, certificate=None):
+    """solver.functionals as the plain formula, each term a new array,
+    the x derivative by np.roll and the p derivative by np.gradient."""
+    geo = sv._node_geometry(model, grid)
+    h = state.h
+    w = grid.mu_weights * grid.dx
+    m = float(np.sum(h * w))
+    floor = sv.H_FLOOR_FRAC * max(m, np.finfo(float).tiny)
+    hf = np.maximum(h, floor)
+    e = h / m - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = (1.0 + e) * np.log1p(e) - e
+    phi = np.where(h > 0.0, phi, 1.0)
+    D = max(m * float(np.sum(phi * w)), 0.0)
+    dhx = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / (2.0 * grid.dx)
+    dhp = np.gradient(h, grid.dp, axis=1, edge_order=2)
+    gpp = geo.gpp
+    Ipp = float(np.sum(gpp * dhp**2 / hf * w))
+    Ixx = float(np.sum(gpp * geo.dv**2 * dhx**2 / hf * w))
+    Ixp = float(np.sum(gpp * geo.dv * dhx * dhp / hf * w))
+    l1 = float(np.sum(np.abs(h - m) * w))
+    if certificate is None:
+        emod = D
+    else:
+        emod = (
+            certificate.k * D
+            + certificate.a * Ipp
+            + 2.0 * certificate.b * Ixp
+            + certificate.c * Ixx
+        )
+    return {"t": state.t, "D": D, "Ipp": Ipp, "Ixp": Ixp, "Ixx": Ixx,
+            "Emod": emod, "mass": m, "l1_dist": l1}
+
+
 def _times(eps, coef):
     # eps*coef with the convention inf*0 = 0: an infinite epsilon only
     # appears next to a vanishing term.
