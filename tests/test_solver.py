@@ -23,6 +23,7 @@ from tests_support import (
     expr_model_1d,
     functionals_reference,
     step_reference,
+    transport_runs_reference,
 )
 
 CLASSICAL = builtin_classical(1)
@@ -308,6 +309,26 @@ class TestStep:
             np.testing.assert_allclose(st.h, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("order2", [False, True])
+    @pytest.mark.parametrize("model, Nx, Np", [
+        (CLASSICAL, 128, 256), (WIGGLE, 24, 40), (WIGGLE, 24, 101),
+        (RELATIVISTIC_10, 60, 101),
+    ], ids=["classical", "wiggle40", "wiggle101", "relativistic10"])
+    def test_transport_bit_for_bit_the_column_runs(self, model, Nx, Np, order2):
+        # Zeros make the limiter's slopes and the faces signed zeros;
+        # the int64 views tell -0.0 from 0.0.
+        grid = sv.build_grid(model, Nx, Np, 6.0)
+        dt = sv.cfl_limit(model, grid, order2)
+        st, ref = (sv._Strang(model, grid, dt, order2) for _ in range(2))
+        rng = np.random.default_rng(41)
+        h = rng.uniform(0.0, 2.0, (Nx, Np))
+        h[rng.random(h.shape) < 0.2] = 0.0
+        st.h[...] = ref.h[...] = h
+        for _ in range(3):
+            st.transport(out=st.h)
+            transport_runs_reference(ref, out=ref.h)
+            np.testing.assert_array_equal(st.h.view(np.int64), ref.h.view(np.int64))
+
+    @pytest.mark.parametrize("order2", [False, True])
     def test_input_state_neither_mutated_nor_aliased(self, order2):
         grid = sv.build_grid(CLASSICAL, 16, 32, 6.0)
         h = np.random.default_rng(9).uniform(0.1, 2.0, (grid.Nx, grid.Np))
@@ -447,13 +468,31 @@ class TestWorkArrays:
         lu = sv._op(CLASSICAL, grid)._lu
         arrays = {"ghost": st.ghost, "h": st.h, "flux": st.flux,
                   "face": st.flux[1:], "jump": st.jump, "slope": st.slope,
-                  "nu": st.nu, "_BlockLU._z": lu._z}
+                  "hs": st.hs, "nu": st.nu, "_BlockLU._z": lu._z,
+                  "_BlockLU._edge": lu._edge}
         for k, a in enumerate(sv._sample(CLASSICAL, grid).work):
             arrays[f"sample work {k}"] = a
         assert {name: a.ctypes.data % 64 for name, a in arrays.items()} == (
             dict.fromkeys(arrays, 0))
         assert st.nu.shape == st.h.shape
         np.testing.assert_array_equal(st.nu, np.broadcast_to(st.nu[0], st.nu.shape))
+
+    def test_step_allocates_no_iterator_buffers(self):
+        # Every pass of a MUSCL step runs on whole arrays or copies
+        # column runs, so none goes through numpy's buffered iterator,
+        # whose buffers take 64 KB or more.
+        grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
+        st = sv._strang(CLASSICAL, grid, sv.cfl_limit(CLASSICAL, grid, True), True)
+        op = sv._op(CLASSICAL, grid)
+        st.h[...] = smooth_state(CLASSICAL, grid).h
+        st.advance(op, st.h)  # factors the diffusion solve
+        tracemalloc.start()
+        try:
+            st.advance(op, st.h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_functionals_allocates_less_than_one_grid_array(self):
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
