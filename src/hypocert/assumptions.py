@@ -33,9 +33,11 @@ those that two readers take from it.  The tensor kernels are
 `geometry`'s, one matmul per point, so a point's scan values are the
 same bits in any chunk.  Each scanned constant is an extreme
 eigenvalue of a symmetric-definite pencil (form, base), and each base
-is factored once per chunk: g when its jet is assembled, for the
-curvature and kappa1 pencils, and A for the B, C and R pencils, whose
-forms share two stacked solves and one eigvalsh (`_pencil_eigs`).
+is reduced once per chunk to the inverse W = L^-1 of its Cholesky
+factor L: g's factor, taken when its jet is assembled, for the
+curvature and kappa1 pencils, and A's for the B, C and R pencils.  A
+pencil's eigenvalues are then those of W F W^T, two matmuls per point,
+and the forms on one base share one eigvalsh (`_pencil_eigs`).
 """
 
 from __future__ import annotations
@@ -159,11 +161,20 @@ def _halton(perms, start, n):
 
 
 def _halton_ball(dim, radius, count, seed):
+    """The first count points of the scrambled Halton sequence, scaled
+    to the cube [-radius, radius]^dim, that fall in the ball.  Each batch
+    draws the points still missing over the share of the cube that the
+    ball fills, so one batch mostly suffices; the points kept are a
+    prefix of the sequence, whatever the batches."""
     perms = _halton_permutations(dim, seed)
+    # the ball's share of the cube, V_dim / 2^dim, by V_d = 2 pi V_(d-2) / d
+    share = 1.0 if dim % 2 else math.pi / 4
+    for d in range(4 - dim % 2, dim + 1, 2):
+        share *= math.pi / (2 * d)
     kept = []
     total = drawn = 0
     while total < count:
-        batch = max(4 * count, 256)
+        batch = max(math.ceil((count - total) / share), 256)
         raw = _halton(perms, drawn, batch)
         drawn += batch
         pts = (2.0 * raw - 1.0) * radius
@@ -302,8 +313,9 @@ class _PointJet:
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
     extra holds the jets of any more (field, order) pairs given, which
     join the same request.  The fields that two or more readers take
-    from one point jet, `bakry`, `Hv`, `dlogu` and `degenerate`, are
-    computed on first use, once for all of them.
+    from one point jet, `bakry`, `Hv`, `dlogu` and `degenerate`, and the
+    pencil bases reduced to inverse Cholesky factors, `g_inv_factor` and
+    `A_inv_factor`, are computed on first use, once per point jet.
     """
 
     def __init__(self, model, P, *extra):
@@ -339,6 +351,19 @@ class _PointJet:
         """The drift one-form d log u, (n, M): read by the R form,
         kappa2, the product blocks and the solver."""
         return _geom.drift_oneform_from_jet(self.jet, self.grad_E)
+
+    @cached_property
+    def g_inv_factor(self):
+        """L^-1 for the Cholesky factor L of g that jet_from_arrays took,
+        (n, M, M): the base of every pencil on g, which so never needs
+        EIG_SHIFT."""
+        return _geom._tril_inverse(self.jet.g_factor)
+
+    @cached_property
+    def A_inv_factor(self):
+        """(L^-1, shift) for the Cholesky factor L of A (see _factor):
+        the base of the B, C and R pencils."""
+        return _factor(self.A)
 
     @cached_property
     def degenerate(self):
@@ -440,26 +465,24 @@ def _definite(pj):
 
 
 def _factor(base):
-    """Cholesky factor of a pencil base (n, S, S), symmetric positive,
-    and the diagonal load that factoring it needed (0.0 when none)."""
+    """L^-1 for the Cholesky factor L of a pencil base (n, S, S),
+    symmetric positive, and the diagonal load that factoring it needed
+    (0.0 when none)."""
     try:
-        return np.linalg.cholesky(base), 0.0
+        L, shift = np.linalg.cholesky(base), 0.0
     except np.linalg.LinAlgError:
         eye = np.eye(base.shape[1])
-        return np.linalg.cholesky(base + EIG_SHIFT * eye), EIG_SHIFT
+        L, shift = np.linalg.cholesky(base + EIG_SHIFT * eye), EIG_SHIFT
+    return _geom._tril_inverse(L), shift
 
 
-def _pencil_eigs(L, *forms):
+def _pencil_eigs(W, *forms):
     """The eigenvalues of each pencil (form, L L^T), an (n, S) array per
-    form in the order given: those of L^-1 form L^-T.  Every form goes
-    through the same two stacked solves and one eigvalsh.
+    form in the order given, from W = L^-1: those of W form W^T (Golub
+    and Van Loan, Matrix Computations, 8.7).  Every form goes through
+    the same two matmuls per point and one eigvalsh.
     """
-    n, S, _ = L.shape
-    k = len(forms)
-    # [L^-1 F_1 | ... | L^-1 F_k], then the transposes of its blocks
-    X = np.linalg.solve(L, np.concatenate(forms, axis=2))
-    X = X.reshape(n, S, k, S).transpose(0, 3, 2, 1).reshape(n, S, k * S)
-    Z = np.linalg.solve(L, X).reshape(n, S, k, S).transpose(0, 2, 3, 1)
+    Z = _right(_left(W, np.stack(forms, axis=1)), _t(W))
     return tuple(np.moveaxis(np.linalg.eigvalsh(_symmetrize(Z)), 1, 0))
 
 
@@ -519,9 +542,8 @@ def _forms(pj, kinds):
 
 def _curvature(pj):
     """Per point: the extremal generalized eigenvalues of (Ric - Hess log u,
-    g).  A pencil on base g takes the factor that jet_from_arrays made,
-    so it never needs EIG_SHIFT."""
-    (eigs,) = _pencil_eigs(pj.jet.g_factor, pj.bakry)
+    g), on the point jet's inverse factor of g."""
+    (eigs,) = _pencil_eigs(pj.g_inv_factor, pj.bakry)
     return {"sigma1": eigs[:, 0], "sigma2": eigs[:, -1]}, 0.0
 
 
@@ -530,15 +552,16 @@ def _dominance(pj):
     of the forms B, C and R, which give beta, gamma and omega."""
     _definite(pj)
     F = _forms(pj, ("B", "C", "R"))
-    L, shift = _factor(pj.A)
-    pencils = _pencil_eigs(L, F["B"], F["C"], F["R"])
+    W, shift = pj.A_inv_factor
+    pencils = _pencil_eigs(W, F["B"], F["C"], F["R"])
     tops = zip(("beta", "gamma", "omega"), pencils)
     return {name: eigs[:, -1] for name, eigs in tops}, shift
 
 
 def _hormander(pj):
-    """Per point: det(g) * |det(dv)|, with 0 where it is not finite."""
-    vals = np.linalg.det(pj.jet.g) * np.abs(np.linalg.det(pj.dv))
+    """Per point: det(g) * |det(dv)|, with 0 where it is not finite; det g
+    is the square of the product of its Cholesky factor's diagonal."""
+    vals = pj.jet.sqrt_det**2 * np.abs(np.linalg.det(pj.dv))
     return {"detF": np.where(np.isfinite(vals), vals, 0.0)}, 0.0
 
 
@@ -666,7 +689,7 @@ def _logsob(pj):
     d2phi = (-np.einsum("nlkII->nlk", d2h) / tr[:, None, None]
              + dphi[:, :, None] * dphi[:, None, :])
     cond1 = pj.bakry - 0.25 * N * dphi[:, :, None] * dphi[:, None, :]
-    (eigs,) = _pencil_eigs(jet.g_factor, cond1)
+    (eigs,) = _pencil_eigs(pj.g_inv_factor, cond1)
     lap_phi = _geom.laplace_from_jet(jet, dphi, d2phi)
     pair = np.einsum("nij,ni,nj->n", jet.g_inv, pj.dlogu, dphi)
     return {"kappa1": eigs[:, 0], "kappa2": -0.5 * (lap_phi + pair)}, 0.0
@@ -719,9 +742,9 @@ def _product(pj):
     """Per point: the smallest eigenvalue of the product criterion's form."""
     _definite(pj)
     blocks = _product_blocks(pj)
-    (eig_p,) = _pencil_eigs(pj.jet.g_factor, blocks["pp"])
-    L, shift = _factor(blocks["h"])
-    (eig_x,) = _pencil_eigs(L, blocks["xx"])
+    (eig_p,) = _pencil_eigs(pj.g_inv_factor, blocks["pp"])
+    W, shift = _factor(blocks["h"])
+    (eig_x,) = _pencil_eigs(W, blocks["xx"])
     return {"alpha": np.minimum(eig_p[:, 0], eig_x[:, 0])}, shift
 
 

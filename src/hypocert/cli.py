@@ -547,7 +547,11 @@ def _shared_parser():
     return p
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls.  Each subcommand stores its name in
+    args.command, which main dispatches on."""
     parser = argparse.ArgumentParser(
         prog="hypocert",
         description="verify kinetic model assumptions, certify exponential "
@@ -556,15 +560,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     shared = [_shared_parser()]
 
-    p = sub.add_parser("check", help="scan the model assumptions",
-                       parents=shared)
-    p.set_defaults(func=cmd_check)
+    sub.add_parser("check", help="scan the model assumptions", parents=shared)
 
     p = sub.add_parser("certify", help="build and validate a decay certificate",
                        parents=shared)
     p.add_argument("--report", metavar="FILE",
                    help="reuse a saved assumptions.kv instead of rescanning")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="run the solver against the certificate",
                        parents=shared)
@@ -572,20 +573,20 @@ def build_parser():
                    help="append the entropy-production residual table")
     p.add_argument("--order2", action="store_true",
                    help="second-order transport reconstruction")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="collate prior outputs into one report",
-                       parents=shared)
-    p.set_defaults(func=cmd_report)
-
+    sub.add_parser("report", help="collate prior outputs into one report",
+                   parents=shared)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up per call, so the handler run is the module's current one
+    command = {"check": cmd_check, "certify": cmd_certify,
+               "simulate": cmd_simulate, "report": cmd_report}[args.command]
     try:
         cfg = resolve_config(args)
-        return args.func(cfg, args)
+        return command(cfg, args)
     except (ConfigError, ModelFileError, ExprSyntaxError, UnknownIdentifier,
             ExprDomainError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -190,6 +190,21 @@ def _left(B, X):
     return _t(_right(_t(X), _t(B)))
 
 
+def _tril_inverse(L):
+    """W = L^-1 for a stack L (n, S, S) of lower-triangular matrices with
+    a nonzero diagonal, by forward substitution: row i of L W = I gives
+    W[i, :i] = -L[i, :i] W[:i, :i] / L[i, i].  One loop over the rows,
+    each step vectorized over the stack, so a matrix gets the same bits
+    alone as in any stack."""
+    W = np.zeros_like(L)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    for i in range(L.shape[1]):
+        row = (L[:, i, None, :i] @ W[:, :i, :i])[:, 0]
+        np.multiply(row, -d[:, i, None], out=W[:, i, :i])
+        W[:, i, i] = d[:, i]
+    return W
+
+
 def jet_from_arrays(g, dg, d2g=None):
     """Build a batched MetricJet from raw derivative arrays.
 

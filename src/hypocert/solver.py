@@ -17,10 +17,11 @@ dt <= dx / max|v|.  The implicit solve is an M-matrix system, so
 positivity survives any dt.  Its tridiagonal matrix is factored once
 per dt as a block LU in numpy: the momentum nodes are cut into blocks
 of at most _BLOCK_WIDTH, each block's Schur complement is inverted
-once, and a solve is one matmul per block plus one matmul that couples
-the blocks through their edge values.  A step works in arrays
-allocated once per (model, grid, dt, order2) and reused: `run` advances
-the density in place, and `step` allocates only the density it returns.
+once, and a solve is one batched matmul over the blocks (two when they
+differ in width) plus one matmul that couples the blocks through their
+edge values.  A step works in arrays allocated once per (model, grid,
+dt, order2) and reused: `run` advances the density in place, and
+`step` allocates only the density it returns.
 
 Every array pass of a step and of a sample writes to a work array whose
 data starts on a 64-byte cache line (`_aligned`).  numpy aligns its
@@ -279,12 +280,14 @@ def _node_geometry(model, grid):
 
 
 # Widest diagonal block of the diffusion solve's block LU.  A solve
-# costs one (rows x b) by (b x b) matmul per block of b nodes plus one
+# costs one (rows x b) by (b x b) product per block of b nodes plus one
 # (rows x 2K) by (2K x Np) matmul over K blocks, so narrow blocks trade
-# the first for the second.  32 was the fastest of the widths 16-128
-# at both 64 x 128 and 128 x 256: 21 and 69 us a solve, against 24 and
-# 83 us at 64 and about 50 and 170 us at 128 (one OpenBLAS 0.3.31
-# thread, 2.1 GHz Xeon vCPU).
+# the first for the second.  With the blocks batched, widths 16 and 32
+# are within the noise of each other (17-23 us a solve at 64 x 128,
+# 58-76 us at 128 x 256; best of 3,000, one OpenBLAS 0.3.31 thread,
+# Xeon vCPU) and 64 and 128 are slower (24-30 and 50-62 us at 64 x 128).
+# 32 was the fastest with one matmul per block, and keeping it keeps a
+# solve's bits.
 _BLOCK_WIDTH = 32
 
 
@@ -294,13 +297,18 @@ class _BlockLU:
     I - dt L is W^-1 A, where A = W - dt W L is symmetric tridiagonal
     and, for dt > 0, a strictly diagonally dominant M-matrix.  The nodes
     are cut into K blocks of at most _BLOCK_WIDTH (Golub and Van Loan,
-    Matrix Computations, 4.5).  Block k's Schur complement S_k is block
-    k of A with its first diagonal entry replaced by A's L D L^T pivot
-    there, and is inverted once, here; as a diagonally dominant
-    symmetric matrix it needs no row swaps, so its inverse G_k comes out
-    entrywise nonnegative, as it is exactly.
+    Matrix Computations, 4.5), the wider ones first when K does not
+    divide n, so that they form at most two groups of equal width.
+    Block k's Schur complement S_k is block k of A with its first
+    diagonal entry replaced by A's L D L^T pivot there, and is inverted
+    once, here; as a diagonally dominant symmetric matrix it needs no
+    row swaps, so its inverse G_k comes out entrywise nonnegative, as it
+    is exactly.
 
-    A solve takes z_k = G_k W_k h_k, one matmul per block.  The solution
+    A solve takes z_k = G_k W_k h_k for every block of a group as one
+    matmul: the group's products W_k G_k are stacked in a (k, b, b)
+    array, and h and z are read as (k, rows, b) strided views, so each
+    block runs the same product as it would alone.  The solution
     is x_k = z_k + alpha_k G_k e_first + beta_k G_k e_last, where alpha
     runs forward over the blocks from the last entry of each z_k and
     beta backward from the first: two recurrences of length K.  Both
@@ -329,8 +337,9 @@ class _BlockLU:
             pivots.append(p)
 
         K = -(-n // _BLOCK_WIDTH)
-        cuts = [k * n // K for k in range(K + 1)]
-        self.blocks = []
+        b, wide = divmod(n, K)
+        cuts = [k * b + min(k, wide) for k in range(K + 1)]
+        blocks = []  # W_k G_k
         # cols[k, s:e] is G_k e_first, cols[K + k, s:e] is G_k e_last
         cols = np.zeros((2 * K, n))
         g_first, g_corner = [], []
@@ -339,7 +348,7 @@ class _BlockLU:
             S[0, 0] = pivots[s]
             G = np.linalg.inv(S)
             # h @ (W_k G_k) = (G_k W_k h^T)^T, as G_k is symmetric
-            self.blocks.append((slice(s, e), w[s:e, None] * G))
+            blocks.append(w[s:e, None] * G)
             cols[k, s:e] = G[:, 0]
             cols[K + k, s:e] = G[:, -1]
             g_first.append(G[0, 0])
@@ -362,7 +371,17 @@ class _BlockLU:
                                         + g_first[k + 1] * alpha[:, k + 1]
                                         + g_corner[k + 1] * beta[:, k + 1])
         self.correction = np.hstack([alpha, beta]) @ cols
-        self._z = self._edge = None
+        # (nodes, stacked W_k G_k) per group of blocks of one width
+        self.groups = [
+            (slice(cuts[lo], cuts[hi]), np.stack(blocks[lo:hi]))
+            for lo, hi in ((0, wide), (wide, K)) if hi > lo
+        ]
+        self._z = self._edge = self._zv = None
+
+    def _stacks(self, a):
+        """a (rows, n) as one (k, rows, b) view per group of blocks."""
+        return [a[:, cols].reshape(len(a), *WG.shape[:2]).swapaxes(0, 1)
+                for cols, WG in self.groups]
 
     def solve(self, h, out):
         """x for the rows of h, shape (rows, n), into out of that shape;
@@ -371,8 +390,9 @@ class _BlockLU:
         if z is None or z.shape != h.shape:
             z = self._z = _aligned(h.shape)
             e = self._edge = _aligned((h.shape[0], self.edges.size))
-        for cols, WG in self.blocks:
-            np.matmul(h[:, cols], WG, out=z[:, cols])
+            self._zv = self._stacks(z)
+        for (_, WG), hv, zv in zip(self.groups, self._stacks(h), self._zv):
+            np.matmul(hv, WG, out=zv)
         # The edges are in range, so "clip" clips nothing; the default
         # "raise" buffers out.
         np.take(z, self.edges, axis=1, out=e, mode="clip")
@@ -691,16 +711,25 @@ def _ddp(h, dp, out=None):
 
 class _Sample:
     """Work arrays of `functionals` on one (model, grid): four (Nx, Np)
-    arrays from _aligned, a mask, and the (Np,) coefficient vectors,
-    each computed as the plain formula would."""
+    arrays from _aligned, a mask, and the momentum weights and
+    coefficients.  Each of those is computed per node as the plain
+    formula would and repeated down the rows of an _aligned (Nx, Np)
+    array: a ufunc that broadcasts an (Np,) row over the grid goes
+    through numpy's buffered iterator, whose buffers take 64 KB."""
 
     def __init__(self, model, grid):
         geo = _node_geometry(model, grid)
         shape = (grid.Nx, grid.Np)
-        self.w = grid.mu_weights * grid.dx
-        self.gpp = geo.gpp
-        self.c_xx = geo.gpp * geo.dv**2
-        self.c_xp = geo.gpp * geo.dv
+
+        def full(row):
+            out = _aligned(shape)
+            out[...] = row
+            return out
+
+        self.w = full(grid.mu_weights * grid.dx)
+        self.gpp = full(geo.gpp)
+        self.c_xx = full(geo.gpp * geo.dv**2)
+        self.c_xp = full(geo.gpp * geo.dv)
         self.work = [_aligned(shape) for _ in range(4)]
         self.mask = np.empty(shape, dtype=bool)
 

@@ -214,6 +214,21 @@ class TestScanGrids:
         b = asm._halton_ball(2, 2.0, 100, seed=11)
         np.testing.assert_array_equal(a, b[:50])
 
+    def test_halton_batches_sized_to_the_ball(self, monkeypatch):
+        # A batch draws the missing points over the ball's share of the
+        # cube: all of it in 1D, pi / 6 in 3D, and at least 256.
+        asked, halton = [], asm._halton
+        monkeypatch.setattr(asm, "_halton", lambda perms, start, n: (
+            asked.append(n), halton(perms, start, n))[1])
+        for dim, count, want in ((1, 2000, [2000]), (1, 40, [256]),
+                                 (3, 2000, [math.ceil(2000 * 6 / math.pi)])):
+            asked.clear()
+            asm._halton_ball(dim, 10.0, count, asm.DEFAULT_SEED)
+            assert asked == want
+        asked.clear()
+        asm._halton_ball(2, 10.0, 2000, asm.DEFAULT_SEED)
+        assert asked[0] == math.ceil(2000 * 4 / math.pi) and sum(asked) < 4000
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [asm.DEFAULT_SEED, 0, 11])
     def test_halton_matches_scipy_bit_for_bit(self, dim, seed):
@@ -772,24 +787,31 @@ class TestSharedPointJets:
     def test_check_model_factors_each_pencil_base_once(self, monkeypatch):
         # Per chunk: g is factored once, by jet_from_arrays, for every
         # pencil on base g, and A once for the three dominance pencils;
-        # each scan that solves pencils makes two stacked solves and one
-        # eigvalsh, and the Gram test one more eigvalsh.  The growth
-        # probe inverts g once over all its radii.  The velocity
-        # Hessians are built once per chunk, for the C and R forms and
-        # B's divergence.
-        calls, built, hessians = [], [], []
+        # each factor is inverted once, and each scan that reduces
+        # pencils makes one eigvalsh, and the Gram test one more.  No
+        # scan solves a system: det g comes from g's factor, so the
+        # Hormander scan takes one det, of dv.  The growth probe inverts
+        # g once over all its radii.  The velocity Hessians are built
+        # once per chunk, for the C and R forms and B's divergence.
+        calls, built, hessians, inverted = [], [], [], []
         for name in ("cholesky", "solve", "eigvalsh", "inv", "det"):
             def counted(a, *args, _fn=getattr(np.linalg, name), _name=name):
-                calls.append((_name, a))
-                return _fn(a, *args)
+                out = _fn(a, *args)
+                calls.append((_name, a, out))
+                return out
             monkeypatch.setattr(np.linalg, name, counted)
-        hessian = geom.covariant_hessian_from_jet
+        hessian, tril_inverse = geom.covariant_hessian_from_jet, geom._tril_inverse
 
         def counted_hessian(jet, grad_f, hess_f):
             hessians.append(grad_f)
             return hessian(jet, grad_f, hess_f)
 
+        def counted_inverse(L):
+            inverted.append(L)
+            return tril_inverse(L)
+
         monkeypatch.setattr(geom, "covariant_hessian_from_jet", counted_hessian)
+        monkeypatch.setattr(geom, "_tril_inverse", counted_inverse)
 
         class Counted(asm._PointJet):
             def __init__(self, model, P):
@@ -801,14 +823,16 @@ class TestSharedPointJets:
         asm.check_model(builtin_relativistic(4.0),
                         asm.default_grid(3, axis_points=5, quasi_points=100))
         assert len(built) == 2
-        kinds = [kind for kind, _ in calls]
-        per_chunk = {"cholesky": 2, "solve": 6, "eigvalsh": 4, "inv": 2, "det": 2}
+        kinds = [kind for kind, _, _ in calls]
+        per_chunk = {"cholesky": 2, "solve": 0, "eigvalsh": 4, "inv": 2, "det": 1}
         assert {k: kinds.count(k) for k in per_chunk} == {
             k: 2 * c + (k == "inv") for k, c in per_chunk.items()}
-        factored = [a for kind, a in calls if kind == "cholesky"]
+        assert len(inverted) == 2 * len(built)
+        factored = [(a, L) for kind, a, L in calls if kind == "cholesky"]
         for pj in built:
-            assert sum(a is pj.A for a in factored) == 1
-            assert sum(a is pj.jet.g for a in factored) == 1
+            for base in (pj.A, pj.jet.g):
+                (L,) = [L for a, L in factored if a is base]
+                assert sum(W is L for W in inverted) == 1
             assert sum(a is pj.dv for a in hessians) == 1
 
     def test_check_model_holds_two_point_jets_at_most(self, monkeypatch):

@@ -565,6 +565,18 @@ class TestReport:
 
 
 class TestEntryPoint:
+    def test_main_builds_one_parser_and_dispatches_by_name(self, monkeypatch):
+        # The parser is built once per process, and main looks the
+        # handler of args.command up when it is called.
+        ran = []
+        monkeypatch.setattr(cli, "cmd_report",
+                            lambda cfg, args: ran.append(args.command) or 7)
+        cli.build_parser.cache_clear()
+        assert [cli.main(["report"]) for _ in range(2)] == [7, 7]
+        assert ran == ["report", "report"]
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "hypocert", "check", "--model", "classical",

@@ -56,6 +56,20 @@ class TestMetricJet:
         assert jet.sqrt_det[0] == pytest.approx(1.0)
         assert np.array_equal(jet.g[0], np.eye(3))
 
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_tril_inverse_matches_inv(self, S):
+        # The inverse Cholesky factor that the pencil scans reduce with:
+        # np.linalg.inv's to rounding, lower triangular, and the same
+        # bits for a matrix alone as in the stack.
+        X = np.random.default_rng(S).normal(size=(40, S, S))
+        L = np.linalg.cholesky(X @ X.swapaxes(1, 2) + S * np.eye(S))
+        W = geometry._tril_inverse(L)
+        np.testing.assert_allclose(W, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(W, np.tril(W))
+        for k in (0, 17, 39):
+            np.testing.assert_array_equal(geometry._tril_inverse(L[k:k + 1]),
+                                          W[k:k + 1])
+
     def test_relativistic_origin(self):
         jet = batch_jet(REL, np.zeros(3)[None])
         assert np.allclose(jet.g[0], np.eye(3), atol=1e-14)

@@ -447,6 +447,18 @@ def diffusion_solve_reference(op, h, dt):
     return cho_solve_banded((cholesky_banded(ab), False), (op.weight * h).T).T
 
 
+def block_solve_reference(lu, h):
+    """solver._BlockLU.solve with one matmul per block: block k of a
+    group takes its own product W_k G_k from the group's stack."""
+    z = np.empty_like(h)
+    for cols, WG in lu.groups:
+        b = WG.shape[1]
+        for k, block in enumerate(WG):
+            nodes = slice(cols.start + k * b, cols.start + (k + 1) * b)
+            z[:, nodes] = h[:, nodes] @ block
+    return z[:, lu.edges] @ lu.correction + z
+
+
 def step_reference(h, dt, model, grid, order2=False):
     """One Strang step with roll-based transport and a banded solve."""
     nu = sv._node_geometry(model, grid).v * (0.5 * dt / grid.dx)
