@@ -389,24 +389,35 @@ def _point_jets(model, P):
     its first failing point, whose error is raised with the point named.
     Point jets are built as they are asked for and not kept once yielded.
     """
+    def builds(points):
+        try:
+            _PointJet(model, points)
+        except _JET_ERRORS:
+            return False
+        return True
+
     for start in range(0, P.shape[0], CHUNK):
         chunk = P[start:start + CHUNK]
         try:
             yield _PointJet(model, chunk)
         except _JET_ERRORS:
-            lo, hi = 0, chunk.shape[0]
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    _PointJet(model, chunk[lo:mid])
-                    lo = mid
-                except _JET_ERRORS:
-                    hi = mid
+            k = _first_failing(chunk, builds)
             try:
-                _PointJet(model, chunk[lo:hi])
+                _PointJet(model, chunk[k:k + 1])
             except _JET_ERRORS as exc:
-                raise type(exc)(f"{exc} at p = {chunk[lo]}") from exc
+                raise type(exc)(f"{exc} at p = {chunk[k]}") from exc
             raise
+
+
+def _first_failing(points, passes):
+    """The index of the first of points where passes, a test of a run of
+    them together, fails, given that it fails on all of them: a
+    bisection, as each point passes or fails on its own."""
+    lo, hi = 0, len(points)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(points[lo:mid]) else (lo, mid)
+    return lo
 
 
 class _ScanPass:
@@ -603,28 +614,19 @@ def growth_check(model, radii=None):
         raise ValueError("radii must span at least one decade")
     dirs = _sphere_directions(model.dim)
 
-    def ratios_or_none(lo, hi):
+    def ratios_or_none(radii):
         try:
-            ratios = _growth_ratios(model, dirs, radii[lo:hi])
+            ratios = _growth_ratios(model, dirs, radii)
         except (ExprDomainError, FloatingPointError, np.linalg.LinAlgError):
             return None
         return ratios if np.all(np.isfinite(ratios)) else None
 
-    ratios = ratios_or_none(0, radii.size)
+    ratios = ratios_or_none(radii)
     if ratios is None:
-        # bisect down to the first failing radius, keeping the ratios of
-        # the radii below it
-        kept, lo, hi = [], 0, radii.size
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            part = ratios_or_none(lo, mid)
-            if part is None:
-                hi = mid
-            else:
-                kept.append(part)
-                lo = mid
+        # per radius, so the ratios below the first failure read the same
+        k = _first_failing(radii, lambda r: ratios_or_none(r) is not None)
         return GrowthResult(ok=False, radii=tuple(radii),
-                            ratios=tuple(x for part in kept for x in part))
+                            ratios=tuple(ratios_or_none(radii[:k]) if k else ()))
     monotone = bool(np.all(np.diff(ratios) <= 1e-9 * ratios[:-1] + 1e-300))
     ok = monotone and ratios[-1] < ratios[0] / 10.0
     return GrowthResult(ok=bool(ok), radii=tuple(radii), ratios=tuple(ratios))

@@ -208,42 +208,31 @@ class _ExprJets:
         expr = [f for f in fields if isinstance(f, _EXPR_FIELDS)]
         self.theta = expr[0].theta if expr else None
         self._fields, self._others, self._shapes, self._partials = [], {}, [], []
-        self._pending = {}
         self._dag = _Dag()
         self._compiled, self._contents = {}, {}
         for f in fields:
             self.add(f)
-        self._intern(range(len(fields)))
 
     def add(self, field):
-        """Give a field handle the next index.  A member added after
-        the builder was made is interned on the first request that
-        reads it."""
+        """Give a field handle the next index.  A member's entries go
+        into the DAG at once, in one pass, and its content is taken then:
+        what they compute (`_Dag.content`), their indices and its value
+        shape."""
         k = len(self._fields)
         self._fields.append(field)
         if isinstance(field, _EXPR_FIELDS) and field.theta == self.theta:
             entries, shape = field._spec
-            self._pending[k] = entries
+            slots = self._dag.intern(list(entries.values()))
+            self._partials.append([{((), idx): s for idx, s in zip(entries, slots)}])
+            self._contents[k] = (self._dag.content(slots), tuple(entries), shape)
         else:
             self._others[k], shape = field, ()
+            self._partials.append(None)
         self._shapes.append(shape)
-        self._partials.append(None)
 
     def index(self, field):
         """The index of a field handle in this builder, or None."""
         return next((k for k, f in enumerate(self._fields) if f is field), None)
-
-    def _intern(self, fields):
-        """Put the entries of the members among fields that are not yet
-        interned into the DAG, in one pass."""
-        members = [k for k in dict.fromkeys(fields) if k in self._pending]
-        if not members:
-            return
-        entries = [self._pending.pop(k) for k in members]
-        slots = iter(self._dag.intern(
-            [ast for e in entries for ast in e.values()]))
-        for k, e in zip(members, entries):
-            self._partials[k] = [{((), idx): next(slots) for idx in e}]
 
     def _order(self, field, order):
         """{(axes, index): slot} of the order-k partials of a member."""
@@ -259,26 +248,13 @@ class _ExprJets:
     def _key(self, request):
         """The request's key in the program table: dim, and per pair None
         for a field that is not a member, else the order and the
-        member's content, taken once per member."""
-        self._intern(f for f, _ in request)
-        return (self.dim, *(None if f in self._others else (self._content(f), order)
+        member's content."""
+        return (self.dim, *(None if f in self._others else (self._contents[f], order)
                             for f, order in request))
-
-    def _content(self, field):
-        """What a member's entries compute (`_Dag.content`), their
-        indices and its value shape."""
-        content = self._contents.get(field)
-        if content is None:
-            first = self._partials[field][0]
-            content = self._contents[field] = (
-                self._dag.content(first.values()),
-                tuple(idx for _, idx in first), self._shapes[field])
-        return content
 
     def _compile(self, request):
         """(tape, blocks): one (source, shape) block per pair of the
         request, None for a field that is not a member."""
-        self._intern(f for f, _ in request)
         roots, blocks = [], []
         for field, order in request:
             if field in self._others:

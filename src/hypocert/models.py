@@ -149,7 +149,7 @@ def log_weight_field(model):
     Uses an exact expression when both g and E are expression-backed;
     falls back to a finite-difference field otherwise.  The result is
     cached on the model and joins the model's jet builder as field
-    dim + 2, interned on its first request, so a request can read it
+    dim + 2, its entry interned as it joins, so a request can read it
     together with g, v and E.
     """
     cached = model._cache.get("log_weight")

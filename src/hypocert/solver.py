@@ -3,8 +3,10 @@
 Discretizes dh/dt + v(p) dh/dx = Lh, where L is the weighted momentum
 Laplacian Delta_p + g(d_p log u, d_p .), on [0,1) x [-P,P] with periodic
 x and zero-flux momentum boundaries.  The momentum measure mu carries
-the equilibrium weight u sqrt(det g), so constants are equilibria and L
-is self-adjoint in the discrete mu inner product by construction.
+the Gibbs factor e^-E (= u sqrt(det g)), and the metric enters only
+through the conductance e^-E g^pp at the half nodes, so constants are
+equilibria and L is self-adjoint in the discrete mu inner product by
+construction.
 
 Time stepping is Strang splitting: half-step upwind transport in x,
 implicit diffusion in p, half-step transport.  Transport is in flux
@@ -51,12 +53,12 @@ import re
 
 import numpy as np
 
-from . import geometry
 from .assumptions import _div_hessians, _PointJet
 from .errors import (
     CFLViolation,
     InsufficientData,
     LinearSolveFailure,
+    MetricError,
     NonpositiveValues,
     NonpositiveWeight,
 )
@@ -100,10 +102,10 @@ DECAY_ALLOWANCE = 0.1
 class PhaseGrid:
     """Tensor grid: Nx periodic cells in x, Np momentum nodes on [-P, P].
 
-    mu_weights holds the discrete momentum measure per node (weight
-    u sqrt(det g) times the trapezoid cell length, normalized to total
-    one).  tail_mass estimates the equilibrium mass beyond |p| = P that
-    the truncation discards.
+    mu_weights holds the discrete momentum measure per node (the Gibbs
+    factor e^-E = u sqrt(det g) times the trapezoid cell length,
+    normalized to total one).  tail_mass estimates the equilibrium mass
+    beyond |p| = P that the truncation discards.
     """
 
     Nx: int
@@ -171,14 +173,22 @@ def _aligned(shape):
     return buf[start:start + n].reshape(shape)
 
 
-def _weight_profile(model, p):
-    """u * sqrt(det g) at the 1D momentum points p, shape (k,), and the
-    first-order metric jet it was computed from."""
-    pts = np.asarray(p, dtype=float)[:, None]
-    logu, jet = geometry.log_weight_values(model, pts)
+def _gibbs(model, p, metric=True):
+    """The Gibbs factor e^-E at the 1D momentum points p, and g_pp there
+    when metric is set, from one request to the model's jet builder
+    (field 0 is g, field 2 is E).  Raises MetricError naming the first
+    point where g_pp is not positive."""
+    request = ((2, 0), (0, 0)) if metric else ((2, 0),)
+    E, *g = model._jets(request, np.asarray(p, dtype=float)[:, None])
     with np.errstate(over="ignore", under="ignore"):
-        w = np.exp(logu) * jet.sqrt_det
-    return w, jet
+        w = np.exp(-E)
+    if not metric:
+        return w
+    g = g[0][:, 0, 0]
+    k = int(np.argmin(g > 0.0))  # the first point that fails, else 0
+    if not g[k] > 0.0:
+        raise MetricError(f"metric g_pp = {g[k]:.6g} is not positive at p = {p[k]:.6g}")
+    return w, g
 
 
 def _require_1d(model):
@@ -201,21 +211,20 @@ def build_grid(model, Nx, Np, P):
     p_nodes = np.linspace(-P, P, Np)
     dp = p_nodes[1] - p_nodes[0]
 
-    w, _ = _weight_profile(model, p_nodes)
+    w, _ = _gibbs(model, p_nodes)
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise NonpositiveWeight(
-            "equilibrium weight u sqrt(det g) must be positive on the grid"
-        )
+        raise NonpositiveWeight("Gibbs factor e^-E (= u sqrt(det g)) must be "
+                                "finite and positive on the grid")
     trap = np.full(Np, dp)
     trap[0] = trap[-1] = 0.5 * dp
     raw = w * trap
     mu = raw / raw.sum()
     mu /= mu.sum()
 
-    # Tail estimate: same integrand and spacing on the doubled slab.
+    # Tail estimate: same integrand and spacing on the doubled slab,
+    # which needs E alone.
     p_ext = np.linspace(-2.0 * P, 2.0 * P, 2 * Np - 1)
-    with np.errstate(over="ignore", under="ignore"):
-        w_ext, _ = _weight_profile(model, p_ext)
+    w_ext = _gibbs(model, p_ext, metric=False)
     trap_ext = np.full(p_ext.size, dp)
     trap_ext[0] = trap_ext[-1] = 0.5 * dp
     ext = float(np.sum(np.where(np.isfinite(w_ext), w_ext, 0.0) * trap_ext))
@@ -376,7 +385,7 @@ class _BlockLU:
             (slice(cuts[lo], cuts[hi]), np.stack(blocks[lo:hi]))
             for lo, hi in ((0, wide), (wide, K)) if hi > lo
         ]
-        self._z = self._edge = self._zv = None
+        self._z = self._edge = self._zv = self._hv = None
 
     def _stacks(self, a):
         """a (rows, n) as one (k, rows, b) view per group of blocks."""
@@ -385,13 +394,16 @@ class _BlockLU:
 
     def solve(self, h, out):
         """x for the rows of h, shape (rows, n), into out of that shape;
-        out may be h."""
+        out may be h.  The views of h are kept with h itself, which they
+        are matched on, so a solve on the same array again builds none."""
         z, e = self._z, self._edge
         if z is None or z.shape != h.shape:
             z = self._z = _aligned(h.shape)
             e = self._edge = _aligned((h.shape[0], self.edges.size))
             self._zv = self._stacks(z)
-        for (_, WG), hv, zv in zip(self.groups, self._stacks(h), self._zv):
+        if self._hv is None or self._hv[0] is not h:
+            self._hv = (h, self._stacks(h))
+        for (_, WG), hv, zv in zip(self.groups, self._hv[1], self._zv):
             np.matmul(hv, WG, out=zv)
         # The edges are in range, so "clip" clips nothing; the default
         # "raise" buffers out.
@@ -444,26 +456,27 @@ class DiffusionOperator:
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         n = self.weight.size
-        lu.solve(np.asarray(h, dtype=float).reshape(-1, n), out.reshape(-1, n))
+        # An (rows, n) h goes as it is, so the block LU keeps its views
+        h = np.asarray(h, dtype=float)
+        lu.solve(h if h.shape[1:] == (n,) else h.reshape(-1, n), out.reshape(-1, n))
         return out
 
 
 def diffusion_matrix(model, grid):
     """Build the discrete momentum generator matched to grid.mu_weights."""
     _require_1d(model)
-    p = grid.p_nodes
-    half = 0.5 * (p[:-1] + p[1:])
-    w_half, jet = _weight_profile(model, half)
-    gpp_half = jet.g_inv[:, 0, 0]
+    p, n = grid.p_nodes, grid.Np
+    w, g = _gibbs(model, np.concatenate([p, 0.5 * (p[:-1] + p[1:])]))
 
-    # Scale the half-node conductances by the same normalization that
-    # produced mu_weights, so generator and measure agree exactly.
-    trap = np.full(grid.Np, grid.dp)
+    # Scale the half-node conductances e^-E / g_pp by the same
+    # normalization that produced mu_weights, so generator and measure
+    # agree exactly.
+    trap = np.full(n, grid.dp)
     trap[0] = trap[-1] = 0.5 * grid.dp
-    norm = 1.0 / float(np.sum(_weight_profile(model, p)[0] * trap))
+    norm = 1.0 / float(np.sum(w[:n] * trap))
 
-    off = norm * w_half * gpp_half / grid.dp
-    diag = np.zeros(grid.Np)
+    off = norm * w[n:] / g[n:] / grid.dp
+    diag = np.zeros(n)
     diag[:-1] -= off
     diag[1:] -= off
     return DiffusionOperator(off=off, diag=diag, weight=grid.mu_weights.copy())
@@ -690,12 +703,14 @@ def _ddx(h, dx, out=None):
     return out
 
 
-def _ddp(h, dp, out=None):
+def _ddp(h, dp, out=None, col=None):
     """np.gradient(h, dp, axis=1, edge_order=2) to the bit, into out (a
     new array when None): centred inside, one-sided of second order at
-    both ends."""
+    both ends, each end column formed in out and in the work column col
+    (a new one when None) with no temporary."""
     if out is None:
         out = np.empty(np.shape(h))
+    col = np.empty(len(h)) if col is None else col
     # The centred difference as one pass over the raveled arrays: the
     # entries it gets wrong, where the stencil wraps from one row into
     # the next, are the end columns, which the one-sided formulas
@@ -704,18 +719,23 @@ def _ddp(h, dp, out=None):
     inner = of[1:-1]
     np.subtract(hf[2:], hf[:-2], out=inner)
     inner /= 2.0 * dp
-    out[:, 0] = -1.5 / dp * h[:, 0] + 2.0 / dp * h[:, 1] - 0.5 / dp * h[:, 2]
-    out[:, -1] = 0.5 / dp * h[:, -3] - 2.0 / dp * h[:, -2] + 1.5 / dp * h[:, -1]
+    # (c0 h_a + c1 h_b) + c2 h_c, as np.gradient orders it
+    for end, (a, b, c), (c0, c1, c2) in ((0, (0, 1, 2), (-1.5, 2.0, -0.5)),
+                                         (-1, (-3, -2, -1), (0.5, -2.0, 1.5))):
+        o = out[:, end]
+        np.add(np.multiply(c0 / dp, h[:, a], out=col),
+               np.multiply(c1 / dp, h[:, b], out=o), out=o)
+        o += np.multiply(c2 / dp, h[:, c], out=col)
     return out
 
 
 class _Sample:
     """Work arrays of `functionals` on one (model, grid): four (Nx, Np)
-    arrays from _aligned, a mask, and the momentum weights and
-    coefficients.  Each of those is computed per node as the plain
-    formula would and repeated down the rows of an _aligned (Nx, Np)
-    array: a ufunc that broadcasts an (Np,) row over the grid goes
-    through numpy's buffered iterator, whose buffers take 64 KB."""
+    arrays and an (Nx,) column from _aligned, a mask, and the momentum
+    weights and coefficients.  Each of those is computed per node as the
+    plain formula would and repeated down the rows of an _aligned
+    (Nx, Np) array: a ufunc that broadcasts an (Np,) row over the grid
+    goes through numpy's buffered iterator, whose buffers take 64 KB."""
 
     def __init__(self, model, grid):
         geo = _node_geometry(model, grid)
@@ -731,6 +751,7 @@ class _Sample:
         self.c_xx = full(geo.gpp * geo.dv**2)
         self.c_xp = full(geo.gpp * geo.dv)
         self.work = [_aligned(shape) for _ in range(4)]
+        self.col = _aligned((grid.Nx,))  # _ddp's end columns
         self.mask = np.empty(shape, dtype=bool)
 
 
@@ -780,7 +801,7 @@ def functionals(state, model, grid, certificate=None):
     np.copyto(phi, 1.0, where=s.mask)
     D = max(m * float(np.sum(np.multiply(phi, w, out=phi))), 0.0)
 
-    dhx, dhp, hf = _ddx(h, grid.dx, out=a), _ddp(h, grid.dp, out=c), b
+    dhx, dhp, hf = _ddx(h, grid.dx, out=a), _ddp(h, grid.dp, out=c, col=s.col), b
     np.maximum(h, floor, out=hf)
 
     def quad(f):

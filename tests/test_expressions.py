@@ -886,7 +886,7 @@ class TestJetCost:
     def test_fields_intern_nothing_until_read(self, monkeypatch):
         # A model's fields build their own jets on first use; the scans
         # read them through the model's jet builder, which interns every
-        # entry of g, v and E once.
+        # entry of g, v and E once, one call per member as it joins.
         empty_program_table(monkeypatch)
         roots = []
         intern = expressions._Dag.intern
@@ -899,15 +899,16 @@ class TestJetCost:
         model = builtin_relativistic(4.0)
         assert roots == []
         asm._PointJet(model, np.array([[0.3, -0.2, 0.5]]))
-        assert roots == [10]
+        # g's six entries, v^1, v^2, v^3 and E: 10 roots
+        assert roots == [6, 1, 1, 1, 1]
         model.metric_field.value(np.zeros((1, 3)))
-        assert roots == [10, 6]
-        # log u joins the model's builder, and is interned on its first
-        # request there
+        assert roots == [6, 1, 1, 1, 1, 6]
+        # log u is interned as it joins the model's builder, and not
+        # again on its first request there
         logu = log_weight_field(model)
-        assert roots == [10, 6]
+        assert roots == [6, 1, 1, 1, 1, 6, 1]
         geometry.covariant_hessian(model, logu, np.zeros(3))
-        assert roots == [10, 6, 1]
+        assert roots == [6, 1, 1, 1, 1, 6, 1]
 
 
 def count_compiles(monkeypatch):
