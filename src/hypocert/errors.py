@@ -92,8 +92,8 @@ class InvalidCertificate(HypocertError):
 
 
 class CFLViolation(HypocertError):
-    """Raised when the requested time step exceeds the transport CFL
-    limit: 2 dx / max|v| for upwind, dx / max|v| for MUSCL."""
+    """Raised when the requested time step exceeds the MUSCL transport
+    CFL limit dx / max|v|; the default step, exact in x, has none."""
 
 
 class LinearSolveFailure(HypocertError):
@@ -107,4 +107,5 @@ class InsufficientData(HypocertError):
 
 class NonpositiveValues(HypocertError):
     """Raised by rate fitting when the series contains nonpositive
-    values inside the fit window (log undefined)."""
+    values inside the fit window (log undefined), and by a solver run
+    when a sampled density falls below zero."""

@@ -428,7 +428,7 @@ class TestSimulate:
         assert f"certificate file {path}: {message}" in capsys.readouterr().err
 
     def test_solver_error_exit_1_with_time(self, tmp_path, capsys):
-        code = run_cli(["simulate", "--model", "classical",
+        code = run_cli(["simulate", "--model", "classical", "--order2",
                         "--dt", "0.5", "--output-dir", tmp_path / "out"] + QUICK)
         assert code == 1
         err = capsys.readouterr().err
@@ -436,26 +436,29 @@ class TestSimulate:
 
     def test_too_large_dt_fails_before_the_scan(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--model", "classical", "--dt", "1",
-                        "--output-dir", out]) == 1
-        assert ("dt = 5.000e-02 exceeds the transport limit 3.906e-03 "
+        assert run_cli(["simulate", "--model", "classical", "--order2",
+                        "--dt", "1", "--output-dir", out]) == 1
+        assert ("dt = 5.000e-02 exceeds the transport limit 1.953e-03 "
                 "(at t = 0)") in capsys.readouterr().err
         for name in (cli.ASSUMPTIONS_TXT, cli.ASSUMPTIONS_KV, cli.CERTIFICATE_KV):
             assert not (out / name).exists()
 
     def test_chosen_dt_stays_inside_the_limit(self, tmp_path):
-        # The default grid's transport limit is 3.906e-3, and 0.0045 is
-        # 1.28 steps of 0.9 times it, which rounds down to one step.
-        assert run_cli(["simulate", "--model", "classical",
-                        "--sample-dt", "0.0045", "--tmax", "0.009",
-                        "--output-dir", tmp_path / "out"]) == 0
+        # The default grid's MUSCL transport limit is 1.953e-3, and
+        # 0.00225 is 1.28 steps of 0.9 times it, which rounds down to
+        # one step.
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", "classical", "--order2",
+                        "--sample-dt", "0.00225", "--tmax", "0.0045",
+                        "--output-dir", out]) == 0
+        assert "dt = 0.001125," in (out / "summary.txt").read_text()
 
     def test_given_dt_bounds_the_sub_step(self, tmp_path):
-        # 0.0028 / 0.0019 = 1.47 rounds down to one step of 0.0028, above
-        # the step asked for though below the limit 3.906e-3; two steps
-        # of 0.0014 keep within both.
+        # MUSCL: 0.0028 / 0.0019 = 1.47 rounds down to one step of
+        # 0.0028, above the step asked for and the limit 1.953e-3; two
+        # steps of 0.0014 keep within both.
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--model", "classical",
+        assert run_cli(["simulate", "--model", "classical", "--order2",
                         "--sample-dt", "0.0028", "--dt", "0.0019",
                         "--tmax", "0.0112", "--output-dir", out]) == 0
         assert "dt = 0.0014," in (out / "summary.txt").read_text()
@@ -505,6 +508,29 @@ class TestSimulate:
                         "--initial-data", "1 + cos(x)",
                         "--output-dir", tmp_path / "out"] + QUICK) == 2
 
+    def test_negative_interpolant_exit_2_before_the_scan(self, tmp_path, capsys):
+        # The datum's trigonometric interpolant in x dips below zero
+        # between the 64 cells, so the exact shift would make h negative.
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", "classical", "--initial-data",
+                        "exp(-5000*(x-0.5)^2)", "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "falls to -0.0342 times its largest value" in err
+        assert "use a larger Nx" in err
+        assert not out.exists()
+
+    def test_negative_sample_exit_1_names_t(self, tmp_path, capsys, monkeypatch):
+        # With the interpolant check out of the way, the same datum's
+        # first sample goes negative.
+        monkeypatch.setattr(sv, "_positive_interpolant", lambda h: 0.0)
+        cert = build_certificate(1.0, 1.0, 0.0, 0.0, 0.0, alpha=1.0)
+        path = tmp_path / "cert.kv"
+        path.write_text(certificate_kv(cert))
+        assert run_cli(["simulate", "--model", "classical", "--certificate", path,
+                        "--initial-data", "exp(-5000*(x-0.5)^2)", "--tmax", "0.1",
+                        "--output-dir", tmp_path / "out"]) == 1
+        assert "< 0 at t = 0.05" in capsys.readouterr().err
+
     def test_diagnostics_appended(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(["simulate", "--model", "classical", "--diagnostics",
@@ -516,8 +542,8 @@ class TestSimulate:
             assert row in summary
 
     def test_diagnostics_burn_in_stays_inside_the_limit(self, tmp_path):
-        # The burn-in to t = 0.25 at 0.9 of the limit 0.2083 is 1.33
-        # steps; one step of 0.25 would exceed the limit.
+        # The burn-in to t = 0.25 is one default step, which has no
+        # transport limit: on this coarse grid the MUSCL limit is 0.1042.
         assert run_cli(["simulate", "--model", "classical", "--diagnostics",
                         "--Nx", "8", "--Np", "16", "--P", "1.2", "--tmax", "1",
                         "--output-dir", tmp_path / "out"]) == 0
@@ -612,6 +638,24 @@ class TestEntryPoint:
                               text=True, env=module_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[] []"
+
+    def test_check_and_certify_load_no_numpy_fft(self, tmp_path):
+        # Only the solver's default step uses numpy.fft, which numpy 2
+        # loads on first use; numpy 1 loads it with numpy itself.
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "eager = 'numpy.fft' in sys.modules\n"
+            "from hypocert import cli\n"
+            f"out = ['--model', 'classical', '--output-dir', {str(tmp_path / 'out')!r}]\n"
+            "assert cli.main(['check', *out]) == 0\n"
+            "assert cli.main(['certify', *out]) == 0\n"
+            "print(eager or 'numpy.fft' not in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
 
     def test_check_loads_no_numpy_ma(self, tmp_path):
         # numpy.ma costs a cold check about 14 ms; np.unique(axis=0) was

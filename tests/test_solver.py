@@ -311,17 +311,27 @@ class TestSolveViews:
         monkeypatch.setattr(sv._BlockLU, "_stacks",
                             lambda lu, a: [built.append(a), stacks(lu, a)][1])
         grid = sv.build_grid(CLASSICAL, 16, 64, 8.0)
-        sv.run(CLASSICAL, grid, "1 + x*(1-x)", 0.5, 0.05)
-        st = grid._cache[("strang", CLASSICAL, False)]
-        # the work array z, then the stepper's density
+        sv.run(CLASSICAL, grid, "1 + x*(1-x)", 0.5, 0.05, order2=True)
+        st = grid._cache[("step", CLASSICAL, True)]
+        # the work array z, then the stepper's density, both on the
+        # block LU that the stepper holds and the operator keeps
         assert len(built) == 2
-        assert built[0] is sv._op(CLASSICAL, grid)._lu._z
+        assert st.lu is sv._op(CLASSICAL, grid)._lu
+        assert built[0] is st.lu._z
         assert built[1] is st.h
+
+    def test_muscl_run_solves_on_the_held_lu(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("DiffusionOperator.solve called")
+
+        monkeypatch.setattr(sv.DiffusionOperator, "solve", no_solve)
+        grid = sv.build_grid(CLASSICAL, 16, 64, 8.0)
+        sv.run(CLASSICAL, grid, "1 + x*(1-x)", 0.1, 0.05, order2=True)
 
     def test_another_array_gets_its_own_views(self):
         grid = sv.build_grid(RELATIVISTIC, 16, 64, 8.0)
-        sv.run(RELATIVISTIC, grid, "1 + x*(1-x)", 0.5, 0.05)
-        st, op = grid._cache[("strang", RELATIVISTIC, False)], sv._op(RELATIVISTIC, grid)
+        sv.run(RELATIVISTIC, grid, "1 + x*(1-x)", 0.5, 0.05, order2=True)
+        st, op = grid._cache[("step", RELATIVISTIC, True)], sv._op(RELATIVISTIC, grid)
         rng = np.random.default_rng(3)
         for _ in range(2):
             h = rng.uniform(0.1, 2.0, st.h.shape)
@@ -346,19 +356,24 @@ class TestStep:
         assert out.t == 1e-3
 
     def test_cfl_enforced(self):
-        # A half step moves by nu = v dt / (2 dx) with max|v| = P = 8:
-        # upwind allows |nu| <= 1, MUSCL |nu| <= 1/2.
+        # A MUSCL half step moves by nu = v dt / (2 dx) with
+        # max|v| = P = 8, and MUSCL allows |nu| <= 1/2.  The default
+        # step has no limit.
         grid = sv.build_grid(CLASSICAL, 16, 64, 8.0)
         st = sv.State(h=np.ones((grid.Nx, grid.Np)), t=0.0)
-        for order2, limit in ((False, 2.0 * grid.dx / 8.0),
-                              (True, grid.dx / 8.0)):
-            with pytest.raises(CFLViolation):
-                sv.step(st, 1.01 * limit, CLASSICAL, grid, order2=order2)
-            sv.step(st, 0.99 * limit, CLASSICAL, grid, order2=order2)
+        limit = grid.dx / 8.0
+        assert sv.cfl_limit(CLASSICAL, grid, True) == limit
+        with pytest.raises(CFLViolation):
+            sv.step(st, 1.01 * limit, CLASSICAL, grid, order2=True)
+        sv.step(st, 0.99 * limit, CLASSICAL, grid, order2=True)
+        assert sv.cfl_limit(CLASSICAL, grid) == math.inf
+        sv.step(st, 100.0 * limit, CLASSICAL, grid)
 
     @pytest.mark.parametrize("with_diffusion", [False, True],
                              ids=["transport", "full"])
-    @pytest.mark.parametrize("order2", [False, True])
+    # MUSCL alone: the default step is neither TVD nor positive on data
+    # whose interpolant in x is not.
+    @pytest.mark.parametrize("order2", [True])
     @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC_10],
                              ids=["classical", "relativistic10"])
     def test_positive_and_tvd_at_the_limit(self, model, order2,
@@ -410,17 +425,21 @@ class TestStep:
     @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC, WIGGLE],
                              ids=["classical", "relativistic", "wiggle"])
     def test_matches_reference_step(self, model, order2):
+        # The default step's reference builds its propagator without
+        # the row normalization, which moves it by about 5e-14.
         grid = sv.build_grid(model, 24, 40, 6.0)
         rng = np.random.default_rng(3)
-        dt = 0.8 * sv.cfl_limit(model, grid, order2)
+        dt = 0.8 * sv.cfl_limit(model, grid, order2) if order2 else 0.05
         h = rng.uniform(0.1, 2.0, (grid.Nx, grid.Np))
         st = sv.State(h=h, t=0.0)
         for _ in range(3):
             want = step_reference(st.h, dt, model, grid, order2)
             st = sv.step(st, dt, model, grid, order2=order2)
-            np.testing.assert_allclose(st.h, want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(st.h, want, rtol=1e-13 if order2 else 1e-12,
+                                       atol=0.0)
 
-    @pytest.mark.parametrize("order2", [False, True])
+    # MUSCL alone: the default step has no column runs.
+    @pytest.mark.parametrize("order2", [True])
     @pytest.mark.parametrize("model, Nx, Np", [
         (CLASSICAL, 128, 256), (WIGGLE, 24, 40), (WIGGLE, 24, 101),
         (RELATIVISTIC_10, 60, 101),
@@ -430,7 +449,7 @@ class TestStep:
         # the int64 views tell -0.0 from 0.0.
         grid = sv.build_grid(model, Nx, Np, 6.0)
         dt = sv.cfl_limit(model, grid, order2)
-        st, ref = (sv._Strang(model, grid, dt, order2) for _ in range(2))
+        st, ref = (sv._Strang(model, grid, dt) for _ in range(2))
         rng = np.random.default_rng(41)
         h = rng.uniform(0.0, 2.0, (Nx, Np))
         h[rng.random(h.shape) < 0.2] = 0.0
@@ -453,7 +472,9 @@ class TestStep:
         for a, b in ((st.h, mid.h), (mid.h, plus.h), (st.h, plus.h)):
             assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("order2", [False, True])
+    # MUSCL alone: the default step keeps h >= 0 only for data whose
+    # interpolant in x is nonnegative, which random data's is not.
+    @pytest.mark.parametrize("order2", [True])
     def test_positivity_and_mass_random_data(self, order2):
         grid = sv.build_grid(CLASSICAL, 24, 64, 6.0)
         rng = np.random.default_rng(17)
@@ -467,6 +488,81 @@ class TestStep:
                 st = sv.step(st, dt, CLASSICAL, grid, order2=order2)
                 assert np.min(st.h) >= 0.0
             assert abs(sv._mass(st.h, grid) - m0) <= 1e-13 * m0
+
+
+class TestDefaultStep:
+    """The default step: exact shifts of the x-Fourier modes around a
+    nonnegative diffusion propagator, one step per sample."""
+
+    @staticmethod
+    def cosine(X, P):
+        return 1.0 + 0.5 * np.cos(CLASSICAL.oracle.XI * X)
+
+    @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC_10],
+                             ids=["classical", "relativistic10"])
+    def test_propagator_nonnegative_fixes_constants_keeps_mass(self, model):
+        grid = sv.build_grid(model, 16, 128, 8.0)
+        prop = sv._Spectral(model, grid, 0.05).prop
+        mu = grid.mu_weights
+        assert np.all(prop >= 0.0)
+        np.testing.assert_allclose(prop.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.sum(np.abs(mu @ prop - mu)) <= 1e-14
+
+    def test_one_step_per_sample_keeps_the_mass(self):
+        grid = sv.build_grid(CLASSICAL, 64, 128, 8.0)
+        series = sv.run(CLASSICAL, grid, "1 + x*(1-x)", tmax=1.0, sample_dt=0.05)
+        assert series.meta["dt"] == 0.05
+        assert np.max(np.abs(series.mass - series.mass[0])) <= 1e-12
+
+    def test_langevin_D_at_one_step_per_sample(self):
+        # 1.058 at 64 x 128, where upwind read 1.56
+        grid = sv.build_grid(CLASSICAL, 64, 128, 8.0)
+        series = sv.run(CLASSICAL, grid, self.cosine, tmax=0.8, sample_dt=0.05)
+        ratio = series.D[-1] / CLASSICAL.oracle.langevin_D(0.8, 0.5)
+        assert 1.0 < ratio <= 1.06
+
+    def test_D_converges_at_second_order_in_p(self):
+        # At one step per sample the splitting error sets a floor of
+        # 0.35% at t = 0.2, so the step is a quarter of a sample here.
+        # The errors at Np = 64, 128, 256 are 6.8e-2, 1.7e-2, 4.8e-3 at
+        # t = 0.6 and 0.43, 9.1e-2, 2.3e-2 at t = 1.
+        orc, times = CLASSICAL.oracle, (0.6, 1.0)
+        errs = []
+        for Np in (64, 128, 256):
+            grid = sv.build_grid(CLASSICAL, 64, Np, 8.0)
+            series = sv.run(CLASSICAL, grid, self.cosine, tmax=1.0,
+                            sample_dt=0.05, dt=0.0125)
+            errs.append([abs(series.D[round(t / 0.05)] / orc.langevin_D(t, 0.5) - 1.0)
+                         for t in times])
+        errs = np.array(errs)
+        assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.5)
+        assert np.all(np.log2(errs[0] / errs[-1]) / 2.0 >= 1.8)
+
+    @pytest.mark.parametrize("datum, low", [
+        ("exp(-5000*(x-0.5)^2)", "-0.0342"), ("1/(1+exp(-200*(x-0.5)))", "-0.14"),
+    ], ids=["narrow-bump", "step"])
+    def test_negative_interpolant_rejected(self, datum, low):
+        grid = sv.build_grid(CLASSICAL, 64, 32, 8.0)
+        with pytest.raises(ValueError, match=f"falls to {low} times its largest value .* larger Nx"):
+            sv.run(CLASSICAL, grid, datum, tmax=0.1, sample_dt=0.05)
+        # MUSCL keeps any nonnegative datum nonnegative
+        series = sv.run(CLASSICAL, grid, datum, tmax=0.1, sample_dt=0.05, order2=True)
+        assert len(series) == 3
+
+    @pytest.mark.parametrize("datum", ["1 + x*(1-x)", cosine],
+                             ids=["quadratic", "cosine"])
+    def test_nonnegative_interpolant_runs(self, datum):
+        grid = sv.build_grid(CLASSICAL, 64, 32, 8.0)
+        h = sv.initial_state(CLASSICAL, grid, datum).h
+        assert -1e-12 * np.max(h) <= sv._positive_interpolant(h) < 0.0
+        series = sv.run(CLASSICAL, grid, datum, tmax=0.1, sample_dt=0.05)
+        assert len(series) == 3
+
+    def test_negative_sample_names_t(self, monkeypatch):
+        monkeypatch.setattr(sv, "_positive_interpolant", lambda h: 0.0)
+        grid = sv.build_grid(CLASSICAL, 64, 32, 8.0)
+        with pytest.raises(NonpositiveValues, match=r"< 0 at t = 0\.05$"):
+            sv.run(CLASSICAL, grid, "exp(-5000*(x-0.5)^2)", tmax=0.1, sample_dt=0.05)
 
 
 class TestFunctionals:
@@ -582,7 +678,7 @@ class TestWorkArrays:
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
         h0 = smooth_state(CLASSICAL, grid).h
         sv.run(CLASSICAL, grid, h0, 0.01, 0.01, order2=True)
-        st = grid._cache[("strang", CLASSICAL, True)]
+        st = grid._cache[("step", CLASSICAL, True)]
         lu = sv._op(CLASSICAL, grid)._lu
         arrays = {"ghost": st.ghost, "h": st.h, "flux": st.flux,
                   "face": st.flux[1:], "jump": st.jump, "slope": st.slope,
@@ -600,13 +696,12 @@ class TestWorkArrays:
         # column runs, so none goes through numpy's buffered iterator,
         # whose buffers take 64 KB or more.
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
-        st = sv._strang(CLASSICAL, grid, sv.cfl_limit(CLASSICAL, grid, True), True)
-        op = sv._op(CLASSICAL, grid)
+        st = sv._stepper(CLASSICAL, grid, sv.cfl_limit(CLASSICAL, grid, True), True)
         st.h[...] = smooth_state(CLASSICAL, grid).h
-        st.advance(op, st.h)  # factors the diffusion solve
+        st.advance()  # builds the block LU's work arrays
         tracemalloc.start()
         try:
-            st.advance(op, st.h)
+            st.advance()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -716,11 +811,16 @@ class TestRun:
     @pytest.mark.parametrize("order2", [False, True])
     @pytest.mark.parametrize("model", [CLASSICAL, WIGGLE], ids=["classical", "wiggle"])
     def test_matches_a_loop_of_steps(self, model, order2):
+        # MUSCL takes sub-steps by default; the default step takes one
+        # step per sample, so it is given a dt that needs three.  A run
+        # keeps that step's density in x-Fourier space between samples,
+        # and a step goes to x and back, which moves the last bits.
         grid = sv.build_grid(model, 16, 48, 6.0)
         datum = "1 + 0.5*x*(1-x) + exp(-p^2)"
+        given = None if order2 else 0.02
         series = sv.run(model, grid, datum, tmax=0.2, sample_dt=0.05,
-                        order2=order2)
-        n_sub, dt = sv.sub_steps(model, grid, 0.05, None, order2)
+                        dt=given, order2=order2)
+        n_sub, dt = sv.sub_steps(model, grid, 0.05, given, order2)
         assert n_sub > 1
         state = sv.initial_state(model, grid, datum)
         rows = [sv.functionals(state, model, grid)]
@@ -730,7 +830,11 @@ class TestRun:
             rows.append(sv.functionals(state, model, grid))
         for key, name in sv._SAMPLED:
             want = np.array([row[key] for row in rows])
-            assert getattr(series, name).tobytes() == want.tobytes(), name
+            if order2:
+                assert getattr(series, name).tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_allclose(getattr(series, name), want,
+                                           rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_equilibrium_datum_flat(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
@@ -739,7 +843,13 @@ class TestRun:
         assert np.max(series.l1_dist) < 1e-12
         assert np.max(np.abs(series.mass - 1.0)) < 1e-12
 
-    def test_l1_contraction_pairs(self):
+    def test_l2_contraction_pairs(self):
+        # The default step contracts the distance in L2(mu dx): a shift
+        # keeps each mode's modulus, and the propagator is a power of
+        # (I - tau L)^-1, a contraction in L2(mu).  It does not contract
+        # in L1 on the grid, where a sub-cell shift of sampled data moves
+        # the sum of |h| (and nor does MUSCL's limiter: both grew it by
+        # 1.3e-6 on these pairs).
         grid = sv.build_grid(CLASSICAL, 24, 48, 6.0)
         rng = np.random.default_rng(31)
         w = grid.mu_weights * grid.dx
@@ -747,12 +857,12 @@ class TestRun:
             a, b = rng.uniform(0.1, 0.5, 2)
             s1 = smooth_state(CLASSICAL, grid, amp_x=a)
             s2 = smooth_state(CLASSICAL, grid, amp_p=b)
-            dist = [float(np.sum(np.abs(s1.h - s2.h) * w))]
+            dist = [float(np.sum((s1.h - s2.h) ** 2 * w))]
             for _ in range(20):
                 s1 = sv.step(s1, 1e-3, CLASSICAL, grid)
                 s2 = sv.step(s2, 1e-3, CLASSICAL, grid)
-                dist.append(float(np.sum(np.abs(s1.h - s2.h) * w)))
-            assert np.all(np.diff(dist) <= 1e-10)
+                dist.append(float(np.sum((s1.h - s2.h) ** 2 * w)))
+            assert np.all(np.diff(dist) <= 1e-13 * dist[0])
 
     def test_sampling_layout(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
@@ -761,12 +871,12 @@ class TestRun:
         np.testing.assert_allclose(np.diff(series.times), 0.25, rtol=1e-12)
 
     def test_chosen_dt_stays_inside_the_limit(self):
-        # sample_dt / (0.9 limit) = 1.44 rounds to one sub-step, which
-        # alone would step past the limit.
+        # MUSCL: sample_dt / (0.9 limit) = 1.44 rounds to one sub-step,
+        # which alone would step past the limit.
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
-        limit = sv.cfl_limit(CLASSICAL, grid)
+        limit = sv.cfl_limit(CLASSICAL, grid, True)
         series = sv.run(CLASSICAL, grid, "2", tmax=2.6 * limit,
-                        sample_dt=1.3 * limit)
+                        sample_dt=1.3 * limit, order2=True)
         assert series.meta["dt"] == pytest.approx(0.65 * limit, rel=1e-12)
         assert len(series) == 3
 
@@ -784,7 +894,8 @@ class TestRun:
     def test_step_errors_carry_time_stamp(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
         with pytest.raises(CFLViolation, match="at t ="):
-            sv.run(CLASSICAL, grid, "2", tmax=1.0, sample_dt=0.5, dt=0.5)
+            sv.run(CLASSICAL, grid, "2", tmax=1.0, sample_dt=0.5, dt=0.5,
+                   order2=True)
 
     def test_tmax_must_be_whole_number_of_samples(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)

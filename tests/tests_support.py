@@ -388,15 +388,11 @@ def _minmod(a, b):
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
-def advect_reference(h, nu, order2):
-    """One upwind substep of dh/dt + v dh/dx = 0; nu = v dt / dx per column."""
+def advect_reference(h, nu):
+    """One MUSCL substep of dh/dt + v dh/dx = 0, nu = v dt / dx per
+    column: a minmod-limited reconstruction, monotone for |nu| <= 1/2."""
     up = np.roll(h, 1, axis=0)
     dn = np.roll(h, -1, axis=0)
-    if not order2:
-        nup = np.maximum(nu, 0.0)
-        nudn = np.minimum(nu, 0.0)
-        return h - nup * (h - up) - nudn * (dn - h)
-    # MUSCL reconstruction with a minmod limiter; monotone for |nu| <= 1/2.
     mm = _minmod(h - up, dn - h)
     right = np.where(nu > 0.0, h + 0.5 * mm, dn - 0.5 * np.roll(mm, -1, axis=0))
     left = np.roll(right, 1, axis=0)
@@ -413,26 +409,20 @@ def transport_runs_reference(st, out):
     g[-1] = g[1]
     right = g[2:]
     face = flux[1:]
-    if st.order2:
-        jump, slope = st.jump, st.slope
-        np.subtract(g[1:], g[:-1], out=jump)
-        a, b, mm = jump[:-1], jump[1:], slope[:-1]
-        # minmod(a, b) = median(a, b, 0) = max(min(a, b), min(max(a, b), 0))
-        np.minimum(a, b, out=mm)
-        np.maximum(a, b, out=face)
-        np.minimum(face, 0.0, out=face)
-        np.maximum(mm, face, out=mm)
-        mm *= 0.5
-        slope[-1] = slope[0]
-        for cols in st.from_left:
-            np.add(h[:, cols], mm[:, cols], out=face[:, cols])
-        for cols in st.from_right:
-            np.subtract(right[:, cols], slope[1:, cols], out=face[:, cols])
-    else:
-        for cols in st.from_left:
-            face[:, cols] = h[:, cols]
-        for cols in st.from_right:
-            face[:, cols] = right[:, cols]
+    jump, slope = st.jump, st.slope
+    np.subtract(g[1:], g[:-1], out=jump)
+    a, b, mm = jump[:-1], jump[1:], slope[:-1]
+    # minmod(a, b) = median(a, b, 0) = max(min(a, b), min(max(a, b), 0))
+    np.minimum(a, b, out=mm)
+    np.maximum(a, b, out=face)
+    np.minimum(face, 0.0, out=face)
+    np.maximum(mm, face, out=mm)
+    mm *= 0.5
+    slope[-1] = slope[0]
+    for cols in st.from_left:
+        np.add(h[:, cols], mm[:, cols], out=face[:, cols])
+    for cols in st.from_right:
+        np.subtract(right[:, cols], slope[1:, cols], out=face[:, cols])
     face *= st.nu
     flux[0] = flux[nx]
     np.subtract(h, face, out=out)
@@ -459,12 +449,37 @@ def block_solve_reference(lu, h):
     return z[:, lu.edges] @ lu.correction + z
 
 
+def shift_reference(h, v, a):
+    """h shifted by v a in x, column by column, through its full
+    complex FFT: the real part of the shifted trigonometric
+    interpolant's samples."""
+    k = np.fft.fftfreq(h.shape[0], 1.0 / h.shape[0])
+    return np.fft.ifft(np.fft.fft(h, axis=0)
+                       * np.exp(-2j * np.pi * np.outer(k, v) * a), axis=0).real
+
+
+def propagator_reference(op, dt, squarings):
+    """((I - tau L)^-1)^(2^squarings), tau = dt / 2^squarings, from a
+    dense generator, np.linalg.inv and np.linalg.matrix_power."""
+    n = op.weight.size
+    L = (np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)) / op.weight[:, None]
+    R = np.linalg.inv(np.eye(n) - dt / 2**squarings * L)
+    return np.linalg.matrix_power(R, 2**squarings)
+
+
 def step_reference(h, dt, model, grid, order2=False):
-    """One Strang step with roll-based transport and a banded solve."""
-    nu = sv._node_geometry(model, grid).v * (0.5 * dt / grid.dx)
-    h = advect_reference(h, nu, order2)
-    h = diffusion_solve_reference(sv._op(model, grid), h, dt)
-    return advect_reference(h, nu, order2)
+    """One Strang step: the default one through full complex FFTs and a
+    dense propagator, or MUSCL with roll-based transport and a banded
+    solve."""
+    op, v = sv._op(model, grid), sv._node_geometry(model, grid).v
+    if not order2:
+        h = shift_reference(h, v, 0.5 * dt)
+        h = h @ propagator_reference(op, dt, sv._SQUARINGS).T
+        return shift_reference(h, v, 0.5 * dt)
+    nu = v * (0.5 * dt / grid.dx)
+    h = advect_reference(h, nu)
+    h = diffusion_solve_reference(op, h, dt)
+    return advect_reference(h, nu)
 
 
 def functionals_reference(state, model, grid, certificate=None):
