@@ -20,10 +20,10 @@ and raise beta, gamma, omega.
 
 The scans read the same pointwise data (metric 2-jet, velocity 3-jet,
 energy 2-jet, Gram form A), built from the model's fields once per
-CHUNK of points as a `_PointJet`; its jets are one request to the
-model's jet builder, whose program is compiled once per model.  A scan
-is a plain function of a point jet that returns its per-point values
-by name.  `_EXTREMA` names each scanned constant once, with its scan
+chunk of points (see CHUNK) as a `_PointJet`; its jets are one
+request to the model's jet builder, whose program is compiled once per
+model.  A scan is a plain function of a point jet that returns its
+per-point values by name.  `_EXTREMA` names each scanned constant once, with its scan
 and whether it is the smallest or the largest sample, so a new
 constant is one entry there and one more value from its scan.  One
 `_ScanPass` runs any set of scans and `check_model` runs all of its
@@ -79,7 +79,10 @@ DEFAULT_RADIUS = 10.0
 DEFAULT_AXIS_POINTS = 41
 DEFAULT_QUASI_POINTS = 2000
 DEFAULT_SEED = 20240
-# Points per batch in every scan; one point jet is built per chunk.
+# Points per batch in every scan at M = 3, and CHUNK * 9 // M**2 at
+# dimension M: 2,304 in 2D and 9,216 in 1D, so that the 2,021 points of
+# the CLI's default 1D scan are one chunk.  One point jet is built per
+# chunk.
 CHUNK = 1024
 # Diagonal regularization applied only when a Cholesky factorization of
 # the right-hand form fails; recorded in every result that used it.
@@ -311,23 +314,20 @@ class _PointJet:
     jet is the metric 2-jet, d2g included; dv[n,I,a], hv[n,I,a,b] and
     tv[n,I,k,a,b] are the velocity derivatives; grad_E and hess_E the
     energy derivatives; A[n,I,J] = g^{ab} d_a v^I d_b v^J the Gram form.
-    extra holds the jets of any more (field, order) pairs given, which
-    join the same request.  The fields that two or more readers take
-    from one point jet, `bakry`, `Hv`, `dlogu` and `degenerate`, and the
-    pencil bases reduced to inverse Cholesky factors, `g_inv_factor` and
-    `A_inv_factor`, are computed on first use, once per point jet.
+    The fields that two or more readers take from one point jet, `bakry`,
+    `Hv`, `dlogu` and `degenerate`, and the pencil bases reduced to
+    inverse Cholesky factors, `g_inv_factor` and `A_inv_factor`, are
+    computed on first use, once per point jet.
     """
 
-    def __init__(self, model, P, *extra):
+    def __init__(self, model, P):
         # g at orders 0-2, each v^I at orders 1-3 and E at orders 1 and 2,
-        # after the extra pairs, as one request to the model's jet builder
+        # as one request to the model's jet builder
         n = len(model.v_fields)
-        request = (*extra, (0, 0), (0, 1), (0, 2),
+        request = ((0, 0), (0, 1), (0, 2),
                    *((i, k) for k in (1, 2, 3) for i in range(1, n + 1)),
                    (n + 1, 1), (n + 1, 2))
-        jets = model._jets(request, P)
-        self.extra = jets[:len(extra)]
-        g, dg, d2g, *v, self.grad_E, self.hess_E = jets[len(extra):]
+        g, dg, d2g, *v, self.grad_E, self.hess_E = model._jets(request, P)
         self.P = P
         self.jet = _geom.jet_from_arrays(g, dg, d2g)
         self.dv, self.hv, self.tv = (
@@ -382,7 +382,7 @@ _JET_ERRORS = (MetricError, ExprDomainError, FloatingPointError,
 
 
 def _point_jets(model, P):
-    """Yield the point jet of each CHUNK of the points P, in order.
+    """Yield the point jet of each chunk of the points P, in order.
 
     The hypotheses must hold at every point, so a point whose point jet
     cannot be built ends the scan: a failing chunk is bisected down to
@@ -396,8 +396,9 @@ def _point_jets(model, P):
             return False
         return True
 
-    for start in range(0, P.shape[0], CHUNK):
-        chunk = P[start:start + CHUNK]
+    size = CHUNK * 9 // model.dim**2
+    for start in range(0, P.shape[0], size):
+        chunk = P[start:start + size]
         try:
             yield _PointJet(model, chunk)
         except _JET_ERRORS:

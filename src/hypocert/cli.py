@@ -359,14 +359,12 @@ def cmd_simulate(cfg, args):
         raise ConfigError(
             f"simulation requires a one-dimensional model, got dim = {model.dim}"
         )
-    # before any scan, so a bad setting leaves no output behind
-    solver.sample_count(cfg.tmax, cfg.sample_dt, cfg.dt)
+    # before any scan, so a bad setting leaves no output behind; the run
+    # takes the start as it is
     order2 = bool(getattr(args, "order2", False))
     grid = solver.build_grid(model, cfg.Nx, cfg.Np, cfg.P)
-    solver.sub_steps(model, grid, cfg.sample_dt, cfg.dt, order2)
-    state = solver.initial_state(model, grid, cfg.initial_data)
-    if not order2:
-        solver._positive_interpolant(state.h)
+    start = solver._start(model, grid, cfg.initial_data, cfg.tmax,
+                          cfg.sample_dt, cfg.dt, order2)
     outdir = ensure_outdir(cfg)
 
     if cfg.certificate_path is not None:
@@ -385,14 +383,14 @@ def cmd_simulate(cfg, args):
                           f"{cert.model!r}, not {model.name!r}")
 
     series = solver.run(
-        model, grid, state.h, cfg.tmax, cfg.sample_dt,
+        model, grid, start, cfg.tmax, cfg.sample_dt,
         certificate=cert, dt=cfg.dt, order2=order2,
     )
     solver.series_to_csv(series, outdir / SERIES_CSV)
 
     summary = _summarize(cfg, model, cert, cert_source, series, outdir)
     if getattr(args, "diagnostics", False):
-        summary += _diagnostics_table(state, model, grid, cfg.tmax)
+        summary += _diagnostics_table(start.state, model, grid, cfg.tmax)
     (outdir / SUMMARY_TXT).write_text(summary)
     sys.stdout.write(summary)
     return 1 if series.decay_violations else 0

@@ -57,10 +57,18 @@ faces.
 Alongside the dynamics the module tracks the entropy functionals
 (D, Ipp, Ixp, Ixx, the modified entropy, mass, L1 distance), fits
 empirical decay rates, and evaluates both sides of the entropy
-production identities term by term for verification.
+production identities term by term for verification.  A sample is the
+pair (h, dh/dx) in the (Np, Nx) layout of the irfft: the default step
+makes both in one irfft of its modes z and 2 pi i k z, so dh/dx is the
+exact derivative of the trigonometric interpolant it evolves, and a
+call from outside a run takes the rfft of its h.  MUSCL hands over a
+transposed copy of its density and the central x difference, until it
+is deleted.  One core (`_Sample.functionals`) turns every sample into
+its row, each column a dot product with the weights over the grid.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 import math
 import re
 
@@ -265,19 +273,49 @@ def build_grid(model, Nx, Np, P):
 # Node geometry (cached per model and grid)
 
 
-@dataclass
 class _NodeGeometry:
-    """Per-momentum-node scalars of the 1D model used by the solver."""
+    """Per-momentum-node scalars of the 1D model used by the solver.
 
-    gpp: np.ndarray
-    Gamma: np.ndarray
-    w_cov: np.ndarray
-    ric_t: np.ndarray
-    v: np.ndarray
-    dv: np.ndarray
-    H_v: np.ndarray
-    divH: np.ndarray
-    vmax: float
+    v, dv = v' and gpp = 1 / g_pp, which every run reads, come from one
+    request to the model's jet builder.  Gamma, w_cov, ric_t, H_v and
+    divH, which only entropy_production_diagnostics reads, come from a
+    point jet of the nodes, built on the first read of one of them.
+    """
+
+    def __init__(self, model, grid):
+        self._model, self._p = model, grid.p_nodes[:, None]
+        g, self.v, dv = model._jets(((0, 0), (1, 0), (1, 1)), self._p)
+        self.gpp = 1.0 / g[:, 0, 0]
+        self.dv = dv[:, 0]
+        self.vmax = float(np.max(np.abs(self.v)))
+
+    # The general M-dimensional fields at M = 1.  Ric vanishes on a
+    # 1-manifold, so the Bakry-Emery tensor is just minus the covariant
+    # Hessian of log u.
+
+    @cached_property
+    def _pj(self):
+        return _PointJet(self._model, self._p)
+
+    @cached_property
+    def Gamma(self):
+        return self._pj.jet.christoffel[:, 0, 0, 0]
+
+    @cached_property
+    def w_cov(self):
+        return self._pj.dlogu[:, 0]
+
+    @cached_property
+    def ric_t(self):
+        return self._pj.bakry[:, 0, 0]
+
+    @cached_property
+    def H_v(self):
+        return self._pj.Hv[:, 0, 0, 0]
+
+    @cached_property
+    def divH(self):
+        return _div_hessians(self._pj)[:, 0, 0]
 
 
 def _node_geometry(model, grid):
@@ -285,20 +323,8 @@ def _node_geometry(model, grid):
     # id() could be reused by a later model.
     key = ("geom", model)
     geo = grid._cache.get(key)
-    if geo is not None:
-        return geo
-    # v itself joins the point jet's one request
-    pj = _PointJet(model, grid.p_nodes[:, None], (1, 0))
-    (v,) = pj.extra
-    # The general M-dimensional fields at M = 1.  Ric vanishes on a
-    # 1-manifold, so the Bakry-Emery tensor is just minus the covariant
-    # Hessian of log u.
-    geo = _NodeGeometry(
-        gpp=pj.jet.g_inv[:, 0, 0], Gamma=pj.jet.christoffel[:, 0, 0, 0],
-        w_cov=pj.dlogu[:, 0], ric_t=pj.bakry[:, 0, 0], v=v, dv=pj.dv[:, 0, 0],
-        H_v=pj.Hv[:, 0, 0, 0], divH=_div_hessians(pj)[:, 0, 0],
-        vmax=float(np.max(np.abs(v))))
-    grid._cache[key] = geo
+    if geo is None:
+        geo = grid._cache[key] = _NodeGeometry(model, grid)
     return geo
 
 
@@ -548,7 +574,13 @@ class _Spectral:
     multiplies mode k at node i by exp(-i pi k v_i dt), the exact shift
     by v_i dt / 2.  On an even Nx the Nyquist mode takes the real part
     of that phase: the shifted cosine's sine part is zero on the grid.
-    The density goes back to x only at samples, into h.
+
+    z is slot 0 of a stack of two, and slot 1 takes 2 pi i k z at a
+    sample, so that one irfft of the stack gives h and dh/dx at the
+    nodes together, in the irfft's own (Np, Nx) layout: the exact x
+    derivative of the trigonometric interpolant that the shifts evolve
+    (Trefethen, Spectral Methods in MATLAB, ch. 3).  The diffusion
+    matmul writes into the other stack, and the two trade places.
 
     prop is ((I - tau L)^-1)^(2^_SQUARINGS) with tau = dt /
     2^_SQUARINGS: the block LU of tau solved on the identity, then
@@ -582,27 +614,29 @@ class _Spectral:
         self.phase = np.exp(-1j * np.pi * dt * np.outer(v, np.arange(nk)))
         if nx % 2 == 0:
             self.phase[:, -1] = self.phase[:, -1].real
-        self.z, self.w = (_aligned((n, 2 * nk)).view(complex) for _ in range(2))
-        self.h = _aligned((nx, n))
+        self.zs, self.ws = (_aligned((2, n, 2 * nk)).view(complex) for _ in range(2))
+        self.ik = _sample(model, grid).ik
+        self.hh = _aligned((2, n, nx))
 
     def load(self, h):
         """Take the density h, shape (Nx, Np), as the state to advance."""
-        np.copyto(self.z, np.fft.rfft(h, axis=0).T)
+        np.copyto(self.zs[0], np.fft.rfft(h, axis=0).T)
 
     def advance(self, diffuse=True):
         """One step by self.dt: half shift, diffusion (skipped unless
         diffuse), half shift."""
-        z = self.z
+        z = self.zs[0]
         z *= self.phase
         if diffuse:
-            np.matmul(self.prop, z.view(float), out=self.w.view(float))
-            z, self.z, self.w = self.w, self.w, z
+            np.matmul(self.prop, z.view(float), out=self.ws[0].view(float))
+            self.zs, self.ws = self.ws, self.zs
+            z = self.zs[0]
         z *= self.phase
 
     def sample(self):
-        """The density in x, in the work array h."""
-        np.copyto(self.h, np.fft.irfft(self.z, n=len(self.h), axis=1).T)
-        return self.h
+        """(h, dh/dx) at the nodes, each (Np, Nx), in the work array hh."""
+        np.multiply(self.zs[0], self.ik, out=self.zs[1])
+        return np.fft.irfft(self.zs, n=self.hh.shape[2], axis=2, out=self.hh)
 
 
 class _Strang:
@@ -651,6 +685,8 @@ class _Strang:
         self.slope = _aligned((nx + 1, np_))
         self.hs = _aligned((nx + 1, np_))
         self.hs[...] = np.where(negative, -0.5, 0.5)
+        self.dx = grid.dx
+        self.hh = _aligned((2, np_, nx))
 
     def transport(self, out):
         """One half step of dh/dt + v dh/dx = 0 on self.h, into out.
@@ -709,8 +745,12 @@ class _Strang:
         self.transport(out=h)
 
     def sample(self):
-        """The density, the work array h itself."""
-        return self.h
+        """(h, dh/dx) at the nodes, each (Np, Nx), in the work array hh:
+        a transposed copy of h and its central x difference."""
+        h, hx = self.hh
+        np.copyto(h, self.h.T)
+        _ddx(h, self.dx, out=hx)
+        return self.hh
 
 
 def _stepper(model, grid, dt, order2):
@@ -786,7 +826,8 @@ def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
     st = _stepper(model, grid, dt, order2)
     st.load(state.h)
     st.advance(with_diffusion)
-    return State(h=st.sample().copy(), t=state.t + dt)
+    h, _ = st.sample()
+    return State(h=h.T.copy(), t=state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -838,68 +879,157 @@ def _mass(h, grid):
     return float(np.sum(h * grid.mu_weights) * grid.dx)
 
 
-def _ddx(h, dx, out=None):
-    """(h_{i+1} - h_{i-1}) / (2 dx), periodic in x, into out (a new array
-    when None)."""
-    if out is None:
-        out = np.empty(np.shape(h))
-    np.subtract(h[2:], h[:-2], out=out[1:-1])
-    np.subtract(h[1], h[-1], out=out[0])
-    np.subtract(h[0], h[-2], out=out[-1])
+def _ddx(h, dx, out):
+    """(h_{j+1} - h_{j-1}) / (2 dx) along the last axis of h, shape
+    (Np, Nx), periodic, into out: the central x difference of the MUSCL
+    samples.  The difference runs as one pass over the raveled arrays,
+    whose entries where the stencil wraps from one row into the next,
+    the end columns, are then overwritten; h and out must be
+    C-contiguous."""
+    hf, of = h.reshape(-1), out.reshape(-1)
+    np.subtract(hf[2:], hf[:-2], out=of[1:-1])
+    np.subtract(h[:, 1], h[:, -1], out=out[:, 0])
+    np.subtract(h[:, 0], h[:, -2], out=out[:, -1])
     out /= 2.0 * dx
     return out
 
 
-def _ddp(h, dp, out=None, col=None):
-    """np.gradient(h, dp, axis=1, edge_order=2) to the bit, into out (a
+def _wavenumbers(nx):
+    """2 pi i k for the rfft modes k of Nx nodes on [0, 1), zero at an
+    even Nx's Nyquist mode, whose derivative vanishes at the nodes."""
+    ik = 2j * np.pi * np.arange(nx // 2 + 1)
+    if nx % 2 == 0:
+        ik[-1] = 0.0
+    return ik
+
+
+def _ddx_spectral(h, ik, out=None, z=None):
+    """The x derivative at the nodes of the trigonometric interpolant of
+    h along its last axis, irfft(ik rfft(h)), with ik from _wavenumbers
+    (or a replica of it down the rows); into out and through z, a work
+    array for the modes, or new arrays when None."""
+    z = np.fft.rfft(h, axis=-1, out=z)
+    np.multiply(z, ik, out=z)
+    return np.fft.irfft(z, n=h.shape[-1], axis=-1, out=out)
+
+
+def _ddp(h, dp, out=None, row=None):
+    """np.gradient(h, dp, axis=0, edge_order=2) to the bit, into out (a
     new array when None): centred inside, one-sided of second order at
-    both ends, each end column formed in out and in the work column col
-    (a new one when None) with no temporary."""
+    both ends, each end row formed in out and in the work row row (a new
+    one when None) with no temporary."""
     if out is None:
         out = np.empty(np.shape(h))
-    col = np.empty(len(h)) if col is None else col
-    # The centred difference as one pass over the raveled arrays: the
-    # entries it gets wrong, where the stencil wraps from one row into
-    # the next, are the end columns, which the one-sided formulas
-    # overwrite.  out must be C-contiguous.
-    hf, of = np.ravel(h), out.reshape(-1)
-    inner = of[1:-1]
-    np.subtract(hf[2:], hf[:-2], out=inner)
+    row = np.empty(np.shape(h)[1:]) if row is None else row
+    inner = out[1:-1]
+    np.subtract(h[2:], h[:-2], out=inner)
     inner /= 2.0 * dp
     # (c0 h_a + c1 h_b) + c2 h_c, as np.gradient orders it
     for end, (a, b, c), (c0, c1, c2) in ((0, (0, 1, 2), (-1.5, 2.0, -0.5)),
                                          (-1, (-3, -2, -1), (0.5, -2.0, 1.5))):
-        o = out[:, end]
-        np.add(np.multiply(c0 / dp, h[:, a], out=col),
-               np.multiply(c1 / dp, h[:, b], out=o), out=o)
-        o += np.multiply(c2 / dp, h[:, c], out=col)
+        o = out[end]
+        np.add(np.multiply(c0 / dp, h[a], out=row),
+               np.multiply(c1 / dp, h[b], out=o), out=o)
+        o += np.multiply(c2 / dp, h[c], out=row)
     return out
 
 
 class _Sample:
-    """Work arrays of `functionals` on one (model, grid): four (Nx, Np)
-    arrays and an (Nx,) column from _aligned, a mask, and the momentum
-    weights and coefficients.  Each of those is computed per node as the
-    plain formula would and repeated down the rows of an _aligned
-    (Nx, Np) array: a ufunc that broadcasts an (Np,) row over the grid
-    goes through numpy's buffered iterator, whose buffers take 64 KB."""
+    """The functionals of samples on one (model, grid), and their work
+    arrays.
+
+    A sample is the pair (h, dh/dx) in the (Np, Nx) layout of the
+    default step's irfft: momentum node i is row i.  The weights, the
+    coefficients and the wavenumbers are computed per node and repeated
+    along the rows of _aligned arrays of the sample's shape: a ufunc
+    that broadcasts a row or a column over the grid goes through numpy's
+    buffered iterator, whose buffers took 132 KB for the row of
+    wavenumbers and 66 KB for a column of weights at 128 x 256.  hh and
+    z hold the sample and the modes of a call from outside a run.
+    """
 
     def __init__(self, model, grid):
         geo = _node_geometry(model, grid)
-        shape = (grid.Nx, grid.Np)
+        n, nx = grid.Np, grid.Nx
+        nk = nx // 2 + 1
 
-        def full(row):
-            out = _aligned(shape)
-            out[...] = row
+        def full(column):
+            out = _aligned((n, nx))
+            out[...] = column[:, None]
             return out
 
-        self.w = full(grid.mu_weights * grid.dx)
-        self.gpp = full(geo.gpp)
-        self.c_xx = full(geo.gpp * geo.dv**2)
-        self.c_xp = full(geo.gpp * geo.dv)
-        self.work = [_aligned(shape) for _ in range(4)]
-        self.col = _aligned((grid.Nx,))  # _ddp's end columns
-        self.mask = np.empty(shape, dtype=bool)
+        w = grid.mu_weights * grid.dx
+        self.w = full(w)
+        self.wg = full(w * geo.gpp)
+        self.dv = full(geo.dv)
+        self.ik = _aligned((n, 2 * nk)).view(complex)
+        self.ik[...] = _wavenumbers(nx)
+        self.dp = grid.dp
+        self.hh = _aligned((2, n, nx))
+        self.z = _aligned((n, 2 * nk)).view(complex)
+        self.work = [_aligned((n, nx)) for _ in range(3)]
+        self.row = _aligned((nx,))  # _ddp's end rows
+        self.mask = np.empty((n, nx), dtype=bool)
+
+    def functionals(self, h, hx, low, t, certificate=None):
+        """The row of functionals() at time t for the sample h, hx =
+        dh/dx, with low = min h.  hx is overwritten.
+
+        Each column is a dot product with the weights w = mu dx over the
+        whole grid.  With r = w g^pp / max(h, floor) and y = v' dh/dx,
+        Ipp = <r dh/dp, dh/dp>, Ixp = <r dh/dp, y> and Ixx = <r y, y>.
+        """
+        w, (a, b, c) = self.w, self.work
+        m = float(np.vdot(h, w))
+        floor = H_FLOOR_FRAC * max(m, np.finfo(float).tiny)
+
+        # Relative entropy through the pointwise-nonnegative integrand
+        # m phi(e) with e = h/m - 1, phi(e) = (1+e) log1p(e) - e.  The
+        # discarded linear part sums to zero by mass consistency, and in
+        # this form every rounding error is multiplied by e, so D stays
+        # accurate down to deviations near machine precision.  1 + e is
+        # taken as h/m, which it is to the bit for h/m in [1/2, 2].
+        # phi(-1) = 1 covers h = 0 exactly; this column needs no floor.
+        phi, e = a, b
+        np.divide(h, m, out=phi)
+        np.subtract(phi, 1.0, out=e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi *= np.log1p(e, out=c)
+        phi -= e
+        if low <= 0.0:
+            np.greater(h, 0.0, out=self.mask)
+            np.logical_not(self.mask, out=self.mask)
+            np.copyto(phi, 1.0, where=self.mask)
+        D = max(m * float(np.vdot(phi, w)), 0.0)
+        l1 = float(np.vdot(np.abs(np.subtract(h, m, out=b), out=b), w))
+
+        r = np.maximum(h, floor, out=a)
+        np.divide(self.wg, r, out=r)
+        dhp = _ddp(h, self.dp, out=b, row=self.row)
+        y = np.multiply(hx, self.dv, out=hx)
+        rp = np.multiply(r, dhp, out=c)
+        Ipp = float(np.vdot(rp, dhp))
+        Ixp = float(np.vdot(rp, y))
+        Ixx = float(np.vdot(np.multiply(r, y, out=r), y))
+        if certificate is None:
+            emod = D
+        else:
+            emod = (
+                certificate.k * D
+                + certificate.a * Ipp
+                + 2.0 * certificate.b * Ixp
+                + certificate.c * Ixx
+            )
+        return {
+            "t": t,
+            "D": D,
+            "Ipp": Ipp,
+            "Ixp": Ixp,
+            "Ixx": Ixx,
+            "Emod": emod,
+            "mass": m,
+            "l1_dist": l1,
+        }
 
 
 def _sample(model, grid):
@@ -916,71 +1046,18 @@ def functionals(state, model, grid, certificate=None):
     The entropy is measured relative to the equilibrium of the same
     mass, so a constant state scores zero in every column.  With a
     certificate the modified entropy combines the columns with its
-    weights; without one Emod reduces to D.  Each column runs the
-    operations of its formula in order, written into C-ordered work
-    arrays kept on the grid, so a call allocates no (Nx, Np) array and
-    is not reentrant on one grid, and each sum runs in row order
-    whatever the layout of state.h.  A state.h that is not C-contiguous
-    is read through one C-ordered copy.
+    weights; without one Emod reduces to D.  dh/dx is the exact
+    derivative of h's trigonometric interpolant in x, from its rfft, as
+    in the samples of a run, and dh/dp the second-order difference of
+    np.gradient.  The columns are formed in work arrays kept on the
+    grid (see _Sample), so a call allocates no (Nx, Np) array and is not
+    reentrant on one grid; state.h may have any memory layout.
     """
     s = _sample(model, grid)
-    h, w = np.ascontiguousarray(state.h), s.w
-    a, b, c, d = s.work
-    m = float(np.sum(np.multiply(h, w, out=a)))
-    floor = H_FLOOR_FRAC * max(m, np.finfo(float).tiny)
-
-    # Relative entropy through the pointwise-nonnegative integrand
-    # m phi(e) with e = h/m - 1, phi(e) = (1+e) log1p(e) - e.  The
-    # discarded linear part sums to zero by mass consistency, and in
-    # this form every rounding error is multiplied by e, so D stays
-    # accurate down to deviations near machine precision.  phi(-1) = 1
-    # covers h = 0 exactly; this column needs no floor.
-    e, phi = a, b
-    np.divide(h, m, out=e)
-    e -= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log1p(e, out=c)
-        np.add(1.0, e, out=phi)
-        phi *= c
-        phi -= e
-    np.greater(h, 0.0, out=s.mask)
-    np.logical_not(s.mask, out=s.mask)
-    np.copyto(phi, 1.0, where=s.mask)
-    D = max(m * float(np.sum(np.multiply(phi, w, out=phi))), 0.0)
-
-    dhx, dhp, hf = _ddx(h, grid.dx, out=a), _ddp(h, grid.dp, out=c, col=s.col), b
-    np.maximum(h, floor, out=hf)
-
-    def quad(f):
-        """sum(f / hf * w), formed in f."""
-        f /= hf
-        f *= w
-        return float(np.sum(f))
-
-    Ipp = quad(np.multiply(s.gpp, np.square(dhp, out=d), out=d))
-    Ixx = quad(np.multiply(s.c_xx, np.square(dhx, out=d), out=d))
-    Ixp = quad(np.multiply(np.multiply(s.c_xp, dhx, out=d), dhp, out=d))
-    np.abs(np.subtract(h, m, out=d), out=d)
-    l1 = float(np.sum(np.multiply(d, w, out=d)))
-    if certificate is None:
-        emod = D
-    else:
-        emod = (
-            certificate.k * D
-            + certificate.a * Ipp
-            + 2.0 * certificate.b * Ixp
-            + certificate.c * Ixx
-        )
-    return {
-        "t": state.t,
-        "D": D,
-        "Ipp": Ipp,
-        "Ixp": Ixp,
-        "Ixx": Ixx,
-        "Emod": emod,
-        "mass": m,
-        "l1_dist": l1,
-    }
+    h, hx = s.hh
+    np.copyto(h, state.h.T)
+    _ddx_spectral(h, s.ik, out=hx, z=s.z)
+    return s.functionals(h, hx, float(np.min(h)), state.t, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1109,30 @@ def sub_steps(model, grid, sample_dt, dt=None, order2=False):
     return n_sub, dt_eff
 
 
+@dataclass
+class _Start:
+    """The checked start of a run: the normalized datum, the floor that
+    its samples may reach, the sample count, and the steps per sample
+    with their length."""
+
+    state: State
+    floor: float
+    n_samples: int
+    n_sub: int
+    dt: float
+
+
+def _start(model, grid, h_in, tmax, sample_dt, dt=None, order2=False):
+    """The _Start of run(model, grid, h_in, tmax, sample_dt, dt=dt,
+    order2=order2), with its checks and their errors."""
+    n_samples = sample_count(tmax, sample_dt, dt)
+    n_sub, dt_eff = sub_steps(model, grid, sample_dt, dt, order2)
+    state = initial_state(model, grid, h_in)
+    # MUSCL is positive, so its floor is zero itself.
+    floor = 0.0 if order2 else _positive_interpolant(state.h)
+    return _Start(state, floor, n_samples, n_sub, dt_eff)
+
+
 def run(
     model,
     grid,
@@ -1050,32 +1151,35 @@ def run(
     default step needs a datum whose trigonometric interpolant in x is
     nonnegative (ValueError otherwise, see _positive_interpolant), and
     a sampled density below zero raises NonpositiveValues naming t.
+    h_in may also be the _start of the same arguments, which the run
+    then takes as it is.
+
+    Each sample, the initial datum's too, is the stepper's (h, dh/dx),
+    whose row goes through the one functionals core (_Sample).
 
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
     DECAY_ALLOWANCE; offending samples land in decay_violations.
     """
-    n_samples = sample_count(tmax, sample_dt, dt)
-    n_sub, dt_eff = sub_steps(model, grid, sample_dt, dt, order2)
-
-    state = initial_state(model, grid, h_in)
-    # MUSCL is positive, so its floor is zero itself.
-    floor = 0.0 if order2 else _positive_interpolant(state.h)
-    rows = [functionals(state, model, grid, certificate)]
-    t = state.t
+    start = h_in if isinstance(h_in, _Start) else _start(
+        model, grid, h_in, tmax, sample_dt, dt, order2)
+    dt_eff, sample = start.dt, _sample(model, grid)
+    rows, t = [], start.state.t
     try:
         # The steps of `step`, advancing its work arrays in place.
         st = _stepper(model, grid, dt_eff, order2)
-        st.load(state.h)
-        for _ in range(n_samples):
-            for _ in range(n_sub):
-                st.advance()
-                t += dt_eff
-            h = st.sample()
+        st.load(start.state.h)
+        for k in range(start.n_samples + 1):
+            if k:
+                for _ in range(start.n_sub):
+                    st.advance()
+                    t += dt_eff
+            h, hx = st.sample()
             low = float(np.min(h))
-            if low < floor:
+            # the datum itself passed initial_state's check
+            if k and low < start.floor:
                 raise NonpositiveValues(f"density h = {low:.3g} < 0 at t = {t:.6g}")
-            rows.append(functionals(State(h=h, t=t), model, grid, certificate))
+            rows.append(sample.functionals(h, hx, low, t, certificate))
     except LinearSolveFailure as exc:
         raise LinearSolveFailure(f"{exc} (at t = {t:.6g})") from exc
 
@@ -1140,7 +1244,8 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=False)
     product-rule route through derivatives of h itself.  Residuals are
     relative and expected to shrink at first order under simultaneous
     (dt, dx, dp) refinement.  The steps are the default step, exact in
-    x, or MUSCL with order2.  dt defaults to the MUSCL limit
+    x, or MUSCL with order2; the x derivatives are those of the
+    trigonometric interpolant, as in functionals().  dt defaults to the MUSCL limit
     dx / max|v|, at most 1: a step that moves the fastest column by
     one cell, whose half steps MUSCL takes too.
     """
@@ -1154,25 +1259,30 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=False)
     f2 = functionals(plus, model, grid)
     fm = functionals(mid, model, grid)
 
-    h = mid.h
-    w = grid.mu_weights * grid.dx
+    # In the samples' (Np, Nx) layout, the node data as columns, and dh/dx
+    # from the modes as in functionals().
+    h = np.ascontiguousarray(mid.h.T)
+    w = (grid.mu_weights * grid.dx)[:, None]
     m = fm["mass"]
     floor = H_FLOOR_FRAC * max(m, np.finfo(float).tiny)
     hf = np.maximum(h, floor)
     hb = np.log(hf)
 
-    dhx = _ddx(h, grid.dx)
+    ik = _wavenumbers(grid.Nx)
+    dhx = _ddx_spectral(h, ik)
     dhp = _ddp(h, grid.dp)
-    dbx = _ddx(hb, grid.dx)
+    dbx = _ddx_spectral(hb, ik)
     dbp = _ddp(hb, grid.dp)
     dbpx = _ddp(dbx, grid.dp)
     d2bp = _ddp(dbp, grid.dp)
     d2hp = _ddp(dhp, grid.dp)
     dhpx = _ddp(dhx, grid.dp)
 
-    gpp = geo.gpp
-    Hbar = d2bp - geo.Gamma * dbp
-    omega = dbpx * geo.dv + dbx * geo.H_v
+    gpp, Gamma, w_cov, ric_t, dv, H_v, divH = (
+        a[:, None] for a in (geo.gpp, geo.Gamma, geo.w_cov, geo.ric_t,
+                             geo.dv, geo.H_v, geo.divH))
+    Hbar = d2bp - Gamma * dbp
+    omega = dbpx * dv + dbx * H_v
 
     def quad(f):
         return float(np.sum(f * w))
@@ -1194,35 +1304,35 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=False)
 
     rhs_ipp = (
         -2.0 * fm["Ixp"]
-        - 2.0 * quad(h * geo.ric_t * (gpp * dbp) ** 2)
+        - 2.0 * quad(h * ric_t * (gpp * dbp) ** 2)
         - 2.0 * Qpp
     )
     row("dIpp", (f2["Ipp"] - f0["Ipp"]) / dt, rhs_ipp)
 
     rhs_ixp = (
         -fm["Ixx"]
-        - quad(h * geo.ric_t * (gpp * geo.dv * dbx) * (gpp * dbp))
+        - quad(h * ric_t * (gpp * dv * dbx) * (gpp * dbp))
         - 2.0 * quad(h * gpp**2 * Hbar * omega)
-        + quad(dbp * dhx * geo.divH)
-        + 2.0 * quad(h * gpp**2 * Hbar * dbx * geo.H_v)
-        + quad(dhx * gpp**2 * geo.H_v * geo.w_cov * dbp)
+        + quad(dbp * dhx * divH)
+        + 2.0 * quad(h * gpp**2 * Hbar * dbx * H_v)
+        + quad(dhx * gpp**2 * H_v * w_cov * dbp)
     )
     row("dIxp", (f2["Ixp"] - f0["Ixp"]) / dt, rhs_ixp)
 
     rhs_ixx = (
         -2.0 * Qxp
-        + 2.0 * quad(geo.dv * dbx * dhx * geo.divH)
-        + 4.0 * quad(h * gpp**2 * omega * dbx * geo.H_v)
-        + 2.0 * quad(dhx * gpp**2 * geo.H_v * geo.w_cov * geo.dv * dbx)
+        + 2.0 * quad(dv * dbx * dhx * divH)
+        + 4.0 * quad(h * gpp**2 * omega * dbx * H_v)
+        + 2.0 * quad(dhx * gpp**2 * H_v * w_cov * dv * dbx)
     )
     row("dIxx", (f2["Ixx"] - f0["Ixx"]) / dt, rhs_ixx)
 
     # Product-rule routes: Hess h = h Hess(log h) + (dh x dh)/h and its
     # mixed-derivative analogue, evaluated through derivatives of h.
-    Hh = d2hp - geo.Gamma * dhp
+    Hh = d2hp - Gamma * dhp
     row("Qpp_product", Qpp, quad(gpp**2 * Hbar * (Hh - dhp**2 / hf)))
-    chi = dhpx * geo.dv + dhx * geo.H_v
-    row("Qxp_product", Qxp, quad(gpp**2 * omega * (chi - dbx * dhp * geo.dv)))
+    chi = dhpx * dv + dhx * H_v
+    row("Qxp_product", Qxp, quad(gpp**2 * omega * (chi - dbx * dhp * dv)))
 
     return rows
 

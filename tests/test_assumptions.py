@@ -686,13 +686,14 @@ class TestGenEigHelpers:
             np.testing.assert_allclose(eigs, want, rtol=1e-12, atol=1e-12)
 
     def test_scan_eval_bisection(self, monkeypatch):
-        # _point_jets yields the chunk [0, 4), then bisects the chunk
-        # [4, 8) down to its first failing point and raises there.
-        monkeypatch.setattr(asm, "CHUNK", 4)
-        P = np.arange(10.0)[:, None]
+        # CHUNK 1 makes 1D chunks of 9 points: _point_jets yields the
+        # chunk [-5, 3], then bisects the chunk [4, 12] down to its first
+        # failing point and raises there.
+        monkeypatch.setattr(asm, "CHUNK", 1)
+        P = np.arange(-5.0, 13.0)[:, None]
         for g, first in (("(p1 - 4)^2", "4"), ("(p1 - 5)^2 * (p1 - 7)^2", "5")):
             jets = asm._point_jets(expr_model_1d(g, "p1^2/2"), P)
-            assert np.array_equal(next(jets).P, P[:4])
+            assert np.array_equal(next(jets).P, P[:9])
             with pytest.raises(MetricError, match=rf"at p = \[{first}\.\]$"):
                 next(jets)
 
@@ -762,6 +763,28 @@ class TestSharedPointJets:
         assert chunks >= 2
         asm.check_model(builtin_relativistic(4.0), grid)
         assert calls == ["bakry", "A"] * chunks
+
+    def test_default_1d_grid_is_one_chunk(self, monkeypatch):
+        # CHUNK * 9 // M**2 points a chunk: the 2,041 points of the
+        # default 1D grid, more than CHUNK, make one chunk, and a pass
+        # over chunks of 144 points reports the same bits.
+        m = builtin_relativistic(10.0, dim=1)
+        grid = asm.default_grid(1)
+        built = []
+
+        class Counted(asm._PointJet):
+            def __init__(self, model, P):
+                built.append(P.shape[0])
+                super().__init__(model, P)
+
+        monkeypatch.setattr(asm, "_PointJet", Counted)
+        one = asm.report_kv(asm.check_model(m, grid))
+        assert built == [grid.count] == [2041]
+        built.clear()
+        monkeypatch.setattr(asm, "CHUNK", 16)
+        many = asm.report_kv(asm.check_model(m, grid))
+        assert built == [144] * 14 + [25]
+        assert many == one
 
     def test_scan_values_do_not_depend_on_the_chunk(self):
         # A point's scan values are the same bits whether it is scanned
@@ -867,7 +890,7 @@ class TestSharedPointJets:
                 built.append(P.shape[0])
                 super().__init__(model, P)
 
-        monkeypatch.setattr(asm, "CHUNK", 8)
+        monkeypatch.setattr(asm, "CHUNK", 4)  # 9 points a chunk in 2D
         one = parse_expr("1")
         m = ModelSpec(
             name="mixed2d",
@@ -879,11 +902,11 @@ class TestSharedPointJets:
             ),
             energy_field=ExprScalarField(parse_expr("(p1^2 + p2^2)/2"), 2),
         )
-        axis = np.stack([np.linspace(-2.0, 2.0, 8), np.zeros(8)], axis=1)
-        P = np.concatenate([axis, rel_points(16, radius=2.0, seed=3, dim=2)])
+        axis = np.stack([np.linspace(-2.0, 2.0, 9), np.zeros(9)], axis=1)
+        P = np.concatenate([axis, rel_points(18, radius=2.0, seed=3, dim=2)])
         monkeypatch.setattr(asm, "_PointJet", Counted)
         rep = asm.check_model(m, P)
-        assert built == [8, 8, 8]
+        assert built == [9, 9, 9]
         # every extremum and witness of the one pass is the one that its
         # scan finds on its own
         cb = asm.curvature_bounds(m, P)
@@ -929,12 +952,13 @@ class TestSharedPointJets:
     ])
     def test_check_model_names_first_failing_point(self, monkeypatch, g, v, E,
                                                    error, first):
-        # CHUNK 4: the chunk [0, 4) passes, then the bisection runs the
-        # model's one program on sub-chunks of [4, 8)
-        monkeypatch.setattr(asm, "CHUNK", 4)
+        # CHUNK 1, 9 points a chunk in 1D: the chunk [-5, 3] passes, then
+        # the bisection runs the model's one program on sub-chunks of
+        # [4, 12]
+        monkeypatch.setattr(asm, "CHUNK", 1)
         m = expr_model_1d(g, E, v1=v)
         with pytest.raises(error, match=rf"at p = \[{first}\.\]$"):
-            asm.check_model(m, np.arange(10.0)[:, None])
+            asm.check_model(m, np.arange(-5.0, 13.0)[:, None])
 
     def test_check_model_degenerate_metric_raises(self):
         # No scan skips p = 0, so check_model raises there before any
@@ -989,8 +1013,9 @@ class TestCheckModel:
     def test_degenerate_gram_form(self, monkeypatch):
         # v = p^3 gives A = 9 p^4, which vanishes at p = 0 in the second
         # chunk: the scans that invert A stop there, and the curvature
-        # and hypoellipticity scans still cover the whole grid
-        monkeypatch.setattr(asm, "CHUNK", 8)
+        # and hypoellipticity scans still cover the whole grid.  CHUNK 1
+        # makes 1D chunks of 9 points.
+        monkeypatch.setattr(asm, "CHUNK", 1)
         m = expr_model_1d("1", "p1^2/2", v1="p1^3")
         P = np.concatenate([np.linspace(1.0, 2.0, 8),
                             np.linspace(-1.0, 1.0, 9)])[:, None]
@@ -1024,7 +1049,7 @@ class TestCheckModel:
                 live.append(weakref.ref(self))
                 alive.append(sum(ref() is not None for ref in live))
 
-        monkeypatch.setattr(asm, "CHUNK", 8)
+        monkeypatch.setattr(asm, "CHUNK", 1)  # 9 points a chunk in 1D
         monkeypatch.setattr(asm, "_PointJet", Counted)
         m = expr_model_1d("1", "p1^2/2", v1="p1^3")
         # A = 9 p^4 vanishes at p = 0, in the second of five chunks

@@ -864,13 +864,18 @@ class TestJetCost:
         assert "_jets" not in vars(logu)
 
     def test_node_geometry_runs_one_program(self, monkeypatch):
-        # the solver's node geometry reads v itself in the point jet's
-        # one request
+        # the solver's node geometry reads g, v and v' in one request;
+        # the fields that only the diagnostics read come from one point
+        # jet, on the first read of one of them
         model = builtin_relativistic(10.0, dim=1)
         grid = solver.build_grid(model, 8, 16, 6.0)
         runs = count_runs(monkeypatch)
-        solver._node_geometry(model, grid)
+        geo = solver._node_geometry(model, grid)
         assert len(runs) == 1
+        assert "_pj" not in vars(geo)
+        for name in ("Gamma", "w_cov", "ric_t", "H_v", "divH"):
+            assert getattr(geo, name).shape == (grid.Np,)
+        assert len(runs) == 2
 
     def test_pointwise_geometry_builds_one_dag(self, monkeypatch):
         # one geom-pointwise op on a fresh model: g, E and log u are all

@@ -619,9 +619,10 @@ class TestFunctionals:
                                       "unaligned_view"])
     def test_bit_for_bit_the_plain_formula(self, case):
         # Each column runs its formula's operations in order, into work
-        # arrays.  Np = 101 leaves the rows of those arrays off the
-        # 64-byte lines, zero entries take the phi = 1 branch, and a
-        # view of a wider array is neither contiguous nor aligned.
+        # arrays, and sums by the same dot products.  Np = 101 leaves the
+        # rows of those arrays off the 64-byte lines, zero entries take
+        # the phi = 1 branch, and a view of a wider array is neither
+        # contiguous nor aligned.
         model, shape = CLASSICAL, (128, 256)
         if case == "relativistic10":
             model, shape = RELATIVISTIC_10, (60, 101)
@@ -647,18 +648,42 @@ class TestFunctionals:
             assert got["D"] > 0.0
 
     def test_difference_stencils_are_roll_and_gradient(self):
-        # the slice forms that functionals and the diagnostics share
-        h = np.random.default_rng(37).uniform(0.1, 2.0, (12, 21))
-        np.testing.assert_array_equal(
-            sv._ddx(h, 0.1), (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / 0.2)
-        np.testing.assert_array_equal(
-            sv._ddp(h, 0.3), np.gradient(h, 0.3, axis=1, edge_order=2))
+        # on the samples' (Np, Nx) layout: x along the rows, p down them;
+        # the spectral derivative is exact on a trigonometric polynomial
+        # whose highest mode is below Nyquist, at odd and even Nx
+        for Nx in (31, 32):
+            h = np.random.default_rng(37).uniform(0.1, 2.0, (21, Nx))
+            np.testing.assert_array_equal(
+                sv._ddx(h, 0.1, np.empty_like(h)),
+                (np.roll(h, -1, axis=1) - np.roll(h, 1, axis=1)) / 0.2)
+            np.testing.assert_array_equal(
+                sv._ddp(h, 0.3), np.gradient(h, 0.3, axis=0, edge_order=2))
+            x = np.arange(Nx) / Nx
+            f = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * 7 * x)
+            df = (-2 * np.pi * np.sin(2 * np.pi * x)
+                  + 7 * np.pi * np.cos(2 * np.pi * 7 * x))
+            got = sv._ddx_spectral(np.stack([f, 2 * f]), sv._wavenumbers(Nx))
+            np.testing.assert_allclose(got, np.stack([df, 2 * df]), rtol=0, atol=1e-12)
 
-    def test_end_columns_in_a_work_column(self):
-        h = np.random.default_rng(41).uniform(0.1, 2.0, (12, 21))
-        out, col = np.empty_like(h), np.empty(12)
-        assert sv._ddp(h, 0.3, out=out, col=col) is out
-        np.testing.assert_array_equal(out, np.gradient(h, 0.3, axis=1, edge_order=2))
+    def test_end_rows_in_a_work_row(self):
+        h = np.random.default_rng(41).uniform(0.1, 2.0, (21, 12))
+        out, row = np.empty_like(h), np.empty(12)
+        assert sv._ddp(h, 0.3, out=out, row=row) is out
+        np.testing.assert_array_equal(out, np.gradient(h, 0.3, axis=0, edge_order=2))
+
+    def test_ixx_independent_of_nx_for_a_band_limited_datum(self):
+        # The derivative is that of the trigonometric interpolant the
+        # default step evolves, so a band-limited datum's Ixx does not
+        # depend on Nx; the central difference was 1.28e-2, 3.2e-3 and
+        # 8.0e-4 below at these Nx.  Two steps of 0.25, Np = 128.
+        ixx = []
+        for nx in (32, 64, 128):
+            grid = sv.build_grid(CLASSICAL, nx, 128, 8.0)
+            series = sv.run(CLASSICAL, grid, lambda X, P: 1.0 + 0.5 * np.cos(2 * np.pi * X),
+                            tmax=0.5, sample_dt=0.25)
+            ixx.append(series.Ixx[-1])
+        assert ixx[0] == pytest.approx(0.6038494, abs=5e-8)
+        np.testing.assert_allclose(ixx, ixx[0], rtol=1e-12, atol=0.0)
 
 
 class TestWorkArrays:
@@ -683,9 +708,18 @@ class TestWorkArrays:
         arrays = {"ghost": st.ghost, "h": st.h, "flux": st.flux,
                   "face": st.flux[1:], "jump": st.jump, "slope": st.slope,
                   "hs": st.hs, "nu": st.nu, "_BlockLU._z": lu._z,
-                  "_BlockLU._edge": lu._edge}
-        for k, a in enumerate(sv._sample(CLASSICAL, grid).work):
+                  "_BlockLU._edge": lu._edge, "hh": st.hh, "hx": st.hh[1]}
+        s = sv._sample(CLASSICAL, grid)
+        for name in ("w", "wg", "dv", "ik", "hh", "z", "row"):
+            arrays[f"sample {name}"] = getattr(s, name)
+        arrays["sample hx"] = s.hh[1]
+        for k, a in enumerate(s.work):
             arrays[f"sample work {k}"] = a
+        sv.run(CLASSICAL, grid, h0, 0.05, 0.05)
+        spectral = grid._cache[("step", CLASSICAL, False)]
+        for name in ("zs", "ws", "hh"):
+            for k, a in enumerate(getattr(spectral, name)):
+                arrays[f"_Spectral.{name}[{k}]"] = a
         assert {name: a.ctypes.data % 64 for name, a in arrays.items()} == (
             dict.fromkeys(arrays, 0))
         assert st.nu.shape == st.h.shape
@@ -707,10 +741,34 @@ class TestWorkArrays:
             tracemalloc.stop()
         assert peak < 4096
 
+    @pytest.mark.parametrize("order2", [False, True])
+    def test_sample_allocates_less_than_one_grid_array(self, order2):
+        # One sample of a run: the stepper's (h, dh/dx), its minimum and
+        # its row of functionals, all in work arrays.
+        grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
+        dt = sv.cfl_limit(CLASSICAL, grid, True) if order2 else 0.05
+        st = sv._stepper(CLASSICAL, grid, dt, order2)
+        st.load(smooth_state(CLASSICAL, grid).h)
+        s = sv._sample(CLASSICAL, grid)
+
+        def sample():
+            h, hx = st.sample()
+            return s.functionals(h, hx, float(np.min(h)), 0.0)
+
+        sample()  # warm-up
+        tracemalloc.start()
+        try:
+            sample()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048
+
     def test_functionals_allocates_less_than_one_grid_array(self):
-        # The weights and coefficients are full-grid arrays, so no pass
-        # broadcasts a row through numpy's buffered iterator, and the end
-        # columns of the p derivative are formed in a kept work column.
+        # The weights, coefficients and wavenumbers are full-grid arrays,
+        # so no pass broadcasts a row through numpy's buffered iterator,
+        # the rfft and irfft write into kept work arrays, and the end
+        # rows of the p derivative are formed in a kept work row.
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
         st = smooth_state(CLASSICAL, grid)
         sv.functionals(st, CLASSICAL, grid)  # builds the work arrays
@@ -814,7 +872,9 @@ class TestRun:
         # MUSCL takes sub-steps by default; the default step takes one
         # step per sample, so it is given a dt that needs three.  A run
         # keeps that step's density in x-Fourier space between samples,
-        # and a step goes to x and back, which moves the last bits.
+        # and a step goes to x and back, which moves the last bits.  A
+        # MUSCL sample's dh/dx is the central difference, so its rows are
+        # those of the functionals core on that difference.
         grid = sv.build_grid(model, 16, 48, 6.0)
         datum = "1 + 0.5*x*(1-x) + exp(-p^2)"
         given = None if order2 else 0.02
@@ -822,19 +882,79 @@ class TestRun:
                         dt=given, order2=order2)
         n_sub, dt = sv.sub_steps(model, grid, 0.05, given, order2)
         assert n_sub > 1
+
+        def row(state):
+            if not order2:
+                return sv.functionals(state, model, grid)
+            h = np.ascontiguousarray(state.h.T)
+            hx = sv._ddx(h, grid.dx, np.empty_like(h))
+            return sv._sample(model, grid).functionals(h, hx, float(np.min(h)), state.t)
+
         state = sv.initial_state(model, grid, datum)
-        rows = [sv.functionals(state, model, grid)]
+        rows = [row(state)]
         for _ in range(4):
             for _ in range(n_sub):
                 state = sv.step(state, dt, model, grid, order2=order2)
-            rows.append(sv.functionals(state, model, grid))
+            rows.append(row(state))
         for key, name in sv._SAMPLED:
-            want = np.array([row[key] for row in rows])
+            want = np.array([r[key] for r in rows])
             if order2:
                 assert getattr(series, name).tobytes() == want.tobytes(), name
             else:
                 np.testing.assert_allclose(getattr(series, name), want,
                                            rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_rows_are_the_functionals_of_the_samples(self, monkeypatch):
+        # The run's rows come from the stepper's (h, dh/dx); functionals()
+        # takes dh/dx from the rfft of h itself.
+        grid = sv.build_grid(RELATIVISTIC_10, 32, 64, 6.0)
+        samples, sample = [], sv._Spectral.sample
+
+        def kept(st):
+            hh = sample(st)
+            samples.append(hh[0].T.copy())
+            return hh
+
+        monkeypatch.setattr(sv._Spectral, "sample", kept)
+        def datum(X, P):
+            return 1.0 + 0.5 * np.cos(2 * np.pi * X) * np.exp(-P**2) + 0.2 * np.sin(4 * np.pi * X)
+
+        series = sv.run(RELATIVISTIC_10, grid, datum, tmax=0.3, sample_dt=0.05)
+        assert len(samples) == len(series) == 7
+        for k, h in enumerate(samples):
+            row = sv.functionals(sv.State(h=h, t=series.times[k]), RELATIVISTIC_10, grid)
+            for key, name in sv._SAMPLED:
+                # a column that is zero up to round-off, to its scale
+                scale = np.max(np.abs(getattr(series, name)))
+                assert getattr(series, name)[k] == pytest.approx(
+                    row[key], rel=1e-13, abs=1e-13 * scale), (k, key)
+
+    def test_muscl_rows_pinned(self):
+        # A MUSCL run's rows, to 1e-13 of each column's largest value, as
+        # the sums over the grid in row order gave them before the
+        # functionals became dot products.
+        grid = sv.build_grid(RELATIVISTIC_10, 16, 48, 6.0)
+        series = sv.run(RELATIVISTIC_10, grid, "1 + 0.5*x*(1-x) + exp(-p^2)",
+                        tmax=0.2, sample_dt=0.05, order2=True)
+        pinned = {
+            "D": ["0x1.26f1c5b7ed125p-9", "0x1.8b463dc8f5b36p-11", "0x1.64662971b5047p-12",
+                  "0x1.ce43f0fc013cep-13", "0x1.7e0ee7505b591p-13"],
+            "Ipp": ["0x1.195fcb36e0382p-4", "0x1.376df6ee5630fp-6", "0x1.6217a320d1cb2p-8",
+                    "0x1.a90120fc56235p-10", "0x1.2a32d401afb28p-11"],
+            "Ixp": ["-0x1.3000000000000p-61", "-0x1.47b7bd652498ep-11", "-0x1.06e4475fcc9a8p-10",
+                    "-0x1.3da8eda738658p-10", "-0x1.575c37ba31c0ep-10"],
+            "Ixx": ["0x1.ce358a6b20094p-7", "0x1.c917f79cf3652p-7", "0x1.bbf85a5c0b4ecp-7",
+                    "0x1.a8734fc5dd070p-7", "0x1.91bab6c172be1p-7"],
+            "mass": ["0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000002p+0",
+                     "0x1.0000000000001p+0", "0x1.0000000000001p+0"],
+            "l1_dist": ["0x1.81bc9f86ecc53p-5", "0x1.d6fd00cb053b9p-6", "0x1.5900099bcc09fp-6",
+                        "0x1.207ad1d36d026p-6", "0x1.0c1dec5b25c6dp-6"],
+        }
+        pinned["Emod"] = pinned["D"]
+        for name, values in pinned.items():
+            want = np.array([float.fromhex(v) for v in values])
+            np.testing.assert_allclose(getattr(series, name), want, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(want)), err_msg=name)
 
     def test_equilibrium_datum_flat(self):
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)

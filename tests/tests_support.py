@@ -483,26 +483,35 @@ def step_reference(h, dt, model, grid, order2=False):
 
 
 def functionals_reference(state, model, grid, certificate=None):
-    """solver.functionals as the plain formula, each term a new array,
-    the x derivative by np.roll and the p derivative by np.gradient."""
+    """solver.functionals as the plain formula, each term a new array, in
+    the samples' (Np, Nx) layout: the x derivative as irfft(2 pi i k
+    rfft(h)), the p derivative by np.gradient, and each column a dot
+    product with the weights w = mu dx, with r = w g^pp / max(h, floor)
+    and y = v' dh/dx in Ipp = <r dh/dp, dh/dp>, Ixp = <r dh/dp, y> and
+    Ixx = <r y, y>."""
     geo = sv._node_geometry(model, grid)
-    h = state.h
+    h, nx = state.h.T, grid.Nx
+    ik = 2j * np.pi * np.arange(nx // 2 + 1)
+    if nx % 2 == 0:
+        ik[-1] = 0.0
+    dhx = np.fft.irfft(np.fft.rfft(h, axis=1) * ik, n=nx, axis=1)
+    dhp = np.gradient(h, grid.dp, axis=0, edge_order=2)
     w = grid.mu_weights * grid.dx
-    m = float(np.sum(h * w))
+    wf = np.broadcast_to(w[:, None], h.shape)
+    m = float(np.vdot(h, wf))
     floor = sv.H_FLOOR_FRAC * max(m, np.finfo(float).tiny)
-    hf = np.maximum(h, floor)
-    e = h / m - 1.0
+    q = h / m
+    e = q - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = (1.0 + e) * np.log1p(e) - e
+        phi = q * np.log1p(e) - e
     phi = np.where(h > 0.0, phi, 1.0)
-    D = max(m * float(np.sum(phi * w)), 0.0)
-    dhx = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / (2.0 * grid.dx)
-    dhp = np.gradient(h, grid.dp, axis=1, edge_order=2)
-    gpp = geo.gpp
-    Ipp = float(np.sum(gpp * dhp**2 / hf * w))
-    Ixx = float(np.sum(gpp * geo.dv**2 * dhx**2 / hf * w))
-    Ixp = float(np.sum(gpp * geo.dv * dhx * dhp / hf * w))
-    l1 = float(np.sum(np.abs(h - m) * w))
+    D = max(m * float(np.vdot(phi, wf)), 0.0)
+    l1 = float(np.vdot(np.abs(h - m), wf))
+    r = (w * geo.gpp)[:, None] / np.maximum(h, floor)
+    y = dhx * geo.dv[:, None]
+    Ipp = float(np.vdot(r * dhp, dhp))
+    Ixp = float(np.vdot(r * dhp, y))
+    Ixx = float(np.vdot(r * y, y))
     if certificate is None:
         emod = D
     else:
