@@ -388,7 +388,7 @@ def cmd_simulate(cfg, args):
     )
     solver.series_to_csv(series, outdir / SERIES_CSV)
 
-    summary = _summarize(cfg, model, cert, cert_source, series, outdir)
+    summary = _summarize(cfg, model, grid, cert, cert_source, series, outdir)
     if getattr(args, "diagnostics", False):
         summary += _diagnostics_table(start.state, model, grid, cfg.tmax)
     (outdir / SUMMARY_TXT).write_text(summary)
@@ -421,7 +421,7 @@ def _fit_positive_prefix(series):
     return rate, r2, note
 
 
-def _summarize(cfg, model, cert, cert_source, series, outdir):
+def _summarize(cfg, model, grid, cert, cert_source, series, outdir):
     meta = series.meta
     D = series.D
     mass_drift = float(np.max(np.abs(series.mass - series.mass[0])))
@@ -432,6 +432,7 @@ def _summarize(cfg, model, cert, cert_source, series, outdir):
     lines = [
         ("model", model.name),
         ("grid", f"Nx = {cfg.Nx}, Np = {cfg.Np}, P = {cfg.P:g}"),
+        ("tail_mass", f"{grid.tail_mass!r} (equilibrium mass past |p| = P)"),
         ("time", f"tmax = {cfg.tmax:g}, dt = {meta['dt']:.6g}, "
                  f"sample_dt = {meta['sample_dt']:.6g}, "
                  f"order2 = {str(meta['order2']).lower()}"),

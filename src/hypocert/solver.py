@@ -58,13 +58,14 @@ Alongside the dynamics the module tracks the entropy functionals
 (D, Ipp, Ixp, Ixx, the modified entropy, mass, L1 distance), fits
 empirical decay rates, and evaluates both sides of the entropy
 production identities term by term for verification.  A sample is the
-pair (h, dh/dx) in the (Np, Nx) layout of the irfft: the default step
-makes both in one irfft of its modes z and 2 pi i k z, so dh/dx is the
-exact derivative of the trigonometric interpolant it evolves, and a
-call from outside a run takes the rfft of its h.  MUSCL hands over a
-transposed copy of its density and the central x difference, until it
-is deleted.  One core (`_Sample.functionals`) turns every sample into
-its row, each column a dot product with the weights over the grid.
+pair (h, dh/dx) in the (Np, Nx) layout of the irfft, and every sample
+lands in one buffer per grid (`_Sample.hh`).  dh/dx is always the exact
+derivative of the trigonometric interpolant of h in x: the default step
+makes both in one irfft of its modes z and 2 pi i k z, and a density
+held in x-space, MUSCL's and that of a call from outside a run, is
+loaded through its rfft (`_Sample.load`).  One core
+(`_Sample.functionals`) turns every sample into its row, each column a
+dot product with the weights over the grid.
 """
 
 from dataclasses import dataclass, field, fields
@@ -254,7 +255,7 @@ def build_grid(model, Nx, Np, P):
     trap_ext = np.full(p_ext.size, dp)
     trap_ext[0] = trap_ext[-1] = 0.5 * dp
     ext = float(np.sum(np.where(np.isfinite(w_ext), w_ext, 0.0) * trap_ext))
-    tail = max(0.0, (ext - raw.sum()) / ext) if ext > 0.0 else 0.0
+    tail = max(0.0, float(ext - raw.sum()) / ext) if ext > 0.0 else 0.0
 
     return PhaseGrid(
         Nx=Nx,
@@ -470,7 +471,6 @@ class DiffusionOperator:
     off: np.ndarray
     diag: np.ndarray
     weight: np.ndarray
-    _lu: _BlockLU = field(default=None, compare=False, repr=False)
 
     def apply(self, h):
         """L h for h with momentum on the last axis."""
@@ -484,30 +484,21 @@ class DiffusionOperator:
         """One backward-Euler step (I - dt L)^-1 h, columns batched.
 
         The result goes to out, a C-contiguous float array of h's shape
-        that may be h itself, or to a new array when out is None.  The
-        operator keeps the block LU (`_BlockLU`) of its latest dt, and
-        reuses it while dt stays the same; a new dt replaces it.  Raises
-        LinearSolveFailure when W - dt W L is not positive definite.
-        The solve keeps work arrays on the operator, so it is not
-        reentrant.
+        that may be h itself, or to a new array when out is None.  Each
+        call factors I - dt L for its own dt (`_BlockLU`) and keeps
+        nothing, so the operator holds only its coefficients; a stepper
+        that solves at one dt again and again builds its own block LU
+        once.  Raises LinearSolveFailure when W - dt W L is not positive
+        definite.
         """
-        lu = self._factor(float(dt))
+        lu = _BlockLU(self, float(dt))
         if out is None:
             out = np.empty(np.shape(h))
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         n = self.weight.size
-        # An (rows, n) h goes as it is, so the block LU keeps its views
-        h = np.asarray(h, dtype=float)
-        lu.solve(h if h.shape[1:] == (n,) else h.reshape(-1, n), out.reshape(-1, n))
+        lu.solve(np.asarray(h, dtype=float).reshape(-1, n), out.reshape(-1, n))
         return out
-
-    def _factor(self, dt):
-        """The block LU of dt: the one kept, or a new one that replaces it."""
-        lu = self._lu
-        if lu is None or lu.dt != dt:
-            lu = self._lu = _BlockLU(self, dt)
-        return lu
 
 
 def diffusion_matrix(model, grid):
@@ -577,9 +568,10 @@ class _Spectral:
 
     z is slot 0 of a stack of two, and slot 1 takes 2 pi i k z at a
     sample, so that one irfft of the stack gives h and dh/dx at the
-    nodes together, in the irfft's own (Np, Nx) layout: the exact x
-    derivative of the trigonometric interpolant that the shifts evolve
-    (Trefethen, Spectral Methods in MATLAB, ch. 3).  The diffusion
+    nodes together, in the irfft's own (Np, Nx) layout, into the grid's
+    sample buffer (`_Sample.hh`): the exact x derivative of the
+    trigonometric interpolant that the shifts evolve (Trefethen,
+    Spectral Methods in MATLAB, ch. 3).  The diffusion
     matmul writes into the other stack, and the two trade places.
 
     prop is ((I - tau L)^-1)^(2^_SQUARINGS) with tau = dt /
@@ -615,8 +607,7 @@ class _Spectral:
         if nx % 2 == 0:
             self.phase[:, -1] = self.phase[:, -1].real
         self.zs, self.ws = (_aligned((2, n, 2 * nk)).view(complex) for _ in range(2))
-        self.ik = _sample(model, grid).ik
-        self.hh = _aligned((2, n, nx))
+        self.sampler = _sample(model, grid)
 
     def load(self, h):
         """Take the density h, shape (Nx, Np), as the state to advance."""
@@ -634,25 +625,27 @@ class _Spectral:
         z *= self.phase
 
     def sample(self):
-        """(h, dh/dx) at the nodes, each (Np, Nx), in the work array hh."""
-        np.multiply(self.zs[0], self.ik, out=self.zs[1])
-        return np.fft.irfft(self.zs, n=self.hh.shape[2], axis=2, out=self.hh)
+        """(h, dh/dx) at the nodes, each (Np, Nx), in the sample buffer
+        hh of the grid's _Sample."""
+        s = self.sampler
+        np.multiply(self.zs[0], s.ik, out=self.zs[1])
+        return np.fft.irfft(self.zs, n=s.hh.shape[2], axis=2, out=s.hh)
 
 
 class _Strang:
     """Work arrays and column data of one MUSCL step on one grid.
 
     Built for one (model, grid, dt); every step with those reuses the
-    arrays and the block LU of dt, which it holds and solves with
-    directly.  A step advances h, a view of the arrays, in place, so
-    `run` allocates nothing per step.  The work arrays make a step not
-    reentrant on one grid.
+    arrays and the block LU of dt (`_BlockLU`), which it builds and
+    owns, as _Spectral builds its own for tau.  A step advances h, a
+    view of the arrays, in place, so `run` allocates nothing per step.
+    The work arrays make a step not reentrant on one grid.
     """
 
     def __init__(self, model, grid, dt):
         nx, np_ = grid.Nx, grid.Np
         self.dt = dt
-        self.lu = _op(model, grid)._factor(float(dt))
+        self.lu = _BlockLU(_op(model, grid), float(dt))
         # Courant number of a half step per column.  Columns with
         # nu < 0 take their face values from the cell on the right, the
         # others from the cell on the left; each side is kept as runs of
@@ -685,8 +678,7 @@ class _Strang:
         self.slope = _aligned((nx + 1, np_))
         self.hs = _aligned((nx + 1, np_))
         self.hs[...] = np.where(negative, -0.5, 0.5)
-        self.dx = grid.dx
-        self.hh = _aligned((2, np_, nx))
+        self.sampler = _sample(model, grid)
 
     def transport(self, out):
         """One half step of dh/dt + v dh/dx = 0 on self.h, into out.
@@ -745,12 +737,9 @@ class _Strang:
         self.transport(out=h)
 
     def sample(self):
-        """(h, dh/dx) at the nodes, each (Np, Nx), in the work array hh:
-        a transposed copy of h and its central x difference."""
-        h, hx = self.hh
-        np.copyto(h, self.h.T)
-        _ddx(h, self.dx, out=hx)
-        return self.hh
+        """(h, dh/dx) at the nodes, each (Np, Nx), in the sample buffer
+        hh of the grid's _Sample (`_Sample.load`)."""
+        return self.sampler.load(self.h)
 
 
 def _stepper(model, grid, dt, order2):
@@ -879,21 +868,6 @@ def _mass(h, grid):
     return float(np.sum(h * grid.mu_weights) * grid.dx)
 
 
-def _ddx(h, dx, out):
-    """(h_{j+1} - h_{j-1}) / (2 dx) along the last axis of h, shape
-    (Np, Nx), periodic, into out: the central x difference of the MUSCL
-    samples.  The difference runs as one pass over the raveled arrays,
-    whose entries where the stencil wraps from one row into the next,
-    the end columns, are then overwritten; h and out must be
-    C-contiguous."""
-    hf, of = h.reshape(-1), out.reshape(-1)
-    np.subtract(hf[2:], hf[:-2], out=of[1:-1])
-    np.subtract(h[:, 1], h[:, -1], out=out[:, 0])
-    np.subtract(h[:, 0], h[:, -2], out=out[:, -1])
-    out /= 2.0 * dx
-    return out
-
-
 def _wavenumbers(nx):
     """2 pi i k for the rfft modes k of Nx nodes on [0, 1), zero at an
     even Nx's Nyquist mode, whose derivative vanishes at the nodes."""
@@ -944,8 +918,9 @@ class _Sample:
     along the rows of _aligned arrays of the sample's shape: a ufunc
     that broadcasts a row or a column over the grid goes through numpy's
     buffered iterator, whose buffers took 132 KB for the row of
-    wavenumbers and 66 KB for a column of weights at 128 x 256.  hh and
-    z hold the sample and the modes of a call from outside a run.
+    wavenumbers and 66 KB for a column of weights at 128 x 256.  Every
+    sample lands in hh: the default step's irfft writes it there, and
+    load takes any density held in x-space through the modes z.
     """
 
     def __init__(self, model, grid):
@@ -970,6 +945,14 @@ class _Sample:
         self.work = [_aligned((n, nx)) for _ in range(3)]
         self.row = _aligned((nx,))  # _ddp's end rows
         self.mask = np.empty((n, nx), dtype=bool)
+
+    def load(self, h):
+        """The sample of the density h, shape (Nx, Np) in any memory
+        layout, in hh: a transposed copy of h and the exact x derivative
+        of its trigonometric interpolant, from its rfft in z."""
+        np.copyto(self.hh[0], h.T)
+        _ddx_spectral(self.hh[0], self.ik, out=self.hh[1], z=self.z)
+        return self.hh
 
     def functionals(self, h, hx, low, t, certificate=None):
         """The row of functionals() at time t for the sample h, hx =
@@ -1048,15 +1031,13 @@ def functionals(state, model, grid, certificate=None):
     certificate the modified entropy combines the columns with its
     weights; without one Emod reduces to D.  dh/dx is the exact
     derivative of h's trigonometric interpolant in x, from its rfft, as
-    in the samples of a run, and dh/dp the second-order difference of
+    in every sample of a run, and dh/dp the second-order difference of
     np.gradient.  The columns are formed in work arrays kept on the
     grid (see _Sample), so a call allocates no (Nx, Np) array and is not
     reentrant on one grid; state.h may have any memory layout.
     """
     s = _sample(model, grid)
-    h, hx = s.hh
-    np.copyto(h, state.h.T)
-    _ddx_spectral(h, s.ik, out=hx, z=s.z)
+    h, hx = s.load(state.h)
     return s.functionals(h, hx, float(np.min(h)), state.t, certificate)
 
 
@@ -1154,8 +1135,10 @@ def run(
     h_in may also be the _start of the same arguments, which the run
     then takes as it is.
 
-    Each sample, the initial datum's too, is the stepper's (h, dh/dx),
-    whose row goes through the one functionals core (_Sample).
+    Each sample, the initial datum's too, is the stepper's (h, dh/dx) in
+    the one sample buffer, whose row goes through the one functionals
+    core (_Sample); a MUSCL row is functionals() of its density to the
+    bit.
 
     When a certificate with a rate is supplied, each sample is checked
     against Emod(0) exp(-lambda t) with the exponent relaxed by
@@ -1234,7 +1217,7 @@ def fit_rate(series, window=0.5, field="D"):
 # Entropy production diagnostics
 
 
-def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=False):
+def entropy_production_diagnostics(state, model, grid, dt=None):
     """Both sides of the entropy production identities on one state.
 
     The four d/dt rows compare a centered time difference (two half
@@ -1244,16 +1227,15 @@ def entropy_production_diagnostics(state, model, grid, dt=None, *, order2=False)
     product-rule route through derivatives of h itself.  Residuals are
     relative and expected to shrink at first order under simultaneous
     (dt, dx, dp) refinement.  The steps are the default step, exact in
-    x, or MUSCL with order2; the x derivatives are those of the
-    trigonometric interpolant, as in functionals().  dt defaults to the MUSCL limit
-    dx / max|v|, at most 1: a step that moves the fastest column by
-    one cell, whose half steps MUSCL takes too.
+    x, and the x derivatives are those of the trigonometric
+    interpolant, as in functionals().  dt defaults to dx / max|v|, at
+    most 1: a step that moves the fastest column by one cell.
     """
     geo = _node_geometry(model, grid)
     if dt is None:
         dt = min(cfl_limit(model, grid, order2=True), 1.0)
-    mid = step(state, 0.5 * dt, model, grid, order2=order2)
-    plus = step(mid, 0.5 * dt, model, grid, order2=order2)
+    mid = step(state, 0.5 * dt, model, grid)
+    plus = step(mid, 0.5 * dt, model, grid)
 
     f0 = functionals(state, model, grid)
     f2 = functionals(plus, model, grid)

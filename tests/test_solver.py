@@ -3,12 +3,12 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from hypocert import geometry, models
+from hypocert import cli, geometry, models
 from hypocert import solver as sv
 from hypocert.certificate import build_certificate
 from hypocert.errors import (
@@ -78,9 +78,22 @@ class TestBuildGrid:
             grid.mu_weights, grid.mu_weights[::-1], rtol=1e-14
         )
 
-    def test_relativistic_tail_is_reported(self):
+    def test_relativistic_tail_is_reported(self, tmp_path):
+        # simulate states the estimate in summary.txt: at theta 0.5 the
+        # default 64 x 128 grid on P = 8 leaves 2.1e-2 of the
+        # equilibrium mass outside the slab.
         grid = sv.build_grid(RELATIVISTIC, 8, 64, 8.0)
         assert 0.0 < grid.tail_mass < 1e-2
+        out = tmp_path / "rel"
+        assert cli.main(["simulate", "--model", "relativistic", "--dim", "1",
+                         "--theta", "0.5", "--tmax", "0.1",
+                         "--output-dir", str(out)]) == 0
+        (line,) = [ln for ln in (out / "summary.txt").read_text().splitlines()
+                   if ln.startswith("tail_mass = ")]
+        reported = float(line.split()[2])
+        grid = sv.build_grid(builtin_relativistic(0.5, dim=1), 64, 128, 8.0)
+        assert reported == grid.tail_mass
+        assert reported == pytest.approx(2.1e-2, rel=0.02)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -285,21 +298,23 @@ class TestDiffusionOperator:
         op = operator(RELATIVISTIC, Np)
         h = np.random.default_rng(Np).uniform(0.0, 2.0, (64, Np))
         out = op.solve(h, 0.3)
-        assert [WG.shape for _, WG in op._lu.groups] == groups
-        np.testing.assert_array_equal(out, block_solve_reference(op._lu, h))
+        lu = sv._BlockLU(op, 0.3)
+        assert [WG.shape for _, WG in lu.groups] == groups
+        np.testing.assert_array_equal(out, block_solve_reference(lu, h))
         np.testing.assert_allclose(out, diffusion_solve_reference(op, h, 0.3),
                                    rtol=1e-13, atol=0.0)
 
-    def test_keeps_one_factorization(self):
+    def test_holds_no_factorization(self):
+        # A solve factors for its own dt and keeps nothing on the
+        # operator, so a solve at another dt in between changes no bit.
         grid = sv.build_grid(CLASSICAL, 8, 96, 8.0)
         op = sv.diffusion_matrix(CLASSICAL, grid)
-        h = np.ones((2, grid.Np))
-        for dt in (0.1, 0.2, 0.3):
-            op.solve(h, dt)
-        (lu,) = [v for v in vars(op).values() if isinstance(v, sv._BlockLU)]
-        assert lu.dt == 0.3
-        op.solve(h, 0.3)
-        assert op._lu is lu
+        h = np.random.default_rng(5).uniform(0.1, 2.0, (3, grid.Np))
+        first = op.solve(h, 0.3)
+        op.solve(h, 0.1)
+        assert [f.name for f in fields(op)] == ["off", "diag", "weight"]
+        assert vars(op).keys() == {"off", "diag", "weight"}
+        assert op.solve(h, 0.3).tobytes() == first.tobytes()
 
 
 class TestSolveViews:
@@ -314,9 +329,9 @@ class TestSolveViews:
         sv.run(CLASSICAL, grid, "1 + x*(1-x)", 0.5, 0.05, order2=True)
         st = grid._cache[("step", CLASSICAL, True)]
         # the work array z, then the stepper's density, both on the
-        # block LU that the stepper holds and the operator keeps
+        # block LU that the stepper owns
         assert len(built) == 2
-        assert st.lu is sv._op(CLASSICAL, grid)._lu
+        assert isinstance(st.lu, sv._BlockLU) and st.lu.dt == st.dt
         assert built[0] is st.lu._z
         assert built[1] is st.h
 
@@ -335,9 +350,10 @@ class TestSolveViews:
         rng = np.random.default_rng(3)
         for _ in range(2):
             h = rng.uniform(0.1, 2.0, st.h.shape)
-            np.testing.assert_allclose(op.solve(h, st.dt),
+            np.testing.assert_allclose(st.lu.solve(h, np.empty_like(h)),
                                        diffusion_solve_reference(op, h, st.dt),
                                        rtol=1e-13, atol=0.0)
+            assert st.lu._hv[0] is h
         # and the density, solved in place again, takes the bits of a
         # solve on a fresh copy of it
         st.h[...] = rng.uniform(0.1, 2.0, st.h.shape)
@@ -654,9 +670,6 @@ class TestFunctionals:
         for Nx in (31, 32):
             h = np.random.default_rng(37).uniform(0.1, 2.0, (21, Nx))
             np.testing.assert_array_equal(
-                sv._ddx(h, 0.1, np.empty_like(h)),
-                (np.roll(h, -1, axis=1) - np.roll(h, 1, axis=1)) / 0.2)
-            np.testing.assert_array_equal(
                 sv._ddp(h, 0.3), np.gradient(h, 0.3, axis=0, edge_order=2))
             x = np.arange(Nx) / Nx
             f = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * 7 * x)
@@ -704,11 +717,10 @@ class TestWorkArrays:
         h0 = smooth_state(CLASSICAL, grid).h
         sv.run(CLASSICAL, grid, h0, 0.01, 0.01, order2=True)
         st = grid._cache[("step", CLASSICAL, True)]
-        lu = sv._op(CLASSICAL, grid)._lu
         arrays = {"ghost": st.ghost, "h": st.h, "flux": st.flux,
                   "face": st.flux[1:], "jump": st.jump, "slope": st.slope,
-                  "hs": st.hs, "nu": st.nu, "_BlockLU._z": lu._z,
-                  "_BlockLU._edge": lu._edge, "hh": st.hh, "hx": st.hh[1]}
+                  "hs": st.hs, "nu": st.nu, "_BlockLU._z": st.lu._z,
+                  "_BlockLU._edge": st.lu._edge}
         s = sv._sample(CLASSICAL, grid)
         for name in ("w", "wg", "dv", "ik", "hh", "z", "row"):
             arrays[f"sample {name}"] = getattr(s, name)
@@ -717,7 +729,7 @@ class TestWorkArrays:
             arrays[f"sample work {k}"] = a
         sv.run(CLASSICAL, grid, h0, 0.05, 0.05)
         spectral = grid._cache[("step", CLASSICAL, False)]
-        for name in ("zs", "ws", "hh"):
+        for name in ("zs", "ws"):
             for k, a in enumerate(getattr(spectral, name)):
                 arrays[f"_Spectral.{name}[{k}]"] = a
         assert {name: a.ctypes.data % 64 for name, a in arrays.items()} == (
@@ -873,8 +885,8 @@ class TestRun:
         # step per sample, so it is given a dt that needs three.  A run
         # keeps that step's density in x-Fourier space between samples,
         # and a step goes to x and back, which moves the last bits.  A
-        # MUSCL sample's dh/dx is the central difference, so its rows are
-        # those of the functionals core on that difference.
+        # MUSCL run keeps its density in x, and its samples take dh/dx
+        # from the rfft of h as functionals() does, to the bit.
         grid = sv.build_grid(model, 16, 48, 6.0)
         datum = "1 + 0.5*x*(1-x) + exp(-p^2)"
         given = None if order2 else 0.02
@@ -883,19 +895,12 @@ class TestRun:
         n_sub, dt = sv.sub_steps(model, grid, 0.05, given, order2)
         assert n_sub > 1
 
-        def row(state):
-            if not order2:
-                return sv.functionals(state, model, grid)
-            h = np.ascontiguousarray(state.h.T)
-            hx = sv._ddx(h, grid.dx, np.empty_like(h))
-            return sv._sample(model, grid).functionals(h, hx, float(np.min(h)), state.t)
-
         state = sv.initial_state(model, grid, datum)
-        rows = [row(state)]
+        rows = [sv.functionals(state, model, grid)]
         for _ in range(4):
             for _ in range(n_sub):
                 state = sv.step(state, dt, model, grid, order2=order2)
-            rows.append(row(state))
+            rows.append(sv.functionals(state, model, grid))
         for key, name in sv._SAMPLED:
             want = np.array([r[key] for r in rows])
             if order2:
@@ -930,9 +935,10 @@ class TestRun:
                     row[key], rel=1e-13, abs=1e-13 * scale), (k, key)
 
     def test_muscl_rows_pinned(self):
-        # A MUSCL run's rows, to 1e-13 of each column's largest value, as
-        # the sums over the grid in row order gave them before the
-        # functionals became dot products.
+        # A MUSCL run's rows, to 1e-13 of each column's largest value:
+        # D, Ipp, mass and l1_dist as the sums over the grid in row order
+        # gave them before the functionals became dot products, and Ixp
+        # and Ixx with dh/dx from the rfft of h.
         grid = sv.build_grid(RELATIVISTIC_10, 16, 48, 6.0)
         series = sv.run(RELATIVISTIC_10, grid, "1 + 0.5*x*(1-x) + exp(-p^2)",
                         tmax=0.2, sample_dt=0.05, order2=True)
@@ -941,10 +947,10 @@ class TestRun:
                   "0x1.ce43f0fc013cep-13", "0x1.7e0ee7505b591p-13"],
             "Ipp": ["0x1.195fcb36e0382p-4", "0x1.376df6ee5630fp-6", "0x1.6217a320d1cb2p-8",
                     "0x1.a90120fc56235p-10", "0x1.2a32d401afb28p-11"],
-            "Ixp": ["-0x1.3000000000000p-61", "-0x1.47b7bd652498ep-11", "-0x1.06e4475fcc9a8p-10",
-                    "-0x1.3da8eda738658p-10", "-0x1.575c37ba31c0ep-10"],
-            "Ixx": ["0x1.ce358a6b20094p-7", "0x1.c917f79cf3652p-7", "0x1.bbf85a5c0b4ecp-7",
-                    "0x1.a8734fc5dd070p-7", "0x1.91bab6c172be1p-7"],
+            "Ixp": ["0x1.8000000000000p-63", "-0x1.6d9b57c8bbea3p-11", "-0x1.1d9528686e75ap-10",
+                    "-0x1.53d087aad0538p-10", "-0x1.6bf0df85ebbf6p-10"],
+            "Ixx": ["0x1.3011663331040p-6", "0x1.1e1dae7c7d918p-6", "0x1.0c472eecd7e37p-6",
+                    "0x1.f3db97b829b24p-7", "0x1.d02d9a1852513p-7"],
             "mass": ["0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000002p+0",
                      "0x1.0000000000001p+0", "0x1.0000000000001p+0"],
             "l1_dist": ["0x1.81bc9f86ecc53p-5", "0x1.d6fd00cb053b9p-6", "0x1.5900099bcc09fp-6",
