@@ -78,8 +78,8 @@ class RunConfig:
 
     model is a builtin tag (classical | relativistic) or a path to a
     model definition file.  theta and dim apply to builtin tags only;
-    file models carry their own.  dt = None lets the solver pick the
-    step: one per sample, or a CFL-safe one for MUSCL (--order2).
+    file models carry their own.  dt bounds the solver's step; None
+    takes one step per sample.
     """
 
     model: str = "classical"
@@ -120,8 +120,7 @@ _SETTINGS = (
      "quasi-random scan points (scan.quasi_random_count)"),
     ("time.tmax", "--tmax", "tmax", float, None, "simulation end time"),
     ("time.dt", "--dt", "dt", float, None,
-     "largest time step (default: one step per sample, or with --order2 "
-     "0.9 of the transport limit dx / max|v|)"),
+     "largest time step (default: one step per sample)"),
     ("time.sample_dt", "--sample-dt", "sample_dt", float, None,
      "sampling interval for the CSV series"),
     ("initial_data", "--initial-data", "initial_data", str, "EXPR",
@@ -361,10 +360,9 @@ def cmd_simulate(cfg, args):
         )
     # before any scan, so a bad setting leaves no output behind; the run
     # takes the start as it is
-    order2 = bool(getattr(args, "order2", False))
     grid = solver.build_grid(model, cfg.Nx, cfg.Np, cfg.P)
     start = solver._start(model, grid, cfg.initial_data, cfg.tmax,
-                          cfg.sample_dt, cfg.dt, order2)
+                          cfg.sample_dt, cfg.dt)
     outdir = ensure_outdir(cfg)
 
     if cfg.certificate_path is not None:
@@ -382,10 +380,8 @@ def cmd_simulate(cfg, args):
         raise ConfigError(f"certificate {cert_source} is for model "
                           f"{cert.model!r}, not {model.name!r}")
 
-    series = solver.run(
-        model, grid, start, cfg.tmax, cfg.sample_dt,
-        certificate=cert, dt=cfg.dt, order2=order2,
-    )
+    series = solver.run(model, grid, start, cfg.tmax, cfg.sample_dt,
+                        certificate=cert, dt=cfg.dt)
     solver.series_to_csv(series, outdir / SERIES_CSV)
 
     summary = _summarize(cfg, model, grid, cert, cert_source, series, outdir)
@@ -434,8 +430,7 @@ def _summarize(cfg, model, grid, cert, cert_source, series, outdir):
         ("grid", f"Nx = {cfg.Nx}, Np = {cfg.Np}, P = {cfg.P:g}"),
         ("tail_mass", f"{grid.tail_mass!r} (equilibrium mass past |p| = P)"),
         ("time", f"tmax = {cfg.tmax:g}, dt = {meta['dt']:.6g}, "
-                 f"sample_dt = {meta['sample_dt']:.6g}, "
-                 f"order2 = {str(meta['order2']).lower()}"),
+                 f"sample_dt = {meta['sample_dt']:.6g}"),
         ("initial_data", cfg.initial_data),
         ("certificate", cert_source),
         ("samples", str(len(series))),
@@ -565,9 +560,6 @@ def build_parser():
                        parents=shared)
     p.add_argument("--diagnostics", action="store_true",
                    help="append the entropy-production residual table")
-    p.add_argument("--order2", action="store_true",
-                   help="MUSCL transport under its CFL limit, in place of "
-                        "the default step, which is exact in x")
 
     sub.add_parser("report", help="collate prior outputs into one report",
                    parents=shared)

@@ -22,20 +22,21 @@ one step per sample, and a given dt only bounds the step.  The shift
 keeps h >= 0 only where the datum's trigonometric interpolant in x is
 nonnegative, which `run` checks before it starts.
 
-With order2 the step is MUSCL instead (`_Strang`): transport in flux
-form, h_i -= F_{i+1/2} - F_{i-1/2} with the face value reconstructed on
-the upwind side under a minmod limiter, so it is conservative to
-round-off.  Each half step moves by the Courant number
-nu = v dt / (2 dx), and is positive and total-variation diminishing for
-|nu| <= 1/2, so dt <= dx / max|v| (`cfl_limit`).  Its implicit solve is
-an M-matrix system, so positivity survives any dt.  Both paths solve
-the tridiagonal system through a block LU in numpy: the momentum nodes
-are cut into blocks of at most _BLOCK_WIDTH, each block's Schur
-complement is inverted once, and a solve is one batched matmul over
-the blocks (two when they differ in width) plus one matmul that couples
-the blocks through their edge values.  A step works in arrays allocated
-once per (model, grid, dt, order2) and reused, and `run` advances the
-density in them in place.
+With `run(..., order2=True)`, MUSCL's one entry point, the step is
+MUSCL instead (`_Strang`): transport in flux form,
+h_i -= F_{i+1/2} - F_{i-1/2} with the face value reconstructed on the
+upwind side under a minmod limiter, so it is conservative to round-off.
+Each half step moves by the Courant number nu = v dt / (2 dx), and is
+positive and total-variation diminishing for |nu| <= 1/2, so
+dt <= dx / max|v| (`cfl_limit`, which `sub_steps` enforces).  Its
+implicit solve is an M-matrix system, so positivity survives any dt.
+Both paths solve the tridiagonal system through a block LU in numpy:
+the momentum nodes are cut into blocks of at most _BLOCK_WIDTH, each
+block's Schur complement is inverted once, and a solve is one batched
+matmul over the blocks (two when they differ in width) plus one matmul
+that couples the blocks through their edge values.  A step works in
+arrays allocated once per (model, grid, dt, order2) and reused, and
+`run` advances the density in them in place.
 
 Every array pass of a MUSCL step and of a sample writes to a work array
 whose data starts on a 64-byte cache line (`_aligned`).  numpy aligns
@@ -319,14 +320,18 @@ class _NodeGeometry:
         return _div_hessians(self._pj)[:, 0, 0]
 
 
+def _cached(grid, key, build, fresh=lambda value: True):
+    """The entry of grid's cache under key, built by build() when it is
+    missing or not fresh.  Keys hold the model itself, which the cache
+    then keeps alive: an id() could be reused by a later model."""
+    value = grid._cache.get(key)
+    if value is None or not fresh(value):
+        value = grid._cache[key] = build()
+    return value
+
+
 def _node_geometry(model, grid):
-    # Keyed on the model itself, which the cache then keeps alive: an
-    # id() could be reused by a later model.
-    key = ("geom", model)
-    geo = grid._cache.get(key)
-    if geo is None:
-        geo = grid._cache[key] = _NodeGeometry(model, grid)
-    return geo
+    return _cached(grid, ("geom", model), lambda: _NodeGeometry(model, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +527,7 @@ def diffusion_matrix(model, grid):
 
 
 def _op(model, grid):
-    key = ("diffusion", model)
-    op = grid._cache.get(key)
-    if op is None:
-        op = diffusion_matrix(model, grid)
-        grid._cache[key] = op
-    return op
+    return _cached(grid, ("diffusion", model), lambda: diffusion_matrix(model, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +613,13 @@ class _Spectral:
         """Take the density h, shape (Nx, Np), as the state to advance."""
         np.copyto(self.zs[0], np.fft.rfft(h, axis=0).T)
 
-    def advance(self, diffuse=True):
-        """One step by self.dt: half shift, diffusion (skipped unless
-        diffuse), half shift."""
+    def advance(self):
+        """One step by self.dt: half shift, diffusion, half shift."""
         z = self.zs[0]
         z *= self.phase
-        if diffuse:
-            np.matmul(self.prop, z.view(float), out=self.ws[0].view(float))
-            self.zs, self.ws = self.ws, self.zs
-            z = self.zs[0]
+        np.matmul(self.prop, z.view(float), out=self.ws[0].view(float))
+        self.zs, self.ws = self.ws, self.zs
+        z = self.zs[0]
         z *= self.phase
 
     def sample(self):
@@ -652,8 +650,8 @@ class _Strang:
         # column slices (one run for a monotone v), copied into the
         # faces one run at a time.
         nu = _node_geometry(model, grid).v * (0.5 * dt / grid.dx)
-        # step accepts dt a round-off past cfl_limit, which may carry
-        # |nu| a few ulps past 1/2; clip it back (a no-op below).
+        # sub_steps accepts dt a round-off past cfl_limit, which may
+        # carry |nu| a few ulps past 1/2; clip it back (a no-op below).
         np.clip(nu, -0.5, 0.5, out=nu)
         negative = nu < 0.0
         cuts = [0, *(np.flatnonzero(np.diff(negative)) + 1), np_]
@@ -726,14 +724,12 @@ class _Strang:
         """Take the density h, shape (Nx, Np), as the state to advance."""
         np.copyto(self.h, h)
 
-    def advance(self, diffuse=True):
+    def advance(self):
         """One step of self.h by self.dt, in place: half transport, the
-        implicit diffusion solve (skipped unless diffuse), half
-        transport."""
+        implicit diffusion solve, half transport."""
         h = self.h
         self.transport(out=h)
-        if diffuse:
-            self.lu.solve(h, h)
+        self.lu.solve(h, h)
         self.transport(out=h)
 
     def sample(self):
@@ -745,30 +741,19 @@ class _Strang:
 def _stepper(model, grid, dt, order2):
     # One entry per model and path, rebuilt when dt changes, so a sweep
     # over dt does not pile up work arrays on the grid.
-    key = ("step", model, order2)
-    st = grid._cache.get(key)
-    if st is None or st.dt != dt:
-        st = grid._cache[key] = (_Strang if order2 else _Spectral)(model, grid, dt)
-    return st
+    return _cached(grid, ("step", model, order2),
+                   lambda: (_Strang if order2 else _Spectral)(model, grid, dt),
+                   lambda st: st.dt == dt)
 
 
-def cfl_limit(model, grid, order2=False):
-    """Largest step dt whose transport half steps stay positive and TVD.
-
-    The limit applies to MUSCL (order2) alone.  Each of its half steps
-    moves by nu = v dt / (2 dx), and |nu| <= 1/2 gives dx / max|v|.
-    The default step shifts each x-Fourier mode exactly, at any dt, so
-    its limit is inf.
+def cfl_limit(model, grid):
+    """Largest MUSCL step dt whose transport half steps stay positive
+    and TVD: each moves by nu = v dt / (2 dx), and |nu| <= 1/2 gives
+    dx / max|v|, or inf when v vanishes.  The default step shifts each
+    x-Fourier mode exactly, at any dt, and has no limit.
     """
     vmax = _node_geometry(model, grid).vmax
-    return grid.dx / vmax if order2 and vmax > 0.0 else math.inf
-
-
-def _check_cfl(dt, limit, where=""):
-    if dt > limit * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt = {dt:.3e} exceeds the transport limit {limit:.3e}{where}"
-        )
+    return grid.dx / vmax if vmax > 0.0 else math.inf
 
 
 def _positive_interpolant(h):
@@ -800,21 +785,20 @@ def _positive_interpolant(h):
         raise ValueError(
             f"the trigonometric interpolant in x of the initial datum falls "
             f"to {low / top:.3g} times its largest value between the Nx = {nx} "
-            f"cells, so its exact shift would make h negative; use a larger "
-            f"Nx, or MUSCL transport (order2)"
+            f"cells, so its exact shift would make h negative; use a larger Nx"
         )
     return floor
 
 
-def step(state, dt, model, grid, *, order2=False, with_diffusion=True):
-    """One Strang-split step: half transport, diffusion, half transport,
-    exact in x by default and MUSCL with order2."""
+def step(state, dt, model, grid):
+    """One default step from state, a new State at t + dt: the half
+    shifts of each x-Fourier mode around the diffusion propagator, at
+    any dt > 0 (see _Spectral)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _check_cfl(dt, cfl_limit(model, grid, order2))
-    st = _stepper(model, grid, dt, order2)
+    st = _stepper(model, grid, dt, False)
     st.load(state.h)
-    st.advance(with_diffusion)
+    st.advance()
     h, _ = st.sample()
     return State(h=h.T.copy(), t=state.t + dt)
 
@@ -1016,11 +1000,7 @@ class _Sample:
 
 
 def _sample(model, grid):
-    key = ("sample", model)
-    s = grid._cache.get(key)
-    if s is None:
-        s = grid._cache[key] = _Sample(model, grid)
-    return s
+    return _cached(grid, ("sample", model), lambda: _Sample(model, grid))
 
 
 def functionals(state, model, grid, certificate=None):
@@ -1069,14 +1049,14 @@ def sub_steps(model, grid, sample_dt, dt=None, order2=False):
     """(n_sub, dt_eff): the steps a run takes per sample, and their length.
 
     Without dt the default step is sample_dt, one step per sample, and
-    the MUSCL step (order2) 0.9 times its transport limit, or sample_dt
-    when that is smaller; a given dt bounds the step from above.
-    round() may take the count down past that bound, so sub-steps are
-    added until the step is within it.  Raises CFLViolation, stamped
-    with the run's start time, when a MUSCL step exceeds the transport
-    limit.
+    the MUSCL step (order2) 0.9 times its transport limit (`cfl_limit`),
+    or sample_dt when that is smaller; a given dt bounds the step from
+    above.  round() may take the count down past that bound, so
+    sub-steps are added until the step is within it.  Raises
+    CFLViolation, stamped with the run's start time, when a MUSCL step
+    exceeds the transport limit by more than round-off.
     """
-    limit = cfl_limit(model, grid, order2)
+    limit = cfl_limit(model, grid) if order2 else math.inf
     if dt is None:
         bound = limit
         dt = min(sample_dt, 0.9 * limit)
@@ -1086,7 +1066,9 @@ def sub_steps(model, grid, sample_dt, dt=None, order2=False):
     while sample_dt / n_sub > bound * (1.0 + 1e-12):
         n_sub += 1
     dt_eff = sample_dt / n_sub
-    _check_cfl(dt_eff, limit, " (at t = 0)")
+    if dt_eff > limit * (1.0 + 1e-12):
+        raise CFLViolation(f"dt = {dt_eff:.3e} exceeds the transport limit "
+                           f"{limit:.3e} (at t = 0)")
     return n_sub, dt_eff
 
 
@@ -1233,7 +1215,7 @@ def entropy_production_diagnostics(state, model, grid, dt=None):
     """
     geo = _node_geometry(model, grid)
     if dt is None:
-        dt = min(cfl_limit(model, grid, order2=True), 1.0)
+        dt = min(cfl_limit(model, grid), 1.0)
     mid = step(state, 0.5 * dt, model, grid)
     plus = step(mid, 0.5 * dt, model, grid)
 

@@ -427,41 +427,24 @@ class TestSimulate:
                         "--output-dir", tmp_path / "out"] + QUICK) == 2
         assert f"certificate file {path}: {message}" in capsys.readouterr().err
 
-    def test_solver_error_exit_1_with_time(self, tmp_path, capsys):
-        code = run_cli(["simulate", "--model", "classical", "--order2",
-                        "--dt", "0.5", "--output-dir", tmp_path / "out"] + QUICK)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "at t =" in err
-
-    def test_too_large_dt_fails_before_the_scan(self, tmp_path, capsys):
+    def test_order2_flag_exit_2(self, tmp_path, capsys):
+        # MUSCL is reached only through solver.run(..., order2=True).
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--model", "classical", "--order2",
-                        "--dt", "1", "--output-dir", out]) == 1
-        assert ("dt = 5.000e-02 exceeds the transport limit 1.953e-03 "
-                "(at t = 0)") in capsys.readouterr().err
-        for name in (cli.ASSUMPTIONS_TXT, cli.ASSUMPTIONS_KV, cli.CERTIFICATE_KV):
-            assert not (out / name).exists()
-
-    def test_chosen_dt_stays_inside_the_limit(self, tmp_path):
-        # The default grid's MUSCL transport limit is 1.953e-3, and
-        # 0.00225 is 1.28 steps of 0.9 times it, which rounds down to
-        # one step.
-        out = tmp_path / "out"
-        assert run_cli(["simulate", "--model", "classical", "--order2",
-                        "--sample-dt", "0.00225", "--tmax", "0.0045",
-                        "--output-dir", out]) == 0
-        assert "dt = 0.001125," in (out / "summary.txt").read_text()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--model", "classical", "--order2",
+                     "--output-dir", out] + QUICK)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_given_dt_bounds_the_sub_step(self, tmp_path):
-        # MUSCL: 0.0028 / 0.0019 = 1.47 rounds down to one step of
-        # 0.0028, above the step asked for and the limit 1.953e-3; two
-        # steps of 0.0014 keep within both.
+        # 0.05 / 0.02 = 2.5 rounds down to two steps of 0.025, above
+        # the step asked for; three steps keep within it.
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--model", "classical", "--order2",
-                        "--sample-dt", "0.0028", "--dt", "0.0019",
-                        "--tmax", "0.0112", "--output-dir", out]) == 0
-        assert "dt = 0.0014," in (out / "summary.txt").read_text()
+        assert run_cli(["simulate", "--model", "classical",
+                        "--sample-dt", "0.05", "--dt", "0.02",
+                        "--tmax", "0.1", "--output-dir", out]) == 0
+        assert "dt = 0.0166667," in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("sample_dt", ["0.004", "0.0028"])
     def test_tmax_off_the_sampling_grid_exit_2(self, tmp_path, capsys,

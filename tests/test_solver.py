@@ -25,6 +25,7 @@ from tests_support import (
     diffusion_solve_reference,
     expr_model_1d,
     functionals_reference,
+    muscl_step,
     step_reference,
     transport_runs_reference,
 )
@@ -373,17 +374,22 @@ class TestStep:
 
     def test_cfl_enforced(self):
         # A MUSCL half step moves by nu = v dt / (2 dx) with
-        # max|v| = P = 8, and MUSCL allows |nu| <= 1/2.  The default
-        # step has no limit.
+        # max|v| = P = 8, and MUSCL allows |nu| <= 1/2; sub_steps holds
+        # a MUSCL run to it.  The default step has no limit.
         grid = sv.build_grid(CLASSICAL, 16, 64, 8.0)
         st = sv.State(h=np.ones((grid.Nx, grid.Np)), t=0.0)
         limit = grid.dx / 8.0
-        assert sv.cfl_limit(CLASSICAL, grid, True) == limit
-        with pytest.raises(CFLViolation):
-            sv.step(st, 1.01 * limit, CLASSICAL, grid, order2=True)
-        sv.step(st, 0.99 * limit, CLASSICAL, grid, order2=True)
-        assert sv.cfl_limit(CLASSICAL, grid) == math.inf
+        assert sv.cfl_limit(CLASSICAL, grid) == limit
+        with pytest.raises(CFLViolation, match=r"\(at t = 0\)"):
+            sv.sub_steps(CLASSICAL, grid, 1.01 * limit, 1.01 * limit, order2=True)
+        assert sv.sub_steps(CLASSICAL, grid, 0.99 * limit, 0.99 * limit,
+                            order2=True) == (1, 0.99 * limit)
+        assert sv.sub_steps(CLASSICAL, grid, 100.0 * limit, 100.0 * limit) == (
+            1, 100.0 * limit)
         sv.step(st, 100.0 * limit, CLASSICAL, grid)
+        # v = 0 sets no limit
+        still = expr_model_1d("1", "p1^2/2", v1="0")
+        assert sv.cfl_limit(still, sv.build_grid(still, 16, 64, 8.0)) == math.inf
 
     @pytest.mark.parametrize("with_diffusion", [False, True],
                              ids=["transport", "full"])
@@ -396,9 +402,9 @@ class TestStep:
                                            with_diffusion):
         grid = sv.build_grid(model, 24, 48, 6.0)
         rng = np.random.default_rng(5)
-        limit = sv.cfl_limit(model, grid, order2)
+        limit = sv.cfl_limit(model, grid)
         # Six steps just inside the limit, then one at it and one at the
-        # round-off past it that step still accepts.
+        # round-off past it that sub_steps still accepts.
         dts = [0.999 * limit] * 6 + [limit, limit * (1.0 + 1e-12)]
         h = rng.uniform(0.0, 2.0, (grid.Nx, grid.Np))
         h[rng.random(h.shape) < 0.2] = 0.0
@@ -410,8 +416,15 @@ class TestStep:
 
         for dt in dts:
             tv0 = tv(st.h)
-            st = sv.step(st, dt, model, grid, order2=order2,
-                         with_diffusion=with_diffusion)
+            if with_diffusion:
+                st = muscl_step(st, dt, model, grid)
+            else:
+                # the two half steps of transport alone
+                muscl = sv._Strang(model, grid, dt)
+                muscl.load(st.h)
+                muscl.transport(out=muscl.h)
+                muscl.transport(out=muscl.h)
+                st = sv.State(h=muscl.h.copy(), t=st.t + dt)
             assert np.min(st.h) >= 0.0
             tv1 = tv(st.h)
             if with_diffusion:
@@ -427,13 +440,18 @@ class TestStep:
         grid = sv.build_grid(model, 32, 16, 4.0)
         h = np.zeros((grid.Nx, grid.Np))
         h[3:7, :] = 1.0
-        st = sv.State(h=h, t=0.0)
-        l1_0 = np.sum(np.abs(st.h))
-        peaks = [np.argmax(st.h.sum(axis=1))]
+        l1_0 = np.sum(np.abs(h))
+        peaks = [np.argmax(h.sum(axis=1))]
+        # the default step's half shifts alone, one phase per half step
+        st = sv._Spectral(model, grid, grid.dx / 2.0)
+        st.load(h)
+        z = st.zs[0]
         for _ in range(16):
-            st = sv.step(st, grid.dx / 2.0, model, grid, with_diffusion=False)
-            assert abs(np.sum(np.abs(st.h)) - l1_0) < 1e-12
-            peaks.append(np.argmax(st.h.sum(axis=1)))
+            z *= st.phase
+            z *= st.phase
+            h = st.sample()[0].T
+            assert abs(np.sum(np.abs(h)) - l1_0) < 1e-12
+            peaks.append(np.argmax(h.sum(axis=1)))
         # velocity 2 for time 16 * dx/2 moves the bump 16 cells forward
         assert (peaks[-1] - peaks[0]) % grid.Nx == pytest.approx(16, abs=2)
 
@@ -445,12 +463,13 @@ class TestStep:
         # the row normalization, which moves it by about 5e-14.
         grid = sv.build_grid(model, 24, 40, 6.0)
         rng = np.random.default_rng(3)
-        dt = 0.8 * sv.cfl_limit(model, grid, order2) if order2 else 0.05
+        dt = 0.8 * sv.cfl_limit(model, grid) if order2 else 0.05
         h = rng.uniform(0.1, 2.0, (grid.Nx, grid.Np))
         st = sv.State(h=h, t=0.0)
+        step = muscl_step if order2 else sv.step
         for _ in range(3):
             want = step_reference(st.h, dt, model, grid, order2)
-            st = sv.step(st, dt, model, grid, order2=order2)
+            st = step(st, dt, model, grid)
             np.testing.assert_allclose(st.h, want, rtol=1e-13 if order2 else 1e-12,
                                        atol=0.0)
 
@@ -464,7 +483,7 @@ class TestStep:
         # Zeros make the limiter's slopes and the faces signed zeros;
         # the int64 views tell -0.0 from 0.0.
         grid = sv.build_grid(model, Nx, Np, 6.0)
-        dt = sv.cfl_limit(model, grid, order2)
+        dt = sv.cfl_limit(model, grid)
         st, ref = (sv._Strang(model, grid, dt) for _ in range(2))
         rng = np.random.default_rng(41)
         h = rng.uniform(0.0, 2.0, (Nx, Np))
@@ -480,9 +499,10 @@ class TestStep:
         grid = sv.build_grid(CLASSICAL, 16, 32, 6.0)
         h = np.random.default_rng(9).uniform(0.1, 2.0, (grid.Nx, grid.Np))
         st = sv.State(h=h, t=0.0)
-        mid = sv.step(st, 1e-3, CLASSICAL, grid, order2=order2)
+        step = muscl_step if order2 else sv.step
+        mid = step(st, 1e-3, CLASSICAL, grid)
         mid_h = mid.h.copy()
-        plus = sv.step(mid, 1e-3, CLASSICAL, grid, order2=order2)
+        plus = step(mid, 1e-3, CLASSICAL, grid)
         np.testing.assert_array_equal(st.h, h)
         np.testing.assert_array_equal(mid.h, mid_h)
         for a, b in ((st.h, mid.h), (mid.h, plus.h), (st.h, plus.h)):
@@ -501,7 +521,7 @@ class TestStep:
             st = sv.State(h=h, t=0.0)
             m0 = sv._mass(st.h, grid)
             for _ in range(4):
-                st = sv.step(st, dt, CLASSICAL, grid, order2=order2)
+                st = muscl_step(st, dt, CLASSICAL, grid)
                 assert np.min(st.h) >= 0.0
             assert abs(sv._mass(st.h, grid) - m0) <= 1e-13 * m0
 
@@ -742,7 +762,7 @@ class TestWorkArrays:
         # column runs, so none goes through numpy's buffered iterator,
         # whose buffers take 64 KB or more.
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
-        st = sv._stepper(CLASSICAL, grid, sv.cfl_limit(CLASSICAL, grid, True), True)
+        st = sv._stepper(CLASSICAL, grid, sv.cfl_limit(CLASSICAL, grid), True)
         st.h[...] = smooth_state(CLASSICAL, grid).h
         st.advance()  # builds the block LU's work arrays
         tracemalloc.start()
@@ -758,7 +778,7 @@ class TestWorkArrays:
         # One sample of a run: the stepper's (h, dh/dx), its minimum and
         # its row of functionals, all in work arrays.
         grid = sv.build_grid(CLASSICAL, 128, 256, 8.0)
-        dt = sv.cfl_limit(CLASSICAL, grid, True) if order2 else 0.05
+        dt = sv.cfl_limit(CLASSICAL, grid) if order2 else 0.05
         st = sv._stepper(CLASSICAL, grid, dt, order2)
         st.load(smooth_state(CLASSICAL, grid).h)
         s = sv._sample(CLASSICAL, grid)
@@ -897,9 +917,10 @@ class TestRun:
 
         state = sv.initial_state(model, grid, datum)
         rows = [sv.functionals(state, model, grid)]
+        step = muscl_step if order2 else sv.step
         for _ in range(4):
             for _ in range(n_sub):
-                state = sv.step(state, dt, model, grid, order2=order2)
+                state = step(state, dt, model, grid)
             rows.append(sv.functionals(state, model, grid))
         for key, name in sv._SAMPLED:
             want = np.array([r[key] for r in rows])
@@ -1000,7 +1021,7 @@ class TestRun:
         # MUSCL: sample_dt / (0.9 limit) = 1.44 rounds to one sub-step,
         # which alone would step past the limit.
         grid = sv.build_grid(CLASSICAL, 16, 48, 6.0)
-        limit = sv.cfl_limit(CLASSICAL, grid, True)
+        limit = sv.cfl_limit(CLASSICAL, grid)
         series = sv.run(CLASSICAL, grid, "2", tmax=2.6 * limit,
                         sample_dt=1.3 * limit, order2=True)
         assert series.meta["dt"] == pytest.approx(0.65 * limit, rel=1e-12)

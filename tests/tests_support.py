@@ -467,6 +467,16 @@ def propagator_reference(op, dt, squarings):
     return np.linalg.matrix_power(R, 2**squarings)
 
 
+def muscl_step(state, dt, model, grid):
+    """One MUSCL step from state, as a new State: the solver's MUSCL
+    stepper for dt (which checks no transport limit) loaded with state.h
+    and advanced once, and a copy of its density."""
+    st = sv._stepper(model, grid, dt, True)
+    st.load(state.h)
+    st.advance()
+    return sv.State(h=st.h.copy(), t=state.t + dt)
+
+
 def step_reference(h, dt, model, grid, order2=False):
     """One Strang step: the default one through full complex FFTs and a
     dense propagator, or MUSCL with roll-based transport and a banded
