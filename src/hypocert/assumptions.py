@@ -50,8 +50,8 @@ import numpy as np
 
 from . import geometry as _geom
 from .geometry import _cols, _inverse_derivs, _inverse_second, _left, _right
-from .geometry import _rows, _symmetrize, _t
-from .errors import DegenerateA, ExprDomainError, MetricError
+from .geometry import _JET_ERRORS, _rows, _symmetrize, _t
+from .errors import DegenerateA, ExprDomainError
 
 __all__ = [
     "ScanGrid",
@@ -375,10 +375,6 @@ class _PointJet:
                 "velocity Gram form is not positive definite: smallest "
                 f"eigenvalue {amin[k]:.3e} at p = {self.P[k]}"
             )
-
-
-_JET_ERRORS = (MetricError, ExprDomainError, FloatingPointError,
-               np.linalg.LinAlgError)
 
 
 def _point_jets(model, P):

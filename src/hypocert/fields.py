@@ -234,6 +234,10 @@ class _ExprJets:
         """The index of a field handle in this builder, or None."""
         return next((k for k, f in enumerate(self._fields) if f is field), None)
 
+    def members(self):
+        """The indices of the members, in order."""
+        return tuple(k for k in range(len(self._fields)) if k not in self._others)
+
     def _order(self, field, order):
         """{(axes, index): slot} of the order-k partials of a member."""
         dag, partials = self._dag, self._partials[field]

@@ -23,10 +23,13 @@ matmul gives a point the same bits alone as in any batch.
 The public operations accept a single point (PointP or shape (M,))
 and return single-point tensors, or a batch (n, M) and return batched
 tensors.  Each takes its field through one rule (`_field_jets`), which
-checks the field's rank, and reads it in one request of all the orders
-it needs: a field of the model's jet builder (g, v, E, and log u once
-`models.log_weight_field` has made it) in the same request as g, any
-other field in one request to a builder of its own.
+checks the field's rank.  They read the model's point jet (`_point`):
+one request of every expression field of the model's jet builder (g,
+v, E, and log u once `models.log_weight_field` has made it) at orders
+0-2, and one metric jet, kept until an operation at other points, so
+ricci, the covariant Hessian of log u and the Bakry-Emery tensor at one
+point run one program.  Other fields, and the fields of a model whose
+g is differenced, are read in requests of the orders they need.
 
 Index conventions, fixed once:
     dg[n, k, i, j]            = d_k g_ij
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as _fields
-from .errors import MetricError, NonpositiveWeight
+from .errors import ExprDomainError, MetricError, NonpositiveWeight
 
 __all__ = [
     "PointP",
@@ -266,7 +269,8 @@ def batch_jet(model, P, second=True):
 
 
 def _jet_with(model, P, second, field, orders):
-    """batch_jet, and the jet of a field handle at each of orders.  A
+    """batch_jet, and the jet of a field handle at each of orders, for
+    what the model's point jet does not serve (see `_point`).  A
     field of the model's jet builder (g, v, E, or log u once made) is
     read in the same request as g; any other in one request to a
     builder of its own."""
@@ -277,6 +281,41 @@ def _jet_with(model, P, second, field, orders):
     metric = _metric_request(second)
     out = model._jets(metric + tuple((k, order) for order in orders), P)
     return jet_from_arrays(*out[:len(metric)]), out[len(metric):]
+
+
+# What a jet request raises at a point outside the model's domain
+_JET_ERRORS = (MetricError, ExprDomainError, FloatingPointError,
+               np.linalg.LinAlgError)
+
+
+def _point(model, P, second, field, orders):
+    """`_jet_with`'s metric jet and field jets, from the model's point jet
+    when g and field are members of the model's jet builder.
+
+    The point jet is one request of every member at orders 0-2, and the
+    metric 2-jet of g's part, kept in the model's cache on the members
+    and P's shape and bytes: an operation at the same points reads it,
+    one at other points replaces it.  One that raises a jet error is not
+    kept, and the operation makes `_jet_with`'s request, which raises
+    what it raises.  A jet's bits do not depend on the other jets of its
+    request (see `expressions.Tape`).
+    """
+    builder = model._builder()
+    members, k = builder.members(), builder.index(field)
+    if members[:1] != (0,) or k not in members:
+        return _jet_with(model, P, second, field, orders)
+    key = (members, P.shape, P.tobytes())
+    kept = model._cache.get("point")
+    if kept is None or kept[0] != key:
+        model._cache.pop("point", None)
+        try:
+            out = model._jets(tuple((m, o) for m in members for o in (0, 1, 2)), P)
+            kept = (key, jet_from_arrays(*out[:3]),
+                    {m: out[3 * i:3 * i + 3] for i, m in enumerate(members)})
+        except _JET_ERRORS:
+            return _jet_with(model, P, second, field, orders)
+        model._cache["point"] = kept
+    return kept[1], [kept[2][k][order] for order in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +434,7 @@ def drift_oneform_from_jet(jet, grad_E):
 def ricci(model, p):
     """Ricci curvature of the momentum metric at p."""
     P, single = as_batch(p, model.dim)
-    jet = batch_jet(model, P)
+    jet, _ = _point(model, P, True, model.metric_field, ())
     out = ricci_from_jet(jet)
     return SymTensor2(out[0] if single else out, "covariant")
 
@@ -406,7 +445,7 @@ def _field_jets(op, model, p, f, rank, orders):
     the model's theta.  A ValueError names op unless f has the given rank."""
     P, single = as_batch(p, model.dim)
     field = _fields.as_field(f, model.dim, model.theta)
-    jet, jets = _jet_with(model, P, False, field, orders)
+    jet, jets = _point(model, P, False, field, orders)
     shape, want = jets[0].shape[1 + orders[0]:], (model.dim,) * rank
     if shape != want:
         need = ("a scalar", "a vector", "a 2-tensor")[rank]
@@ -463,7 +502,7 @@ def log_weight_values(model, P):
 def bakry_emery_ricci(model, p):
     """Bakry-Emery-Ricci tensor Ric - Hess(log u) at p."""
     P, single = as_batch(p, model.dim)
-    jet, (E, dE, d2E) = _jet_with(model, P, True, model.energy_field, (0, 1, 2))
+    jet, (E, dE, d2E) = _point(model, P, True, model.energy_field, (0, 1, 2))
     with np.errstate(over="ignore"):
         u = np.exp(-E) / jet.sqrt_det
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0):

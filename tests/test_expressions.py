@@ -841,10 +841,9 @@ class TestJetCost:
                 assert len(runs) == 1
 
     def test_pointwise_geometry_program_runs(self, monkeypatch):
-        # ricci reads g at orders 0-2 in one run, the covariant Hessian
-        # of log u (a member of the model's builder) g at orders 0-1 and
-        # log u at orders 1-2 in one run, and Bakry-Emery g and E at
-        # orders 0-2 in one run
+        # ricci runs the model's point jet, every member (g, v, E and
+        # log u) at orders 0-2, and the Bakry-Emery tensor and the
+        # covariant Hessian of log u at the same point read it
         model = builtin_relativistic(4.0)
         logu = log_weight_field(model)
         p = np.array([0.5, -0.25, 1.0])
@@ -854,13 +853,13 @@ class TestJetCost:
             runs.clear()
             op(model, p)
             counts.append(len(runs))
-        assert counts == [1, 1, 1]
-        # log u's program holds every op of g's, so the covariant Hessian
-        # costs log u's 2-jet and no more
+        assert counts == [1, 0, 0]
+        # the one program compiled: 1,135 ops in 73 ufunc calls
         jets = model._cache["jets"]
-        e = model.dim + 2
-        tape, _ = jets._compiled[((0, 0), (0, 1), (e, 1), (e, 2))]
-        assert tape.op_count == 995
+        ((request, (tape, _)),) = jets._compiled.items()
+        assert request == tuple((k, order) for k in range(model.dim + 3)
+                                for order in (0, 1, 2))
+        assert (tape.op_count, len(tape.code)) == (1135, 73)
         assert "_jets" not in vars(logu)
 
     def test_node_geometry_runs_one_program(self, monkeypatch):

@@ -11,7 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypocert.errors import FDOrderError, MetricError, NonpositiveWeight
+from hypocert.errors import (
+    ExprDomainError,
+    FDOrderError,
+    MetricError,
+    NonpositiveWeight,
+)
 from hypocert.expressions import parse_expr
 from hypocert import geometry
 from hypocert.fields import (
@@ -39,6 +44,7 @@ from hypocert.geometry import (
 from hypocert.models import (
     builtin_classical,
     builtin_relativistic,
+    ModelSpec,
     load_model_file,
     log_weight_field,
 )
@@ -448,8 +454,8 @@ ONE_REQUEST_MODELS = {
 
 class TestOneRequestPerField:
     """Each public operation reads each field in one request of all the
-    orders it needs, and gives bit for bit what the field's and the
-    metric's per-order methods give."""
+    orders it needs, or from the model's point jet, and gives bit for
+    bit what the field's and the metric's per-order methods give."""
 
     @staticmethod
     def _fields(model):
@@ -531,3 +537,113 @@ class TestOneRequestPerField:
         want = geometry.covariant_hessian_from_jet(
             jet_from_arrays(mf.value(P), mf.grad(P)), logu.grad(P), logu.hess(P))
         assert np.array_equal(covariant_hessian(model, logu, P).entries, want)
+
+
+class TestPointJet:
+    """Ricci, the Bakry-Emery tensor and each operation on a field of
+    the model's jet builder read the model's point jet: one request of
+    every member at orders 0-2, kept on the model until an operation at
+    other points.  They give bit for bit what the kernels give on the
+    narrow jets of g and the field."""
+
+    @staticmethod
+    def _ops(model, p):
+        logu = log_weight_field(model)
+        return (ricci(model, p).entries,
+                covariant_hessian(model, logu, p).entries,
+                bakry_emery_ricci(model, p).entries)
+
+    @staticmethod
+    def _kernels(model, P):
+        mf, energy, logu = model.metric_field, model.energy_field, log_weight_field(model)
+        jet = jet_from_arrays(mf.value(P), mf.grad(P), mf.hess(P))
+        return (geometry.ricci_from_jet(jet),
+                geometry.covariant_hessian_from_jet(jet, logu.grad(P), logu.hess(P)),
+                geometry.bakry_emery_from_jet(jet, energy.grad(P), energy.hess(P)))
+
+    def _assert_kernels(self, model, p):
+        P = np.atleast_2d(p)
+        got, want = self._ops(model, p), self._kernels(model, P)
+        for label, a, b in zip(("ricci", "hessian", "bakry-emery"), got, want):
+            assert np.array_equal(a, b if p.ndim == 2 else b[0]), label
+        return got
+
+    @pytest.mark.parametrize("name", sorted(ONE_REQUEST_MODELS))
+    def test_three_operations_match_the_kernels(self, name):
+        model = ONE_REQUEST_MODELS[name]()
+        P = np.random.default_rng(53).uniform(-1.5, 1.5, size=(6, model.dim))
+        self._assert_kernels(model, P)
+        for p in P:
+            self._assert_kernels(model, p)
+        members = tuple(range(model.dim + 3))
+        assert model._cache["point"][0] == (members, (1, model.dim), P[-1].tobytes())
+
+    def test_a_point_changed_in_place_is_read_anew(self):
+        model = builtin_relativistic(4.0)
+        p = np.array([0.5, -0.25, 1.0])
+        before = self._assert_kernels(model, p)
+        p[1] = 0.75
+        after = self._assert_kernels(model, p)
+        for a, b in zip(before, after):
+            assert not np.array_equal(a, b)
+        np.testing.assert_allclose(after[2], model.oracle.bakry(p[None])[0],
+                                   rtol=1e-6, atol=1e-9)
+
+    def test_log_u_made_after_a_point_jet_was_kept(self):
+        # log u joins the model's builder, so the kept point jet, which
+        # does not hold it, is replaced by one that does
+        model = builtin_relativistic(4.0)
+        p = np.array([0.5, -0.25, 1.0])
+        ricci(model, p)
+        assert model._cache["point"][0][0] == tuple(range(model.dim + 2))
+        self._assert_kernels(model, p)
+        assert model._cache["point"][0][0] == tuple(range(model.dim + 3))
+        np.testing.assert_allclose(
+            covariant_hessian(model, log_weight_field(model), p).entries,
+            model.oracle.hess_log_u(p[None])[0], rtol=1e-6, atol=1e-9)
+
+    def test_a_member_out_of_its_domain(self):
+        # E leaves its domain at p1 > 1: the point jet fails and is not
+        # kept, Ricci still reads g, and the Bakry-Emery tensor raises
+        # what its own request of g and E raises
+        model = replace(conformal_model_2d(), energy_field=ExprScalarField(
+            parse_expr("(p1^2 + p2^2)/2 + sqrt(1 - p1)"), 2))
+        P = np.array([[0.5, 0.25], [2.0, 0.25]])
+        mf = model.metric_field
+        for p in (P[0], P[1], P):
+            Q = np.atleast_2d(p)
+            want = geometry.ricci_from_jet(
+                jet_from_arrays(mf.value(Q), mf.grad(Q), mf.hess(Q)))
+            assert np.array_equal(ricci(model, p).entries,
+                                  want if p.ndim == 2 else want[0])
+        assert "point" not in model._cache
+        with pytest.raises(ExprDomainError,
+                           match=r"^sqrt left the real domain during evaluation$"):
+            bakry_emery_ricci(model, P[1])
+        bakry_emery_ricci(model, P[0])
+        assert model._cache["point"][0][2] == P[0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["fd", "fd energy"])
+    def test_a_field_that_is_not_a_member_keeps_its_path(self, kind, monkeypatch):
+        # a differenced model has no point jet; with a differenced E,
+        # Ricci reads the point jet of g and v, and the Bakry-Emery
+        # tensor reads g and E in one request of its own
+        if kind == "fd":
+            model = fd_model(REL)
+        else:
+            model = replace(REL, energy_field=FDField(REL.energy_field.value, 3))
+        requests, jets = [], ModelSpec._jets
+        monkeypatch.setattr(ModelSpec, "_jets",
+                            lambda m, r, P: [requests.append(r), jets(m, r, P)][1])
+        P = rel_points(4, seed=59)
+        mf, energy = model.metric_field, model.energy_field
+        jet = jet_from_arrays(mf.value(P), mf.grad(P), mf.hess(P))
+        assert np.array_equal(ricci(model, P).entries, geometry.ricci_from_jet(jet))
+        assert np.array_equal(bakry_emery_ricci(model, P).entries,
+                              geometry.bakry_emery_from_jet(
+                                  jet, energy.grad(P), energy.hess(P)))
+        metric, e = ((0, 0), (0, 1), (0, 2)), model.dim + 1
+        first = (metric if kind == "fd" else
+                 tuple((k, order) for k in range(e) for order in (0, 1, 2)))
+        assert requests == [first, metric + tuple((e, order) for order in (0, 1, 2))]
+        assert ("point" in model._cache) == (kind != "fd")

@@ -544,6 +544,22 @@ class TestDefaultStep:
         np.testing.assert_allclose(prop.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
         assert np.sum(np.abs(mu @ prop - mu)) <= 1e-14
 
+    @pytest.mark.parametrize("model", [CLASSICAL, RELATIVISTIC_10],
+                             ids=["classical", "relativistic10"])
+    @pytest.mark.parametrize("nx", [64, 63])
+    def test_step_gives_the_bits_of_the_sample(self, model, nx):
+        # step takes h alone, by the irfft of z; a sample takes h and
+        # dh/dx by one irfft of the stack of z and 2 pi i k z
+        grid = sv.build_grid(model, nx, 128, 8.0)
+        state = sv.initial_state(model, grid, self.cosine)
+        out = sv.step(state, 0.05, model, grid)
+        st = sv._stepper(model, grid, 0.05, False)
+        st.load(state.h)
+        st.advance()
+        h, _ = st.sample()
+        assert np.array_equal(out.h, h.T)
+        assert out.h.flags.c_contiguous and out.t == 0.05
+
     def test_one_step_per_sample_keeps_the_mass(self):
         grid = sv.build_grid(CLASSICAL, 64, 128, 8.0)
         series = sv.run(CLASSICAL, grid, "1 + x*(1-x)", tmax=1.0, sample_dt=0.05)
